@@ -21,7 +21,6 @@ from .cones import (
     absolute_part,
     lattice_inf,
     lattice_sup,
-    moreau_decompose,
     negative_part,
     positive_part,
     project_domination_set,
@@ -40,9 +39,7 @@ from .forms import (
     FormOperator,
     assemble_magnetic_form,
     assemble_scalar_form,
-    evaluate_form,
     flatten_section,
-    generator,
     unflatten_section,
 )
 from .graphs import (
@@ -51,7 +48,6 @@ from .graphs import (
     load_graph,
     restrict_dirichlet,
     restrict_neumann,
-    weighted_degree,
 )
 from .metrics import (
     CutoffSequence,
@@ -75,8 +71,6 @@ from .spectral import (
     markov_check,
     ouhabaz_invariance_check,
     positivity_check,
-    resolvent_apply,
-    semigroup_apply,
 )
 
 __version__ = "0.1.0"

@@ -3,8 +3,9 @@
 A bundle of rank d attaches the fiber C^d to every vertex, a unitary
 connection matrix to every edge with positive weight, and a positive
 endomorphism W(x) to every vertex. Sections are (n, d) complex arrays.
-The connection is stored once per unordered edge for the orientation
-(x, y) with x < y; the reverse direction is the adjoint.
+The connection is an (E, d, d) array on the edge order of the graph,
+holding Phi_{x,y} for the stored orientation x < y; the reverse
+direction is the adjoint.
 """
 
 from __future__ import annotations
@@ -12,19 +13,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeG, SchemaError
-from .graphs import WeightedGraph, _as_subset, restrict_neumann
+from .graphs import WeightedGraph, _restriction, restrict_neumann
 
 UNITARY_TOL = 1e-10
 ENDO_TOL = 1e-10
 
 
 class HermitianBundle:
-    """Rank-d Hermitian bundle: unitary edge maps plus vertex endomorphisms."""
+    """Rank-d Hermitian bundle: unitary edge maps plus vertex endomorphisms.
+
+    `connection` is either a mapping {(x, y): Phi_{x,y}} over edges, in
+    either orientation (the reverse orientation is stored as the adjoint),
+    or an (E, d, d) array aligned with `graph.edges`. It is stored as that
+    array, with the identity on every edge the mapping omits.
+    """
 
     __slots__ = ("graph", "rank", "connection", "endo")
 
@@ -33,25 +39,35 @@ class HermitianBundle:
             raise DimensionMismatch(f"rank must be positive, got {rank}")
         self.graph = graph
         self.rank = int(rank)
+        shape = (len(graph.edges), rank, rank)
 
-        conn = {}
-        for (x, y), mat in dict(connection or {}).items():
-            x, y = int(x), int(y)
-            key = (x, y) if x < y else (y, x)
-            if key not in graph.edges:
+        if isinstance(connection, np.ndarray):
+            conn = connection.astype(complex)
+            if conn.shape != shape:
                 raise DimensionMismatch(
-                    f"connection given on non-edge {key} (b=0 there)"
+                    f"connection array has shape {conn.shape}, expected {shape}"
                 )
-            mat = np.asarray(mat, dtype=complex)
-            if mat.shape != (rank, rank):
-                raise DimensionMismatch(
-                    f"connection matrix at edge {key} has shape {mat.shape}, "
-                    f"expected ({rank},{rank})"
-                )
-            stored = (mat if key == (x, y) else mat.conj().T).copy()
-            stored.setflags(write=False)
-            conn[key] = stored
-        self.connection = MappingProxyType(conn)
+        else:
+            conn = np.tile(np.eye(rank, dtype=complex), (len(graph.edges), 1, 1))
+            items = list(dict(connection or {}).items())
+            pairs = np.array([key for key, _ in items], dtype=int).reshape(-1, 2)
+            rows = graph._edge_index(pairs[:, 0], pairs[:, 1])
+            for ((x, y), mat), row in zip(items, rows):
+                x, y = int(x), int(y)
+                key = (x, y) if x < y else (y, x)
+                if row < 0:
+                    raise DimensionMismatch(
+                        f"connection given on non-edge {key} (b=0 there)"
+                    )
+                mat = np.asarray(mat, dtype=complex)
+                if mat.shape != (rank, rank):
+                    raise DimensionMismatch(
+                        f"connection matrix at edge {key} has shape {mat.shape}, "
+                        f"expected ({rank},{rank})"
+                    )
+                conn[row] = mat if x < y else mat.conj().T
+        conn.setflags(write=False)
+        self.connection = conn
 
         if endo is None:
             endo = np.zeros((graph.n, rank, rank), dtype=complex)
@@ -67,10 +83,10 @@ class HermitianBundle:
 
     def phi(self, x, y):
         """Connection matrix mapping the fiber at y into the fiber at x."""
-        key = (x, y) if x < y else (y, x)
-        mat = self.connection.get(key)
-        if mat is None:
+        row = self.graph._edge_index(x, y)
+        if row < 0:
             return np.eye(self.rank, dtype=complex)
+        mat = self.connection[row]
         return mat if x < y else mat.conj().T
 
     def check_section(self, u):
@@ -95,15 +111,26 @@ class BundleValidation:
     """Per-edge unitarity defects and per-vertex endomorphism diagnostics."""
 
     ok: bool
-    edge_defects: dict          # (x, y) -> ||Phi* Phi - I||_max
+    edges: np.ndarray           # (E, 2) rows of the graph the defects refer to
+    edge_defects: np.ndarray    # (E,) ||Phi* Phi - I||_max per edge row
     endo_min_eigs: np.ndarray   # min eigenvalue of the Hermitian part of W(x)
     endo_herm_defects: np.ndarray  # ||W(x) - W(x)*||_max
 
     def worst_edge(self):
-        if not self.edge_defects:
+        if not self.edge_defects.size:
             return None, 0.0
-        edge = max(self.edge_defects, key=self.edge_defects.get)
-        return edge, self.edge_defects[edge]
+        row = int(np.argmax(self.edge_defects))
+        x, y = self.edges[row].tolist()
+        return (x, y), float(self.edge_defects[row])
+
+
+def _max_entry(batch):
+    """Largest absolute entry of each matrix in a (k, d, d) batch."""
+    return np.abs(batch).max(axis=(1, 2), initial=0.0)
+
+
+def _adjoint(batch):
+    return batch.conj().transpose(0, 2, 1)
 
 
 def validate_bundle(B: HermitianBundle) -> BundleValidation:
@@ -112,28 +139,20 @@ def validate_bundle(B: HermitianBundle) -> BundleValidation:
     Returns a failing report rather than raising, so callers can print the
     per-edge and per-vertex defects.
     """
-    eye = np.eye(B.rank)
-    edge_defects = {}
-    for (x, y) in B.graph.edges:
-        phi = B.phi(x, y)
-        edge_defects[(x, y)] = float(
-            np.abs(phi.conj().T @ phi - eye).max()
-        )
-
-    n = B.graph.n
-    herm_defects = np.zeros(n)
-    min_eigs = np.zeros(n)
-    for x in range(n):
-        w = B.endo[x]
-        herm_defects[x] = np.abs(w - w.conj().T).max()
-        min_eigs[x] = np.linalg.eigvalsh((w + w.conj().T) / 2).min()
-
+    phi = B.connection
+    gram = np.einsum("eji,ejk->eik", phi.conj(), phi)
+    edge_defects = _max_entry(gram - np.eye(B.rank))
+    w = B.endo
+    herm_defects = _max_entry(w - _adjoint(w))
+    min_eigs = np.linalg.eigvalsh((w + _adjoint(w)) / 2)[:, 0]
     ok = (
-        all(d <= UNITARY_TOL for d in edge_defects.values())
+        (edge_defects <= UNITARY_TOL).all()
         and (min_eigs >= -ENDO_TOL).all()
         and (herm_defects <= ENDO_TOL).all()
     )
-    return BundleValidation(bool(ok), edge_defects, min_eigs, herm_defects)
+    return BundleValidation(
+        bool(ok), B.graph.edges, edge_defects, min_eigs, herm_defects
+    )
 
 
 def symmetrize(u, B: HermitianBundle) -> np.ndarray:
@@ -199,23 +218,12 @@ def restrict_bundle(B: HermitianBundle, omega, fold_boundary: bool = False):
     added (times the identity) to the endomorphism, which is what makes the
     restricted magnetic form agree with the host form on zero-extensions.
     """
-    G = B.graph
-    omega = _as_subset(G, omega)
-    members = omega.members
-    pos = {int(v): i for i, v in enumerate(members)}
-
-    connection = {
-        (pos[x], pos[y]): mat
-        for (x, y), mat in B.connection.items()
-        if x in pos and y in pos
-    }
-    endo = B.endo[members].copy()
+    omega, keep, _, boundary = _restriction(B.graph, omega)
+    endo = B.endo[omega.members]
     if fold_boundary:
-        boundary = G.adjacency_matrix()[np.ix_(members, omega.complement())].sum(axis=1)
-        endo += boundary[:, None, None] * np.eye(B.rank)
-
-    sub = restrict_neumann(G, omega)
-    return HermitianBundle(sub, B.rank, connection, endo)
+        endo = endo + boundary[:, None, None] * np.eye(B.rank)
+    sub = restrict_neumann(B.graph, omega)
+    return HermitianBundle(sub, B.rank, B.connection[keep], endo)
 
 
 def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:

@@ -18,7 +18,7 @@ import numpy as np
 from . import spectral
 from .bundles import load_bundle, trivial_bundle, validate_bundle
 from .domination import diamagnetic_report
-from .errors import MglError, NotNested, SchemaError
+from .errors import MglError, SchemaError
 from .forms import assemble_magnetic_form, assemble_scalar_form
 from .graphs import load_graph
 from .metrics import exhaustion_uniqueness_experiment
@@ -173,7 +173,7 @@ def cmd_validate(config: RunConfig) -> int:
     return code
 
 
-def cmd_dominate(config: RunConfig, _report_hook=None) -> int:
+def cmd_dominate(config: RunConfig) -> int:
     graph = load_graph(config.graph_path)
     bundle = load_bundle(graph, config.bundle_path)
     result = diamagnetic_report(
@@ -186,9 +186,6 @@ def cmd_dominate(config: RunConfig, _report_hook=None) -> int:
         tol=config.tol_domination,
     )
     report = result.to_report()
-    if _report_hook is not None:
-        # Test-only fault-injection hook.
-        _report_hook(report)
     report["consistent"] = consistency_from_report(report)
     _emit(config, report)
     for key in ("form", "resolvent", "semigroup"):
@@ -312,9 +309,6 @@ def run(argv=None) -> int:
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except NotNested as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MglError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """Order operations in the weighted orthant of l2(X, m).
 
-Positive/negative parts, the orthogonal positive-negative decomposition,
+Positive/negative parts (the orthogonal decomposition g = g+ - g-),
 lattice sup/inf via the absolute-value identity, and the exact metric
 projection onto the set of pairs (section, bound) whose pointwise fiber
 norm is dominated by the bound. All operations are pure; the vertex
@@ -72,21 +72,6 @@ def absolute_part(g) -> np.ndarray:
     """|g| = positive_part(g) + negative_part(g)."""
     g = _require_real(g)
     return np.maximum(g, 0.0) + np.maximum(-g, 0.0)
-
-
-def moreau_decompose(g, ctx: ConeContext):
-    """Split g into orthogonal nonnegative parts (h1, h2) with g = h1 - h2.
-
-    h1 is the metric projection of g onto the nonnegative orthant of
-    l2(X, m) and h2 the projection of -g; the two have disjoint supports,
-    so <h1, h2>_m vanishes exactly.
-    """
-    g = _require_real(g)
-    if g.shape != (ctx.graph.n,):
-        raise DimensionMismatch(
-            f"function has shape {g.shape}, expected ({ctx.graph.n},)"
-        )
-    return np.maximum(g, 0.0), np.maximum(-g, 0.0)
 
 
 def lattice_sup(f, g) -> np.ndarray:

@@ -7,9 +7,10 @@ that statement at the semigroup, resolvent, and form level on parameter
 grids and random samples; the theory says the three verdicts must agree,
 and the verifier reports worst-case slacks and witnesses either way.
 
-Deterministic probes (coordinate sections, and disjointly supported edge
-pairs for the form level) are always added to the random samples: known
-violations concentrate there.
+Deterministic probes (coordinate sections; for the form level also
+disjointly supported edge pairs and each coordinate section paired with
+itself) are always added to the random samples: known violations
+concentrate there.
 """
 
 from __future__ import annotations
@@ -80,9 +81,35 @@ def _sample_sections(n: int, d: int, count: int, rng) -> np.ndarray:
 def _basis_sections(n: int, d: int) -> np.ndarray:
     """Coordinate probes: the section e_x (first fiber vector) for every x."""
     out = np.zeros((n, n, d), dtype=complex)
-    for x in range(n):
-        out[x, x, 0] = 1.0
+    out[np.arange(n), np.arange(n), 0] = 1.0
     return out
+
+
+def _coordinate_probe_slacks(A: FormOperator, B: FormOperator, edges):
+    """Paired-inequality slacks Re Q_A(f1, f2) - Q_B(|f1|, |f2|) on coordinates.
+
+    For an edge row (x, y) the pair is f1 = e_{x,0}, f2 = e_{y,0}, with
+    disjoint supports; for a vertex x and fiber index j it is
+    f1 = f2 = e_{x,j}. Both sides are single entries of the form matrices,
+    since Q(u, v) = <Lu, v>. Returns the (E,) and (n, d) slack arrays.
+    """
+    x, y = edges.T
+    d = A.d
+    edge = A.L[y * d, x * d].real - B.L[y, x].real
+    diag = np.diagonal(A.L).real.reshape(A.n, d) - np.diagonal(B.L).real[:, None]
+    return edge, diag
+
+
+def _probe_witness(n: int, d: int, edges, k: int):
+    """Section f1 and witness vertex of coordinate probe k (edge rows first)."""
+    f1 = np.zeros((n, d), dtype=complex)
+    if k < len(edges):
+        x, vertex = edges[k].tolist()
+        f1[x, 0] = 1.0
+    else:
+        vertex, j = divmod(k - len(edges), d)
+        f1[vertex, j] = 1.0
+    return f1, vertex
 
 
 def _flatten_batch(sections: np.ndarray) -> np.ndarray:
@@ -176,7 +203,8 @@ def check_form_domination(
     (2) for 0 <= g <= |u| the phase-aligned section of magnitude g obeys
         the energy budget Q_A(aligned) <= Q_B(g) + Q_A(u);
     (3) Re Q_A(f1, f2) >= Q_B(|f1|, |f2|) on phase-aligned pairs, including
-        disjointly supported coordinate pairs on every edge.
+        disjointly supported coordinate pairs on every edge and every
+        coordinate section e_{x,j} paired with itself.
     """
     _check_compatible(A, B)
     rng = _as_rng(rng)
@@ -190,7 +218,7 @@ def check_form_domination(
     budget_slack = np.inf
     budget_witness = None
     aligned_slack = np.inf
-    aligned_witness = (None, None)
+    aligned_witness = None
 
     for u in sections:
         flat_u = u.reshape(-1)
@@ -212,40 +240,35 @@ def check_form_domination(
         )
         if slack < aligned_slack:
             aligned_slack = float(slack)
-            aligned_witness = (u, None)
+            aligned_witness = u
 
-    # Disjointly supported nonnegative pairs are paired by definition and
-    # concentrate the violations of failing instances.
-    graph = bundle.graph
-    for (x, y) in graph.edges:
-        f1 = np.zeros((A.n, A.d), dtype=complex)
-        f2 = np.zeros((A.n, A.d), dtype=complex)
-        f1[x, 0] = 1.0
-        f2[y, 0] = 1.0
-        ex = np.zeros(A.n)
-        ey = np.zeros(A.n)
-        ex[x] = 1.0
-        ey[y] = 1.0
-        slack = (
-            A.evaluate(f1.reshape(-1), f2.reshape(-1)).real
-            - B.evaluate(ex, ey).real
-        )
-        if slack < aligned_slack:
-            aligned_slack = float(slack)
-            aligned_witness = (f1, int(y))
+    # Coordinate pairs are paired by definition and concentrate the
+    # violations of failing instances: disjointly supported pairs across
+    # every edge, and e_{x,j} against itself, which catches W(x) < c(x).
+    edge, diag = _coordinate_probe_slacks(A, B, bundle.graph.edges)
+    probes = np.concatenate([edge, diag.ravel()])
+    probe = int(np.argmin(probes))
+    if probes[probe] < aligned_slack:
+        aligned_slack = float(probes[probe])
+    else:
+        probe = None
 
     overall = min(budget_slack, aligned_slack)
     passed = overall >= -tol
-    if budget_slack <= aligned_slack:
+    if passed:
+        witness = witness_vertex = None
+    elif budget_slack <= aligned_slack:
         witness, witness_vertex = budget_witness, None
+    elif probe is None:
+        witness, witness_vertex = aligned_witness, None
     else:
-        witness, witness_vertex = aligned_witness
+        witness, witness_vertex = _probe_witness(A.n, A.d, bundle.graph.edges, probe)
     return Verdict(
         passed,
         float(overall),
-        None if passed else witness,
+        witness,
         None,
-        None if passed else witness_vertex,
+        witness_vertex,
         detail={
             "max_dominating_energy": max_energy,
             "energy_budget_slack": budget_slack,
@@ -326,12 +349,8 @@ class DominationReport:
 
 def hypothesis_margins(G: WeightedGraph, bundle: HermitianBundle) -> np.ndarray:
     """Per-vertex min eigenvalue of the Hermitian part of W(x) - c(x) I."""
-    out = np.empty(G.n)
-    eye = np.eye(bundle.rank)
-    for x in range(G.n):
-        w = bundle.endo[x] - G.killing[x] * eye
-        out[x] = np.linalg.eigvalsh((w + w.conj().T) / 2).min()
-    return out
+    w = bundle.endo - G.killing[:, None, None] * np.eye(bundle.rank)
+    return np.linalg.eigvalsh((w + w.conj().transpose(0, 2, 1)) / 2)[:, 0]
 
 
 def diamagnetic_report(

@@ -88,6 +88,11 @@ class FormOperator:
         self.eigenvectors.setflags(write=False)
         self.lower_bound = float(w[0])
 
+    def reconstruction_defect(self) -> float:
+        """Max-norm distance between U diag(mu) U* and the symmetrized matrix."""
+        U, w = self.eigenvectors, self.eigenvalues
+        return float(np.abs((U * w[None, :]) @ U.conj().T - self.a_sym).max())
+
     # -- form evaluation ---------------------------------------------------
 
     def _check_vector(self, u):
@@ -189,7 +194,10 @@ def assemble_scalar_form(G: WeightedGraph) -> FormOperator:
               + sum_x c(x) u(x) conj v(x),
     realized as L = diag(row sums + c) - (weight matrix).
     """
-    L = np.diag(G.row_sums + G.killing) - G.adjacency_matrix()
+    L = np.diag(G.row_sums + G.killing)
+    x, y = G.edges.T
+    L[x, y] = -G.weights
+    L[y, x] = -G.weights
     return FormOperator(L, G.measure, d=1, graph=G)
 
 
@@ -212,63 +220,14 @@ def assemble_magnetic_form(G: WeightedGraph, B: HermitianBundle) -> FormOperator
 
     n, d = G.n, B.rank
     L = np.zeros((n * d, n * d), dtype=complex)
-    for x in range(n):
-        sl = slice(x * d, (x + 1) * d)
-        L[sl, sl] = G.row_sums[x] * np.eye(d) + B.endo[x]
-    for (x, y), b in G.edges.items():
-        phi = B.phi(x, y)
-        L[x * d : (x + 1) * d, y * d : (y + 1) * d] = -b * phi
-        L[y * d : (y + 1) * d, x * d : (x + 1) * d] = -b * phi.conj().T
+    blocks = L.reshape(n, d, n, d)
+    v = np.arange(n)
+    blocks[v, :, v, :] = G.row_sums[:, None, None] * np.eye(d) + B.endo
+    x, y = G.edges.T
+    b = G.weights[:, None, None]
+    blocks[x, :, y, :] = -b * B.connection
+    blocks[y, :, x, :] = -b * B.connection.conj().transpose(0, 2, 1)
     return FormOperator(L, G.measure, d=d, graph=G)
-
-
-def evaluate_form(F: FormOperator, u, v) -> complex:
-    """Sesquilinear form value Q(u, v); conjugate-symmetric in (u, v)."""
-    return F.evaluate(u, v)
-
-
-def generator(F: FormOperator):
-    """The generator's spectral data in the m-weighted inner product.
-
-    Returns a read-only view with ascending real eigenvalues, the
-    orthonormal eigenbasis of the symmetrized matrix, and the action
-    u -> M^-1 L u satisfying Q(u, v) = <Au, v>_m.
-    """
-    return _Generator(F)
-
-
-class _Generator:
-    __slots__ = ("form",)
-
-    def __init__(self, form: FormOperator):
-        self.form = form
-
-    @property
-    def eigenvalues(self):
-        return self.form.eigenvalues
-
-    @property
-    def basis(self):
-        return self.form.eigenvectors
-
-    @property
-    def symmetrized(self):
-        return self.form.a_sym
-
-    @property
-    def lower_bound(self):
-        return self.form.lower_bound
-
-    def matrix(self):
-        return self.form.L / self.form.m_diag[:, None]
-
-    def apply(self, u):
-        return self.form.apply_generator(u)
-
-    def reconstruction_defect(self) -> float:
-        """Max-norm distance between U diag(mu) U* and the symmetrized matrix."""
-        U, w = self.form.eigenvectors, self.form.eigenvalues
-        return float(np.abs((U * w[None, :]) @ U.conj().T - self.form.a_sym).max())
 
 
 def flatten_section(u) -> np.ndarray:

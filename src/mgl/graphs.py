@@ -1,20 +1,27 @@
 """Finite weighted graphs: vertex measure, symmetric edge weights, killing term.
 
 A graph is the data (n, b, c, m) with b symmetric and zero on the diagonal,
-c >= 0 and m > 0. Edge weights are stored once per unordered pair, so the
-symmetry axiom holds by construction rather than by check. All objects are
-immutable after construction and safe for concurrent reads.
+c >= 0 and m > 0. Each unordered edge is stored once, as a row (x, y) with
+x < y of the (E, 2) array `edges`, sorted lexicographically, with its
+weight at the same position of `weights`; the symmetry axiom therefore
+holds by construction rather than by check. Everything downstream (forms,
+bundles, metrics, restrictions) is computed from these aligned arrays. All
+objects are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InvariantError, SchemaError
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 class WeightedGraph:
@@ -23,25 +30,28 @@ class WeightedGraph:
     Attributes
     ----------
     n : vertex count
-    edges : dict mapping (x, y) with x < y to the positive weight b(x, y)
+    edges : (E, 2) int array of rows (x, y), x < y, sorted lexicographically
+    weights : (E,) array of the positive weights b(x, y), aligned with edges
     killing : length-n array of nonnegative killing values c
     measure : length-n array of strictly positive vertex measures m
     row_sums : cached length-n array of sum_y b(x, y)
     """
 
-    __slots__ = ("n", "edges", "killing", "measure", "row_sums", "_adjacency")
+    __slots__ = ("n", "edges", "weights", "killing", "measure", "row_sums", "_keys")
 
     def __init__(self, n, edges, killing=None, measure=None):
+        """`edges` maps pairs (x, y), in either orientation, to weights b >= 0;
+        zero weights are dropped."""
         if not isinstance(n, (int, np.integer)) or n <= 0:
             raise InvariantError(f"vertex count must be a positive integer, got {n!r}")
-        self.n = int(n)
+        n = int(n)
 
         clean = {}
         for (x, y), b in dict(edges).items():
             x, y = int(x), int(y)
             b = float(b)
-            if not (0 <= x < self.n and 0 <= y < self.n):
-                raise InvariantError(f"edge ({x},{y}) out of range for n={self.n}")
+            if not (0 <= x < n and 0 <= y < n):
+                raise InvariantError(f"edge ({x},{y}) out of range for n={n}")
             if x == y:
                 raise InvariantError(f"axiom (b1) violated: loop weight at vertex {x}")
             if not np.isfinite(b) or b < 0:
@@ -56,54 +66,76 @@ class WeightedGraph:
                     f"axiom (b2) violated: conflicting weights for edge {key}"
                 )
             clean[key] = b
-        self.edges = MappingProxyType(clean)
+        rows = sorted(clean)
+        self._store(
+            n,
+            np.array(rows, dtype=np.intp).reshape(-1, 2),
+            np.array([clean[r] for r in rows], dtype=float),
+            killing,
+            measure,
+        )
 
+    @classmethod
+    def _from_arrays(cls, n, edges, weights, killing, measure):
+        """Graph from rows that are already sorted, oriented and positive."""
+        graph = cls.__new__(cls)
+        graph._store(n, edges, weights, killing, measure)
+        return graph
+
+    def _store(self, n, edges, weights, killing, measure):
+        self.n = n
+        self.edges = _frozen(edges)
+        self.weights = _frozen(weights)
         self.killing = self._vertex_array(killing, default=0.0, name="killing")
         self.measure = self._vertex_array(measure, default=1.0, name="measure")
-        for x, c in enumerate(self.killing):
-            if not np.isfinite(c) or c < 0:
-                raise InvariantError(
-                    f"killing nonnegativity violated at vertex {x}: c={c}"
-                )
-        for x, m in enumerate(self.measure):
-            if not np.isfinite(m) or m <= 0:
-                raise InvariantError(f"measure positivity violated at vertex {x}: m={m}")
-
-        adj = np.zeros((self.n, self.n))
-        for (x, y), b in self.edges.items():
-            adj[x, y] = b
-            adj[y, x] = b
-        self._adjacency = adj
-        self._adjacency.setflags(write=False)
-        self.row_sums = adj.sum(axis=1)
-        self.row_sums.setflags(write=False)
+        bad = np.flatnonzero(~np.isfinite(self.killing) | (self.killing < 0))
+        if bad.size:
+            x = bad[0]
+            raise InvariantError(
+                f"killing nonnegativity violated at vertex {x}: c={self.killing[x]}"
+            )
+        bad = np.flatnonzero(~np.isfinite(self.measure) | (self.measure <= 0))
+        if bad.size:
+            x = bad[0]
+            raise InvariantError(
+                f"measure positivity violated at vertex {x}: m={self.measure[x]}"
+            )
+        self.row_sums = _frozen(self._incident_sums(self.weights))
+        # Sorted rows have sorted keys x * n + y; the sentinel n * n, above
+        # every key, keeps the array nonempty for the clamped read in
+        # _edge_index.
+        self._keys = np.append(edges @ np.array([n, 1]), n * n)
 
     def _vertex_array(self, values, default, name):
         if values is None:
-            arr = np.full(self.n, default)
-        else:
-            arr = np.asarray(values, dtype=float).copy()
-            if arr.shape != (self.n,):
-                raise InvariantError(
-                    f"{name} must have length n={self.n}, got shape {arr.shape}"
-                )
-        arr.setflags(write=False)
-        return arr
+            return _frozen(np.full(self.n, default))
+        arr = np.array(values, dtype=float)
+        if arr.shape != (self.n,):
+            raise InvariantError(
+                f"{name} must have length n={self.n}, got shape {arr.shape}"
+            )
+        return _frozen(arr)
 
-    def adjacency_matrix(self):
-        """Dense symmetric matrix of edge weights (read-only view)."""
-        return self._adjacency
+    def _incident_sums(self, per_edge):
+        """Add each per-edge value to both endpoints: a length-n array."""
+        return np.bincount(
+            self.edges.ravel(), weights=np.repeat(per_edge, 2), minlength=self.n
+        )
+
+    def _edge_index(self, x, y):
+        """Row of the edge {x, y} in `edges` (either orientation), -1 off it."""
+        x, y = np.asarray(x), np.asarray(y)
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        query = lo * self.n + hi
+        keys = self._keys
+        pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        hit = (lo >= 0) & (hi < self.n) & (keys[pos] == query)
+        return np.where(hit, pos, -1)
 
     def weight(self, x, y):
         """b(x, y); zero on the diagonal and on non-edges."""
-        if x == y:
-            return 0.0
-        key = (x, y) if x < y else (y, x)
-        return self.edges.get(key, 0.0)
-
-    def neighbors(self, x):
-        """Vertices y with b(x, y) > 0, ascending."""
-        return np.flatnonzero(self._adjacency[x] > 0)
+        i = self._edge_index(x, y)
+        return float(self.weights[i]) if i >= 0 else 0.0
 
     def weighted_degree(self, x):
         """Deg(x) = (sum_y b(x, y) + c(x)) / m(x)."""
@@ -132,16 +164,10 @@ class VertexSubset:
                 f"vertex subset out of range for graph with n={parent.n}"
             )
         self.parent = parent
-        self.members = np.sort(members)
-        self.members.setflags(write=False)
+        self.members = _frozen(np.sort(members))
 
     def __len__(self):
         return len(self.members)
-
-    def complement(self):
-        mask = np.ones(self.parent.n, dtype=bool)
-        mask[self.members] = False
-        return np.flatnonzero(mask)
 
 
 def _as_subset(G: WeightedGraph, omega) -> VertexSubset:
@@ -150,6 +176,26 @@ def _as_subset(G: WeightedGraph, omega) -> VertexSubset:
             raise InvariantError("vertex subset belongs to a different graph")
         return omega
     return VertexSubset(G, omega)
+
+
+def _restriction(G: WeightedGraph, omega):
+    """Split the edge set of G along a vertex subset.
+
+    Returns the subset, the mask of edges with both ends inside, those
+    edges relabeled to subset positions (still sorted, since relabeling is
+    monotone), and per member the total weight of edges leaving the subset.
+    """
+    omega = _as_subset(G, omega)
+    pos = np.full(G.n, -1)
+    pos[omega.members] = np.arange(len(omega))
+    ends = pos[G.edges]
+    inside = ends >= 0
+    keep = inside.all(axis=1)
+    cut = inside.any(axis=1) & ~keep
+    boundary = np.bincount(
+        ends[cut][inside[cut]], weights=G.weights[cut], minlength=len(omega)
+    )
+    return omega, keep, ends[keep], boundary
 
 
 def load_graph(source) -> WeightedGraph:
@@ -233,13 +279,6 @@ def load_graph(source) -> WeightedGraph:
     return WeightedGraph(n, edges, doc.get("killing"), doc.get("measure"))
 
 
-def weighted_degree(G: WeightedGraph, x: int) -> float:
-    """Deg(x) = (sum_y b(x, y) + c(x)) / m(x)."""
-    if not 0 <= x < G.n:
-        raise InvariantError(f"vertex {x} out of range")
-    return G.weighted_degree(x)
-
-
 def restrict_dirichlet(G: WeightedGraph, omega) -> WeightedGraph:
     """Restrict to a vertex subset, folding boundary edges into the killing term.
 
@@ -247,29 +286,18 @@ def restrict_dirichlet(G: WeightedGraph, omega) -> WeightedGraph:
     form evaluated on zero-extensions: edges leaving the subset contribute
     c_new(x) = c(x) + sum_{y outside} b(x, y).
     """
-    omega = _as_subset(G, omega)
+    omega, keep, rows, boundary = _restriction(G, omega)
     members = omega.members
-    pos = {int(v): i for i, v in enumerate(members)}
-    adj = G.adjacency_matrix()
-
-    edges = {
-        (pos[x], pos[y]): b
-        for (x, y), b in G.edges.items()
-        if x in pos and y in pos
-    }
-    boundary = adj[np.ix_(members, omega.complement())].sum(axis=1)
-    killing = G.killing[members] + boundary
-    return WeightedGraph(len(members), edges, killing, G.measure[members])
+    return WeightedGraph._from_arrays(
+        len(members), rows, G.weights[keep],
+        G.killing[members] + boundary, G.measure[members],
+    )
 
 
 def restrict_neumann(G: WeightedGraph, omega) -> WeightedGraph:
     """Restrict to a vertex subset, dropping boundary edges (induced subgraph)."""
-    omega = _as_subset(G, omega)
+    omega, keep, rows, _ = _restriction(G, omega)
     members = omega.members
-    pos = {int(v): i for i, v in enumerate(members)}
-    edges = {
-        (pos[x], pos[y]): b
-        for (x, y), b in G.edges.items()
-        if x in pos and y in pos
-    }
-    return WeightedGraph(len(members), edges, G.killing[members], G.measure[members])
+    return WeightedGraph._from_arrays(
+        len(members), rows, G.weights[keep], G.killing[members], G.measure[members]
+    )

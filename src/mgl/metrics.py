@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .bundles import HermitianBundle, restrict_bundle
@@ -72,45 +73,69 @@ class PseudoMetric:
 
 
 class EdgeLengths:
-    """Positive symmetric edge lengths defined exactly on edges with b > 0."""
+    """Positive symmetric edge lengths defined exactly on edges with b > 0.
+
+    `lengths` is a mapping {(x, y): s} over the edges, in either
+    orientation, or an (E,) array aligned with `graph.edges`; it is stored
+    as that array.
+    """
 
     __slots__ = ("graph", "lengths")
 
     def __init__(self, graph: WeightedGraph, lengths):
-        norm = {}
-        for (x, y), s in dict(lengths).items():
-            key = (x, y) if x < y else (y, x)
-            if key in norm and norm[key] != float(s):
-                raise InvariantError(f"conflicting lengths for edge {key}")
-            norm[key] = float(s)
-        missing = set(graph.edges) - set(norm)
-        extra = set(norm) - set(graph.edges)
-        if missing:
-            raise InvariantError(f"edge lengths missing on edges: {sorted(missing)}")
-        if extra:
-            raise InvariantError(f"edge lengths given on non-edges: {sorted(extra)}")
-        if any(s <= 0 or not np.isfinite(s) for s in norm.values()):
+        if isinstance(lengths, np.ndarray):
+            arr = lengths.astype(float)
+            if arr.shape != (len(graph.edges),):
+                raise InvariantError("edge lengths do not match the graph's edge set")
+        else:
+            norm = {}
+            for (x, y), s in dict(lengths).items():
+                key = (x, y) if x < y else (y, x)
+                if key in norm and norm[key] != float(s):
+                    raise InvariantError(f"conflicting lengths for edge {key}")
+                norm[key] = float(s)
+            keys = np.array(list(norm), dtype=int).reshape(-1, 2)
+            rows = graph._edge_index(keys[:, 0], keys[:, 1])
+            given = np.zeros(len(graph.edges), dtype=bool)
+            given[rows[rows >= 0]] = True
+            if not given.all():
+                missing = list(map(tuple, graph.edges[~given].tolist()))
+                raise InvariantError(f"edge lengths missing on edges: {missing}")
+            if (rows < 0).any():
+                extra = sorted(map(tuple, keys[rows < 0].tolist()))
+                raise InvariantError(f"edge lengths given on non-edges: {extra}")
+            arr = np.empty(len(graph.edges))
+            arr[rows] = list(norm.values())
+        if not (np.isfinite(arr) & (arr > 0)).all():
             raise InvariantError("edge lengths must be positive and finite")
+        arr.setflags(write=False)
         self.graph = graph
-        self.lengths = norm
+        self.lengths = arr
 
     @classmethod
     def constant(cls, graph: WeightedGraph, value: float = 1.0):
-        return cls(graph, {e: value for e in graph.edges})
+        return cls(graph, np.full(len(graph.edges), float(value)))
 
     def __getitem__(self, key):
-        x, y = key
-        return self.lengths[(x, y) if x < y else (y, x)]
+        row = self.graph._edge_index(*key)
+        if row < 0:
+            raise KeyError(key)
+        return float(self.lengths[row])
 
 
 def degree_edge_lengths(G: WeightedGraph) -> EdgeLengths:
     """Edge lengths min(Deg(x), Deg(y))^(-1/2), the reciprocal square root
     taken of the larger degree so that both endpoint energy densities are
     controlled. Well-defined on edges since b(x,y) > 0 forces Deg > 0."""
-    deg = G.weighted_degrees()
-    return EdgeLengths(
-        G, {(x, y): 1.0 / np.sqrt(max(deg[x], deg[y])) for (x, y) in G.edges}
-    )
+    deg = G.weighted_degrees()[G.edges]
+    return EdgeLengths(G, 1.0 / np.sqrt(deg.max(axis=1)))
+
+
+def _edge_distances(G: WeightedGraph, d: PseudoMetric) -> np.ndarray:
+    if d.n != G.n:
+        raise DimensionMismatch("metric size does not match the graph")
+    x, y = G.edges.T
+    return d.dist[x, y]
 
 
 def check_intrinsic(G: WeightedGraph, d: PseudoMetric) -> np.ndarray:
@@ -119,14 +144,10 @@ def check_intrinsic(G: WeightedGraph, d: PseudoMetric) -> np.ndarray:
     The metric is intrinsic iff the minimum slack is >= -1e-12. Raises
     InfiniteEdgeDistance if d is infinite on an edge with positive weight.
     """
-    if d.n != G.n:
-        raise DimensionMismatch("metric size does not match the graph")
-    adj = G.adjacency_matrix()
-    on_edges = d.dist[adj > 0]
-    if on_edges.size and not np.isfinite(on_edges).all():
+    on_edges = _edge_distances(G, d)
+    if not np.isfinite(on_edges).all():
         raise InfiniteEdgeDistance("pseudo-metric is infinite on an edge")
-    energy = (adj * np.where(adj > 0, d.dist, 0.0) ** 2).sum(axis=1)
-    return 1.0 - energy / G.measure
+    return 1.0 - G._incident_sums(G.weights * on_edges**2) / G.measure
 
 
 def is_intrinsic(G: WeightedGraph, d: PseudoMetric) -> bool:
@@ -139,13 +160,11 @@ def path_metric(G: WeightedGraph, sigma: EdgeLengths) -> PseudoMetric:
     Disconnected pairs are +inf. The triangle inequality holds by
     construction, so re-validation is skipped.
     """
-    if sigma.graph.n != G.n or set(sigma.lengths) != set(G.edges):
+    if sigma.graph.n != G.n or not np.array_equal(sigma.graph.edges, G.edges):
         raise InvariantError("edge lengths do not match the graph's edge set")
-    w = np.zeros((G.n, G.n))
-    for (x, y), s in sigma.lengths.items():
-        w[x, y] = s
-        w[y, x] = s
-    dist = shortest_path(w, method="D", directed=False)
+    x, y = G.edges.T
+    lengths = csr_matrix((sigma.lengths, (x, y)), shape=(G.n, G.n))
+    dist = shortest_path(lengths, method="D", directed=False)
     return PseudoMetric(dist, check=False)
 
 
@@ -155,12 +174,8 @@ def strongly_intrinsic_check(G: WeightedGraph, sigma: EdgeLengths) -> np.ndarray
     A pass here implies the path metric of sigma passes check_intrinsic,
     since shortest paths only shorten edge lengths.
     """
-    energy = np.zeros(G.n)
-    for (x, y), s in sigma.lengths.items():
-        b = G.edges[(x, y)]
-        energy[x] += b * s * s
-        energy[y] += b * s * s
-    return 1.0 - energy / G.measure
+    s = sigma.lengths
+    return 1.0 - G._incident_sums(G.weights * s * s) / G.measure
 
 
 def is_strongly_intrinsic(G: WeightedGraph, sigma: EdgeLengths) -> bool:
@@ -169,11 +184,7 @@ def is_strongly_intrinsic(G: WeightedGraph, sigma: EdgeLengths) -> bool:
 
 def jump_size(G: WeightedGraph, d: PseudoMetric) -> float:
     """Largest distance across an edge with positive weight (0 if no edges)."""
-    if d.n != G.n:
-        raise DimensionMismatch("metric size does not match the graph")
-    if not G.edges:
-        return 0.0
-    return float(max(d.dist[x, y] for (x, y) in G.edges))
+    return float(_edge_distances(G, d).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -212,12 +223,11 @@ def completeness_check(G: WeightedGraph, cutoffs: CutoffSequence) -> Completenes
     etas = cutoffs.etas
     if etas.shape[1] != G.n:
         raise DimensionMismatch("cutoff functions must have length n")
-    adj = G.adjacency_matrix()
-    violations = np.empty(etas.shape[0])
-    for k, eta in enumerate(etas, start=1):
-        diffs = eta[:, None] - eta[None, :]
-        density = (adj * diffs**2).sum(axis=1) / G.measure
-        violations[k - 1] = density.max() - 1.0 / k
+    x, y = G.edges.T
+    energy = G.weights * (etas[:, x] - etas[:, y]) ** 2
+    density = np.zeros(etas.shape)
+    np.add.at(density, (slice(None), G.edges), energy[:, :, None])
+    violations = (density / G.measure).max(axis=1) - 1.0 / np.arange(1, len(etas) + 1)
     complete = bool((violations <= METRIC_TOL).all())
     return CompletenessReport(violations, float(etas[-1].min()), complete)
 
@@ -231,32 +241,30 @@ def degree_bound_on_balls(G: WeightedGraph, d: PseudoMetric, r_list, base: int =
     if d.n != G.n:
         raise DimensionMismatch("metric size does not match the graph")
     deg = G.weighted_degrees()
-    adj = G.adjacency_matrix()
     out = []
     for r in r_list:
-        ball = d.dist[base] <= r
-        hood = ball | (adj[ball] > 0).any(axis=0)
+        hood = d.dist[base] <= r
+        hood[G.edges[hood[G.edges].any(axis=1)]] = True
         out.append(float(deg[hood].max()))
     return out
 
 
-def chain_measure_sum(G: WeightedGraph, vertices) -> tuple[float, bool]:
-    """Total measure along a combinatorial chain, with a divergence flag.
+def chain_measure_sum(G: WeightedGraph, vertices) -> float:
+    """Total measure along a combinatorial chain.
 
-    Consecutive vertices must share an edge with positive weight. On a
-    finite graph the total is always finite, so the divergence flag is
-    False; it exists for interface parity with infinite-host criteria.
+    Consecutive vertices must share an edge with positive weight.
     """
-    vertices = [int(v) for v in vertices]
-    if not vertices:
+    chain = np.asarray(list(vertices), dtype=int)
+    if not chain.size:
         raise InvariantError("vertex chain must be nonempty")
-    for v in vertices:
-        if not 0 <= v < G.n:
-            raise InvariantError(f"chain vertex {v} out of range")
-    for a, b in zip(vertices, vertices[1:]):
-        if G.weight(a, b) == 0.0:
-            raise InvariantError(f"chain step ({a},{b}) is not an edge")
-    return float(G.measure[vertices].sum()), False
+    outside = (chain < 0) | (chain >= G.n)
+    if outside.any():
+        raise InvariantError(f"chain vertex {chain[outside][0]} out of range")
+    gaps = np.flatnonzero(G._edge_index(chain[:-1], chain[1:]) < 0)
+    if gaps.size:
+        a, b = chain[gaps[0]], chain[gaps[0] + 1]
+        raise InvariantError(f"chain step ({a},{b}) is not an edge")
+    return float(G.measure[chain].sum())
 
 
 @dataclass(frozen=True)
@@ -289,12 +297,6 @@ def _weighted_opnorm(T: np.ndarray, m_diag: np.ndarray) -> float:
     return float(np.linalg.norm(scaled, 2))
 
 
-def _embed(R: np.ndarray, flat_index: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=R.dtype)
-    out[np.ix_(flat_index, flat_index)] = R
-    return out
-
-
 def exhaustion_uniqueness_experiment(
     G: WeightedGraph,
     bundle: HermitianBundle,
@@ -305,44 +307,38 @@ def exhaustion_uniqueness_experiment(
 
     For each subset the boundary-folding and edge-dropping restrictions are
     assembled (scalar, and bundle with the boundary folded into the
-    endomorphism), their resolvents at `alpha` are zero-extended to the
-    host and the m-weighted operator-norm gap is recorded. On the full
-    vertex set both restrictions coincide, so the gaps vanish.
+    endomorphism), and the m-weighted operator-norm gap of their
+    resolvents at `alpha`, zero-extended to the host, is recorded. On the
+    full vertex set both restrictions coincide, so the gaps vanish.
     """
     if bundle.graph is not G:
         raise DimensionMismatch("bundle is defined over a different graph")
     subsets = [_as_subset(G, om) for om in subsets]
     for a, b in zip(subsets, subsets[1:]):
-        prev = set(a.members.tolist())
-        cur = set(b.members.tolist())
-        if not (prev < cur):
+        if len(b) <= len(a) or not np.isin(a.members, b.members).all():
             raise NotNested(
                 "exhaustion subsets must be strictly increasing under inclusion"
             )
 
     d = bundle.rank
-    m_scalar = G.measure
-    m_bundle = np.repeat(G.measure, d)
     gaps = []
     for k, omega in enumerate(subsets, start=1):
-        members = omega.members
+        # Both resolvents vanish off the subset block, so the gap of their
+        # zero-extensions is the gap of the blocks in l2(omega, m).
+        m = G.measure[omega.members]
         scalar_D = assemble_scalar_form(restrict_dirichlet(G, omega))
         scalar_N = assemble_scalar_form(restrict_neumann(G, omega))
         gap_scalar = _weighted_opnorm(
-            _embed(scalar_D.resolvent_matrix(alpha), members, G.n)
-            - _embed(scalar_N.resolvent_matrix(alpha), members, G.n),
-            m_scalar,
+            scalar_D.resolvent_matrix(alpha) - scalar_N.resolvent_matrix(alpha), m
         )
 
         bundle_D = restrict_bundle(bundle, omega, fold_boundary=True)
         bundle_N = restrict_bundle(bundle, omega, fold_boundary=False)
         mag_D = assemble_magnetic_form(bundle_D.graph, bundle_D)
         mag_N = assemble_magnetic_form(bundle_N.graph, bundle_N)
-        flat = np.concatenate([np.arange(v * d, (v + 1) * d) for v in members])
         gap_magnetic = _weighted_opnorm(
-            _embed(mag_D.resolvent_matrix(alpha), flat, G.n * d)
-            - _embed(mag_N.resolvent_matrix(alpha), flat, G.n * d),
-            m_bundle,
+            mag_D.resolvent_matrix(alpha) - mag_N.resolvent_matrix(alpha),
+            np.repeat(m, d),
         )
         gaps.append(
             {"k": k, "scalar": float(gap_scalar), "magnetic": float(gap_magnetic)}

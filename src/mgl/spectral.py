@@ -38,16 +38,6 @@ class SemigroupSample:
     output: np.ndarray
 
 
-def semigroup_apply(F: FormOperator, t: float, u) -> np.ndarray:
-    """e^{-tA} u; exact identity at t = 0, NegativeTime for t < 0."""
-    return F.semigroup(t, u)
-
-
-def resolvent_apply(F: FormOperator, alpha: float, u) -> np.ndarray:
-    """(A + alpha)^-1 u for alpha strictly above -lambda_min."""
-    return F.resolvent(alpha, u)
-
-
 def _quadrature_grid(alpha: float, panels: int, nodes: int):
     # Geometrically graded panel edges resolve the stiff modes near t = 0
     # that a uniform layout of the same panel count would smear.

@@ -83,7 +83,7 @@ def random_section(n, d, rng):
 
 def random_bundle(G, d, rng, psd_scale=0.3):
     """Random unitary connection with endomorphism c*I + PSD noise."""
-    conn = {e: random_unitary(d, rng) for e in G.edges}
+    conn = {(x, y): random_unitary(d, rng) for x, y in G.edges}
     endo = np.empty((G.n, d, d), dtype=complex)
     for x in range(G.n):
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -93,7 +93,7 @@ def random_bundle(G, d, rng, psd_scale=0.3):
 
 def phase_bundle(G, theta):
     """Rank-1 bundle with the constant phase e^{i theta} on every edge."""
-    conn = {e: np.array([[np.exp(1j * theta)]]) for e in G.edges}
+    conn = {(x, y): np.array([[np.exp(1j * theta)]]) for x, y in G.edges}
     return HermitianBundle(G, 1, conn)
 
 
@@ -143,7 +143,8 @@ def path50_graph(q=0.8):
 def path50_bundle(G, seed=42):
     rng = np.random.default_rng(seed)
     conn = {
-        e: np.array([[np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))]]) for e in G.edges
+        (x, y): np.array([[np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))]])
+        for x, y in G.edges
     }
     return HermitianBundle(G, 1, conn)
 
@@ -158,6 +159,10 @@ P2_ANTIPODAL_BUNDLE_DOC = {
 }
 
 
+def mat_to_doc(mat):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
 def diamagnetic_docs(seed=11, n=14, d=2):
     """Graph/bundle spec documents for a diamagnetic CLI fixture."""
     rng = np.random.default_rng(seed)
@@ -167,9 +172,6 @@ def diamagnetic_docs(seed=11, n=14, d=2):
     killing = [float(v) for v in rng.random(n)]
     measure = [float(v) for v in 0.5 + rng.random(n)]
     graph_doc = {"n": n, "edges": edges, "killing": killing, "measure": measure}
-
-    def mat_to_doc(mat):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
     connection = [
         {"u": e["u"], "v": e["v"], "matrix": mat_to_doc(random_unitary(d, rng))}
@@ -181,3 +183,34 @@ def diamagnetic_docs(seed=11, n=14, d=2):
         endo.append(mat_to_doc(killing[x] * np.eye(d) + 0.3 * (z @ z.conj().T)))
     bundle_doc = {"rank": d, "connection": connection, "endo": endo}
     return graph_doc, bundle_doc
+
+
+def killing_without_endo_docs(seed=0, n=60, d=3):
+    """Spec documents with c > 0 and W = 0, so W(x) >= c(x) I fails.
+
+    A path 0-1-...-(n-1) plus 2n random vertex pairs, weights and measures
+    in [0.5, 1.5), killing in [0, 1) and a random unitary on every edge.
+    At the vertex with the largest c the coordinate section e_{x,j} gives
+    Q_A(e_{x,j}, e_{x,j}) - Q_B(e_x, e_x) = -c(x), so every domination
+    level must fail.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = {(x, x + 1) for x in range(n - 1)}
+    for x, y in rng.integers(0, n, size=(2 * n, 2)).tolist():
+        if x != y:
+            pairs.add((min(x, y), max(x, y)))
+    edges = [
+        {"u": x, "v": y, "b": float(b)}
+        for (x, y), b in zip(sorted(pairs), rng.uniform(0.5, 1.5, len(pairs)))
+    ]
+    graph_doc = {
+        "n": n,
+        "edges": edges,
+        "killing": rng.uniform(0.0, 1.0, n).tolist(),
+        "measure": rng.uniform(0.5, 1.5, n).tolist(),
+    }
+    connection = [
+        {"u": e["u"], "v": e["v"], "matrix": mat_to_doc(random_unitary(d, rng))}
+        for e in edges
+    ]
+    return graph_doc, {"rank": d, "connection": connection}

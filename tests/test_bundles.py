@@ -23,7 +23,8 @@ def test_validate_unit_phase_rank1():
     b = HermitianBundle(g, 1, {(0, 1): [[np.exp(1j * np.pi / 3)]]})
     report = validate_bundle(b)
     assert report.ok
-    assert report.edge_defects[(0, 1)] <= 1e-15
+    assert report.edges.tolist() == [[0, 1]]
+    assert report.edge_defects[0] <= 1e-15
 
 
 def test_validate_nonunitary_defect_three():
@@ -31,7 +32,8 @@ def test_validate_nonunitary_defect_three():
     b = HermitianBundle(g, 2, {(0, 1): np.diag([1.0, 2.0])})
     report = validate_bundle(b)
     assert not report.ok
-    assert report.edge_defects[(0, 1)] == pytest.approx(3.0)
+    assert report.edge_defects[0] == pytest.approx(3.0)
+    assert report.worst_edge() == ((0, 1), pytest.approx(3.0))
 
 
 def test_validate_indefinite_endo():
@@ -205,7 +207,8 @@ def test_restrict_bundle_folding():
     # Vertex 1 loses the edge to vertex 2 with b = 1; folding adds I.
     np.testing.assert_allclose(folded.endo[1], plain.endo[1] + np.eye(2))
     np.testing.assert_allclose(folded.endo[0], plain.endo[0])
-    assert folded.graph.edges == {(0, 1): 1.0}
+    assert folded.graph.edges.tolist() == [[0, 1]]
+    assert folded.graph.weights.tolist() == [1.0]
 
 
 def test_load_bundle_defaults_and_errors():

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,7 +105,8 @@ def test_dominate_counterexample_consistent_failure(tmp_path):
     assert report["consistent"] is True
 
 
-def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path):
+def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatch):
+    import mgl.cli
     from mgl.cli import cmd_dominate
 
     graph_spec, bundle_spec = diamagnetic_specs
@@ -113,11 +116,15 @@ def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path):
          "--samples", "30", "--out", str(tmp_path / "r.json")]
     )
     config = config_from_args(args)
+    honest = mgl.cli.diamagnetic_report
 
-    def flip_semigroup(report):
-        report["semigroup"]["passed"] = False
+    def flip_semigroup(*args, **kwargs):
+        result = honest(*args, **kwargs)
+        failed = dataclasses.replace(result.semigroup, passed=False)
+        return dataclasses.replace(result, semigroup=failed)
 
-    assert cmd_dominate(config, _report_hook=flip_semigroup) == 1
+    monkeypatch.setattr(mgl.cli, "diamagnetic_report", flip_semigroup)
+    assert cmd_dominate(config) == 1
 
 
 def test_dominate_determinism(diamagnetic_specs, tmp_path):
@@ -152,7 +159,8 @@ def path50_spec(tmp_path):
     doc = {
         "n": 50,
         "edges": [
-            {"u": x, "v": y, "b": float(b)} for (x, y), b in sorted(g.edges.items())
+            {"u": x, "v": y, "b": b}
+            for (x, y), b in zip(g.edges.tolist(), g.weights.tolist())
         ],
     }
     return write_json(tmp_path / "path50.json", doc)
@@ -248,3 +256,53 @@ def test_jsonable_encodings():
     text = dump_report({"a": np.float64(1.5)})
     assert json.loads(text) == {"a": 1.5}
     assert text.endswith("\n")
+
+
+TRACED_RUN = """
+import json, sys
+src, bench, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+sys.path[:0] = [src, bench]
+import mgl.cli
+import spans
+
+tracer = spans.Tracer()
+tracer.install()
+out = {}
+for name, argv in commands.items():
+    del tracer.spans[:]
+    code = mgl.cli.run(argv)
+    out[name] = {"code": code, "metrics": spans.layer_metrics(tracer.spans)}
+print(json.dumps(out))
+"""
+
+
+def test_traced_benchmark_wraps_cli_layers(diamagnetic_specs, tmp_path):
+    # The benchmark's layer tracer wraps mgl functions by name and binds
+    # their parameters; a rename must fail here, not silently in a traced run.
+    root = Path(__file__).resolve().parents[1]
+    graph_spec, bundle_spec = diamagnetic_specs
+    specs = ["--graph", graph_spec, "--bundle", bundle_spec]
+    commands = {
+        "dominate": ["dominate", *specs, "--samples", "5"],
+        "semigroup-id": ["semigroup-id", *specs],
+        "uniqueness": ["uniqueness", *specs],
+    }
+    for name, argv in commands.items():
+        argv += ["--out", str(tmp_path / f"{name}.json")]
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "src"),
+         str(root / "mglbench"), json.dumps(commands)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    runs = json.loads(result.stdout)
+    for name in commands:
+        assert runs[name]["code"] == 0, name
+        assert runs[name]["metrics"]["forms.operator_inits"] > 0, name
+        assert runs[name]["metrics"]["forms.operator_dim_sum"] > 0, name
+    dominate = runs["dominate"]["metrics"]
+    assert dominate["forms.evaluate_calls"] > 0
+    assert dominate["domination.comparisons"] > 0
+    assert runs["semigroup-id"]["metrics"]["forms.evaluate_calls"] > 0
+    assert runs["semigroup-id"]["metrics"]["spectral.euler_solves"] > 0
+    assert runs["uniqueness"]["metrics"]["graphs.restrict_calls"] > 0

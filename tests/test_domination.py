@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,12 @@ from mgl import (
     check_semigroup_domination,
     diamagnetic_report,
     positivity_check,
-    semigroup_apply,
     sgn_inequality_check,
     trivial_bundle,
 )
 from mgl.bundles import HermitianBundle
-from mgl.domination import hypothesis_margins
+from mgl.cli import run
+from mgl.domination import _coordinate_probe_slacks, hypothesis_margins
 from mgl.errors import DimensionMismatch
 
 
@@ -37,8 +39,8 @@ def test_semigroup_domination_antipodal_equality():
     # Equality case: |e^{-tA}u| matches e^{-tB}|u| on the sign-flipped probe.
     t = 0.5
     u = np.array([1.0, 0.0], dtype=complex)
-    lhs = np.abs(semigroup_apply(A, t, u))
-    rhs = semigroup_apply(B, t, np.abs(u))
+    lhs = np.abs(A.semigroup(t, u))
+    rhs = B.semigroup(t, np.abs(u))
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -218,3 +220,66 @@ def test_dimension_mismatch_rejected():
     B = assemble_scalar_form(fixtures.p2())
     with pytest.raises(DimensionMismatch):
         check_semigroup_domination(A, B)
+
+
+def _unit(n, d, x, j=0):
+    out = np.zeros(n * d, dtype=complex)
+    out[x * d + j] = 1.0
+    return out
+
+
+def test_coordinate_probes_equal_evaluate_exactly():
+    # The probe slacks are entry reads of the form matrices; they must equal
+    # the same probes evaluated as Re Q_A(f1, f2) - Q_B(|f1|, |f2|) through
+    # FormOperator.evaluate, bit for bit, on every edge and every coordinate.
+    rng = np.random.default_rng(90)
+    cases = []
+    for g in fixtures.fixture_graphs().values():
+        for d in (1, 2, 3):
+            cases.append((g, fixtures.random_bundle(g, d, rng), g))
+    for seed in range(3):
+        cases.append(fixtures.doubled_pair(seed))
+    for G, bundle, G_scalar in cases:
+        A = assemble_magnetic_form(G, bundle)
+        B = assemble_scalar_form(G_scalar)
+        n, d = A.n, A.d
+        edge, diag = _coordinate_probe_slacks(A, B, G.edges)
+        assert edge.shape == (len(G.edges),) and diag.shape == (n, d)
+        for k, (x, y) in enumerate(G.edges):
+            expected = (
+                A.evaluate(_unit(n, d, x), _unit(n, d, y)).real
+                - B.evaluate(_unit(n, 1, x).real, _unit(n, 1, y).real).real
+            )
+            assert edge[k] == expected
+        for x in range(n):
+            for j in range(d):
+                e = _unit(n, d, x, j)
+                expected = (
+                    A.evaluate(e, e).real
+                    - B.evaluate(_unit(n, 1, x).real, _unit(n, 1, x).real).real
+                )
+                assert diag[x, j] == expected
+
+
+def test_form_level_catches_killing_without_endomorphism(tmp_path):
+    # W = 0 with c > 0 (n = 60, rank 3): Q_A(e_{x,j}, e_{x,j}) - Q_B(e_x, e_x)
+    # = -c(x), so the form level must fail as the other two levels do, and
+    # the three agreeing verdicts make a consistent report with exit 0.
+    graph_doc, bundle_doc = fixtures.killing_without_endo_docs()
+    c_max = max(graph_doc["killing"])
+    paths = []
+    for name, doc in (("graph", graph_doc), ("bundle", bundle_doc)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(path))
+    out = tmp_path / "report.json"
+    code = run(["dominate", "--graph", paths[0], "--bundle", paths[1],
+                "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["hypothesis"]["passed"] is False
+    for key in ("form", "resolvent", "semigroup"):
+        assert report[key]["passed"] is False, key
+    assert report["form"]["slack"] <= -c_max * (1 - 1e-9)
+    assert report["form"]["paired_inequality_slack"] <= -c_max * (1 - 1e-9)
+    assert report["consistent"] is True
+    assert code == 0

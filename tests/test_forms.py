@@ -8,9 +8,7 @@ from mgl import (
     WeightedGraph,
     assemble_magnetic_form,
     assemble_scalar_form,
-    evaluate_form,
     flatten_section,
-    generator,
     restrict_dirichlet,
     trivial_bundle,
     unflatten_section,
@@ -101,10 +99,10 @@ def test_magnetic_rejects_invalid_bundle():
 
 def test_evaluate_form_examples():
     F = assemble_scalar_form(fixtures.p2())
-    assert evaluate_form(F, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert evaluate_form(F, [0.0, 0.0], [1.0, 2.0]) == 0.0
+    assert F.evaluate([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
+    assert F.evaluate([0.0, 0.0], [1.0, 2.0]) == 0.0
     with pytest.raises(DimensionMismatch):
-        evaluate_form(F, [1.0, 0.0, 0.0], [1.0, 0.0])
+        F.evaluate([1.0, 0.0, 0.0], [1.0, 0.0])
 
 
 def test_evaluate_form_conjugate_symmetry_and_reality():
@@ -127,29 +125,28 @@ def test_evaluate_form_conjugate_symmetry_and_reality():
 
 def test_generator_eigenvalue_examples():
     F = assemble_scalar_form(fixtures.p2())
-    np.testing.assert_allclose(generator(F).eigenvalues, [0.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(F.eigenvalues, [0.0, 2.0], atol=1e-12)
 
     heavy = WeightedGraph(2, {(0, 1): 1.0}, measure=[2.0, 2.0])
     np.testing.assert_allclose(
-        generator(assemble_scalar_form(heavy)).eigenvalues, [0.0, 1.0], atol=1e-12
+        assemble_scalar_form(heavy).eigenvalues, [0.0, 1.0], atol=1e-12
     )
 
     g = fixtures.p2()
     A = assemble_magnetic_form(g, fixtures.phase_bundle(g, np.pi))
-    np.testing.assert_allclose(generator(A).eigenvalues, [0.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(A.eigenvalues, [0.0, 2.0], atol=1e-12)
 
 
 def test_generator_pairing_and_reconstruction():
     rng = np.random.default_rng(65)
     for g in fixtures.fixture_graphs().values():
         F = assemble_scalar_form(g)
-        gen = generator(F)
-        assert (np.diff(gen.eigenvalues) >= -1e-14).all()
-        assert gen.reconstruction_defect() <= 1e-10
+        assert (np.diff(F.eigenvalues) >= -1e-14).all()
+        assert F.reconstruction_defect() <= 1e-10
         for _ in range(5):
             u = rng.standard_normal(g.n)
             v = rng.standard_normal(g.n)
-            lhs = F.inner(gen.apply(u), v)
+            lhs = F.inner(F.apply_generator(u), v)
             rhs = F.evaluate(u, v)
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 

@@ -11,8 +11,6 @@ from mgl import (
     markov_check,
     ouhabaz_invariance_check,
     positivity_check,
-    resolvent_apply,
-    semigroup_apply,
 )
 from mgl.errors import (
     AlphaInSpectrum,
@@ -40,7 +38,7 @@ def test_semigroup_p2_closed_form():
     F = assemble_scalar_form(fixtures.p2())
     u = np.array([1.0, 0.0])
     t = 0.5
-    out = semigroup_apply(F, t, u)
+    out = F.semigroup(t, u)
     expected = [0.5 * (1 + np.exp(-2 * t)), 0.5 * (1 - np.exp(-2 * t))]
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -48,17 +46,17 @@ def test_semigroup_p2_closed_form():
 def test_semigroup_identity_at_zero_exact():
     F = assemble_scalar_form(fixtures.path8_weighted())
     u = np.arange(8.0)
-    out = semigroup_apply(F, 0.0, u)
+    out = F.semigroup(0.0, u)
     assert out.tobytes() == u.tobytes()
     with pytest.raises(NegativeTime):
-        semigroup_apply(F, -0.1, u)
+        F.semigroup(-0.1, u)
 
 
 def test_semigroup_magnetic_p2_closed_form():
     g = fixtures.p2()
     A = assemble_magnetic_form(g, fixtures.phase_bundle(g, np.pi))
     t = 0.7
-    out = semigroup_apply(A, t, np.array([1.0, 0.0], dtype=complex))
+    out = A.semigroup(t, np.array([1.0, 0.0], dtype=complex))
     expected = [0.5 * (1 + np.exp(-2 * t)), 0.5 * (np.exp(-2 * t) - 1)]
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -71,7 +69,7 @@ def test_semigroup_contraction_bound():
         growth = np.exp(max(0.0, -F.lower_bound))
         u = rng.standard_normal(F.dim)
         for t in (0.1, 1.0, 10.0):
-            out = semigroup_apply(F, t, u)
+            out = F.semigroup(t, u)
             assert F.norm(out) <= growth**t * F.norm(u) * (1 + 1e-12)
 
 
@@ -87,30 +85,30 @@ def test_semigroup_law_and_self_adjointness():
         u = rng.standard_normal(F.dim)
         v = rng.standard_normal(F.dim)
         for s, t in [(0.3, 0.9), (0.05, 0.05)]:
-            left = semigroup_apply(F, s, semigroup_apply(F, t, u))
-            right = semigroup_apply(F, s + t, u)
+            left = F.semigroup(s, F.semigroup(t, u))
+            right = F.semigroup(s + t, u)
             assert F.norm(left - right) <= 1e-10
-        lhs = F.inner(semigroup_apply(F, 0.4, u), v)
-        rhs = F.inner(u, semigroup_apply(F, 0.4, v))
+        lhs = F.inner(F.semigroup(0.4, u), v)
+        rhs = F.inner(u, F.semigroup(0.4, v))
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
 
 def test_resolvent_examples():
     single = assemble_scalar_form(fixtures.single_vertex(2.0))
     np.testing.assert_allclose(
-        resolvent_apply(single, 1.0, np.array([1.0])), [1.0 / 3.0]
+        single.resolvent(1.0, np.array([1.0])), [1.0 / 3.0]
     )
 
     F = assemble_scalar_form(fixtures.p2())
     u = np.array([1.0, 0.0])
-    out = resolvent_apply(F, 1.0, u)
+    out = F.resolvent(1.0, u)
     direct = np.linalg.solve(F.L + np.eye(2), u)   # m = 1, so A = L
     np.testing.assert_allclose(out, direct, atol=1e-12)
     residual = F.apply_generator(out) + 1.0 * out - u
     assert F.norm(residual) <= 1e-12
 
     with pytest.raises(AlphaInSpectrum):
-        resolvent_apply(F, -F.lower_bound, u)
+        F.resolvent(-F.lower_bound, u)
 
 
 def test_resolvent_identity():
@@ -118,8 +116,8 @@ def test_resolvent_identity():
     for F in scalar_fixture_forms().values():
         u = rng.standard_normal(F.dim)
         alpha, beta = 0.7, 2.3
-        lhs = resolvent_apply(F, alpha, u) - resolvent_apply(F, beta, u)
-        rhs = (beta - alpha) * resolvent_apply(F, alpha, resolvent_apply(F, beta, u))
+        lhs = F.resolvent(alpha, u) - F.resolvent(beta, u)
+        rhs = (beta - alpha) * F.resolvent(alpha, F.resolvent(beta, u))
         assert F.norm(lhs - rhs) <= 1e-10
 
 
@@ -205,12 +203,12 @@ def test_markov_check_examples():
     assert report.semigroup_ok and report.form_ok
 
     ones = np.ones(2)
-    np.testing.assert_allclose(semigroup_apply(F, 0.5, ones), ones, atol=1e-12)
+    np.testing.assert_allclose(F.semigroup(0.5, ones), ones, atol=1e-12)
 
     killed = assemble_scalar_form(
         fixtures.WeightedGraph(2, {(0, 1): 1.0}, killing=[1.0, 0.0])
     )
-    out = semigroup_apply(killed, 0.5, ones)
+    out = killed.semigroup(0.5, ones)
     assert out[0] < 1.0 - 1e-3
     assert markov_check(killed, rng=2).semigroup_ok
 
