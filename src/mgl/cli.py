@@ -47,6 +47,16 @@ class RunConfig:
             raise SchemaError("parameter grids must be nonempty")
         if self.tol_domination <= 0:
             raise SchemaError("tolerances must be positive")
+        if self.samples < 0:
+            raise SchemaError(f"--samples must be >= 0, got {self.samples}")
+        bad_t = [t for t in self.t_grid if not 0 <= t < np.inf]
+        if bad_t:
+            raise SchemaError(f"--t values must be finite and >= 0, got {bad_t}")
+        bad_alpha = [a for a in self.alpha_grid if not 0 < a < np.inf]
+        if bad_alpha:
+            raise SchemaError(
+                f"--alpha values must be finite and > 0, got {bad_alpha}"
+            )
 
 
 def _float_list(text):
@@ -205,6 +215,9 @@ def cmd_uniqueness(config: RunConfig) -> int:
     sizes = config.omega_sizes
     if not sizes:
         sizes = sorted({max(1, round(graph.n * k / 5)) for k in range(1, 6)})
+    bad = [size for size in sizes if not 1 <= size <= graph.n]
+    if bad:
+        raise SchemaError(f"--omega sizes must lie in 1..{graph.n}, got {bad}")
     subsets = [list(range(size)) for size in sizes]
     result = exhaustion_uniqueness_experiment(graph, bundle, subsets)
     report = result.to_report()
@@ -240,11 +253,14 @@ def _identity_suite(form, alphas, seed):
     norm_u = form.norm(u)
     radius = max(abs(form.eigenvalues[0]), abs(form.eigenvalues[-1]), 1e-12)
 
-    laplace = {}
-    for alpha in alphas:
-        if alpha <= max(0.0, -form.lower_bound) + 1e-6:
-            continue
-        laplace[str(alpha)] = spectral.laplace_check(form, alpha, u)
+    floor = max(0.0, -form.lower_bound) + 1e-6
+    kept = [alpha for alpha in alphas if alpha > floor]
+    if not kept:
+        raise SchemaError(
+            f"no --alpha value exceeds the Laplace-check floor {floor:.6g}; "
+            f"filtered: {list(alphas)}"
+        )
+    laplace = {str(alpha): spectral.laplace_check(form, alpha, u) for alpha in kept}
     laplace_ok = all(r <= 1e-6 * norm_u for r in laplace.values())
 
     t = min(1.0, 10.0 / radius)

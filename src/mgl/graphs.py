@@ -276,7 +276,13 @@ def load_graph(source) -> WeightedGraph:
             ):
                 raise SchemaError(f"'{field}' entries must be numbers")
 
-    return WeightedGraph(n, edges, doc.get("killing"), doc.get("measure"))
+    graph = WeightedGraph(n, edges, doc.get("killing"), doc.get("measure"))
+    bad = np.flatnonzero(~np.isfinite(graph.row_sums))
+    if bad.size:
+        raise SchemaError(
+            f"edge weights at vertex {bad[0]} overflow: row sum is not finite"
+        )
+    return graph
 
 
 def restrict_dirichlet(G: WeightedGraph, omega) -> WeightedGraph:

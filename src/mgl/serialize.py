@@ -36,5 +36,10 @@ def jsonable(value):
 
 
 def dump_report(report: dict) -> str:
-    """Canonical byte-stable JSON encoding of a report dict."""
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Canonical byte-stable JSON encoding of a report dict.
+
+    Raises ValueError if the report holds a NaN, which strict JSON cannot
+    encode.
+    """
+    text = json.dumps(jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+    return text + "\n"

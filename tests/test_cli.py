@@ -9,6 +9,8 @@ import pytest
 
 import fixtures
 from mgl.cli import build_parser, config_from_args, run
+from mgl.errors import SchemaError
+from mgl.graphs import load_graph
 from mgl.serialize import dump_report, jsonable
 
 
@@ -198,6 +200,13 @@ def test_uniqueness_non_nested_exit_1(tmp_path):
     assert run(["uniqueness", "--graph", spec, "--omega", "30,20"]) == 1
 
 
+@pytest.mark.parametrize("omega", ["0", "51", "10,60"])
+def test_uniqueness_omega_out_of_range_exit_2(tmp_path, capsys, omega):
+    spec = path50_spec(tmp_path)
+    assert run(["uniqueness", "--graph", spec, "--omega", omega]) == 2
+    assert "--omega" in capsys.readouterr().err
+
+
 def test_uniqueness_determinism(tmp_path):
     spec = path50_spec(tmp_path)
     out1, out2 = tmp_path / "u1.json", tmp_path / "u2.json"
@@ -235,11 +244,49 @@ def test_semigroup_id_passes(p2_spec, tmp_path):
     assert report["scalar"]["form_limit_ok"] is True
 
 
+@pytest.mark.parametrize("alphas", ["-5", "1e-7", "1e-7,5e-7"])
+def test_semigroup_id_refuses_vacuous_pass(p2_spec, tmp_path, capsys, alphas):
+    # Every alpha is filtered out (by the CLI guard or the Laplace-check
+    # floor), so no Laplace residual would be checked: an input error.
+    out = tmp_path / "s.json"
+    argv = ["semigroup-id", "--graph", p2_spec, "--alpha", alphas]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--samples", "-1"], ["--t", "-1"], ["--alpha", "0"], ["--t", "nan"]]
+)
+def test_cli_parameters_are_input_errors(tmp_path, capsys, flags):
+    graph = write_json(tmp_path / "p3.json", {
+        "n": 3, "edges": [{"u": 0, "v": 1, "b": 1.0}, {"u": 1, "v": 2, "b": 1.0}],
+    })
+    bundle = write_json(tmp_path / "b.json", {"rank": 1})
+    assert run(["dominate", "--graph", graph, "--bundle", bundle, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and flags[0] in err
+    assert "Traceback" not in err
+
+
+def test_overflowing_edge_weights_are_input_errors(tmp_path, capsys):
+    edges = [{"u": 0, "v": 1, "b": 1e308}, {"u": 1, "v": 2, "b": 1e308}]
+    doc = {"n": 3, "edges": edges}
+    with pytest.raises(SchemaError, match="vertex 1"):
+        load_graph(doc)
+    spec = write_json(tmp_path / "big.json", doc)
+    assert run(["semigroup-id", "--graph", spec]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_console_entry_point_runs():
+    # `python -m` puts the working directory on sys.path, so running from
+    # src/ finds the package whether or not it is installed.
     result = subprocess.run(
         [sys.executable, "-m", "mgl.cli", "--help"],
         capture_output=True,
         text=True,
+        cwd=Path(__file__).resolve().parents[1] / "src",
     )
     assert result.returncode == 0
     assert "dominate" in result.stdout
@@ -256,6 +303,8 @@ def test_jsonable_encodings():
     text = dump_report({"a": np.float64(1.5)})
     assert json.loads(text) == {"a": 1.5}
     assert text.endswith("\n")
+    with pytest.raises(ValueError):
+        dump_report({"a": [1.0, np.nan]})
 
 
 TRACED_RUN = """

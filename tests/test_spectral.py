@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fixtures
 from mgl import (
@@ -153,6 +154,43 @@ def test_euler_doubling_ratio_p2():
     for n in (256, 512):
         ratio = errors[2 * n] / errors[n]
         assert 0.4 <= ratio <= 0.75
+
+
+def euler_fixture_forms():
+    rng = np.random.default_rng(75)
+    forms = dict(scalar_fixture_forms())
+    g = fixtures.random_graph()
+    for d in (1, 2, 3):
+        forms[f"rank{d}"] = assemble_magnetic_form(g, fixtures.random_bundle(g, d, rng))
+    path = fixtures.path50_graph()
+    forms["path50"] = assemble_scalar_form(path)
+    forms["path50_bundle"] = assemble_magnetic_form(path, fixtures.path50_bundle(path))
+    forms["1x1"] = assemble_scalar_form(fixtures.single_vertex(1.0))
+    return forms
+
+
+def dense_euler_error(F, t, u, n):
+    """Euler error from dense matrices alone: matrix_power and expm."""
+    L, m = F.L, F.m_diag
+    s = n / t
+    step = np.linalg.solve(L + s * np.diag(m), s * np.diag(m))
+    power = np.linalg.matrix_power(step, n) @ u
+    exact = scipy.linalg.expm(-t * (L / m[:, None])) @ u
+    diff = power - exact
+    return np.sqrt(np.sum(m * np.abs(diff) ** 2))
+
+
+def test_euler_matches_dense_oracle():
+    rng = np.random.default_rng(76)
+    for name, F in euler_fixture_forms().items():
+        u = rng.standard_normal(F.dim)
+        if np.iscomplexobj(F.L):
+            u = u + 1j * rng.standard_normal(F.dim)
+        scale = np.sqrt(np.sum(F.m_diag * np.abs(u) ** 2))
+        for n in (16, 256):
+            got = euler_limit_check(F, 0.7, u, n)
+            want = dense_euler_error(F, 0.7, u, n)
+            assert abs(got - want) <= 1e-10 * scale, (name, n, got, want)
 
 
 def test_form_limit_p2_example():
