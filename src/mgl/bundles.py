@@ -10,14 +10,18 @@ direction is the adjoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeG, SchemaError
-from .graphs import WeightedGraph, _restriction, restrict_neumann
+from .graphs import (
+    WeightedGraph,
+    _check_magnitude,
+    _read_spec,
+    _restriction,
+    restrict_neumann,
+)
 
 UNITARY_TOL = 1e-10
 ENDO_TOL = 1e-10
@@ -238,22 +242,7 @@ def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
     Omitted connection entries default to the identity; an omitted endo
     field defaults to zero matrices. Complex entries are [re, im] pairs.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise SchemaError(f"cannot read bundle spec: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"bundle spec is not valid JSON: {exc}") from exc
-    else:
-        doc = source
-
-    if not isinstance(doc, dict):
-        raise SchemaError("bundle spec must be a JSON object")
-    unknown = set(doc) - {"rank", "connection", "endo"}
-    if unknown:
-        raise SchemaError(f"bundle spec has unknown keys: {sorted(unknown)}")
+    doc = _read_spec(source, "bundle spec", ("rank", "connection", "endo"))
     rank = doc.get("rank")
     if not isinstance(rank, int) or isinstance(rank, bool) or rank <= 0:
         raise SchemaError("bundle spec requires a positive integer 'rank'")
@@ -289,6 +278,7 @@ def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
         endo = np.stack(
             [parse_matrix(raw, f"endo #{x}") for x, raw in enumerate(raw_endo)]
         )
+        _check_magnitude(_max_entry(endo) / graph.measure, "|W(x)|/m(x)")
 
     try:
         return HermitianBundle(graph, rank, connection, endo)

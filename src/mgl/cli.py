@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import domination, spectral
 from .bundles import load_bundle, trivial_bundle, validate_bundle
 from .domination import diamagnetic_report
 from .errors import MglError, SchemaError
@@ -33,22 +33,22 @@ class RunConfig:
 
     command: str
     graph_path: str
-    bundle_path: str | None = None
-    t_grid: tuple = (0.01, 0.1, 1.0, 10.0)
-    alpha_grid: tuple = (0.5, 1.0, 10.0)
-    samples: int = 100
-    seed: int = DEFAULT_SEED
-    output_path: str | None = None
-    tol_domination: float = 1e-9
-    omega_sizes: tuple | None = None
+    bundle_path: str | None
+    t_grid: tuple
+    alpha_grid: tuple
+    samples: int
+    seed: int
+    output_path: str | None
+    tol_domination: float
+    omega_sizes: tuple | None
 
     def __post_init__(self):
         if not self.t_grid or not self.alpha_grid:
             raise SchemaError("parameter grids must be nonempty")
         if self.tol_domination <= 0:
             raise SchemaError("tolerances must be positive")
-        if self.samples < 0:
-            raise SchemaError(f"--samples must be >= 0, got {self.samples}")
+        if self.samples < 1:
+            raise SchemaError(f"--samples must be >= 1, got {self.samples}")
         bad_t = [t for t in self.t_grid if not 0 <= t < np.inf]
         if bad_t:
             raise SchemaError(f"--t values must be finite and >= 0, got {bad_t}")
@@ -59,21 +59,16 @@ class RunConfig:
             )
 
 
-def _float_list(text):
-    try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("list must be nonempty")
-    return values
-
-
-def _int_list(text):
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text}") from exc
+def _list_of(cast):
+    """argparse type: a comma-separated list of `cast` values, as a tuple."""
+    def parse(text):
+        try:
+            return tuple(cast(v) for v in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {cast.__name__}s: {text}"
+            ) from exc
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,22 +86,23 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="path to a bundle-spec JSON file",
         )
-        p.add_argument("--t", type=_float_list, default=(0.01, 0.1, 1.0, 10.0),
+        floats = _list_of(float)
+        p.add_argument("--t", type=floats, default=domination.DEFAULT_T_GRID,
                        help="comma-separated semigroup times")
-        p.add_argument("--alpha", type=_float_list, default=(0.5, 1.0, 10.0),
+        p.add_argument("--alpha", type=floats, default=domination.DEFAULT_ALPHA_GRID,
                        help="comma-separated resolvent shifts")
         p.add_argument("--samples", type=int, default=100)
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed (default: MGL_SEED env var or 42)")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--tol-domination", type=float, default=1e-9)
+        p.add_argument("--tol-domination", type=float, default=domination.DOMINATION_TOL)
 
     common(sub.add_parser("validate", help="check graph/bundle specs"))
     common(sub.add_parser("dominate", help="three-level domination report"),
            bundle_required=True)
     p_uni = sub.add_parser("uniqueness", help="exhaustion gap table")
     common(p_uni)
-    p_uni.add_argument("--omega", type=_int_list, default=None,
+    p_uni.add_argument("--omega", type=_list_of(int), default=None,
                        help="comma-separated prefix sizes of the exhaustion")
     common(sub.add_parser("spectrum", help="sorted generator eigenvalues"))
     common(sub.add_parser("semigroup-id", help="Laplace/Euler/form-limit identities"))
@@ -151,15 +147,6 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def consistency_from_report(report: dict) -> bool:
-    """Recompute the dominate exit condition from the emitted JSON fields."""
-    passed = [report[k]["passed"] for k in ("form", "resolvent", "semigroup")]
-    agree = len(set(passed)) == 1
-    if report["hypothesis"]["passed"] and not all(passed):
-        return False
-    return agree
-
-
 def cmd_validate(config: RunConfig) -> int:
     graph = load_graph(config.graph_path)
     report = {"graph": {"ok": True, "n": graph.n, "edges": len(graph.edges)}}
@@ -196,7 +183,6 @@ def cmd_dominate(config: RunConfig) -> int:
         tol=config.tol_domination,
     )
     report = result.to_report()
-    report["consistent"] = consistency_from_report(report)
     _emit(config, report)
     for key in ("form", "resolvent", "semigroup"):
         verdict = report[key]

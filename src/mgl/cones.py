@@ -92,7 +92,7 @@ def lattice_inf(f, g) -> np.ndarray:
     return 0.5 * (f + g - np.abs(f - g))
 
 
-def project_domination_set(f1, g, B: HermitianBundle, ctx: ConeContext):
+def project_domination_set(f1, g, B: HermitianBundle):
     """Metric projection of (f1, g) onto {(u, v) : |u(x)| <= v(x) for all x}.
 
     Uses the exact lattice formula: the projected section is half the
@@ -109,7 +109,7 @@ def project_domination_set(f1, g, B: HermitianBundle, ctx: ConeContext):
     return f_hat, g_hat
 
 
-def project_domination_set_halfsum(f1, g, B: HermitianBundle, ctx: ConeContext):
+def project_domination_set_halfsum(f1, g, B: HermitianBundle):
     """Projection onto the same set for 0 <= g <= S(f1): half-sum shortcut.
 
     On this input class the projection is ((f1 + f2)/2, (S(f1) + g)/2) with

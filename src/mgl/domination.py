@@ -73,9 +73,15 @@ def _check_compatible(A: FormOperator, B: FormOperator):
         )
 
 
-def _sample_sections(n: int, d: int, count: int, rng) -> np.ndarray:
-    """(count, n, d) complex Gaussian sections."""
-    return rng.standard_normal((count, n, d)) + 1j * rng.standard_normal((count, n, d))
+def _sections(A: FormOperator, B: FormOperator, samples, rng) -> np.ndarray:
+    """(k, n, d) sample sections: `samples` complex Gaussian draws, or the
+    given array, after checking that B can dominate A."""
+    _check_compatible(A, B)
+    if isinstance(samples, (int, np.integer)):
+        rng = _as_rng(rng)
+        shape = (int(samples), A.n, A.d)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.asarray(samples, dtype=complex)
 
 
 def _basis_sections(n: int, d: int) -> np.ndarray:
@@ -112,25 +118,24 @@ def _probe_witness(n: int, d: int, edges, k: int):
     return f1, vertex
 
 
-def _flatten_batch(sections: np.ndarray) -> np.ndarray:
-    """(k, n, d) -> (n*d, k) column-major batch for FormOperator methods."""
-    k = sections.shape[0]
-    return sections.reshape(k, -1).T
+def _pointwise_verdict(A, B, params, samples, rng, tol, apply) -> Verdict:
+    """Shared body of the semigroup- and resolvent-level checks.
 
-
-def _pointwise_verdict(A, B, params, samples, apply_A, apply_B, tol) -> Verdict:
-    """Shared sweep for the semigroup- and resolvent-level checks."""
+    `apply` is FormOperator.semigroup or FormOperator.resolvent; at each
+    parameter p it compares the fiber norms of apply(A, p, u) with
+    apply(B, p, |u|) on the samples plus the coordinate sections.
+    """
     n, d = A.n, A.d
-    flat = _flatten_batch(samples)
+    samples = np.concatenate([_sections(A, B, samples, rng), _basis_sections(n, d)])
+    k = len(samples)
+    flat = samples.reshape(k, -1).T  # (n*d, k), one section per column
     abs_samples = np.linalg.norm(samples, axis=2).T  # (n, k)
 
     best = np.inf
     witness = (None, None, None)
     for p in params:
-        lhs = np.linalg.norm(
-            apply_A(p, flat).reshape(n, d, -1), axis=1
-        )  # (n, k) fiber norms
-        rhs = apply_B(p, abs_samples).real
+        lhs = np.linalg.norm(apply(A, p, flat).reshape(n, d, k), axis=1)
+        rhs = apply(B, p, abs_samples).real
         slack = rhs - lhs
         idx = np.unravel_index(np.argmin(slack), slack.shape)
         if slack[idx] < best:
@@ -155,16 +160,7 @@ def check_semigroup_domination(
     tol: float = DOMINATION_TOL,
 ) -> Verdict:
     """Pointwise check |e^{-tA}u|(x) <= (e^{-tB}|u|)(x) over grids and samples."""
-    _check_compatible(A, B)
-    rng = _as_rng(rng)
-    if isinstance(samples, (int, np.integer)):
-        samples = _sample_sections(A.n, A.d, int(samples), rng)
-    else:
-        samples = np.asarray(samples, dtype=complex)
-    samples = np.concatenate([samples, _basis_sections(A.n, A.d)])
-    return _pointwise_verdict(
-        A, B, t_list, samples, A.semigroup, B.semigroup, tol
-    )
+    return _pointwise_verdict(A, B, t_list, samples, rng, tol, FormOperator.semigroup)
 
 
 def check_resolvent_domination(
@@ -176,15 +172,8 @@ def check_resolvent_domination(
     tol: float = DOMINATION_TOL,
 ) -> Verdict:
     """Pointwise check |(A+a)^-1 u|(x) <= ((B+a)^-1 |u|)(x) over grids and samples."""
-    _check_compatible(A, B)
-    rng = _as_rng(rng)
-    if isinstance(samples, (int, np.integer)):
-        samples = _sample_sections(A.n, A.d, int(samples), rng)
-    else:
-        samples = np.asarray(samples, dtype=complex)
-    samples = np.concatenate([samples, _basis_sections(A.n, A.d)])
     return _pointwise_verdict(
-        A, B, alpha_list, samples, A.resolvent, B.resolvent, tol
+        A, B, alpha_list, samples, rng, tol, FormOperator.resolvent
     )
 
 
@@ -206,13 +195,8 @@ def check_form_domination(
         disjointly supported coordinate pairs on every edge and every
         coordinate section e_{x,j} paired with itself.
     """
-    _check_compatible(A, B)
     rng = _as_rng(rng)
-    count = int(samples) if isinstance(samples, (int, np.integer)) else len(samples)
-    if isinstance(samples, (int, np.integer)):
-        sections = _sample_sections(A.n, A.d, count, rng)
-    else:
-        sections = np.asarray(samples, dtype=complex)
+    sections = _sections(A, B, samples, rng)
 
     max_energy = 0.0
     budget_slack = np.inf

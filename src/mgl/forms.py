@@ -31,7 +31,6 @@ class FormOperator:
     L : (N, N) array, Hermitian up to rounding; symmetrized on ingest
     measure : (n,) strictly positive vertex measures
     d : fiber dimension, with N = n * d (1 for scalar forms)
-    graph : optional back-reference to the underlying graph
     """
 
     __slots__ = (
@@ -40,7 +39,6 @@ class FormOperator:
         "d",
         "n",
         "dim",
-        "graph",
         "m_diag",
         "m_sqrt",
         "m_isqrt",
@@ -50,7 +48,7 @@ class FormOperator:
         "lower_bound",
     )
 
-    def __init__(self, L, measure, d=1, graph=None):
+    def __init__(self, L, measure, d=1):
         L = np.asarray(L)
         if L.ndim != 2 or L.shape[0] != L.shape[1]:
             raise DimensionMismatch(f"form matrix must be square, got {L.shape}")
@@ -69,7 +67,6 @@ class FormOperator:
         self.d = int(d)
         self.n = measure.size
         self.dim = L.shape[0]
-        self.graph = graph
 
         self.m_diag = np.repeat(measure, d)
         self.m_sqrt = np.sqrt(self.m_diag)
@@ -116,25 +113,17 @@ class FormOperator:
     def apply_generator(self, u):
         """A u with A = M^-1 L, the generator in the m-inner product."""
         u = self._check_vector(u)
-        return (self.L @ u) / (
-            self.m_diag if u.ndim == 1 else self.m_diag[:, None]
-        )
+        cols = u.reshape(self.dim, -1)
+        return ((self.L @ cols) / self.m_diag[:, None]).reshape(u.shape)
 
     # -- spectral calculus ---------------------------------------------------
 
     def _apply_function(self, scalars, u):
-        """M^-1/2 U diag(scalars) U* M^1/2 u for (stacks of) vectors u."""
+        """M^-1/2 U diag(scalars) U* M^1/2 u for a vector or an (N, k) batch u."""
         U = self.eigenvectors
-        if u.ndim == 1:
-            y = U.conj().T @ (self.m_sqrt * u)
-            return self.m_isqrt * (U @ (scalars * y))
-        y = U.conj().T @ (self.m_sqrt[:, None] * u)
-        return self.m_isqrt[:, None] * (U @ (scalars[:, None] * y))
-
-    def _function_matrix(self, scalars):
-        U = self.eigenvectors
-        core = (U * scalars[None, :]) @ U.conj().T
-        return self.m_isqrt[:, None] * core * self.m_sqrt[None, :]
+        y = U.conj().T @ (self.m_sqrt[:, None] * u.reshape(self.dim, -1))
+        out = self.m_isqrt[:, None] * (U @ (scalars[:, None] * y))
+        return out.reshape(u.shape)
 
     def semigroup(self, t, u):
         """e^{-tA} u via the cached spectral decomposition; identity at t = 0."""
@@ -144,13 +133,6 @@ class FormOperator:
         if t == 0:
             return np.array(u, copy=True)
         return self._apply_function(np.exp(-t * self.eigenvalues), u)
-
-    def semigroup_matrix(self, t):
-        if t < 0:
-            raise NegativeTime(f"semigroup time must be nonnegative, got {t}")
-        if t == 0:
-            return np.eye(self.dim, dtype=self.L.dtype)
-        return self._function_matrix(np.exp(-t * self.eigenvalues))
 
     def _check_alpha(self, alpha):
         if alpha <= -self.lower_bound + 1e-12:
@@ -166,8 +148,11 @@ class FormOperator:
         return self._apply_function(1.0 / (self.eigenvalues + alpha), u)
 
     def resolvent_matrix(self, alpha):
+        """The matrix of (A + alpha)^-1, M^-1/2 U diag(1/(mu + alpha)) U* M^1/2."""
         self._check_alpha(alpha)
-        return self._function_matrix(1.0 / (self.eigenvalues + alpha))
+        U = self.eigenvectors
+        core = (U * (1.0 / (self.eigenvalues + alpha))[None, :]) @ U.conj().T
+        return self.m_isqrt[:, None] * core * self.m_sqrt[None, :]
 
     # -- m-weighted geometry -------------------------------------------------
 
@@ -177,11 +162,6 @@ class FormOperator:
 
     def norm(self, u):
         return float(np.sqrt(abs(self.inner(u, u).real)))
-
-    def block_norms(self, u):
-        """Pointwise fiber norms |u(x)| of a flattened section."""
-        u = self._check_vector(u)
-        return np.linalg.norm(np.asarray(u).reshape(self.n, self.d), axis=1)
 
     def __repr__(self):
         return f"FormOperator(dim={self.dim}, d={self.d}, lambda={self.lower_bound:.3g})"
@@ -198,7 +178,7 @@ def assemble_scalar_form(G: WeightedGraph) -> FormOperator:
     x, y = G.edges.T
     L[x, y] = -G.weights
     L[y, x] = -G.weights
-    return FormOperator(L, G.measure, d=1, graph=G)
+    return FormOperator(L, G.measure, d=1)
 
 
 def assemble_magnetic_form(G: WeightedGraph, B: HermitianBundle) -> FormOperator:
@@ -227,7 +207,7 @@ def assemble_magnetic_form(G: WeightedGraph, B: HermitianBundle) -> FormOperator
     b = G.weights[:, None, None]
     blocks[x, :, y, :] = -b * B.connection
     blocks[y, :, x, :] = -b * B.connection.conj().transpose(0, 2, 1)
-    return FormOperator(L, G.measure, d=d, graph=G)
+    return FormOperator(L, G.measure, d=d)
 
 
 def flatten_section(u) -> np.ndarray:

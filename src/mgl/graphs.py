@@ -19,6 +19,12 @@ import numpy as np
 from .errors import InvariantError, SchemaError
 
 
+# Largest accepted vertex scale: measure, 1/measure, weighted degree and the
+# endomorphism size |W(x)|/m(x). Beyond it the form arithmetic (the
+# symmetrization of L, m-weighted norms, the eigensolver) can overflow.
+MAGNITUDE_BOUND = 1e150
+
+
 def _frozen(arr):
     arr.setflags(write=False)
     return arr
@@ -137,11 +143,8 @@ class WeightedGraph:
         i = self._edge_index(x, y)
         return float(self.weights[i]) if i >= 0 else 0.0
 
-    def weighted_degree(self, x):
-        """Deg(x) = (sum_y b(x, y) + c(x)) / m(x)."""
-        return (self.row_sums[x] + self.killing[x]) / self.measure[x]
-
     def weighted_degrees(self):
+        """Deg(x) = (sum_y b(x, y) + c(x)) / m(x) for every vertex x."""
         return (self.row_sums + self.killing) / self.measure
 
     def __repr__(self):
@@ -198,6 +201,43 @@ def _restriction(G: WeightedGraph, omega):
     return omega, keep, ends[keep], boundary
 
 
+def _read_spec(source, what: str, keys) -> dict:
+    """The spec document `source`, a parsed object or a path to a JSON file.
+
+    Checks that it is an object with no keys outside `keys`; every failure
+    is a SchemaError whose message starts with `what`.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise SchemaError(f"cannot read {what}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+    else:
+        doc = source
+
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise SchemaError(f"{what} has unknown keys: {sorted(unknown)}")
+    return doc
+
+
+def _check_magnitude(values, what: str):
+    """SchemaError naming the first vertex where `values` exceeds MAGNITUDE_BOUND
+    or is NaN (JSON readers accept NaN)."""
+    bad = np.flatnonzero(~(values <= MAGNITUDE_BOUND))
+    if bad.size:
+        x = bad[0]
+        raise SchemaError(
+            f"{what} at vertex {x} is {values[x]:.3g}, above {MAGNITUDE_BOUND:.0e}; "
+            "larger scales overflow"
+        )
+
+
 def load_graph(source) -> WeightedGraph:
     """Build a validated WeightedGraph from a graph-spec JSON document.
 
@@ -212,22 +252,7 @@ def load_graph(source) -> WeightedGraph:
     Raises SchemaError for malformed documents and InvariantError (naming
     the violated axiom) for well-formed documents describing invalid graphs.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise SchemaError(f"cannot read graph spec: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"graph spec is not valid JSON: {exc}") from exc
-    else:
-        doc = source
-
-    if not isinstance(doc, dict):
-        raise SchemaError("graph spec must be a JSON object")
-    unknown = set(doc) - {"n", "edges", "killing", "measure"}
-    if unknown:
-        raise SchemaError(f"graph spec has unknown keys: {sorted(unknown)}")
+    doc = _read_spec(source, "graph spec", ("n", "edges", "killing", "measure"))
     if "n" not in doc or not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
         raise SchemaError("graph spec requires an integer 'n'")
     n = doc["n"]
@@ -282,6 +307,9 @@ def load_graph(source) -> WeightedGraph:
         raise SchemaError(
             f"edge weights at vertex {bad[0]} overflow: row sum is not finite"
         )
+    _check_magnitude(graph.measure, "measure")
+    _check_magnitude(1.0 / graph.measure, "1/measure")
+    _check_magnitude(graph.weighted_degrees(), "weighted degree")
     return graph
 
 

@@ -138,6 +138,11 @@ def _edge_distances(G: WeightedGraph, d: PseudoMetric) -> np.ndarray:
     return d.dist[x, y]
 
 
+def _energy_slack(G: WeightedGraph, lengths) -> np.ndarray:
+    """Per-vertex slack 1 - (1/m(x)) sum_y b(x,y) len(x,y)^2, edge-aligned lengths."""
+    return 1.0 - G._incident_sums(G.weights * lengths**2) / G.measure
+
+
 def check_intrinsic(G: WeightedGraph, d: PseudoMetric) -> np.ndarray:
     """Per-vertex slack 1 - (1/m(x)) sum_y b(x,y) d(x,y)^2.
 
@@ -147,7 +152,7 @@ def check_intrinsic(G: WeightedGraph, d: PseudoMetric) -> np.ndarray:
     on_edges = _edge_distances(G, d)
     if not np.isfinite(on_edges).all():
         raise InfiniteEdgeDistance("pseudo-metric is infinite on an edge")
-    return 1.0 - G._incident_sums(G.weights * on_edges**2) / G.measure
+    return _energy_slack(G, on_edges)
 
 
 def is_intrinsic(G: WeightedGraph, d: PseudoMetric) -> bool:
@@ -174,8 +179,7 @@ def strongly_intrinsic_check(G: WeightedGraph, sigma: EdgeLengths) -> np.ndarray
     A pass here implies the path metric of sigma passes check_intrinsic,
     since shortest paths only shorten edge lengths.
     """
-    s = sigma.lengths
-    return 1.0 - G._incident_sums(G.weights * s * s) / G.measure
+    return _energy_slack(G, sigma.lengths)
 
 
 def is_strongly_intrinsic(G: WeightedGraph, sigma: EdgeLengths) -> bool:

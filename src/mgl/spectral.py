@@ -24,6 +24,7 @@ from .errors import (
     NegativeTime,
     ProjectionNotIdempotent,
 )
+from .domination import DEFAULT_T_GRID, _as_rng
 from .forms import FormOperator
 
 TRUNCATION = 1e-12
@@ -150,8 +151,41 @@ class OrderReport:
         return self.semigroup_ok == self.form_ok
 
 
+def _order_check(F, t_list, tol, inputs, violation, signed, form_map) -> OrderReport:
+    """Shared body of the positivity and Markov checks.
+
+    Semigroup side: the largest violation(e^{-tA}u) over the columns u of
+    `inputs`, which lie in the convex set. Form side: the smallest
+    Q(v) - Q(form_map(v)) over the columns v of `signed`, with form_map the
+    projection onto the set.
+    """
+    worst = -np.inf
+    witness = None
+    for t in t_list:
+        out = F.semigroup(t, inputs)
+        excess = violation(out)
+        idx = np.unravel_index(np.argmax(excess), excess.shape)
+        if excess[idx] > worst:
+            worst = float(excess[idx])
+            witness = SemigroupSample(
+                float(t), inputs[:, idx[1]].copy(), out[:, idx[1]].copy()
+            )
+    semigroup_ok = worst <= tol
+
+    slacks = np.array([F.quad(v) - F.quad(form_map(v)) for v in signed.T])
+    worst_form = float(slacks.min())
+    form_ok = worst_form >= -tol
+    return OrderReport(bool(semigroup_ok), bool(form_ok), -worst,
+                       None if semigroup_ok else witness, worst_form)
+
+
+def _box_overshoot(out):
+    """Distance of each entry to the unit interval [0, 1]."""
+    return np.maximum(out - 1.0, 0.0) + np.maximum(-out, 0.0)
+
+
 def positivity_check(
-    F: FormOperator, t_list=(0.01, 0.1, 1.0, 10.0), samples: int = 100, rng=None,
+    F: FormOperator, t_list=DEFAULT_T_GRID, samples: int = 100, rng=None,
     tol: float = 1e-10,
 ) -> OrderReport:
     """Positivity preservation of e^{-tA} against the form criterion.
@@ -160,62 +194,29 @@ def positivity_check(
     Form side: Q(|u|) <= Q(u) on random sign-mixed samples.
     """
     _require_scalar_real(F, "positivity check")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = _as_rng(rng)
     nonneg = rng.random((F.dim, samples))
-    worst_entry = np.inf
-    witness = None
-    for t in t_list:
-        out = F.semigroup(t, nonneg)
-        idx = np.unravel_index(np.argmin(out), out.shape)
-        if out[idx] < worst_entry:
-            worst_entry = float(out[idx])
-            witness = SemigroupSample(float(t), nonneg[:, idx[1]].copy(), out[:, idx[1]].copy())
-    semigroup_ok = worst_entry >= -tol
-
     signed = rng.standard_normal((F.dim, samples))
-    slacks = np.array(
-        [F.quad(signed[:, j]) - F.quad(np.abs(signed[:, j])) for j in range(samples)]
-    )
-    worst_form = float(slacks.min())
-    form_ok = worst_form >= -tol
-    return OrderReport(bool(semigroup_ok), bool(form_ok), worst_entry,
-                       None if semigroup_ok else witness, worst_form)
+    return _order_check(F, t_list, tol, nonneg, np.negative, signed, np.abs)
 
 
 def markov_check(
-    F: FormOperator, t_list=(0.01, 0.1, 1.0, 10.0), samples: int = 100, rng=None,
+    F: FormOperator, t_list=DEFAULT_T_GRID, samples: int = 100, rng=None,
     tol: float = 1e-10,
 ) -> OrderReport:
     """Invariance of {0 <= u <= 1} under e^{-tA}.
 
     The form-side twin reuses the unit-interval clamp: Q(clamp u) <= Q(u)
-    on samples pushed slightly outside the box.
+    on samples pushed slightly outside the box. `worst_entry` is minus the
+    largest overshoot.
     """
     _require_scalar_real(F, "Markov check")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = _as_rng(rng)
     box = rng.random((F.dim, samples))
-    worst = 0.0
-    witness = None
-    for t in t_list:
-        out = F.semigroup(t, box)
-        overshoot = np.maximum(out - 1.0, 0.0) + np.maximum(-out, 0.0)
-        idx = np.unravel_index(np.argmax(overshoot), overshoot.shape)
-        if overshoot[idx] > worst:
-            worst = float(overshoot[idx])
-            witness = SemigroupSample(float(t), box[:, idx[1]].copy(), out[:, idx[1]].copy())
-    semigroup_ok = worst <= tol
-
     wide = rng.standard_normal((F.dim, samples)) * 1.5 + 0.5
-    slacks = np.array(
-        [
-            F.quad(wide[:, j]) - F.quad(np.clip(wide[:, j], 0.0, 1.0))
-            for j in range(samples)
-        ]
+    return _order_check(
+        F, t_list, tol, box, _box_overshoot, wide, unit_interval_projection
     )
-    worst_form = float(slacks.min())
-    form_ok = worst_form >= -tol
-    return OrderReport(bool(semigroup_ok), bool(form_ok), -worst,
-                       None if semigroup_ok else witness, worst_form)
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,7 @@ def ouhabaz_invariance_check(
     F: FormOperator,
     projection,
     samples,
-    t_list=(0.01, 0.1, 1.0, 10.0),
+    t_list=DEFAULT_T_GRID,
     tol: float = 1e-9,
 ) -> InvarianceReport:
     """Compare Re Q(Pu, u - Pu) >= 0 with direct invariance of the set.

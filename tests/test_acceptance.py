@@ -91,13 +91,13 @@ def test_criterion_2_projection_vs_oracle():
         f1 = fixtures.random_section(n, d, rng)
         gv = rng.standard_normal(n) * 2.0
 
-        f_hat, g_hat = project_domination_set(f1, gv, bundle, ctx)
+        f_hat, g_hat = project_domination_set(f1, gv, bundle)
         fo, go = oracles.project_domination_oracle(f1, gv)
         worst_oracle = max(
             worst_oracle, np.abs(f_hat - fo).max(), np.abs(g_hat - go).max()
         )
 
-        f2, g2 = project_domination_set(f_hat, g_hat, bundle, ctx)
+        f2, g2 = project_domination_set(f_hat, g_hat, bundle)
         worst_idem = max(
             worst_idem, np.abs(f2 - f_hat).max(), np.abs(g2 - g_hat).max()
         )

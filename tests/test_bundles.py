@@ -231,6 +231,20 @@ def test_load_bundle_defaults_and_errors():
         )
 
 
+@pytest.mark.parametrize("kind", ["non-object", "unknown-key", "invalid-json", "missing"])
+def test_load_bundle_spec_preamble_errors(tmp_path, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    source = {
+        "non-object": [1, 2],
+        "unknown-key": {"rank": 1, "twist": 0},
+        "invalid-json": bad,
+        "missing": str(tmp_path / "missing.json"),
+    }[kind]
+    with pytest.raises(SchemaError, match="bundle spec"):
+        load_bundle(fixtures.p2(), source)
+
+
 def test_section_shape_checks():
     g = fixtures.p2()
     b = trivial_bundle(g, 2)

@@ -256,7 +256,9 @@ def test_semigroup_id_refuses_vacuous_pass(p2_spec, tmp_path, capsys, alphas):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--samples", "-1"], ["--t", "-1"], ["--alpha", "0"], ["--t", "nan"]]
+    "flags",
+    [["--samples", "-1"], ["--t", "-1"], ["--alpha", "0"], ["--t", "nan"],
+     ["--samples", "0"]],
 )
 def test_cli_parameters_are_input_errors(tmp_path, capsys, flags):
     graph = write_json(tmp_path / "p3.json", {
@@ -277,6 +279,34 @@ def test_overflowing_edge_weights_are_input_errors(tmp_path, capsys):
     spec = write_json(tmp_path / "big.json", doc)
     assert run(["semigroup-id", "--graph", spec]) == 2
     assert "overflow" in capsys.readouterr().err
+
+
+P3_EDGES = [{"u": 0, "v": 1, "b": 1.0}, {"u": 1, "v": 2, "b": 1.0}]
+
+
+@pytest.mark.parametrize(
+    "graph_doc, bundle_doc",
+    [
+        ({"n": 3, "edges": P3_EDGES, "killing": [1e308, 1e308, 0]}, {"rank": 1}),
+        ({"n": 3, "edges": P3_EDGES, "measure": [1e-308, 1, 1]}, {"rank": 1}),
+        ({"n": 3, "edges": P3_EDGES, "measure": [1e308, 1, 1]}, {"rank": 1}),
+        ({"n": 3, "edges": P3_EDGES},
+         {"rank": 1, "endo": [[[[1e308, 0.0]]], [[[0.0, 0.0]]], [[[0.0, 0.0]]]]}),
+    ],
+    ids=["killing", "tiny-measure", "huge-measure", "endo"],
+)
+def test_overflowing_scales_are_input_errors(tmp_path, capsys, graph_doc, bundle_doc):
+    # Each scale overflows in the form arithmetic (symmetrization, m-weighted
+    # norms, eigensolvers) unless the loaders reject it, for every command.
+    graph = write_json(tmp_path / "g.json", graph_doc)
+    bundle = write_json(tmp_path / "b.json", bundle_doc)
+    for command in ("validate", "spectrum", "dominate", "uniqueness", "semigroup-id"):
+        code = run([command, "--graph", graph, "--bundle", bundle,
+                    "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2, (command, err)
+        assert err.startswith("input error:") and "vertex 0" in err, command
+        assert "Traceback" not in err
 
 
 def test_console_entry_point_runs():

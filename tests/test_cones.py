@@ -146,9 +146,8 @@ def _random_instance(rng, n_max=10, d_max=2):
 def test_project_single_vertex_example():
     g = WeightedGraph(1, {})
     bundle = trivial_bundle(g, 1)
-    ctx = ConeContext(g)
     f_hat, g_hat = project_domination_set(
-        np.array([[2.0 + 0j]]), np.array([0.0]), bundle, ctx
+        np.array([[2.0 + 0j]]), np.array([0.0]), bundle
     )
     np.testing.assert_allclose(f_hat, [[1.0]])
     np.testing.assert_allclose(g_hat, [1.0])
@@ -159,7 +158,7 @@ def test_project_fixed_point_inside_set():
     for _ in range(30):
         _, bundle, ctx, f1, _ = _random_instance(rng)
         gv = symmetrize(f1, bundle) + rng.random(bundle.graph.n)
-        f_hat, g_hat = project_domination_set(f1, gv, bundle, ctx)
+        f_hat, g_hat = project_domination_set(f1, gv, bundle)
         np.testing.assert_allclose(f_hat, f1, atol=1e-13)
         np.testing.assert_allclose(g_hat, gv, atol=1e-13)
 
@@ -168,7 +167,7 @@ def test_project_matches_oracle_and_feasible():
     rng = np.random.default_rng(42)
     for _ in range(100):
         _, bundle, ctx, f1, gv = _random_instance(rng)
-        f_hat, g_hat = project_domination_set(f1, gv, bundle, ctx)
+        f_hat, g_hat = project_domination_set(f1, gv, bundle)
         fo, go = oracles.project_domination_oracle(f1, gv)
         assert np.abs(f_hat - fo).max() <= 1e-8
         assert np.abs(g_hat - go).max() <= 1e-8
@@ -179,8 +178,8 @@ def test_project_idempotent():
     rng = np.random.default_rng(43)
     for _ in range(50):
         _, bundle, ctx, f1, gv = _random_instance(rng)
-        f_hat, g_hat = project_domination_set(f1, gv, bundle, ctx)
-        f_again, g_again = project_domination_set(f_hat, g_hat, bundle, ctx)
+        f_hat, g_hat = project_domination_set(f1, gv, bundle)
+        f_again, g_again = project_domination_set(f_hat, g_hat, bundle)
         assert np.abs(f_again - f_hat).max() <= 1e-12
         assert np.abs(g_again - g_hat).max() <= 1e-12
 
@@ -190,7 +189,7 @@ def test_project_variational_inequality():
     for _ in range(20):
         _, bundle, ctx, f1, gv = _random_instance(rng)
         n, d = bundle.graph.n, bundle.rank
-        f_hat, g_hat = project_domination_set(f1, gv, bundle, ctx)
+        f_hat, g_hat = project_domination_set(f1, gv, bundle)
         for _ in range(100):
             u = fixtures.random_section(n, d, rng)
             v = symmetrize(u, bundle) + np.abs(rng.standard_normal(n))
@@ -203,19 +202,18 @@ def test_project_variational_inequality():
 def test_halfsum_example_and_agreement():
     g = WeightedGraph(1, {})
     bundle = trivial_bundle(g, 1)
-    ctx = ConeContext(g)
     f1 = np.array([[2.0 + 0j]])
-    f_hat, g_hat = project_domination_set_halfsum(f1, np.array([1.0]), bundle, ctx)
+    f_hat, g_hat = project_domination_set_halfsum(f1, np.array([1.0]), bundle)
     np.testing.assert_allclose(f_hat, [[1.5]])
     np.testing.assert_allclose(g_hat, [1.5])
 
     # g = S(f1): already in the set, returned unchanged.
-    f_hat, g_hat = project_domination_set_halfsum(f1, np.array([2.0]), bundle, ctx)
+    f_hat, g_hat = project_domination_set_halfsum(f1, np.array([2.0]), bundle)
     np.testing.assert_allclose(f_hat, f1)
     np.testing.assert_allclose(g_hat, [2.0])
 
     # g = 0: half of (f1, S(f1)).
-    f_hat, g_hat = project_domination_set_halfsum(f1, np.array([0.0]), bundle, ctx)
+    f_hat, g_hat = project_domination_set_halfsum(f1, np.array([0.0]), bundle)
     np.testing.assert_allclose(f_hat, 0.5 * f1)
     np.testing.assert_allclose(g_hat, [1.0])
 
@@ -225,8 +223,8 @@ def test_halfsum_agrees_with_general_formula():
     for _ in range(100):
         _, bundle, ctx, f1, _ = _random_instance(rng)
         gv = rng.random(bundle.graph.n) * symmetrize(f1, bundle)
-        a = project_domination_set_halfsum(f1, gv, bundle, ctx)
-        b = project_domination_set(f1, gv, bundle, ctx)
+        a = project_domination_set_halfsum(f1, gv, bundle)
+        b = project_domination_set(f1, gv, bundle)
         assert np.abs(a[0] - b[0]).max() <= 1e-10
         assert np.abs(a[1] - b[1]).max() <= 1e-10
 
@@ -234,11 +232,10 @@ def test_halfsum_agrees_with_general_formula():
 def test_halfsum_preconditions():
     g = WeightedGraph(1, {})
     bundle = trivial_bundle(g, 1)
-    ctx = ConeContext(g)
     f1 = np.array([[1.0 + 0j]])
     with pytest.raises(PreconditionViolated):
-        project_domination_set_halfsum(f1, np.array([-0.5]), bundle, ctx)
+        project_domination_set_halfsum(f1, np.array([-0.5]), bundle)
     with pytest.raises(PreconditionViolated):
-        project_domination_set_halfsum(f1, np.array([2.0]), bundle, ctx)
+        project_domination_set_halfsum(f1, np.array([2.0]), bundle)
     with pytest.raises(ComplexInput):
-        project_domination_set(f1, np.array([1j]), bundle, ctx)
+        project_domination_set(f1, np.array([1j]), bundle)

@@ -82,11 +82,11 @@ def test_symmetry_bit_identical():
 
 def test_weighted_degree_examples():
     g = fixtures.p2()
-    assert g.weighted_degree(0) == 1.0
+    assert g.weighted_degrees()[0] == 1.0
     g2 = WeightedGraph(2, {(0, 1): 1.0}, killing=[2.0, 0.0])
-    assert g2.weighted_degree(0) == 3.0
+    assert g2.weighted_degrees()[0] == 3.0
     lone = WeightedGraph(1, {})
-    assert lone.weighted_degree(0) == 0.0
+    assert lone.weighted_degrees()[0] == 0.0
 
 
 def test_restrict_dirichlet_p3_folds_boundary():

@@ -251,6 +251,19 @@ def test_markov_check_examples():
     assert markov_check(killed, rng=2).semigroup_ok
 
 
+def test_markov_check_detects_violation():
+    # Positive off-diagonal entries push e^{-tA} out of the unit box, and
+    # clamping into the box raises the form: both sides fail together.
+    report = markov_check(perturbed_p2_form(), rng=2)
+    assert not report.semigroup_ok and not report.form_ok and report.agree
+    witness = report.worst_witness
+    assert witness is not None
+    assert report.worst_entry == pytest.approx(-0.1805, abs=1e-4)
+    out = witness.output
+    overshoot = max(out.max() - 1.0, -out.min())
+    assert report.worst_entry == -overshoot
+
+
 def test_positivity_markov_all_scalar_fixtures():
     for name, F in scalar_fixture_forms().items():
         assert positivity_check(F, rng=5).semigroup_ok, name
