@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NegativeG, SchemaError
 from .graphs import (
+    MAGNITUDE_BOUND,
     WeightedGraph,
+    _check_dense_size,
     _check_magnitude,
     _read_spec,
     _restriction,
@@ -246,6 +248,7 @@ def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
     rank = doc.get("rank")
     if not isinstance(rank, int) or isinstance(rank, bool) or rank <= 0:
         raise SchemaError("bundle spec requires a positive integer 'rank'")
+    _check_dense_size(graph.n, rank)
 
     def parse_matrix(raw, where):
         try:
@@ -268,7 +271,15 @@ def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
         u, v = entry["u"], entry["v"]
         if not isinstance(u, int) or not isinstance(v, int):
             raise SchemaError(f"connection #{i}: u and v must be integers")
-        connection[(u, v)] = parse_matrix(entry["matrix"], f"connection #{i}")
+        mat = parse_matrix(entry["matrix"], f"connection #{i}")
+        # A unitary has entries of modulus at most 1; larger ones (or NaN)
+        # overflow in the unitarity defect.
+        if not (np.abs(mat) <= MAGNITUDE_BOUND).all():
+            raise SchemaError(
+                f"connection #{i}: matrix entries must be finite and at most "
+                f"{MAGNITUDE_BOUND:.0e} in modulus"
+            )
+        connection[(u, v)] = mat
 
     endo = None
     if "endo" in doc:

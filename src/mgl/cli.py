@@ -45,8 +45,12 @@ class RunConfig:
     def __post_init__(self):
         if not self.t_grid or not self.alpha_grid:
             raise SchemaError("parameter grids must be nonempty")
-        if self.tol_domination <= 0:
-            raise SchemaError("tolerances must be positive")
+        if not 0 < self.tol_domination < np.inf:
+            raise SchemaError(
+                f"--tol-domination must be finite and > 0, got {self.tol_domination}"
+            )
+        if self.seed < 0:
+            raise SchemaError(f"--seed (or MGL_SEED) must be >= 0, got {self.seed}")
         if self.samples < 1:
             raise SchemaError(f"--samples must be >= 1, got {self.samples}")
         bad_t = [t for t in self.t_grid if not 0 <= t < np.inf]
@@ -147,12 +151,21 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def cmd_validate(config: RunConfig) -> int:
+def _load_specs(config: RunConfig):
+    """The graph and the bundle (None without --bundle), both read before any
+    form is built, so that every spec error, the size guard included, comes
+    first."""
     graph = load_graph(config.graph_path)
+    if not config.bundle_path:
+        return graph, None
+    return graph, load_bundle(graph, config.bundle_path)
+
+
+def cmd_validate(config: RunConfig) -> int:
+    graph, bundle = _load_specs(config)
     report = {"graph": {"ok": True, "n": graph.n, "edges": len(graph.edges)}}
     code = 0
-    if config.bundle_path:
-        bundle = load_bundle(graph, config.bundle_path)
+    if bundle is not None:
         check = validate_bundle(bundle)
         worst_edge, worst_defect = check.worst_edge()
         report["bundle"] = {
@@ -171,8 +184,7 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_dominate(config: RunConfig) -> int:
-    graph = load_graph(config.graph_path)
-    bundle = load_bundle(graph, config.bundle_path)
+    graph, bundle = _load_specs(config)
     result = diamagnetic_report(
         graph,
         bundle,
@@ -193,10 +205,8 @@ def cmd_dominate(config: RunConfig) -> int:
 
 
 def cmd_uniqueness(config: RunConfig) -> int:
-    graph = load_graph(config.graph_path)
-    if config.bundle_path:
-        bundle = load_bundle(graph, config.bundle_path)
-    else:
+    graph, bundle = _load_specs(config)
+    if bundle is None:
         bundle = trivial_bundle(graph)
     sizes = config.omega_sizes
     if not sizes:
@@ -218,11 +228,10 @@ def cmd_uniqueness(config: RunConfig) -> int:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    graph = load_graph(config.graph_path)
+    graph, bundle = _load_specs(config)
     scalar = assemble_scalar_form(graph)
     report = {"scalar": scalar.eigenvalues}
-    if config.bundle_path:
-        bundle = load_bundle(graph, config.bundle_path)
+    if bundle is not None:
         report["magnetic"] = assemble_magnetic_form(graph, bundle).eigenvalues
     _emit(config, report)
     _summary("scalar: " + ", ".join(f"{v:.6g}" for v in scalar.eigenvalues))
@@ -273,12 +282,11 @@ def _identity_suite(form, alphas, seed):
 
 
 def cmd_semigroup_id(config: RunConfig) -> int:
-    graph = load_graph(config.graph_path)
+    graph, bundle = _load_specs(config)
     report = {"scalar": _identity_suite(
         assemble_scalar_form(graph), config.alpha_grid, config.seed
     )}
-    if config.bundle_path:
-        bundle = load_bundle(graph, config.bundle_path)
+    if bundle is not None:
         report["magnetic"] = _identity_suite(
             assemble_magnetic_form(graph, bundle), config.alpha_grid, config.seed
         )

@@ -61,7 +61,8 @@ class FormOperator:
             )
 
         # Averaging with the adjoint makes L exactly Hermitian.
-        self.L = (L + L.conj().T) / 2
+        self.L = L + L.conj().T
+        self.L *= 0.5
         self.L.setflags(write=False)
         self.measure = measure
         self.d = int(d)
@@ -71,8 +72,10 @@ class FormOperator:
         self.m_diag = np.repeat(measure, d)
         self.m_sqrt = np.sqrt(self.m_diag)
         self.m_isqrt = 1.0 / self.m_sqrt
-        self.a_sym = self.m_isqrt[:, None] * self.L * self.m_isqrt[None, :]
-        self.a_sym = (self.a_sym + self.a_sym.conj().T) / 2
+        # L is exactly Hermitian; the scaling may leave a_sym off by an ulp
+        # across the diagonal, which eigh ignores: it reads one triangle only.
+        self.a_sym = self.m_isqrt[:, None] * self.L
+        self.a_sym *= self.m_isqrt[None, :]
         self.a_sym.setflags(write=False)
 
         try:
@@ -101,13 +104,21 @@ class FormOperator:
         return u
 
     def evaluate(self, u, v):
-        """Q(u, v) = <Lu, v>: linear in u, conjugate-linear in v."""
+        """Q(u, v) = <Lu, v>: linear in u, conjugate-linear in v.
+
+        For (N, k) batches u and v it returns the (k,) array of the values
+        Q(u_j, v_j) on paired columns.
+        """
         u = self._check_vector(u)
         v = self._check_vector(v)
-        return complex(np.vdot(v, self.L @ u))
+        if u.ndim == 1:
+            return complex(np.vdot(v, self.L @ u))
+        if u.shape != v.shape:
+            raise DimensionMismatch(f"batches have shapes {u.shape} vs {v.shape}")
+        return np.einsum("ij,ij->j", v.conj(), self.L @ u)
 
-    def quad(self, u) -> float:
-        """Real quadratic value Q(u, u)."""
+    def quad(self, u):
+        """Real quadratic value Q(u, u); a (k,) array for an (N, k) batch."""
         return self.evaluate(u, u).real
 
     def apply_generator(self, u):
@@ -118,40 +129,66 @@ class FormOperator:
 
     # -- spectral calculus ---------------------------------------------------
 
+    # The spectral calculus f(A) = M^-1/2 U diag(f(mu)) U* M^1/2 runs in two
+    # steps, so that callers applying several functions to one batch project
+    # it into eigencoordinates once.
+
+    def _eigencoordinates(self, cols):
+        """U* M^1/2 u for each column u of an (N, k) batch."""
+        # U* v = conj(U^T conj(v)) needs no conjugated N x N copy of U.
+        return (self.eigenvectors.T @ (self.m_sqrt[:, None] * cols).conj()).conj()
+
+    def _coordinate_eigencoordinates(self):
+        """(N, n) eigencoordinates of the sections e_{x,0}, one column per x.
+
+        Column x is m_sqrt[x d] conj(U[x d, :]): a gather of rows of U.
+        """
+        rows = np.arange(self.n) * self.d
+        return (self.m_sqrt[rows, None] * self.eigenvectors[rows].conj()).T
+
+    def _from_eigencoordinates(self, scalars, y):
+        """M^-1/2 U diag(scalars) y for an (N, k) batch y of eigencoordinates."""
+        return self.m_isqrt[:, None] * (self.eigenvectors @ (scalars[:, None] * y))
+
     def _apply_function(self, scalars, u):
         """M^-1/2 U diag(scalars) U* M^1/2 u for a vector or an (N, k) batch u."""
-        U = self.eigenvectors
-        y = U.conj().T @ (self.m_sqrt[:, None] * u.reshape(self.dim, -1))
-        out = self.m_isqrt[:, None] * (U @ (scalars[:, None] * y))
-        return out.reshape(u.shape)
+        y = self._eigencoordinates(u.reshape(self.dim, -1))
+        return self._from_eigencoordinates(scalars, y).reshape(u.shape)
+
+    def _semigroup_multiplier(self, t):
+        """exp(-t mu), the spectral multiplier of e^{-tA}; None at t = 0,
+        where the semigroup is exactly the identity."""
+        if t < 0:
+            raise NegativeTime(f"semigroup time must be nonnegative, got {t}")
+        return None if t == 0 else np.exp(-t * self.eigenvalues)
 
     def semigroup(self, t, u):
         """e^{-tA} u via the cached spectral decomposition; identity at t = 0."""
-        if t < 0:
-            raise NegativeTime(f"semigroup time must be nonnegative, got {t}")
+        scalars = self._semigroup_multiplier(t)
         u = self._check_vector(u)
-        if t == 0:
+        if scalars is None:
             return np.array(u, copy=True)
-        return self._apply_function(np.exp(-t * self.eigenvalues), u)
+        return self._apply_function(scalars, u)
 
-    def _check_alpha(self, alpha):
+    def _resolvent_multiplier(self, alpha):
+        """1/(mu + alpha), the spectral multiplier of (A + alpha)^-1."""
         if alpha <= -self.lower_bound + 1e-12:
             raise AlphaInSpectrum(
                 f"alpha = {alpha} is not strictly above -lambda_min = "
                 f"{-self.lower_bound}"
             )
+        return 1.0 / (self.eigenvalues + alpha)
 
     def resolvent(self, alpha, u):
         """(A + alpha)^-1 u for alpha strictly inside the resolvent set."""
-        self._check_alpha(alpha)
+        scalars = self._resolvent_multiplier(alpha)
         u = self._check_vector(u)
-        return self._apply_function(1.0 / (self.eigenvalues + alpha), u)
+        return self._apply_function(scalars, u)
 
     def resolvent_matrix(self, alpha):
         """The matrix of (A + alpha)^-1, M^-1/2 U diag(1/(mu + alpha)) U* M^1/2."""
-        self._check_alpha(alpha)
         U = self.eigenvectors
-        core = (U * (1.0 / (self.eigenvalues + alpha))[None, :]) @ U.conj().T
+        core = (U * self._resolvent_multiplier(alpha)[None, :]) @ U.conj().T
         return self.m_isqrt[:, None] * core * self.m_sqrt[None, :]
 
     # -- m-weighted geometry -------------------------------------------------

@@ -24,6 +24,10 @@ from .errors import InvariantError, SchemaError
 # symmetrization of L, m-weighted norms, the eigensolver) can overflow.
 MAGNITUDE_BOUND = 1e150
 
+# Largest accepted form dimension n * d. Forms are dense N x N matrices with
+# a dense eigendecomposition; one complex matrix of this size takes 4 GiB.
+DENSE_DIM_BOUND = 16384
+
 
 def _frozen(arr):
     arr.setflags(write=False)
@@ -238,6 +242,15 @@ def _check_magnitude(values, what: str):
         )
 
 
+def _check_dense_size(n: int, d: int = 1):
+    """SchemaError when the form dimension n * d exceeds DENSE_DIM_BOUND."""
+    if n * d > DENSE_DIM_BOUND:
+        raise SchemaError(
+            f"form dimension n*d = {n}*{d} = {n * d} exceeds {DENSE_DIM_BOUND}; "
+            "dense forms of that size do not fit in memory"
+        )
+
+
 def load_graph(source) -> WeightedGraph:
     """Build a validated WeightedGraph from a graph-spec JSON document.
 
@@ -258,6 +271,7 @@ def load_graph(source) -> WeightedGraph:
     n = doc["n"]
     if n <= 0:
         raise SchemaError("'n' must be positive")
+    _check_dense_size(n)
 
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):

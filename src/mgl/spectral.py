@@ -172,8 +172,7 @@ def _order_check(F, t_list, tol, inputs, violation, signed, form_map) -> OrderRe
             )
     semigroup_ok = worst <= tol
 
-    slacks = np.array([F.quad(v) - F.quad(form_map(v)) for v in signed.T])
-    worst_form = float(slacks.min())
+    worst_form = float((F.quad(signed) - F.quad(form_map(signed))).min())
     form_ok = worst_form >= -tol
     return OrderReport(bool(semigroup_ok), bool(form_ok), -worst,
                        None if semigroup_ok else witness, worst_form)

@@ -223,6 +223,12 @@ def test_load_bundle_defaults_and_errors():
         load_bundle(g, {"rank": 1, "connection": [{"u": 0, "v": 1}]})
     with pytest.raises(SchemaError):
         load_bundle(g, {"rank": 1, "endo": [[[0.0, 0.0]]]})
+    # Non-finite or overflowing connection entries would reach the
+    # unitarity defect as NaN or inf.
+    for entry in (float("nan"), 1e308):
+        connection = [{"u": 0, "v": 1, "matrix": [[[entry, 0.0]]]}]
+        with pytest.raises(SchemaError, match="connection #0"):
+            load_bundle(g, {"rank": 1, "connection": connection})
     # Connection on a non-edge is rejected.
     with pytest.raises(SchemaError):
         load_bundle(

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +259,7 @@ def test_semigroup_id_refuses_vacuous_pass(p2_spec, tmp_path, capsys, alphas):
 @pytest.mark.parametrize(
     "flags",
     [["--samples", "-1"], ["--t", "-1"], ["--alpha", "0"], ["--t", "nan"],
-     ["--samples", "0"]],
+     ["--samples", "0"], ["--tol-domination", "nan"], ["--seed", "-3"]],
 )
 def test_cli_parameters_are_input_errors(tmp_path, capsys, flags):
     graph = write_json(tmp_path / "p3.json", {
@@ -307,6 +308,27 @@ def test_overflowing_scales_are_input_errors(tmp_path, capsys, graph_doc, bundle
         assert code == 2, (command, err)
         assert err.startswith("input error:") and "vertex 0" in err, command
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "graph_doc, bundle_doc",
+    [({"n": 200000}, {"rank": 1}), ({"n": 6000}, {"rank": 3})],
+    ids=["graph", "bundle"],
+)
+def test_dense_size_guard_is_input_error(tmp_path, capsys, graph_doc, bundle_doc):
+    # n * d above 16384 would ask for dense N x N matrices of many GiB (a
+    # 320 GB adjacency at n = 200000); every command refuses it up front.
+    graph = write_json(tmp_path / "g.json", graph_doc)
+    bundle = write_json(tmp_path / "b.json", bundle_doc)
+    start = time.perf_counter()
+    for command in ("validate", "spectrum", "dominate", "uniqueness", "semigroup-id"):
+        code = run([command, "--graph", graph, "--bundle", bundle,
+                    "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2, (command, err)
+        assert err.startswith("input error:") and "16384" in err, command
+        assert "Traceback" not in err
+    assert time.perf_counter() - start < 10
 
 
 def test_console_entry_point_runs():

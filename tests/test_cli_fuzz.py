@@ -1,0 +1,163 @@
+"""Hypothesis fuzz of the command line: random specs and flags, run in-process.
+
+Each example starts from a valid graph and bundle spec on at most 5
+vertices and applies a few random mutations to it (odd numbers such as
+NaN, infinities, negative and huge values; wrong types; unknown or missing
+keys; a wrong rank or matrix size; sizes beyond the dense-size bound).
+Whatever the input, `mgl` must exit 0, 1 or 2 without a traceback, and
+every report it writes must be strict JSON (no NaN or Infinity tokens).
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mgl.cli import run
+
+COMMANDS = ("validate", "dominate", "uniqueness", "spectrum", "semigroup-id")
+
+ODD_NUMBERS = st.sampled_from(
+    [0.0, -1.0, -1e-3, 1e-308, 1e-150, 1e150, 1e151, 1e200, 1e308, -1e308,
+     float("nan"), float("inf"), float("-inf")]
+)
+WRONG_TYPES = st.sampled_from([None, True, "1", [], {}])
+
+
+def _cell(z):
+    return [z.real, z.imag]
+
+
+@st.composite
+def valid_specs(draw):
+    """A path graph with random extra edges and a diagonal-phase bundle whose
+    endomorphism dominates the killing term."""
+    n = draw(st.integers(1, 5))
+    weight = st.floats(0.1, 2.0)
+    pairs = {(x, x + 1) for x in range(n - 1)}
+    for x, y in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=3)):
+        if x != y:
+            pairs.add((min(x, y), max(x, y)))
+    graph = {"n": n, "edges": [{"u": x, "v": y, "b": draw(weight)}
+                               for x, y in sorted(pairs)]}
+    killing = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    if draw(st.booleans()):
+        graph["killing"] = killing
+    if draw(st.booleans()):
+        graph["measure"] = [draw(st.floats(0.2, 3.0)) for _ in range(n)]
+
+    rank = draw(st.integers(1, 3))
+
+    def diagonal(values):
+        return [[_cell(values[i] if i == j else 0j) for j in range(rank)]
+                for i in range(rank)]
+
+    phase = st.floats(0.0, 2 * math.pi).map(lambda a: complex(math.cos(a), math.sin(a)))
+    bundle = {"rank": rank, "connection": [
+        {"u": e["u"], "v": e["v"],
+         "matrix": diagonal([draw(phase) for _ in range(rank)])}
+        for e in graph["edges"]
+    ]}
+    if draw(st.booleans()):
+        bundle["endo"] = [
+            diagonal([complex(c + draw(st.floats(-0.5, 1.0))) for _ in range(rank)])
+            for c in killing
+        ]
+    return graph, bundle
+
+
+def _number_slots(doc):
+    """(container, key) of every number inside a parsed spec document."""
+    slots = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            slots.extend(_number_slots(value))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            slots.append((doc, key))
+    return slots
+
+
+@st.composite
+def mutated_specs(draw):
+    graph, bundle = draw(valid_specs())
+    for _ in range(draw(st.integers(0, 2))):
+        doc = draw(st.sampled_from([graph, bundle]))
+        kind = draw(st.sampled_from(
+            ["number", "number", "size", "wrong-type", "unknown-key", "drop-key",
+             "matrix-shape"]))
+        if kind == "number":
+            slots = _number_slots(doc)
+            if slots:
+                container, key = draw(st.sampled_from(slots))
+                container[key] = draw(ODD_NUMBERS)
+        elif kind == "size":
+            key = "n" if doc is graph else "rank"
+            doc[key] = draw(st.sampled_from(
+                [0, -2, 2, 4, 6, 16385, 200000, 10**9, 2.5]))
+        elif kind == "wrong-type":
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(WRONG_TYPES)
+        elif kind == "unknown-key":
+            doc["unexpected"] = 1
+        elif kind == "drop-key":
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif isinstance(bundle.get("connection"), list) and bundle["connection"]:
+            entry = draw(st.sampled_from(bundle["connection"]))
+            if isinstance(entry, dict) and entry.get("matrix"):
+                entry["matrix"] = entry["matrix"][1:] or [[[1.0, 0.0]] * 2]
+    return graph, bundle
+
+
+FLAGS = st.fixed_dictionaries({}, optional={
+    "--samples": st.sampled_from(["1", "3", "3", "0", "-1", "x"]),
+    "--t": st.sampled_from(["0.5", "0,1", "0.01,2", "-1", "nan", "inf", "1e308",
+                            "1e-300", "a"]),
+    "--alpha": st.sampled_from(["0.5", "1,10", "0", "-5", "nan", "1e-7", "1e308"]),
+    "--omega": st.sampled_from(["1", "2,3", "0", "99", "x"]),
+    "--seed": st.sampled_from(["0", "7", "-3", "x"]),
+    "--tol-domination": st.sampled_from(["1e-9", "1e-9", "0", "-1", "nan", "inf"]),
+})
+
+
+def _strict(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(COMMANDS),
+    docs=mutated_specs(),
+    with_bundle=st.booleans(),
+    flags=FLAGS,
+)
+def test_cli_fuzz_exit_codes_and_strict_json(command, docs, with_bundle, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {}
+        for name, doc in zip(("graph", "bundle"), docs):
+            paths[name] = tmp / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp / "report.json"
+        argv = [command, "--graph", str(paths["graph"]), "--out", str(out)]
+        if with_bundle or command == "dominate":
+            argv += ["--bundle", str(paths["bundle"])]
+        if command != "uniqueness":
+            flags.pop("--omega", None)
+        argv += [f"{flag}={value}" for flag, value in flags.items()]
+
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse rejects malformed flags
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if out.exists():
+            json.loads(out.read_text(encoding="utf-8"), parse_constant=_strict)

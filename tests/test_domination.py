@@ -16,10 +16,16 @@ from mgl import (
     sgn_inequality_check,
     trivial_bundle,
 )
-from mgl.bundles import HermitianBundle
+from mgl.bundles import HermitianBundle, load_bundle, pair
 from mgl.cli import run
-from mgl.domination import _coordinate_probe_slacks, hypothesis_margins
+from mgl.domination import (
+    DOMINATION_TOL,
+    _coordinate_probe_slacks,
+    hypothesis_margins,
+)
 from mgl.errors import DimensionMismatch
+from mgl.forms import FormOperator
+from mgl.graphs import load_graph
 
 
 def doubled_p2():
@@ -283,3 +289,116 @@ def test_form_level_catches_killing_without_endomorphism(tmp_path):
     assert report["form"]["paired_inequality_slack"] <= -c_max * (1 - 1e-9)
     assert report["consistent"] is True
     assert code == 0
+
+
+def _domination_cases():
+    """(A, B, bundle) over the fixture set: each scalar form against itself,
+    rank-1 to rank-3 bundles, doubled-weight failing pairs and the W = 0
+    control family."""
+    rng = np.random.default_rng(55)
+    cases = []
+    for g in fixtures.fixture_graphs().values():
+        B = assemble_scalar_form(g)
+        cases.append((B, B, trivial_bundle(g)))
+        for d in (1, 2, 3):
+            bundle = fixtures.random_bundle(g, d, rng)
+            cases.append((assemble_magnetic_form(g, bundle), B, bundle))
+    pairs = [fixtures.doubled_pair(seed) for seed in range(3)]
+    for seed in range(2):
+        graph_doc, bundle_doc = fixtures.killing_without_endo_docs(seed, n=20)
+        G = load_graph(graph_doc)
+        pairs.append((G, load_bundle(G, bundle_doc), G))
+    for G, bundle, G_scalar in pairs:
+        A = assemble_magnetic_form(G, bundle)
+        cases.append((A, assemble_scalar_form(G_scalar), bundle))
+    return cases
+
+
+def _pointwise_by_parameter(A, B, params, sections, apply):
+    """Reference pointwise check: per-parameter F.semigroup or F.resolvent
+    calls on the samples followed by the coordinate sections e_{x,0}.
+    Returns the worst slack with its parameter, vertex and section."""
+    n, d = A.n, A.d
+    basis = np.zeros((n, n, d), dtype=complex)
+    basis[np.arange(n), np.arange(n), 0] = 1.0
+    probes = np.concatenate([sections, basis])
+    flat = probes.reshape(len(probes), -1).T
+    mags = np.linalg.norm(probes, axis=2).T
+    best, witness = np.inf, None
+    for p in params:
+        image = apply(A, p, flat).reshape(n, d, -1)
+        slack = apply(B, p, mags).real - np.linalg.norm(image, axis=1)
+        x, j = np.unravel_index(np.argmin(slack), slack.shape)
+        if slack[x, j] < best:
+            best, witness = float(slack[x, j]), (float(p), int(x), probes[j])
+    return best, witness
+
+
+def _form_by_sample(A, B, bundle, sections, rng):
+    """Reference for the random part of the form check: one sample at a
+    time, every form value a single-vector evaluate."""
+    energy, budget, aligned = 0.0, [], []
+    for u in sections:
+        mags = np.linalg.norm(u, axis=1)
+        energy = max(energy, B.quad(mags))
+        g = rng.random(A.n) * mags
+        f2 = pair(u, g, bundle)
+        budget.append(B.quad(g) + A.quad(u.reshape(-1)) - A.quad(f2.reshape(-1)))
+        g_free = np.abs(rng.standard_normal(A.n))
+        f2 = pair(u, g_free, bundle)
+        aligned.append(
+            A.evaluate(u.reshape(-1), f2.reshape(-1)).real
+            - B.evaluate(mags, g_free).real
+        )
+    return energy, np.array(budget), np.array(aligned)
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def test_eigencoordinate_checks_match_per_parameter_route():
+    # The pointwise checks project each batch into eigencoordinates once and
+    # the form check evaluates all samples in one batch; both must reproduce
+    # the per-parameter and per-sample routes: the same verdicts, witnesses
+    # and slacks to 1e-12 relative.
+    rng = np.random.default_rng(56)
+    levels = (
+        (check_semigroup_domination, FormOperator.semigroup, (0.0, 0.01, 0.1, 1, 10)),
+        (check_resolvent_domination, FormOperator.resolvent, (0.5, 1.0, 10.0)),
+    )
+    failures = 0
+    for A, B, bundle in _domination_cases():
+        shape = (5, A.n, A.d)
+        sections = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for check, apply, grid in levels:
+            verdict = check(A, B, grid, samples=sections)
+            slack, (param, vertex, section) = _pointwise_by_parameter(
+                A, B, grid, sections, apply
+            )
+            assert _close(verdict.slack, slack)
+            assert verdict.passed == (slack >= -DOMINATION_TOL)
+            if not verdict.passed:
+                failures += 1
+                assert (verdict.witness_param, verdict.witness_vertex) == (param, vertex)
+                np.testing.assert_array_equal(verdict.witness_vector, section)
+        # At t = 0 the semigroup is the identity: the coordinate probes
+        # compare e_x with itself, with slack exactly 0.
+        assert check_semigroup_domination(A, B, (0.0,), samples=0).slack == 0.0
+
+        verdict = check_form_domination(A, B, bundle, sections, rng=7)
+        energy, budget, aligned = _form_by_sample(
+            A, B, bundle, sections, np.random.default_rng(7)
+        )
+        edge, diag = _coordinate_probe_slacks(A, B, bundle.graph.edges)
+        detail = verdict.detail
+        assert _close(detail["max_dominating_energy"], energy)
+        assert _close(detail["energy_budget_slack"], budget.min())
+        paired = min(aligned.min(), edge.min(initial=np.inf), diag.min())
+        assert _close(detail["paired_inequality_slack"], paired)
+        if not verdict.passed and verdict.witness_vertex is None:
+            worst = budget if detail["energy_budget_slack"] <= paired else aligned
+            np.testing.assert_array_equal(
+                verdict.witness_vector, sections[np.argmin(worst)]
+            )
+    assert failures >= 10

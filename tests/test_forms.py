@@ -198,3 +198,25 @@ def test_flatten_roundtrip():
     np.testing.assert_array_equal(unflatten_section(flatten_section(u), 3), u)
     with pytest.raises(DimensionMismatch):
         unflatten_section(np.zeros(7), 3)
+
+
+def test_evaluate_batches_match_columns():
+    # (N, k) batches give the (k,) values Q(u_j, v_j) of paired columns.
+    rng = np.random.default_rng(57)
+    for g in fixtures.fixture_graphs().values():
+        forms = [assemble_scalar_form(g)] + [
+            assemble_magnetic_form(g, fixtures.random_bundle(g, d, rng))
+            for d in (1, 2, 3)
+        ]
+        for F in forms:
+            u, v = rng.standard_normal((2, F.dim, 4)) + 1j * rng.standard_normal(
+                (2, F.dim, 4)
+            )
+            columns = np.array([F.evaluate(u[:, j], v[:, j]) for j in range(4)])
+            quads = np.array([F.quad(u[:, j]) for j in range(4)])
+            batch = F.evaluate(u, v)
+            assert batch.shape == (4,)
+            assert (np.abs(batch - columns) <= 1e-12 * np.maximum(1, abs(columns))).all()
+            assert (np.abs(F.quad(u) - quads) <= 1e-12 * np.maximum(1, abs(quads))).all()
+    with pytest.raises(DimensionMismatch):
+        F.evaluate(u, v[:, :3])
