@@ -17,7 +17,6 @@ from .bundles import (
     validate_bundle,
 )
 from .cones import (
-    ConeContext,
     absolute_part,
     lattice_inf,
     lattice_sup,
@@ -39,8 +38,6 @@ from .forms import (
     FormOperator,
     assemble_magnetic_form,
     assemble_scalar_form,
-    flatten_section,
-    unflatten_section,
 )
 from .graphs import (
     VertexSubset,

@@ -214,6 +214,10 @@ def cmd_uniqueness(config: RunConfig) -> int:
     bad = [size for size in sizes if not 1 <= size <= graph.n]
     if bad:
         raise SchemaError(f"--omega sizes must lie in 1..{graph.n}, got {bad}")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise SchemaError(
+            f"--omega sizes must be strictly increasing, got {list(sizes)}"
+        )
     subsets = [list(range(size)) for size in sizes]
     result = exhaustion_uniqueness_experiment(graph, bundle, subsets)
     report = result.to_report()

@@ -332,10 +332,9 @@ class DominationReport:
 
     @property
     def consistent(self) -> bool:
-        all_pass = self.form.passed and self.resolvent.passed and self.semigroup.passed
-        if self.hypothesis_ok and not all_pass:
-            return False
-        return self.verdicts_agree
+        """Every verdict equals the hypothesis verdict."""
+        verdicts = (self.form, self.resolvent, self.semigroup)
+        return all(v.passed == self.hypothesis_ok for v in verdicts)
 
     def to_report(self) -> dict:
         return {
@@ -370,9 +369,10 @@ def diamagnetic_report(
 ) -> DominationReport:
     """Run the hypothesis check and all three domination checks.
 
-    The hypothesis <W(x)v, v> >= c(x)|v|^2 per vertex is sufficient for
-    the bundle form to be dominated by the scalar form, so a passing
-    hypothesis with any failing verdict marks the report inconsistent.
+    On a finite graph the hypothesis <W(x)v, v> >= c(x)|v|^2 per vertex is
+    necessary and sufficient for the bundle form to be dominated by the
+    scalar form, so any verdict that differs from the hypothesis marks the
+    report inconsistent.
     """
     margins = hypothesis_margins(G, bundle)
     hyp_ok = bool((margins >= -HYPOTHESIS_TOL).all())

@@ -4,11 +4,15 @@ A FormOperator couples the form matrix L (so that Q(u, v) = <Lu, v> in the
 unweighted pairing) with the diagonal measure matrix M. The generator in
 the m-weighted inner product is A = M^-1 L; it is diagonalized through the
 honest Hermitian matrix M^-1/2 L M^-1/2 whose spectral decomposition is
-computed eagerly and cached, since every downstream operation (semigroups,
-resolvents, limit checks) reuses it. Instances are immutable.
+computed on the first spectral read and cached, since every downstream
+spectral operation (semigroups, resolvents, limit checks) reuses it, while
+callers that only read L (form probes, sparse solves, block restrictions)
+never pay for it. Instances are immutable.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -24,29 +28,18 @@ from .graphs import WeightedGraph
 
 
 class FormOperator:
-    """Hermitian form matrix with cached measure-symmetrized eigensystem.
+    """Hermitian form matrix with a measure-symmetrized eigensystem, computed
+    on first use.
 
     Parameters
     ----------
     L : (N, N) array, Hermitian up to rounding; symmetrized on ingest
     measure : (n,) strictly positive vertex measures
     d : fiber dimension, with N = n * d (1 for scalar forms)
-    """
 
-    __slots__ = (
-        "L",
-        "measure",
-        "d",
-        "n",
-        "dim",
-        "m_diag",
-        "m_sqrt",
-        "m_isqrt",
-        "a_sym",
-        "eigenvalues",
-        "eigenvectors",
-        "lower_bound",
-    )
+    Reading `eigenvalues`, `eigenvectors` or `lower_bound` the first time
+    runs the eigensolver, and raises EigSolverFailure if it fails.
+    """
 
     def __init__(self, L, measure, d=1):
         L = np.asarray(L)
@@ -72,26 +65,42 @@ class FormOperator:
         self.m_diag = np.repeat(measure, d)
         self.m_sqrt = np.sqrt(self.m_diag)
         self.m_isqrt = 1.0 / self.m_sqrt
-        # L is exactly Hermitian; the scaling may leave a_sym off by an ulp
-        # across the diagonal, which eigh ignores: it reads one triangle only.
-        self.a_sym = self.m_isqrt[:, None] * self.L
-        self.a_sym *= self.m_isqrt[None, :]
-        self.a_sym.setflags(write=False)
 
+    def _symmetrized(self):
+        """M^-1/2 L M^-1/2, the Hermitian matrix that is diagonalized."""
+        # L is exactly Hermitian; the scaling may leave the result off by an
+        # ulp across the diagonal, which eigh ignores: it reads one triangle.
+        a_sym = self.m_isqrt[:, None] * self.L
+        a_sym *= self.m_isqrt[None, :]
+        return a_sym
+
+    @cached_property
+    def _eigensystem(self):
         try:
-            w, U = np.linalg.eigh(self.a_sym)
+            w, U = np.linalg.eigh(self._symmetrized())
         except np.linalg.LinAlgError as exc:
             raise EigSolverFailure(f"eigendecomposition failed: {exc}") from exc
-        self.eigenvalues = w
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors = U
-        self.eigenvectors.setflags(write=False)
-        self.lower_bound = float(w[0])
+        w.setflags(write=False)
+        U.setflags(write=False)
+        return w, U
+
+    @property
+    def eigenvalues(self):
+        return self._eigensystem[0]
+
+    @property
+    def eigenvectors(self):
+        return self._eigensystem[1]
+
+    @property
+    def lower_bound(self) -> float:
+        return float(self.eigenvalues[0])
 
     def reconstruction_defect(self) -> float:
         """Max-norm distance between U diag(mu) U* and the symmetrized matrix."""
         U, w = self.eigenvectors, self.eigenvalues
-        return float(np.abs((U * w[None, :]) @ U.conj().T - self.a_sym).max())
+        defect = (U * w[None, :]) @ U.conj().T - self._symmetrized()
+        return float(np.abs(defect).max())
 
     # -- form evaluation ---------------------------------------------------
 
@@ -201,7 +210,7 @@ class FormOperator:
         return float(np.sqrt(abs(self.inner(u, u).real)))
 
     def __repr__(self):
-        return f"FormOperator(dim={self.dim}, d={self.d}, lambda={self.lower_bound:.3g})"
+        return f"FormOperator(dim={self.dim}, d={self.d})"
 
 
 def assemble_scalar_form(G: WeightedGraph) -> FormOperator:
@@ -246,17 +255,3 @@ def assemble_magnetic_form(G: WeightedGraph, B: HermitianBundle) -> FormOperator
     blocks[y, :, x, :] = -b * B.connection.conj().transpose(0, 2, 1)
     return FormOperator(L, G.measure, d=d)
 
-
-def flatten_section(u) -> np.ndarray:
-    """(n, d) section -> flat (n*d,) vector in vertex-major block order."""
-    u = np.asarray(u)
-    if u.ndim != 2:
-        raise DimensionMismatch(f"expected an (n, d) section, got shape {u.shape}")
-    return u.reshape(-1)
-
-
-def unflatten_section(v, d: int) -> np.ndarray:
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size % d:
-        raise DimensionMismatch(f"cannot reshape size {v.size} into blocks of {d}")
-    return v.reshape(-1, d)

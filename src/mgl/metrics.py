@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .bundles import HermitianBundle, restrict_bundle
+from .bundles import HermitianBundle
 from .errors import (
+    AlphaInSpectrum,
     DimensionMismatch,
     InfiniteEdgeDistance,
     InvariantError,
@@ -25,12 +26,7 @@ from .errors import (
     NotNested,
 )
 from .forms import assemble_magnetic_form, assemble_scalar_form
-from .graphs import (
-    WeightedGraph,
-    _as_subset,
-    restrict_dirichlet,
-    restrict_neumann,
-)
+from .graphs import WeightedGraph, _as_subset, _restriction
 
 METRIC_TOL = 1e-12
 
@@ -273,32 +269,17 @@ def chain_measure_sum(G: WeightedGraph, vertices) -> float:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Gap table of an exhaustion experiment plus host-graph criteria.
+    """Gap table of an exhaustion experiment plus the host's degree bound.
 
-    The transfer pattern (the bundle gap controlled by a fitted multiple of
-    the scalar gap) is descriptive: finite hosts cannot falsify the
-    uniqueness transfer, so the table is labeled illustrative.
+    Finite hosts cannot falsify the uniqueness transfer, so the table is
+    labeled illustrative.
     """
 
     gaps: list          # dicts {"k", "scalar", "magnetic"}
     criteria: dict
-    fitted_ratio: float | None
-    transfer_ok: bool | None
 
     def to_report(self) -> dict:
-        return {
-            "gaps": self.gaps,
-            "criteria": self.criteria,
-            "fitted_ratio": self.fitted_ratio,
-            "transfer_ok": self.transfer_ok,
-            "illustrative": True,
-        }
-
-
-def _weighted_opnorm(T: np.ndarray, m_diag: np.ndarray) -> float:
-    """Operator norm in the m-weighted l2 space."""
-    scaled = np.sqrt(m_diag)[:, None] * T / np.sqrt(m_diag)[None, :]
-    return float(np.linalg.norm(scaled, 2))
+        return {"gaps": self.gaps, "criteria": self.criteria, "illustrative": True}
 
 
 def exhaustion_uniqueness_experiment(
@@ -309,14 +290,20 @@ def exhaustion_uniqueness_experiment(
 ) -> UniquenessReport:
     """Tabulate Dirichlet/Neumann resolvent gaps along a nested exhaustion.
 
-    For each subset the boundary-folding and edge-dropping restrictions are
-    assembled (scalar, and bundle with the boundary folded into the
-    endomorphism), and the m-weighted operator-norm gap of their
-    resolvents at `alpha`, zero-extended to the host, is recorded. On the
-    full vertex set both restrictions coincide, so the gaps vanish.
+    For each subset the boundary-folding and edge-dropping restrictions of
+    the scalar form and of the bundle form are compared through the
+    m-weighted operator-norm gap of their resolvents at `alpha`,
+    zero-extended to the host. On the full vertex set both restrictions
+    coincide, so the gaps vanish. `criteria` holds the largest weighted
+    degree on the component of vertex 0.
     """
     if bundle.graph is not G:
         raise DimensionMismatch("bundle is defined over a different graph")
+    if alpha <= 0:
+        raise AlphaInSpectrum(
+            f"alpha = {alpha} must be > 0: the edge-dropping restriction can "
+            "have eigenvalue 0"
+        )
     subsets = [_as_subset(G, om) for om in subsets]
     for a, b in zip(subsets, subsets[1:]):
         if len(b) <= len(a) or not np.isin(a.members, b.members).all():
@@ -324,55 +311,36 @@ def exhaustion_uniqueness_experiment(
                 "exhaustion subsets must be strictly increasing under inclusion"
             )
 
-    d = bundle.rank
+    forms = {"scalar": assemble_scalar_form(G),
+             "magnetic": assemble_magnetic_form(G, bundle)}
     gaps = []
     for k, omega in enumerate(subsets, start=1):
-        # Both resolvents vanish off the subset block, so the gap of their
-        # zero-extensions is the gap of the blocks in l2(omega, m).
-        m = G.measure[omega.members]
-        scalar_D = assemble_scalar_form(restrict_dirichlet(G, omega))
-        scalar_N = assemble_scalar_form(restrict_neumann(G, omega))
-        gap_scalar = _weighted_opnorm(
-            scalar_D.resolvent_matrix(alpha) - scalar_N.resolvent_matrix(alpha), m
-        )
-
-        bundle_D = restrict_bundle(bundle, omega, fold_boundary=True)
-        bundle_N = restrict_bundle(bundle, omega, fold_boundary=False)
-        mag_D = assemble_magnetic_form(bundle_D.graph, bundle_D)
-        mag_N = assemble_magnetic_form(bundle_N.graph, bundle_N)
-        gap_magnetic = _weighted_opnorm(
-            mag_D.resolvent_matrix(alpha) - mag_N.resolvent_matrix(alpha),
-            np.repeat(m, d),
-        )
-        gaps.append(
-            {"k": k, "scalar": float(gap_scalar), "magnetic": float(gap_magnetic)}
-        )
-
-    scalar_col = np.array([g["scalar"] for g in gaps])
-    magnetic_col = np.array([g["magnetic"] for g in gaps])
-    scalar_decreasing = bool((np.diff(scalar_col) < 0).all()) if len(gaps) > 1 else False
-
-    fitted = None
-    transfer = None
-    if scalar_decreasing:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = magnetic_col[:-1] / scalar_col[:-1]
-        ratios = ratios[np.isfinite(ratios)]
-        if ratios.size:
-            fitted = float(ratios.max())
-            transfer = bool(
-                magnetic_col[-1] <= fitted * scalar_col[-1] + METRIC_TOL
+        _, _, _, boundary = _restriction(G, omega)
+        row = {"k": k}
+        for key, F in forms.items():
+            # The boundary-folding restriction is the host block on the rows
+            # x*d + j of the members (the host form on zero-extensions); the
+            # edge-dropping one lacks the boundary weights P on its diagonal.
+            # Both resolvents vanish off the block, so the gap of their
+            # zero-extensions is that of R = (M^-1/2 L M^-1/2 + alpha)^-1
+            # there. R_N - R_D = R_N M^-1 P R_D has no cancellation, and it
+            # is exactly 0 when no edge leaves the subset.
+            rows = (omega.members[:, None] * F.d + np.arange(F.d)).ravel()
+            cut = np.repeat(boundary, F.d)
+            folded = F.L[np.ix_(rows, rows)]
+            scale = F.m_isqrt[rows]
+            shift = alpha * np.eye(rows.size)
+            R_D, R_N = (
+                np.linalg.inv(scale[:, None] * block * scale[None, :] + shift)
+                for block in (folded, folded - np.diag(cut))
             )
+            gap = (R_N * (cut / F.m_diag[rows])) @ R_D
+            row[key] = float(np.linalg.norm(gap, 2))
+        gaps.append(row)
 
-    sigma = degree_edge_lengths(G)
-    d_sigma = path_metric(G, sigma)
-    component = np.isfinite(d_sigma.dist[0])
-    criteria = {
-        "intrinsic": is_intrinsic(G, d_sigma),
-        "strongly_intrinsic": is_strongly_intrinsic(G, sigma),
-        "degree_bounded": float(G.weighted_degrees()[component].max()),
-        "complete": completeness_check(
-            G, CutoffSequence(np.ones((3, G.n)))
-        ).complete,
-    }
-    return UniquenessReport(gaps, criteria, fitted, transfer)
+    _, labels = connected_components(
+        csr_matrix((G.weights, tuple(G.edges.T)), shape=(G.n, G.n)), directed=False
+    )
+    component = labels == labels[0]
+    criteria = {"degree_bounded": float(G.weighted_degrees()[component].max())}
+    return UniquenessReport(gaps, criteria)

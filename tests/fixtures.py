@@ -2,9 +2,42 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from mgl import HermitianBundle, WeightedGraph, trivial_bundle
+
+
+@dataclass(frozen=True)
+class ConeContext:
+    """Carries the graph whose measure defines the l2(m) inner product."""
+
+    graph: WeightedGraph
+
+    def inner(self, u, v):
+        """m-weighted inner product of scalar functions, conjugate in v."""
+        u = np.asarray(u)
+        v = np.asarray(v)
+        return np.sum(self.graph.measure * u * np.conj(v))
+
+    def norm(self, u):
+        return float(np.sqrt(np.abs(self.inner(u, u))))
+
+    def section_inner(self, u, v):
+        """m-weighted inner product of (n, d) sections, conjugate in v."""
+        u = np.asarray(u)
+        v = np.asarray(v)
+        return np.sum(self.graph.measure[:, None] * u * np.conj(v))
+
+    def section_norm(self, u):
+        return float(np.sqrt(np.abs(self.section_inner(u, u))))
+
+    def product_inner(self, pair_a, pair_b):
+        """Inner product on (section, scalar function) pairs."""
+        return self.section_inner(pair_a[0], pair_b[0]) + self.inner(
+            pair_a[1], pair_b[1]
+        )
 
 
 def p2():

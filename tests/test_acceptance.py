@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import fixtures
+from fixtures import ConeContext
 import oracles
 from mgl import (
-    ConeContext,
     EdgeLengths,
     WeightedGraph,
     assemble_magnetic_form,

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
+from fixtures import ConeContext
 from mgl import (
-    ConeContext,
     HermitianBundle,
     check_paired,
     load_bundle,

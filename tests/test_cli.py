@@ -108,6 +108,28 @@ def test_dominate_counterexample_consistent_failure(tmp_path):
     assert report["consistent"] is True
 
 
+def test_dominate_failing_hypothesis_is_inconsistent(tmp_path):
+    # P30, c = 0.5, rank 2, W = [[0.51, 0.02], [0.02, 0.51]]: every diagonal
+    # entry of W is at least c, but lambda_min(W - c) = -0.01, so the pair
+    # is not dominated. The sampled and axis-aligned probes miss the fiber
+    # direction (1, -1)/sqrt(2) and the verdicts pass; next to the failing
+    # hypothesis that is an inconsistent report.
+    n = 30
+    graph = write_json(tmp_path / "g.json", {
+        "n": n, "edges": [{"u": x, "v": x + 1, "b": 1.0} for x in range(n - 1)],
+        "killing": [0.5] * n,
+    })
+    endo = fixtures.mat_to_doc(np.array([[0.51, 0.02], [0.02, 0.51]]))
+    bundle = write_json(tmp_path / "b.json", {"rank": 2, "endo": [endo] * n})
+    out = tmp_path / "report.json"
+    code = run(["dominate", "--graph", graph, "--bundle", bundle, "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["hypothesis"]["passed"] is False
+    assert report["hypothesis"]["min_margin"] == pytest.approx(-0.01, rel=1e-9)
+    assert report["consistent"] is False
+    assert code == 1
+
+
 def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatch):
     import mgl.cli
     from mgl.cli import cmd_dominate
@@ -182,9 +204,8 @@ def test_uniqueness_path50(tmp_path):
     assert all(a > b for a, b in zip(scalar, scalar[1:]))
     assert scalar[-1] <= 1e-12
     assert report["illustrative"] is True
-    assert set(report["criteria"]) == {
-        "intrinsic", "strongly_intrinsic", "degree_bounded", "complete"
-    }
+    assert set(report) == {"gaps", "criteria", "illustrative", "metadata"}
+    assert set(report["criteria"]) == {"degree_bounded"}
 
 
 def test_uniqueness_single_full_step(p2_spec, tmp_path):
@@ -196,9 +217,11 @@ def test_uniqueness_single_full_step(p2_spec, tmp_path):
     assert report["gaps"][0]["magnetic"] <= 1e-12
 
 
-def test_uniqueness_non_nested_exit_1(tmp_path):
+def test_uniqueness_non_increasing_omega_exit_2(tmp_path, capsys):
     spec = path50_spec(tmp_path)
-    assert run(["uniqueness", "--graph", spec, "--omega", "30,20"]) == 1
+    for omega in ("30,20", "20,20"):
+        assert run(["uniqueness", "--graph", spec, "--omega", omega]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("omega", ["0", "51", "10,60"])
@@ -243,6 +266,21 @@ def test_semigroup_id_passes(p2_spec, tmp_path):
     assert report["scalar"]["laplace_ok"] is True
     assert report["scalar"]["euler_ok"] is True
     assert report["scalar"]["form_limit_ok"] is True
+
+
+@pytest.mark.parametrize("m0", [1e12, 1e150, 1e-150])
+def test_semigroup_id_form_limit_with_extreme_measure(tmp_path, m0):
+    # P3 with one measure far from the others: u - e^{-tA}u must not be
+    # formed as a difference, whose rounding floor eps * max m * |u|^2 / t
+    # swamps the first-order term at the small t the suite uses.
+    doc = {"n": 3, "edges": [{"u": 0, "v": 1, "b": 1.0}, {"u": 1, "v": 2, "b": 1.0}],
+           "measure": [m0, 1.0, 1.0]}
+    out = tmp_path / "s.json"
+    argv = ["semigroup-id", "--graph", write_json(tmp_path / "g.json", doc)]
+    assert run(argv + ["--out", str(out)]) == 0
+    section = json.loads(out.read_text())["scalar"]
+    assert section["form_limit_ok"] is True
+    assert 0.35 <= section["form_limit_ratio"] <= 0.65
 
 
 @pytest.mark.parametrize("alphas", ["-5", "1e-7", "1e-7,5e-7"])
@@ -406,4 +444,5 @@ def test_traced_benchmark_wraps_cli_layers(diamagnetic_specs, tmp_path):
     assert dominate["domination.comparisons"] > 0
     assert runs["semigroup-id"]["metrics"]["forms.evaluate_calls"] > 0
     assert runs["semigroup-id"]["metrics"]["spectral.euler_solves"] > 0
-    assert runs["uniqueness"]["metrics"]["graphs.restrict_calls"] > 0
+    # uniqueness builds the two host forms once and restricts no graph.
+    assert runs["uniqueness"]["metrics"]["forms.operator_inits"] == 2

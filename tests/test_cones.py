@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
+from fixtures import ConeContext
 import oracles
 from mgl import (
-    ConeContext,
     WeightedGraph,
     absolute_part,
     lattice_inf,

@@ -8,12 +8,10 @@ from mgl import (
     WeightedGraph,
     assemble_magnetic_form,
     assemble_scalar_form,
-    flatten_section,
     restrict_dirichlet,
     trivial_bundle,
-    unflatten_section,
 )
-from mgl.errors import BundleInvalid, DimensionMismatch
+from mgl.errors import BundleInvalid, DimensionMismatch, EigSolverFailure
 
 
 def test_scalar_assembly_examples():
@@ -73,7 +71,7 @@ def test_trivial_bundle_reduces_to_scalar():
         u = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         emb = np.zeros((g.n, d), dtype=complex)
         emb[:, 0] = u
-        assert A.quad(flatten_section(emb)) == pytest.approx(B.quad(u), rel=1e-12)
+        assert A.quad(emb.reshape(-1)) == pytest.approx(B.quad(u), rel=1e-12)
 
 
 def test_magnetic_assembly_vs_double_sum():
@@ -84,7 +82,7 @@ def test_magnetic_assembly_vs_double_sum():
     for _ in range(100):
         u = fixtures.random_section(g.n, 2, rng)
         direct = oracles.magnetic_form_value(g, bundle, u)
-        got = A.quad(flatten_section(u))
+        got = A.quad(u.reshape(-1))
         assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
@@ -112,8 +110,8 @@ def test_evaluate_form_conjugate_symmetry_and_reality():
     A = assemble_magnetic_form(g, bundle)
     assert np.abs(A.L - A.L.conj().T).max() <= 1e-12
     for _ in range(20):
-        u = flatten_section(fixtures.random_section(g.n, 2, rng))
-        v = flatten_section(fixtures.random_section(g.n, 2, rng))
+        u = fixtures.random_section(g.n, 2, rng).reshape(-1)
+        v = fixtures.random_section(g.n, 2, rng).reshape(-1)
         quv = A.evaluate(u, v)
         qvu = A.evaluate(v, u)
         assert abs(quv - np.conj(qvu)) <= 1e-12 * max(1.0, abs(quv))
@@ -171,8 +169,8 @@ def test_gauge_invariance():
     for _ in range(20):
         u = fixtures.random_section(g.n, d, rng)
         rotated = np.stack([gauges[x] @ u[x] for x in range(g.n)])
-        q0 = A.quad(flatten_section(u))
-        q1 = A_gauged.quad(flatten_section(rotated))
+        q0 = A.quad(u.reshape(-1))
+        q1 = A_gauged.quad(rotated.reshape(-1))
         assert abs(q1 - q0) <= 1e-11 * max(1.0, abs(q0))
 
 
@@ -189,15 +187,39 @@ def test_diamagnetic_form_inequality():
         for _ in range(10):
             u = fixtures.random_section(G.n, bundle.rank, rng)
             mags = np.linalg.norm(u, axis=1)
-            assert A.quad(flatten_section(u)) >= B.quad(mags) - 1e-10
+            assert A.quad(u.reshape(-1)) >= B.quad(mags) - 1e-10
 
 
-def test_flatten_roundtrip():
-    rng = np.random.default_rng(68)
-    u = fixtures.random_section(5, 3, rng)
-    np.testing.assert_array_equal(unflatten_section(flatten_section(u), 3), u)
-    with pytest.raises(DimensionMismatch):
-        unflatten_section(np.zeros(7), 3)
+def test_spectrum_is_computed_on_first_read(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    g = fixtures.random_graph()
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(69))
+    A = assemble_magnetic_form(g, bundle)
+    u = np.ones(A.dim)
+    repr(A)
+    A.quad(u)
+    A.apply_generator(u)
+    assert calls == []
+    assert A.lower_bound == A.eigenvalues[0]
+    assert A.eigenvectors.shape == (A.dim, A.dim)
+    assert calls == [(A.dim, A.dim)]
+    assert A.reconstruction_defect() <= 1e-12
+
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    B = assemble_scalar_form(g)
+    assert B.quad(np.ones(g.n)) == pytest.approx(g.killing.sum(), rel=1e-12)
+    with pytest.raises(EigSolverFailure):
+        B.lower_bound
 
 
 def test_evaluate_batches_match_columns():

@@ -8,6 +8,8 @@ from mgl import (
     EdgeLengths,
     PseudoMetric,
     WeightedGraph,
+    assemble_magnetic_form,
+    assemble_scalar_form,
     check_intrinsic,
     completeness_check,
     degree_bound_on_balls,
@@ -15,10 +17,14 @@ from mgl import (
     exhaustion_uniqueness_experiment,
     jump_size,
     path_metric,
+    restrict_bundle,
+    restrict_dirichlet,
+    restrict_neumann,
     strongly_intrinsic_check,
     trivial_bundle,
 )
 from mgl.errors import (
+    AlphaInSpectrum,
     InfiniteEdgeDistance,
     InvariantError,
     MonotonicityViolated,
@@ -218,11 +224,9 @@ def test_exhaustion_path50_regression():
     magnetic = np.array([row["magnetic"] for row in report.gaps])
     assert (np.diff(scalar) < 0).all()
     assert (np.diff(magnetic) < 0).all()
-    assert scalar[-1] <= 1e-12 and magnetic[-1] <= 1e-12
-    assert report.fitted_ratio is not None
-    assert report.transfer_ok
-    assert report.criteria["intrinsic"] and report.criteria["strongly_intrinsic"]
-    assert report.criteria["complete"]
+    assert scalar[-1] == 0.0 and magnetic[-1] == 0.0
+    # Deg(1) = b(0,1) + b(1,2) = 1 + 0.8 is the largest weighted degree.
+    assert report.criteria == {"degree_bounded": pytest.approx(1.8, rel=1e-15)}
 
 
 def test_chain_measure_sum():
@@ -273,3 +277,104 @@ def test_exhaustion_gap_matches_dense_resolvents():
     expected = np.linalg.norm(resolvents[0] - resolvents[1], 2)
     assert expected > 1e-3
     assert report.gaps[0]["scalar"] == pytest.approx(expected, rel=1e-10)
+
+
+def _dense_magnetic_gap(g, bundle, k, alpha=1.0):
+    """Dirichlet/Neumann resolvent gap of the bundle form on the prefix
+    {0..k-1}, from the definitions with numpy alone.
+
+    Both restricted forms have blocks -b(x,y) Phi(x,y) inside the prefix and
+    W(x) plus the weight of the edges at x on the diagonal: every edge for
+    the boundary-folding restriction, only the inner ones for the
+    edge-dropping one. R = (M^-1 L + alpha)^-1, and the gap is the operator
+    norm of M^1/2 (R_N - R_D) M^-1/2.
+    """
+    d = bundle.rank
+    laplacians = []
+    for reach in (g.n, k):
+        lap = np.zeros((k, d, k, d), dtype=complex)
+        for x in range(k):
+            lap[x, :, x, :] = bundle.endo[x]
+            for y in range(g.n):
+                b = g.weight(x, y)
+                if b and y < reach:
+                    lap[x, :, x, :] += b * np.eye(d)
+                if b and y < k:
+                    lap[x, :, y, :] = -b * bundle.phi(x, y)
+        laplacians.append(lap.reshape(k * d, k * d))
+    m = np.repeat(g.measure[:k], d)
+    root = np.sqrt(m)
+    folded, dropped = (
+        root[:, None]
+        * np.linalg.inv(lap / m[:, None] + alpha * np.eye(k * d))
+        / root[None, :]
+        for lap in laplacians
+    )
+    return np.linalg.norm(dropped - folded, 2)
+
+
+def test_exhaustion_magnetic_gap_matches_dense_resolvents():
+    # k = 1 on path50, and a rank-2 bundle with endomorphisms on a graph
+    # with cycles, where the connection does not gauge away.
+    g = fixtures.path50_graph()
+    bundle = fixtures.path50_bundle(g)
+    report = exhaustion_uniqueness_experiment(g, bundle, [list(range(10))])
+    expected = _dense_magnetic_gap(g, bundle, 10)
+    assert expected > 1e-3
+    assert report.gaps[0]["magnetic"] == pytest.approx(expected, rel=1e-10)
+
+    g = fixtures.random_graph(n=12)
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(21))
+    report = exhaustion_uniqueness_experiment(g, bundle, [list(range(6))])
+    expected = _dense_magnetic_gap(g, bundle, 6)
+    assert expected > 1e-3
+    assert report.gaps[0]["magnetic"] == pytest.approx(expected, rel=1e-10)
+
+
+def test_host_block_is_the_restricted_form():
+    # On the rows x*d + j of a subset, the host form matrix is the
+    # boundary-folding restriction, and minus the boundary weights on the
+    # diagonal it is the edge-dropping one.
+    g = fixtures.random_graph(n=12)
+    omega = [1, 2, 4, 7, 8, 11]
+    outside = [y for y in range(g.n) if y not in omega]
+    boundary = np.array([sum(g.weight(x, y) for y in outside) for x in omega])
+    assert boundary.all()
+
+    host = assemble_scalar_form(g).L[np.ix_(omega, omega)]
+    folded = assemble_scalar_form(restrict_dirichlet(g, omega)).L
+    dropped = assemble_scalar_form(restrict_neumann(g, omega)).L
+    assert np.abs(host - folded).max() <= 1e-12
+    assert np.abs(host - np.diag(boundary) - dropped).max() <= 1e-12
+
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(22))
+    rows = (np.array(omega)[:, None] * 2 + np.arange(2)).ravel()
+    host = assemble_magnetic_form(g, bundle).L[np.ix_(rows, rows)]
+    cut = np.diag(np.repeat(boundary, 2))
+    for fold, expected in ((True, host), (False, host - cut)):
+        sub = restrict_bundle(bundle, omega, fold_boundary=fold)
+        restricted = assemble_magnetic_form(sub.graph, sub).L
+        assert np.abs(restricted - expected).max() <= 1e-12
+
+
+def test_exhaustion_runs_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    g = fixtures.random_graph(n=12)
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(23))
+    report = exhaustion_uniqueness_experiment(
+        g, bundle, [list(range(4)), list(range(8)), list(range(12))]
+    )
+    assert report.gaps[0]["scalar"] > 0 and report.gaps[0]["magnetic"] > 0
+    assert report.gaps[-1]["scalar"] == 0.0 and report.gaps[-1]["magnetic"] == 0.0
+
+
+def test_exhaustion_rejects_nonpositive_alpha():
+    # The edge-dropping restriction of a form without killing has
+    # eigenvalue 0, so no alpha <= 0 is in the resolvent set of both.
+    g = fixtures.p3()
+    for alpha in (0.0, -0.5):
+        with pytest.raises(AlphaInSpectrum):
+            exhaustion_uniqueness_experiment(g, trivial_bundle(g), [[0, 1]], alpha)

@@ -122,6 +122,19 @@ def test_resolvent_identity():
         assert F.norm(lhs - rhs) <= 1e-10
 
 
+def test_resolvent_matrix_matches_resolvent():
+    rng = np.random.default_rng(75)
+    forms = list(scalar_fixture_forms().values())
+    g = fixtures.random_graph()
+    forms.append(assemble_magnetic_form(g, fixtures.random_bundle(g, 2, rng)))
+    for F in forms:
+        u = rng.standard_normal((F.dim, 3)) + 1j * rng.standard_normal((F.dim, 3))
+        for alpha in (0.5, 2.0):
+            want = F.resolvent(alpha, u)
+            got = F.resolvent_matrix(alpha) @ u
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_laplace_single_vertex_analytic():
     F = assemble_scalar_form(fixtures.single_vertex(2.0))
     residual = laplace_check(F, 1.0, np.array([1.0]))
