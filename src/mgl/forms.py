@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .bundles import HermitianBundle, validate_bundle
 from .errors import (
@@ -25,6 +26,34 @@ from .errors import (
     NegativeTime,
 )
 from .graphs import WeightedGraph
+
+# Extra zheevd workspace per matrix row, beyond LAPACK's minimum 2N + N^2:
+# with only the minimum, the zunmtr back-transform runs unblocked (Level 2).
+_EIGH_BLOCK = 64
+
+
+def _eigh(a):
+    """Ascending eigenvalues and orthonormal eigenvectors of the Hermitian
+    matrix a, whose lower triangle is read.
+
+    a is overwritten: given a Fortran-ordered float64 or complex128 array,
+    LAPACK works in place and the eigenvectors share its memory. Raises
+    EigSolverFailure on non-finite input, on a nonzero LAPACK info, or on
+    a non-finite eigenvalue.
+    """
+    if not np.isfinite(a).all():
+        raise EigSolverFailure("matrix to diagonalize has non-finite entries")
+    if np.iscomplexobj(a):
+        n = a.shape[0]
+        lwork = 2 * n + n * n + _EIGH_BLOCK * n
+        w, v, info = lapack.zheevd(a, lower=1, lwork=lwork, overwrite_a=1)
+    else:
+        w, v, info = lapack.dsyevd(a, lower=1, overwrite_a=1)
+    if info != 0:
+        raise EigSolverFailure(f"eigendecomposition failed: LAPACK info = {info}")
+    if not np.isfinite(w).all():
+        raise EigSolverFailure("eigendecomposition returned non-finite eigenvalues")
+    return w, v
 
 
 class FormOperator:
@@ -67,19 +96,20 @@ class FormOperator:
         self.m_isqrt = 1.0 / self.m_sqrt
 
     def _symmetrized(self):
-        """M^-1/2 L M^-1/2, the Hermitian matrix that is diagonalized."""
+        """M^-1/2 L M^-1/2, the Hermitian matrix that is diagonalized.
+
+        Built in Fortran order, so that _eigh overwrites it with the
+        eigenvectors instead of copying it.
+        """
         # L is exactly Hermitian; the scaling may leave the result off by an
-        # ulp across the diagonal, which eigh ignores: it reads one triangle.
-        a_sym = self.m_isqrt[:, None] * self.L
+        # ulp across the diagonal, which _eigh ignores: it reads one triangle.
+        a_sym = np.multiply(self.m_isqrt[:, None], self.L, order="F")
         a_sym *= self.m_isqrt[None, :]
         return a_sym
 
     @cached_property
     def _eigensystem(self):
-        try:
-            w, U = np.linalg.eigh(self._symmetrized())
-        except np.linalg.LinAlgError as exc:
-            raise EigSolverFailure(f"eigendecomposition failed: {exc}") from exc
+        w, U = _eigh(self._symmetrized())
         w.setflags(write=False)
         U.setflags(write=False)
         return w, U

@@ -3,6 +3,7 @@ import pytest
 
 import fixtures
 import oracles
+from mgl import forms
 from mgl import (
     CutoffSequence,
     EdgeLengths,
@@ -359,9 +360,10 @@ def test_host_block_is_the_restricted_form():
 
 def test_exhaustion_runs_no_eigendecomposition(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.eigh called")
+        raise AssertionError("eigensolver called")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(forms, "_eigh", refuse)
     g = fixtures.random_graph(n=12)
     bundle = fixtures.random_bundle(g, 2, np.random.default_rng(23))
     report = exhaustion_uniqueness_experiment(
