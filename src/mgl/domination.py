@@ -7,10 +7,11 @@ that statement at the semigroup, resolvent, and form level on parameter
 grids and random samples; the theory says the three verdicts must agree,
 and the verifier reports worst-case slacks and witnesses either way.
 
-Deterministic probes (coordinate sections; for the form level also
-disjointly supported edge pairs and each coordinate section paired with
-itself) are always added to the random samples: known violations
-concentrate there.
+Deterministic probes are always added to the random samples, because
+known violations concentrate there: at each vertex x the section e_x (x) v_x
+along the worst fiber direction v_x (the lambda_min eigenvector of
+L_A(x,x) - L_B(x,x) I), and for the form level also the phase-aligned pair
+across each edge given by the top singular pair of its block of L_A.
 """
 
 from __future__ import annotations
@@ -84,26 +85,41 @@ def _sections(A: FormOperator, B: FormOperator, samples, rng) -> np.ndarray:
     return np.asarray(samples, dtype=complex)
 
 
-def _coordinate_section(n: int, d: int, x: int, j: int = 0) -> np.ndarray:
-    """The (n, d) section e_{x,j}: 1 at fiber coordinate j of vertex x."""
+def _vertex_section(n: int, d: int, x: int, fiber) -> np.ndarray:
+    """The (n, d) section e_x (x) fiber, supported at vertex x."""
     out = np.zeros((n, d), dtype=complex)
-    out[x, j] = 1.0
+    out[x] = fiber
     return out
 
 
-def _coordinate_probe_slacks(A: FormOperator, B: FormOperator, edges):
-    """Paired-inequality slacks Re Q_A(f1, f2) - Q_B(|f1|, |f2|) on coordinates.
+def _vertex_probes(A: FormOperator, B: FormOperator):
+    """Worst fiber direction at each vertex.
 
-    For an edge row (x, y) the pair is f1 = e_{x,0}, f2 = e_{y,0}, with
-    disjoint supports; for a vertex x and fiber index j it is
-    f1 = f2 = e_{x,j}. Both sides are single entries of the form matrices,
-    since Q(u, v) = <Lu, v>. Returns the (E,) and (n, d) slack arrays.
+    Returns the (n,) smallest eigenvalues of L_A(x,x) - L_B(x,x) I and (n, d)
+    unit eigenvectors v_x for them. Since Q(u, v) = <Lu, v>, the smallest
+    eigenvalue is the slack Q_A(f, f) - Q_B(|f|, |f|) of f = e_x (x) v_x, the
+    least over all unit sections supported at x.
+    """
+    v = np.arange(A.n)
+    blocks = A.L.reshape(A.n, A.d, A.n, A.d)[v, :, v, :]
+    shifted = blocks - np.diagonal(B.L).real[:, None, None] * np.eye(A.d)
+    w, vectors = np.linalg.eigh(shifted)
+    return w[:, 0], vectors[:, :, 0]
+
+
+def _edge_probes(A: FormOperator, B: FormOperator, edges):
+    """Worst phase-aligned pair across each edge row (x, y).
+
+    With the top singular pair L_A(y,x) v = s w of the block, the pair
+    f1 = e_x (x) v, f2 = -e_y (x) w has disjoint supports and
+    Re Q_A(f1, f2) - Q_B(|f1|, |f2|) = -L_B(x,y) - ||L_A(x,y)||_2, the least
+    over all unit pairs on x and y. Returns the (E,) slacks and the (E, d)
+    fiber vectors v of f1.
     """
     x, y = edges.T
-    d = A.d
-    edge = A.L[y * d, x * d].real - B.L[y, x].real
-    diag = np.diagonal(A.L).real.reshape(A.n, d) - np.diagonal(B.L).real[:, None]
-    return edge, diag
+    blocks = A.L.reshape(A.n, A.d, A.n, A.d)[y, :, x, :]
+    _, s, vh = np.linalg.svd(blocks)
+    return -B.L[y, x].real - s[:, 0], vh[:, 0, :].conj()
 
 
 def _first_min(values):
@@ -115,35 +131,28 @@ def _first_min(values):
     return float(values[j]), j
 
 
-def _probe_witness(n: int, d: int, edges, k: int):
-    """Section f1 and witness vertex of coordinate probe k (edge rows first)."""
-    if k < len(edges):
-        x, vertex = edges[k].tolist()
-        return _coordinate_section(n, d, x), vertex
-    vertex, j = divmod(k - len(edges), d)
-    return _coordinate_section(n, d, vertex, j), vertex
-
-
 def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
     """Shared body of the semigroup- and resolvent-level checks.
 
     `multiplier(F, p)` is the spectral multiplier of the operator at
     parameter p, or None where that operator is exactly the identity. At
     each p the fiber norms of the A-side image of every sample and of every
-    coordinate section e_{x,0} are compared with the B-side image of their
-    pointwise norms (e_x for e_{x,0}). Each side projects its columns into
+    vertex probe e_x (x) v_x are compared with the B-side image of their
+    pointwise norms (e_x for the probe). Each side projects its columns into
     eigencoordinates once, so a parameter costs one back-transform per side.
     """
     n, d = A.n, A.d
     sections = _sections(A, B, samples, rng)
+    _, fibers = _vertex_probes(A, B)
     k = len(sections)
     flat = sections.reshape(k, A.dim).T  # (n*d, k), one section per column
     mags = np.linalg.norm(sections, axis=2).T  # (n, k)
     ya = np.concatenate(
-        [A._eigencoordinates(flat), A._coordinate_eigencoordinates()], axis=1
+        [A._eigencoordinates(flat), A._section_eigencoordinates(fibers)], axis=1
     )
     yb = np.concatenate(
-        [B._eigencoordinates(mags), B._coordinate_eigencoordinates()], axis=1
+        [B._eigencoordinates(mags), B._section_eigencoordinates(np.ones((n, 1)))],
+        axis=1,
     )
 
     best = np.inf
@@ -151,8 +160,8 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
     for p in params:
         fa, fb = multiplier(A, p), multiplier(B, p)
         if fa is None:
-            # The identity compares the sections themselves; each coordinate
-            # section e_{x,0} then has slack exactly 0.
+            # The identity compares the sections themselves; each vertex
+            # probe, with its unit fiber vector, then has slack 0.
             lhs = np.linalg.norm(flat.reshape(n, d, k), axis=1)
             slack = np.concatenate([mags - lhs, np.zeros((n, n))], axis=1)
         else:
@@ -170,7 +179,7 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
     if column < k:
         section = sections[column].copy()
     else:
-        section = _coordinate_section(n, d, column - k)
+        section = _vertex_section(n, d, column - k, fibers[column - k])
     return Verdict(False, best, section, param, vertex)
 
 
@@ -217,8 +226,8 @@ def check_form_domination(
     (2) for 0 <= g <= |u| the phase-aligned section of magnitude g obeys
         the energy budget Q_A(aligned) <= Q_B(g) + Q_A(u);
     (3) Re Q_A(f1, f2) >= Q_B(|f1|, |f2|) on phase-aligned pairs, including
-        disjointly supported coordinate pairs on every edge and every
-        coordinate section e_{x,j} paired with itself.
+        the worst disjointly supported pair across every edge and the worst
+        section at every vertex paired with itself.
     """
     rng = _as_rng(rng)
     sections = _sections(A, B, samples, rng)
@@ -248,11 +257,14 @@ def check_form_domination(
     )
     aligned_witness = None if j is None else sections[j]
 
-    # Coordinate pairs are paired by definition and concentrate the
-    # violations of failing instances: disjointly supported pairs across
-    # every edge, and e_{x,j} against itself, which catches W(x) < c(x).
-    edge, diag = _coordinate_probe_slacks(A, B, bundle.graph.edges)
-    probes = np.concatenate([edge, diag.ravel()])
+    # The probes are paired by definition and concentrate the violations of
+    # failing instances: the worst pair across every edge, which catches a
+    # connection block of norm above the scalar weight, and the worst section
+    # at every vertex, which catches lambda_min(W(x) - c(x)) < 0.
+    edges = bundle.graph.edges
+    edge_slack, edge_fibers = _edge_probes(A, B, edges)
+    vertex_slack, vertex_fibers = _vertex_probes(A, B)
+    probes = np.concatenate([edge_slack, vertex_slack])
     probe = int(np.argmin(probes))
     if probes[probe] < aligned_slack:
         aligned_slack = float(probes[probe])
@@ -267,8 +279,12 @@ def check_form_domination(
         witness, witness_vertex = budget_witness, None
     elif probe is None:
         witness, witness_vertex = aligned_witness, None
+    elif probe < len(edges):
+        x, witness_vertex = edges[probe].tolist()
+        witness = _vertex_section(n, A.d, x, edge_fibers[probe])
     else:
-        witness, witness_vertex = _probe_witness(A.n, A.d, bundle.graph.edges, probe)
+        witness_vertex = probe - len(edges)
+        witness = _vertex_section(n, A.d, witness_vertex, vertex_fibers[witness_vertex])
     return Verdict(
         passed,
         float(overall),

@@ -177,13 +177,19 @@ class FormOperator:
         # U* v = conj(U^T conj(v)) needs no conjugated N x N copy of U.
         return (self.eigenvectors.T @ (self.m_sqrt[:, None] * cols).conj()).conj()
 
-    def _coordinate_eigencoordinates(self):
-        """(N, n) eigencoordinates of the sections e_{x,0}, one column per x.
+    def _section_eigencoordinates(self, fibers):
+        """(N, n) eigencoordinates of the sections e_x (x) fibers[x], one
+        column per vertex x, for an (n, d) array of fiber vectors.
 
-        Column x is m_sqrt[x d] conj(U[x d, :]): a gather of rows of U.
+        Column x is m_sqrt(x) U[x d : x d + d]* fibers[x]: d rows of U
+        contracted with a d-vector.
         """
-        rows = np.arange(self.n) * self.d
-        return (self.m_sqrt[rows, None] * self.eigenvectors[rows].conj()).T
+        # U^T is C-ordered (LAPACK returns U in Fortran order), so its
+        # (N, n, d) reshape is a view; conj(U^T conj(f)) avoids a conjugated
+        # copy of U.
+        rows = self.eigenvectors.T.reshape(self.dim, self.n, self.d)
+        y = np.einsum("kxj,xj->kx", rows, np.conj(fibers)).conj()
+        return y * self.m_sqrt[:: self.d]
 
     def _from_eigencoordinates(self, scalars, y):
         """M^-1/2 U diag(scalars) y for an (N, k) batch y of eigencoordinates."""

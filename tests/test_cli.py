@@ -108,26 +108,40 @@ def test_dominate_counterexample_consistent_failure(tmp_path):
     assert report["consistent"] is True
 
 
-def test_dominate_failing_hypothesis_is_inconsistent(tmp_path):
-    # P30, c = 0.5, rank 2, W = [[0.51, 0.02], [0.02, 0.51]]: every diagonal
-    # entry of W is at least c, but lambda_min(W - c) = -0.01, so the pair
-    # is not dominated. The sampled and axis-aligned probes miss the fiber
-    # direction (1, -1)/sqrt(2) and the verdicts pass; next to the failing
-    # hypothesis that is an inconsistent report.
+def test_dominate_fails_every_level_along_the_worst_fiber(tmp_path):
+    # P30, c = 0.5, rank 2, W = [[0.51, s], [s, 0.51]]: every diagonal entry
+    # of W is at least c, but lambda_min(W - c) = 0.01 - s < 0 along the
+    # fiber direction (1, -1)/sqrt(2), so the pair is not dominated. Axis
+    # probes e_{x,j} and random samples miss that direction; the probes
+    # along the lambda_min eigenvector of each vertex block catch it at all
+    # three levels, so every verdict fails with the hypothesis and the
+    # report is consistent.
     n = 30
     graph = write_json(tmp_path / "g.json", {
         "n": n, "edges": [{"u": x, "v": x + 1, "b": 1.0} for x in range(n - 1)],
         "killing": [0.5] * n,
     })
-    endo = fixtures.mat_to_doc(np.array([[0.51, 0.02], [0.02, 0.51]]))
-    bundle = write_json(tmp_path / "b.json", {"rank": 2, "endo": [endo] * n})
-    out = tmp_path / "report.json"
-    code = run(["dominate", "--graph", graph, "--bundle", bundle, "--out", str(out)])
-    report = json.loads(out.read_text())
-    assert report["hypothesis"]["passed"] is False
-    assert report["hypothesis"]["min_margin"] == pytest.approx(-0.01, rel=1e-9)
-    assert report["consistent"] is False
-    assert code == 1
+    for s, worst in ((0.02, -1e-3), (0.3, -0.1)):
+        endo = fixtures.mat_to_doc(np.array([[0.51, s], [s, 0.51]]))
+        bundle = write_json(tmp_path / "b.json", {"rank": 2, "endo": [endo] * n})
+        out = tmp_path / "report.json"
+        code = run(["dominate", "--graph", graph, "--bundle", bundle,
+                    "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report["hypothesis"]["passed"] is False
+        assert report["hypothesis"]["min_margin"] == pytest.approx(0.01 - s, rel=1e-9)
+        for level in ("form", "resolvent", "semigroup"):
+            assert report[level]["passed"] is False, (s, level)
+            assert report[level]["slack"] < worst, (s, level)
+        # The form witness is the vertex probe, along (1, -1)/sqrt(2) up to
+        # a phase.
+        assert report["form"]["slack"] == pytest.approx(0.01 - s, rel=1e-9)
+        witness = np.array(report["form"]["witness_vector"])
+        fiber = witness[report["form"]["witness_vertex"]]
+        fiber = fiber[..., 0] + 1j * fiber[..., 1]
+        assert abs(fiber[0] + fiber[1]) <= 1e-12
+        assert report["consistent"] is True
+        assert code == 0
 
 
 def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import fixtures
 import oracles
 from mgl import forms
 from mgl import (
+    FormOperator,
     HermitianBundle,
     WeightedGraph,
     assemble_magnetic_form,
@@ -222,6 +223,47 @@ def test_spectrum_is_computed_on_first_read(monkeypatch):
     assert B.quad(np.ones(g.n)) == pytest.approx(g.killing.sum(), rel=1e-12)
     with pytest.raises(EigSolverFailure):
         B.lower_bound
+
+
+def test_lapack_eigensystem_matches_numpy():
+    # forms._eigh against the independent np.linalg.eigh on the fixture set,
+    # plus a complex form with N = 300, large enough that zheevd's blocked
+    # back-transform runs.
+    rng = np.random.default_rng(71)
+    forms_ = []
+    for g in fixtures.fixture_graphs().values():
+        forms_.append(assemble_scalar_form(g))
+        forms_ += [
+            assemble_magnetic_form(g, fixtures.random_bundle(g, d, rng))
+            for d in (1, 3)
+        ]
+    big = fixtures.random_graph(n=100)
+    forms_.append(assemble_magnetic_form(big, fixtures.random_bundle(big, 3, rng)))
+    assert forms_[-1].dim == 300 and np.iscomplexobj(forms_[-1].L)
+    for F in forms_:
+        w, U = F.eigenvalues, F.eigenvectors
+        expected = np.linalg.eigh(F._symmetrized())[0]
+        assert np.abs(w - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+        assert np.abs(U.conj().T @ U - np.eye(F.dim)).max() <= 1e-12
+        assert F.reconstruction_defect() <= 1e-12
+
+
+def test_nonfinite_form_fails_at_the_first_spectral_read():
+    # LAPACK does not check its input: a NaN or infinity in L must raise
+    # EigSolverFailure before the solver runs, while the form itself, which
+    # needs no spectrum, still evaluates (to the non-finite value).
+    g = fixtures.p3()
+    for bad in (np.nan, np.inf):
+        L = assemble_scalar_form(g).L.copy()
+        L[1, 1] = bad
+        F = FormOperator(L, g.measure)
+        assert not np.isfinite(F.quad(np.ones(3)))
+        with pytest.raises(EigSolverFailure):
+            F.eigenvalues
+    # A finite matrix whose eigenvalue overflows fails after the solver.
+    for dtype in (float, complex):
+        with pytest.raises(EigSolverFailure):
+            forms._eigh(np.full((2, 2), 1e308, dtype=dtype, order="F"))
 
 
 def test_evaluate_batches_match_columns():
