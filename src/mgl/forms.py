@@ -27,8 +27,7 @@ from .errors import (
 )
 from .graphs import WeightedGraph
 
-# Extra zheevd workspace per matrix row, beyond LAPACK's minimum 2N + N^2:
-# with only the minimum, the zunmtr back-transform runs unblocked (Level 2).
+# zheevd workspace per row beyond its minimum 2N + N^2, so zunmtr runs blocked.
 _EIGH_BLOCK = 64
 
 
@@ -36,7 +35,7 @@ def _eigh(a):
     """Ascending eigenvalues and orthonormal eigenvectors of the Hermitian
     matrix a, whose lower triangle is read.
 
-    a is overwritten: given a Fortran-ordered float64 or complex128 array,
+    a may be overwritten: given a Fortran-ordered float64 or complex128 array,
     LAPACK works in place and the eigenvectors share its memory. Raises
     EigSolverFailure on non-finite input, on a nonzero LAPACK info, or on
     a non-finite eigenvalue.
