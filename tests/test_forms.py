@@ -248,18 +248,23 @@ def test_lapack_eigensystem_matches_numpy():
         assert F.reconstruction_defect() <= 1e-12
 
 
-def test_nonfinite_form_fails_at_the_first_spectral_read():
+def test_nonfinite_form_fails_at_the_first_spectral_read(monkeypatch):
     # LAPACK does not check its input: a NaN or infinity in L must raise
     # EigSolverFailure before the solver runs, while the form itself, which
     # needs no spectrum, still evaluates (to the non-finite value).
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-finite matrix")
+
     g = fixtures.p3()
-    for bad in (np.nan, np.inf):
-        L = assemble_scalar_form(g).L.copy()
-        L[1, 1] = bad
-        F = FormOperator(L, g.measure)
-        assert not np.isfinite(F.quad(np.ones(3)))
-        with pytest.raises(EigSolverFailure):
-            F.eigenvalues
+    with monkeypatch.context() as patch:
+        patch.setattr(forms.lapack, "dsyevd", refuse)
+        for bad in (np.nan, np.inf):
+            L = assemble_scalar_form(g).L.copy()
+            L[1, 1] = bad
+            F = FormOperator(L, g.measure)
+            assert not np.isfinite(F.quad(np.ones(3)))
+            with pytest.raises(EigSolverFailure):
+                F.eigenvalues
     # A finite matrix whose eigenvalue overflows fails after the solver.
     for dtype in (float, complex):
         with pytest.raises(EigSolverFailure):
