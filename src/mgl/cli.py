@@ -3,64 +3,53 @@
 Commands: validate, dominate, uniqueness, spectrum, semigroup-id. JSON is
 the single machine-readable output; the one-line text summaries printed to
 stderr are derived from it. Exit codes: 0 success/consistent, 1 verified
-failure with witness, 2 input error.
+failure with witness (the report is written), 2 input error (no report),
+which includes a spec that violates a graph or bundle axiom and a
+resolvent shift inside the spectrum.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import domination, spectral
 from .bundles import load_bundle, trivial_bundle, validate_bundle
 from .domination import diamagnetic_report
-from .errors import MglError, SchemaError
+from .errors import (
+    AlphaInSpectrum,
+    BundleInvalid,
+    InvariantError,
+    MglError,
+    SchemaError,
+)
 from .forms import assemble_magnetic_form, assemble_scalar_form
 from .graphs import load_graph
 from .metrics import exhaustion_uniqueness_experiment
 from .serialize import dump_report
 
-DEFAULT_SEED = 42
+# The range of each numeric flag: a test on one value, and the rule it states.
+_FLAG_RANGES = {
+    "t": (lambda v: 0 <= v < np.inf, "finite and >= 0"),
+    "alpha": (lambda v: 0 < v < np.inf, "finite and > 0"),
+    "samples": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "tol_domination": (lambda v: 0 < v < np.inf, "finite and > 0"),
+}
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: file paths, grids, sampling, and tolerances."""
-
-    command: str
-    graph_path: str
-    bundle_path: str | None
-    t_grid: tuple
-    alpha_grid: tuple
-    samples: int
-    seed: int
-    output_path: str | None
-    tol_domination: float
-    omega_sizes: tuple | None
-
-    def __post_init__(self):
-        if not self.t_grid or not self.alpha_grid:
-            raise SchemaError("parameter grids must be nonempty")
-        if not 0 < self.tol_domination < np.inf:
-            raise SchemaError(
-                f"--tol-domination must be finite and > 0, got {self.tol_domination}"
-            )
-        if self.seed < 0:
-            raise SchemaError(f"--seed (or MGL_SEED) must be >= 0, got {self.seed}")
-        if self.samples < 1:
-            raise SchemaError(f"--samples must be >= 1, got {self.samples}")
-        bad_t = [t for t in self.t_grid if not 0 <= t < np.inf]
-        if bad_t:
-            raise SchemaError(f"--t values must be finite and >= 0, got {bad_t}")
-        bad_alpha = [a for a in self.alpha_grid if not 0 < a < np.inf]
-        if bad_alpha:
-            raise SchemaError(
-                f"--alpha values must be finite and > 0, got {bad_alpha}"
-            )
+def _check_flags(args) -> None:
+    """SchemaError naming the first flag the command declares whose value
+    (or, for a list flag, some value) is out of its range."""
+    for dest, (ok, rule) in _FLAG_RANGES.items():
+        value = getattr(args, dest, ())
+        values = value if isinstance(value, tuple) else (value,)
+        bad = [v for v in values if not ok(v)]
+        if bad:
+            flag = "--" + dest.replace("_", "-")
+            raise SchemaError(f"{flag} must be {rule}, got {bad}")
 
 
 def _list_of(cast):
@@ -81,67 +70,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Magnetic graph form verifiers (domination, uniqueness, spectra).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, bundle_required=False):
+    floats = _list_of(float)
+    options = {
+        "--t": dict(type=floats, default=domination.DEFAULT_T_GRID,
+                    help="comma-separated semigroup times"),
+        "--alpha": dict(type=floats, default=domination.DEFAULT_ALPHA_GRID,
+                        help="comma-separated resolvent shifts"),
+        "--samples": dict(type=int, default=100),
+        "--seed": dict(type=int, default=42, help="sampling seed"),
+        "--tol-domination": dict(type=float, default=domination.DOMINATION_TOL),
+        "--omega": dict(type=_list_of(int), default=None,
+                        help="comma-separated prefix sizes of the exhaustion"),
+    }
+    # Each command declares --graph, --bundle and --out, plus the flags it reads.
+    for name, summary, flags in (
+        ("validate", "check graph/bundle specs", ()),
+        ("dominate", "three-level domination report",
+         ("--t", "--alpha", "--samples", "--seed", "--tol-domination")),
+        ("uniqueness", "exhaustion gap table", ("--omega",)),
+        ("spectrum", "sorted generator eigenvalues", ()),
+        ("semigroup-id", "Laplace/Euler/form-limit identities", ("--alpha", "--seed")),
+    ):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--graph", required=True, help="path to a graph-spec JSON file")
-        p.add_argument(
-            "--bundle",
-            required=bundle_required,
-            default=None,
-            help="path to a bundle-spec JSON file",
-        )
-        floats = _list_of(float)
-        p.add_argument("--t", type=floats, default=domination.DEFAULT_T_GRID,
-                       help="comma-separated semigroup times")
-        p.add_argument("--alpha", type=floats, default=domination.DEFAULT_ALPHA_GRID,
-                       help="comma-separated resolvent shifts")
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--seed", type=int, default=None,
-                       help="sampling seed (default: MGL_SEED env var or 42)")
+        p.add_argument("--bundle", required=name == "dominate", default=None,
+                       help="path to a bundle-spec JSON file")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--tol-domination", type=float, default=domination.DOMINATION_TOL)
-
-    common(sub.add_parser("validate", help="check graph/bundle specs"))
-    common(sub.add_parser("dominate", help="three-level domination report"),
-           bundle_required=True)
-    p_uni = sub.add_parser("uniqueness", help="exhaustion gap table")
-    common(p_uni)
-    p_uni.add_argument("--omega", type=_list_of(int), default=None,
-                       help="comma-separated prefix sizes of the exhaustion")
-    common(sub.add_parser("spectrum", help="sorted generator eigenvalues"))
-    common(sub.add_parser("semigroup-id", help="Laplace/Euler/form-limit identities"))
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("MGL_SEED")
-        if env is None:
-            seed = DEFAULT_SEED
-        else:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise SchemaError(f"MGL_SEED must be an integer, got {env!r}") from exc
-    return RunConfig(
-        command=args.command,
-        graph_path=args.graph,
-        bundle_path=args.bundle,
-        t_grid=args.t,
-        alpha_grid=args.alpha,
-        samples=args.samples,
-        seed=seed,
-        output_path=args.out,
-        tol_domination=args.tol_domination,
-        omega_sizes=getattr(args, "omega", None),
-    )
-
-
-def _emit(config: RunConfig, report: dict) -> None:
+def _emit(args, report: dict) -> None:
     text = dump_report(report)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -151,18 +114,18 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _load_specs(config: RunConfig):
+def _load_specs(args):
     """The graph and the bundle (None without --bundle), both read before any
     form is built, so that every spec error, the size guard included, comes
     first."""
-    graph = load_graph(config.graph_path)
-    if not config.bundle_path:
+    graph = load_graph(args.graph)
+    if not args.bundle:
         return graph, None
-    return graph, load_bundle(graph, config.bundle_path)
+    return graph, load_bundle(graph, args.bundle)
 
 
-def cmd_validate(config: RunConfig) -> int:
-    graph, bundle = _load_specs(config)
+def cmd_validate(args) -> int:
+    graph, bundle = _load_specs(args)
     report = {"graph": {"ok": True, "n": graph.n, "edges": len(graph.edges)}}
     code = 0
     if bundle is not None:
@@ -178,24 +141,24 @@ def cmd_validate(config: RunConfig) -> int:
         }
         if not check.ok:
             code = 1
-    _emit(config, report)
+    _emit(args, report)
     _summary(f"validate: {'PASS' if code == 0 else 'FAIL'}")
     return code
 
 
-def cmd_dominate(config: RunConfig) -> int:
-    graph, bundle = _load_specs(config)
+def cmd_dominate(args) -> int:
+    graph, bundle = _load_specs(args)
     result = diamagnetic_report(
         graph,
         bundle,
-        t_list=config.t_grid,
-        alpha_list=config.alpha_grid,
-        samples=config.samples,
-        seed=config.seed,
-        tol=config.tol_domination,
+        t_list=args.t,
+        alpha_list=args.alpha,
+        samples=args.samples,
+        seed=args.seed,
+        tol=args.tol_domination,
     )
     report = result.to_report()
-    _emit(config, report)
+    _emit(args, report)
     for key in ("form", "resolvent", "semigroup"):
         verdict = report[key]
         _summary(f"{key}: {'PASS' if verdict['passed'] else 'FAIL'} "
@@ -204,11 +167,11 @@ def cmd_dominate(config: RunConfig) -> int:
     return 0 if report["consistent"] else 1
 
 
-def cmd_uniqueness(config: RunConfig) -> int:
-    graph, bundle = _load_specs(config)
+def cmd_uniqueness(args) -> int:
+    graph, bundle = _load_specs(args)
     if bundle is None:
         bundle = trivial_bundle(graph)
-    sizes = config.omega_sizes
+    sizes = args.omega
     if not sizes:
         sizes = sorted({max(1, round(graph.n * k / 5)) for k in range(1, 6)})
     bad = [size for size in sizes if not 1 <= size <= graph.n]
@@ -221,8 +184,8 @@ def cmd_uniqueness(config: RunConfig) -> int:
     subsets = [list(range(size)) for size in sizes]
     result = exhaustion_uniqueness_experiment(graph, bundle, subsets)
     report = result.to_report()
-    report["metadata"] = {"seed": config.seed, "omega_sizes": list(sizes)}
-    _emit(config, report)
+    report["metadata"] = {"omega_sizes": list(sizes)}
+    _emit(args, report)
     for row in report["gaps"]:
         _summary(
             f"k={row['k']}: scalar gap {row['scalar']:.3e}, "
@@ -231,13 +194,13 @@ def cmd_uniqueness(config: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    graph, bundle = _load_specs(config)
+def cmd_spectrum(args) -> int:
+    graph, bundle = _load_specs(args)
     scalar = assemble_scalar_form(graph)
     report = {"scalar": scalar.eigenvalues}
     if bundle is not None:
         report["magnetic"] = assemble_magnetic_form(graph, bundle).eigenvalues
-    _emit(config, report)
+    _emit(args, report)
     _summary("scalar: " + ", ".join(f"{v:.6g}" for v in scalar.eigenvalues))
     if "magnetic" in report:
         _summary("magnetic: " + ", ".join(f"{v:.6g}" for v in report["magnetic"]))
@@ -285,14 +248,14 @@ def _identity_suite(form, alphas, seed):
     }
 
 
-def cmd_semigroup_id(config: RunConfig) -> int:
-    graph, bundle = _load_specs(config)
+def cmd_semigroup_id(args) -> int:
+    graph, bundle = _load_specs(args)
     report = {"scalar": _identity_suite(
-        assemble_scalar_form(graph), config.alpha_grid, config.seed
+        assemble_scalar_form(graph), args.alpha, args.seed
     )}
     if bundle is not None:
         report["magnetic"] = _identity_suite(
-            assemble_magnetic_form(graph, bundle), config.alpha_grid, config.seed
+            assemble_magnetic_form(graph, bundle), args.alpha, args.seed
         )
     ok = all(
         section[flag]
@@ -300,7 +263,7 @@ def cmd_semigroup_id(config: RunConfig) -> int:
         for flag in ("laplace_ok", "euler_ok", "form_limit_ok")
     )
     report["ok"] = ok
-    _emit(config, report)
+    _emit(args, report)
     _summary(f"semigroup identities: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -318,17 +281,15 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return COMMANDS[args.command](config)
-    except SchemaError as exc:
+        _check_flags(args)
+        return COMMANDS[args.command](args)
+    except (SchemaError, InvariantError, BundleInvalid, AlphaInSpectrum,
+            OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except MglError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 
 import numpy as np
 
 from mgl import HermitianBundle, WeightedGraph, trivial_bundle
+from mgl.cli import build_parser
 
 
 @dataclass(frozen=True)
@@ -247,3 +249,16 @@ def killing_without_endo_docs(seed=0, n=60, d=3):
         for e in edges
     ]
     return graph_doc, {"rank": d, "connection": connection}
+
+
+def cli_flags():
+    """{command: option strings it declares, -h/--help aside}, read from the
+    `mgl` parser itself."""
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {
+        name: [flag for action in sub._actions for flag in action.option_strings
+               if flag not in ("-h", "--help")]
+        for name, sub in commands.items()
+    }

@@ -387,7 +387,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         out = tmp_path / f"uni{i}.json"
         code = run(
             ["uniqueness", "--graph", str(path_spec), "--omega", "10,20,30,40,50",
-             "--seed", "11", "--out", str(out)]
+             "--out", str(out)]
         )
         ok &= code == 0
         uouts.append(out.read_bytes())

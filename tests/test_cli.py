@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import fixtures
-from mgl.cli import build_parser, config_from_args, run
+from mgl.cli import build_parser, run
 from mgl.errors import SchemaError
 from mgl.graphs import load_graph
 from mgl.serialize import dump_report, jsonable
@@ -44,7 +45,7 @@ def test_validate_loop_edge_names_axiom(tmp_path, capsys):
     spec = write_json(
         tmp_path / "loop.json", {"n": 1, "edges": [{"u": 0, "v": 0, "b": 1.0}]}
     )
-    assert run(["validate", "--graph", spec]) == 1
+    assert run(["validate", "--graph", spec]) == 2
     assert "(b1)" in capsys.readouterr().err
 
 
@@ -154,7 +155,6 @@ def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatc
         ["dominate", "--graph", graph_spec, "--bundle", bundle_spec,
          "--samples", "30", "--out", str(tmp_path / "r.json")]
     )
-    config = config_from_args(args)
     honest = mgl.cli.diamagnetic_report
 
     def flip_semigroup(*args, **kwargs):
@@ -163,7 +163,7 @@ def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatc
         return dataclasses.replace(result, semigroup=failed)
 
     monkeypatch.setattr(mgl.cli, "diamagnetic_report", flip_semigroup)
-    assert cmd_dominate(config) == 1
+    assert cmd_dominate(args) == 1
 
 
 def test_dominate_determinism(diamagnetic_specs, tmp_path):
@@ -174,23 +174,6 @@ def test_dominate_determinism(diamagnetic_specs, tmp_path):
     assert run(argv + ["--out", str(out1)]) == 0
     assert run(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_invalid_seed_env_is_input_error(p2_spec, monkeypatch):
-    monkeypatch.setenv("MGL_SEED", "not-a-number")
-    assert run(["validate", "--graph", p2_spec]) == 2
-
-
-def test_seed_env_var_and_flag_priority(p2_spec, tmp_path, monkeypatch):
-    out = tmp_path / "r.json"
-    monkeypatch.setenv("MGL_SEED", "123")
-    bundle = write_json(tmp_path / "b.json", {"rank": 1})
-    run(["dominate", "--graph", p2_spec, "--bundle", bundle, "--samples", "5",
-         "--out", str(out)])
-    assert json.loads(out.read_text())["metadata"]["seed"] == 123
-    run(["dominate", "--graph", p2_spec, "--bundle", bundle, "--samples", "5",
-         "--seed", "9", "--out", str(out)])
-    assert json.loads(out.read_text())["metadata"]["seed"] == 9
 
 
 def path50_spec(tmp_path):
@@ -324,6 +307,58 @@ def test_cli_parameters_are_input_errors(tmp_path, capsys, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "--samples", "1"], ["spectrum", "--tol-domination", "1e-9"],
+     ["uniqueness", "--seed", "3"], ["semigroup-id", "--t", "1"]],
+)
+def test_commands_refuse_flags_they_do_not_read(p2_spec, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--graph", p2_spec])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+
+
+def test_dominate_reads_all_eight_flags(diamagnetic_specs, tmp_path):
+    graph_spec, bundle_spec = diamagnetic_specs
+    out = tmp_path / "r.json"
+    argv = ["dominate", "--graph", graph_spec, "--bundle", bundle_spec,
+            "--out", str(out), "--t", "0.1,1", "--alpha", "2", "--samples", "7",
+            "--seed", "5", "--tol-domination", "1e-8"]
+    assert sorted(argv[1::2]) == sorted(fixtures.cli_flags()["dominate"])
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["metadata"] == {
+        "seed": 5, "t_grid": [0.1, 1.0], "alpha_grid": [2.0], "samples": 7,
+        "tolerance": 1e-8,
+    }
+
+
+def test_readme_flag_table_matches_the_parser():
+    # Rows of the form | `cmd`, `cmd` | `--flag`, `--flag` | in the CLI section.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n#")[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.strip("|").split("|")
+        if len(cells) == 2 and "`--" in cells[1]:
+            for command in re.findall(r"`([^`]+)`", cells[0]):
+                table[command] = sorted(re.findall(r"`([^`]+)`", cells[1]))
+    assert table == {name: sorted(flags)
+                     for name, flags in fixtures.cli_flags().items()}
+
+
+def test_dominate_alpha_in_spectrum_is_input_error(p2_spec, tmp_path, capsys):
+    # lambda_min = 0 on P2, so alpha = 1e-13 is not inside the resolvent set
+    # by the margin the resolvent needs.
+    bundle = write_json(tmp_path / "b.json", {"rank": 1})
+    out = tmp_path / "r.json"
+    code = run(["dominate", "--graph", p2_spec, "--bundle", bundle,
+                "--alpha", "1e-13", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: alpha = 1e-13")
+    assert not out.exists()
+
+
 def test_overflowing_edge_weights_are_input_errors(tmp_path, capsys):
     edges = [{"u": 0, "v": 1, "b": 1e308}, {"u": 1, "v": 2, "b": 1e308}]
     doc = {"n": 3, "edges": edges}
@@ -381,6 +416,45 @@ def test_dense_size_guard_is_input_error(tmp_path, capsys, graph_doc, bundle_doc
         assert err.startswith("input error:") and "16384" in err, command
         assert "Traceback" not in err
     assert time.perf_counter() - start < 10
+
+
+P3_GRAPH = {"n": 3, "edges": P3_EDGES}
+ALL_COMMANDS = ("validate", "spectrum", "dominate", "uniqueness", "semigroup-id")
+
+
+@pytest.mark.parametrize(
+    "graph_doc, bundle_doc, commands, named",
+    [
+        ({"n": 3, "edges": [P3_EDGES[0], {**P3_EDGES[1], "b": -1.0}]},
+         {"rank": 1}, ALL_COMMANDS, "nonnegativity"),
+        ({"n": 3, "edges": [*P3_EDGES, {"u": 1, "v": 1, "b": 1.0}]},
+         {"rank": 1}, ALL_COMMANDS, "(b1)"),
+        ({**P3_GRAPH, "measure": [1.0, 0.0, 1.0]}, {"rank": 1}, ALL_COMMANDS,
+         "measure positivity"),
+        ({**P3_GRAPH, "killing": [0.0, -0.5, 0.0]}, {"rank": 1}, ALL_COMMANDS,
+         "killing nonnegativity"),
+        # validate reports a failing bundle check (exit 1 with a report);
+        # every command that builds the bundle form refuses the bundle.
+        (P3_GRAPH,
+         {"rank": 1, "connection": [{"u": 0, "v": 1, "matrix": [[[2.0, 0.0]]]}]},
+         ALL_COMMANDS[1:], "unitarity defect"),
+        (P3_GRAPH, {"rank": 1, "endo": [[[[-1.0, 0.0]]]] * 3}, ALL_COMMANDS[1:],
+         "min endo eigenvalue"),
+    ],
+    ids=["negative-weight", "loop", "zero-measure", "negative-killing",
+         "non-unitary", "negative-endo"],
+)
+def test_rejected_specs_are_input_errors(tmp_path, capsys, graph_doc, bundle_doc,
+                                         commands, named):
+    graph = write_json(tmp_path / "g.json", graph_doc)
+    bundle = write_json(tmp_path / "b.json", bundle_doc)
+    out = tmp_path / "r.json"
+    for command in commands:
+        code = run([command, "--graph", graph, "--bundle", bundle, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, (command, err)
+        assert err.startswith("input error:") and named in err, command
+        assert not out.exists(), command
 
 
 def test_console_entry_point_runs():

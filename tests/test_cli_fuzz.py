@@ -1,11 +1,17 @@
 """Hypothesis fuzz of the command line: random specs and flags, run in-process.
 
 Each example starts from a valid graph and bundle spec on at most 5
-vertices and applies a few random mutations to it (odd numbers such as
-NaN, infinities, negative and huge values; wrong types; unknown or missing
-keys; a wrong rank or matrix size; sizes beyond the dense-size bound).
-Whatever the input, `mgl` must exit 0, 1 or 2 without a traceback, and
-every report it writes must be strict JSON (no NaN or Infinity tokens).
+vertices, may break one graph or bundle axiom in it (a loop, a negative
+weight or killing term, a zero measure, a non-unitary connection, a
+negative endomorphism), and applies a few random mutations to it (odd
+numbers such as NaN, infinities, negative and huge values; wrong types;
+unknown or missing keys; a wrong rank or matrix size; sizes beyond the
+dense-size bound). Each command draws only flags its parser declares.
+
+Whatever the input, `mgl` must exit 0, 1 or 2 without a traceback; exit 1
+(a verified failure) must come with a written report and exit 2 (an input
+error) without one; and every report it writes must be strict JSON (no
+NaN or Infinity tokens).
 """
 
 import contextlib
@@ -18,9 +24,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixtures
 from mgl.cli import run
 
-COMMANDS = ("validate", "dominate", "uniqueness", "spectrum", "semigroup-id")
+DECLARED = fixtures.cli_flags()
 
 ODD_NUMBERS = st.sampled_from(
     [0.0, -1.0, -1e-3, 1e-308, 1e-150, 1e150, 1e151, 1e200, 1e308, -1e308,
@@ -84,9 +91,34 @@ def _number_slots(doc):
     return slots
 
 
+def _break_axiom(draw, graph, bundle):
+    """Make a valid spec pair violate one graph or bundle axiom."""
+    n, rank, edges = graph["n"], bundle["rank"], graph["edges"]
+    x = draw(st.integers(0, n - 1))
+    axiom = draw(st.sampled_from(
+        ["loop", "weight", "measure", "killing", "connection", "endo"]))
+    if axiom == "loop" or (axiom in ("weight", "connection") and not edges):
+        edges.append({"u": x, "v": x, "b": 1.0})
+    elif axiom == "weight":
+        draw(st.sampled_from(edges))["b"] = draw(st.sampled_from([-1.0, -1e-3]))
+    elif axiom == "measure":
+        graph.setdefault("measure", [1.0] * n)[x] = draw(st.sampled_from([0.0, -1.0]))
+    elif axiom == "killing":
+        graph.setdefault("killing", [0.0] * n)[x] = -0.5
+    elif axiom == "connection":
+        draw(st.sampled_from(bundle["connection"]))["matrix"][0][0] = [2.0, 0.0]
+    else:
+        def corner(value):
+            return [[[value if i == j == 0 else 0.0, 0.0] for j in range(rank)]
+                    for i in range(rank)]
+        bundle.setdefault("endo", [corner(0.0) for _ in range(n)])[x] = corner(-1.0)
+
+
 @st.composite
 def mutated_specs(draw):
     graph, bundle = draw(valid_specs())
+    if draw(st.booleans()):
+        _break_axiom(draw, graph, bundle)
     for _ in range(draw(st.integers(0, 2))):
         doc = draw(st.sampled_from([graph, bundle]))
         kind = draw(st.sampled_from(
@@ -114,15 +146,30 @@ def mutated_specs(draw):
     return graph, bundle
 
 
-FLAGS = st.fixed_dictionaries({}, optional={
+# Values for every flag besides the spec and report paths, odd ones included.
+FLAG_VALUES = {
     "--samples": st.sampled_from(["1", "3", "3", "0", "-1", "x"]),
     "--t": st.sampled_from(["0.5", "0,1", "0.01,2", "-1", "nan", "inf", "1e308",
                             "1e-300", "a"]),
-    "--alpha": st.sampled_from(["0.5", "1,10", "0", "-5", "nan", "1e-7", "1e308"]),
+    "--alpha": st.sampled_from(["0.5", "1,10", "0", "-5", "nan", "1e-7", "1e-13",
+                                "1e308"]),
     "--omega": st.sampled_from(["1", "2,3", "0", "99", "x"]),
     "--seed": st.sampled_from(["0", "7", "-3", "x"]),
     "--tol-domination": st.sampled_from(["1e-9", "1e-9", "0", "-1", "nan", "inf"]),
-})
+}
+PATH_FLAGS = ("--graph", "--bundle", "--out")
+
+
+def test_fuzzed_flags_are_the_declared_ones():
+    declared = {flag for flags in DECLARED.values() for flag in flags}
+    assert declared == set(FLAG_VALUES) | set(PATH_FLAGS)
+
+
+COMMANDS_AND_FLAGS = st.sampled_from(sorted(DECLARED)).flatmap(
+    lambda command: st.tuples(st.just(command), st.fixed_dictionaries({}, optional={
+        flag: FLAG_VALUES[flag] for flag in DECLARED[command] if flag in FLAG_VALUES
+    }))
+)
 
 
 def _strict(token):
@@ -131,12 +178,12 @@ def _strict(token):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(COMMANDS),
+    command_and_flags=COMMANDS_AND_FLAGS,
     docs=mutated_specs(),
     with_bundle=st.booleans(),
-    flags=FLAGS,
 )
-def test_cli_fuzz_exit_codes_and_strict_json(command, docs, with_bundle, flags):
+def test_cli_fuzz_exit_codes_and_strict_json(command_and_flags, docs, with_bundle):
+    command, flags = command_and_flags
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = {}
@@ -147,8 +194,6 @@ def test_cli_fuzz_exit_codes_and_strict_json(command, docs, with_bundle, flags):
         argv = [command, "--graph", str(paths["graph"]), "--out", str(out)]
         if with_bundle or command == "dominate":
             argv += ["--bundle", str(paths["bundle"])]
-        if command != "uniqueness":
-            flags.pop("--omega", None)
         argv += [f"{flag}={value}" for flag, value in flags.items()]
 
         err = io.StringIO()
@@ -159,5 +204,6 @@ def test_cli_fuzz_exit_codes_and_strict_json(command, docs, with_bundle, flags):
                 code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        assert out.exists() == (code != 2), (argv, code, err.getvalue())
         if out.exists():
             json.loads(out.read_text(encoding="utf-8"), parse_constant=_strict)
