@@ -255,8 +255,8 @@ def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
             mat = np.asarray(
                 [[complex(cell[0], cell[1]) for cell in row] for row in raw]
             )
-        except (TypeError, IndexError, ValueError) as exc:
-            raise SchemaError(f"{where}: matrix entries must be [re, im] pairs") from exc
+        except (TypeError, IndexError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{where}: entries must be [re, im] float pairs") from exc
         if mat.shape != (rank, rank):
             raise SchemaError(f"{where}: matrix must be {rank}x{rank}")
         return mat

@@ -215,7 +215,7 @@ def _identity_suite(form, alphas, seed):
     norm_u = form.norm(u)
     radius = max(abs(form.eigenvalues[0]), abs(form.eigenvalues[-1]), 1e-12)
 
-    floor = max(0.0, -form.lower_bound) + 1e-6
+    floor = spectral._laplace_floor(form)
     kept = [alpha for alpha in alphas if alpha > floor]
     if not kept:
         raise SchemaError(

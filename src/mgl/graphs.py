@@ -242,6 +242,16 @@ def _check_magnitude(values, what: str):
         )
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float; SchemaError otherwise, or beyond the float range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise SchemaError(f"{where} is not a number within the float range")
+
+
 def _check_dense_size(n: int, d: int = 1):
     """SchemaError when the form dimension n * d exceeds DENSE_DIM_BOUND."""
     if n * d > DENSE_DIM_BOUND:
@@ -280,33 +290,30 @@ def load_graph(source) -> WeightedGraph:
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict) or not {"u", "v", "b"} <= set(entry):
             raise SchemaError(f"edge #{i} must be an object with keys u, v, b")
-        u, v, b = entry["u"], entry["v"], entry["b"]
+        u, v = entry["u"], entry["v"]
         if not isinstance(u, int) or not isinstance(v, int):
             raise SchemaError(f"edge #{i}: u and v must be integers")
-        if not isinstance(b, (int, float)) or isinstance(b, bool):
-            raise SchemaError(f"edge #{i}: b must be a number")
+        b = _number(entry["b"], f"edge #{i}: b")
         if not (0 <= u < n and 0 <= v < n):
             raise SchemaError(f"edge #{i}: endpoints ({u},{v}) out of range")
         key = (u, v) if u < v else (v, u)
         if key in edges:
-            if edges[key] != float(b):
+            if edges[key] != b:
                 raise InvariantError(
                     f"axiom (b2) violated: conflicting weights for edge {key}"
                 )
             raise SchemaError(f"duplicate edge {key} in edge list")
-        edges[key] = float(b)
+        edges[key] = b
 
+    vertex = {}
     for field in ("killing", "measure"):
         if field in doc:
             vals = doc[field]
             if not isinstance(vals, list) or len(vals) != n:
                 raise SchemaError(f"'{field}' must be a list of length n={n}")
-            if not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in vals
-            ):
-                raise SchemaError(f"'{field}' entries must be numbers")
+            vertex[field] = [_number(x, f"'{field}' entry") for x in vals]
 
-    graph = WeightedGraph(n, edges, doc.get("killing"), doc.get("measure"))
+    graph = WeightedGraph(n, edges, vertex.get("killing"), vertex.get("measure"))
     bad = np.flatnonzero(~np.isfinite(graph.row_sums))
     if bad.size:
         raise SchemaError(

@@ -59,6 +59,11 @@ def _quadrature_grid(alpha: float, panels: int, nodes: int):
     return ts, ws
 
 
+def _laplace_floor(F: FormOperator) -> float:
+    """The value laplace_check needs alpha to exceed: max(0, -lambda_min) + 1e-6."""
+    return max(0.0, -F.lower_bound) + 1e-6
+
+
 def laplace_check(
     F: FormOperator,
     alpha: float,
@@ -72,7 +77,7 @@ def laplace_check(
     e^{-alpha T} <= 1e-12) with composite Gauss-Legendre quadrature and
     returns the m-norm distance to (A + alpha)^-1 u.
     """
-    if alpha <= max(0.0, -F.lower_bound) + 1e-6:
+    if alpha <= _laplace_floor(F):
         raise AlphaTooSmall(
             f"alpha = {alpha} must exceed max(0, -lambda_min) by at least 1e-6"
         )

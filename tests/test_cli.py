@@ -12,6 +12,7 @@ import pytest
 import fixtures
 from mgl.cli import build_parser, run
 from mgl.errors import SchemaError
+from mgl.bundles import load_bundle
 from mgl.graphs import load_graph
 from mgl.serialize import dump_report, jsonable
 
@@ -143,6 +144,30 @@ def test_dominate_fails_every_level_along_the_worst_fiber(tmp_path):
         assert abs(fiber[0] + fiber[1]) <= 1e-12
         assert report["consistent"] is True
         assert code == 0
+
+
+def test_dominate_judges_the_hypothesis_with_the_verdict_tolerance(tmp_path):
+    # P6, rank 2, W(x) = c I except at vertex 2, where lambda_min(W - c) is
+    # -5e-10: inside --tol-domination (1e-9), so the hypothesis passes with
+    # the three levels, whose worst slacks are this same margin.
+    n = 6
+    graph = write_json(tmp_path / "g.json", {
+        "n": n, "edges": [{"u": x, "v": x + 1, "b": 1.0} for x in range(n - 1)],
+        "killing": [0.5] * n,
+    })
+    endo = [np.eye(2) * 0.5 for _ in range(n)]
+    endo[2] = np.diag([0.5 - 5e-10, 0.5])
+    bundle = write_json(tmp_path / "b.json", {
+        "rank": 2, "endo": [fixtures.mat_to_doc(w) for w in endo]})
+    out = tmp_path / "report.json"
+    code = run(["dominate", "--graph", graph, "--bundle", bundle, "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["hypothesis"]["min_margin"] == pytest.approx(-5e-10, rel=1e-6)
+    assert report["hypothesis"]["passed"] is True
+    for level in ("form", "resolvent", "semigroup"):
+        assert report[level]["passed"] is True, level
+    assert report["consistent"] is True
+    assert code == 0
 
 
 def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatch):
@@ -370,6 +395,34 @@ def test_overflowing_edge_weights_are_input_errors(tmp_path, capsys):
 
 
 P3_EDGES = [{"u": 0, "v": 1, "b": 1.0}, {"u": 1, "v": 2, "b": 1.0}]
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "graph_doc, bundle_doc",
+    [
+        ({"n": 3, "edges": [{"u": 0, "v": 1, "b": HUGE}]}, {"rank": 1}),
+        ({"n": 3, "edges": P3_EDGES, "killing": [HUGE, 0, 0]}, {"rank": 1}),
+        ({"n": 3, "edges": P3_EDGES, "measure": [1, HUGE, 1]}, {"rank": 1}),
+        ({"n": 3, "edges": P3_EDGES},
+         {"rank": 1, "endo": [[[[0, 0]]], [[[0, HUGE]]], [[[0, 0]]]]}),
+        ({"n": 3, "edges": P3_EDGES},
+         {"rank": 1, "connection": [{"u": 0, "v": 1, "matrix": [[[HUGE, 0]]]}]}),
+    ],
+    ids=["b", "killing", "measure", "endo", "connection"],
+)
+def test_integers_beyond_the_float_range_are_input_errors(tmp_path, capsys, graph_doc,
+                                                          bundle_doc):
+    graph = write_json(tmp_path / "g.json", graph_doc)
+    bundle = write_json(tmp_path / "b.json", bundle_doc)
+    with pytest.raises(SchemaError, match="float"):
+        load_bundle(load_graph(graph), bundle)
+    code = run(["validate", "--graph", graph, "--bundle", bundle,
+                "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
@@ -31,7 +31,7 @@ DECLARED = fixtures.cli_flags()
 
 ODD_NUMBERS = st.sampled_from(
     [0.0, -1.0, -1e-3, 1e-308, 1e-150, 1e150, 1e151, 1e200, 1e308, -1e308,
-     float("nan"), float("inf"), float("-inf")]
+     float("nan"), float("inf"), float("-inf"), 10**400]
 )
 WRONG_TYPES = st.sampled_from([None, True, "1", [], {}])
 
@@ -181,6 +181,13 @@ def _strict(token):
     command_and_flags=COMMANDS_AND_FLAGS,
     docs=mutated_specs(),
     with_bundle=st.booleans(),
+)
+# The derandomized draws rarely put an odd number into a float slot, so one
+# such input is always run: an edge weight beyond the float range.
+@example(
+    command_and_flags=("validate", {}),
+    docs=({"n": 2, "edges": [{"u": 0, "v": 1, "b": 10**400}]}, {"rank": 1}),
+    with_bundle=True,
 )
 def test_cli_fuzz_exit_codes_and_strict_json(command_and_flags, docs, with_bundle):
     command, flags = command_and_flags
