@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
@@ -282,6 +283,23 @@ class UniquenessReport:
         return {"gaps": self.gaps, "criteria": self.criteria, "illustrative": True}
 
 
+def _hpd_solve(A, rhs):
+    """A^-1 rhs for a Hermitian positive definite A, through a Cholesky factor.
+
+    A is overwritten. The factorization counts as failed, with LinAlgError,
+    when LAPACK stops or when a pivot r_ii^2 is at most (N+1) eps a_ii: the
+    backward error of the factor is at most about (N+1) (eps/2)
+    sqrt(a_ii a_jj) per entry, so such a pivot is rounding noise and A is
+    singular to working precision.
+    """
+    diag = A.diagonal().real.copy()
+    factor = cho_factor(A, overwrite_a=True)
+    pivots = factor[0].diagonal().real ** 2
+    if (pivots <= (len(A) + 1) * np.finfo(float).eps * diag).any():
+        raise np.linalg.LinAlgError("a Cholesky pivot is lost in rounding")
+    return cho_solve(factor, rhs)
+
+
 def exhaustion_uniqueness_experiment(
     G: WeightedGraph,
     bundle: HermitianBundle,
@@ -293,9 +311,12 @@ def exhaustion_uniqueness_experiment(
     For each subset the boundary-folding and edge-dropping restrictions of
     the scalar form and of the bundle form are compared through the
     m-weighted operator-norm gap of their resolvents at `alpha`,
-    zero-extended to the host. On the full vertex set both restrictions
-    coincide, so the gaps vanish. `criteria` holds the largest weighted
-    degree on the component of vertex 0.
+    zero-extended to the host. Where no edge leaves a subset (the full
+    vertex set, a union of components) both restrictions coincide and the
+    gaps are exactly 0. `criteria` holds the largest weighted degree on the
+    component of vertex 0. Raises AlphaInSpectrum when a restricted block
+    plus `alpha` is singular in floating point, as when edge weights near
+    1e150 swamp alpha = 1.
     """
     if bundle.graph is not G:
         raise DimensionMismatch("bundle is defined over a different graph")
@@ -311,32 +332,57 @@ def exhaustion_uniqueness_experiment(
                 "exhaustion subsets must be strictly increasing under inclusion"
             )
 
-    forms = {"scalar": assemble_scalar_form(G),
-             "magnetic": assemble_magnetic_form(G, bundle)}
+    # Each form with its potential: c(x) as a 1x1 block, or W(x).
+    forms = {"scalar": (assemble_scalar_form(G), G.killing[:, None, None]),
+             "magnetic": (assemble_magnetic_form(G, bundle), bundle.endo)}
     gaps = []
     for k, omega in enumerate(subsets, start=1):
-        _, _, _, boundary = _restriction(G, omega)
-        row = {"k": k}
-        for key, F in forms.items():
+        _, keep, ends, boundary = _restriction(G, omega)
+        row = {"k": k, **dict.fromkeys(forms, 0.0)}
+        gaps.append(row)
+        if not boundary.any():
+            continue  # no edge leaves the subset: both restrictions coincide
+        inner = np.bincount(
+            ends.ravel(), weights=G.weights[keep].repeat(2), minlength=len(omega)
+        )
+        v = np.arange(len(omega))
+        for key, (F, W) in forms.items():
             # The boundary-folding restriction is the host block on the rows
             # x*d + j of the members (the host form on zero-extensions); the
-            # edge-dropping one lacks the boundary weights P on its diagonal.
-            # Both resolvents vanish off the block, so the gap of their
-            # zero-extensions is that of R = (M^-1/2 L M^-1/2 + alpha)^-1
-            # there. R_N - R_D = R_N M^-1 P R_D has no cancellation, and it
-            # is exactly 0 when no edge leaves the subset.
+            # edge-dropping one has W(x) plus the inner edge weights on its
+            # diagonal, built directly because the host diagonal minus the
+            # boundary weights P would cancel. Both resolvents vanish off the
+            # block, so the gap of their zero-extensions is that of
+            # R = (M^-1/2 L M^-1/2 + alpha)^-1 there, and
+            # R_N - R_D = R_N M^-1 P R_D has no cancellation either.
             rows = (omega.members[:, None] * F.d + np.arange(F.d)).ravel()
             cut = np.repeat(boundary, F.d)
+            b = np.flatnonzero(cut)
             folded = F.L[np.ix_(rows, rows)]
+            dropped = folded.copy()
+            dropped.reshape(len(omega), F.d, len(omega), F.d)[v, :, v, :] = (
+                inner[:, None, None] * np.eye(F.d) + W[omega.members]
+            )
             scale = F.m_isqrt[rows]
             shift = alpha * np.eye(rows.size)
-            R_D, R_N = (
-                np.linalg.inv(scale[:, None] * block * scale[None, :] + shift)
-                for block in (folded, folded - np.diag(cut))
-            )
-            gap = (R_N * (cut / F.m_diag[rows])) @ R_D
-            row[key] = float(np.linalg.norm(gap, 2))
-        gaps.append(row)
+            unit = np.zeros((rows.size, b.size))
+            unit[b, np.arange(b.size)] = 1.0
+            # Only the boundary columns X = R_N E_b and Y = R_D E_b are
+            # solved for; R_D[b, :] = Y* since R_D is Hermitian.
+            try:
+                X, Y = (
+                    _hpd_solve(scale[:, None] * block * scale[None, :] + shift, unit)
+                    for block in (dropped, folded)
+                )
+            except np.linalg.LinAlgError as exc:
+                raise AlphaInSpectrum(
+                    f"prefix k={k} ({len(omega)} vertices), {key} form: a "
+                    f"restricted block + alpha = {alpha} is singular in "
+                    f"floating point ({exc})"
+                ) from exc
+            gap = (X * (cut[b] / F.m_diag[rows[b]])) @ Y.conj().T
+            # The gap is Hermitian: its 2-norm is its largest |eigenvalue|.
+            row[key] = float(np.abs(np.linalg.eigvalsh(gap)[[0, -1]]).max())
 
     _, labels = connected_components(
         csr_matrix((G.weights, tuple(G.edges.T)), shape=(G.n, G.n)), directed=False

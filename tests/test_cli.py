@@ -262,6 +262,25 @@ def test_uniqueness_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("b", [2e149, 4e149])
+def test_uniqueness_singular_block_is_input_error(tmp_path, capsys, b):
+    # The edge-dropping block of {0, 1} is b [[1, -1], [-1, 1]] + I, which is
+    # singular in floating point: alpha = 1 is lost next to b. LAPACK stops
+    # on one of these weights and leaves a pivot of rounding noise on the
+    # other; both are input errors.
+    edges = [{"u": 0, "v": 1, "b": b}, {"u": 1, "v": 2, "b": b},
+             {"u": 2, "v": 3, "b": 1}]
+    spec = write_json(tmp_path / "g.json", {"n": 4, "edges": edges})
+    out = tmp_path / "u.json"
+    code = run(["uniqueness", "--graph", spec, "--omega", "1,2,3,4",
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("input error: prefix k=2 (2 vertices), scalar form")
+    assert "alpha = 1.0" in err
+    assert not out.exists()
+
+
 def test_spectrum_outputs(p2_spec, tmp_path, capsys):
     assert run(["spectrum", "--graph", p2_spec]) == 0
     report = json.loads(capsys.readouterr().out)

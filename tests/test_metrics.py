@@ -3,7 +3,7 @@ import pytest
 
 import fixtures
 import oracles
-from mgl import forms
+from mgl import forms, metrics
 from mgl import (
     CutoffSequence,
     EdgeLengths,
@@ -212,8 +212,25 @@ def test_exhaustion_full_subset_zero_gaps():
     g = fixtures.random_graph(n=10)
     bundle = fixtures.random_bundle(g, 2, np.random.default_rng(5))
     report = exhaustion_uniqueness_experiment(g, bundle, [list(range(10))])
-    assert report.gaps[-1]["scalar"] <= 1e-12
-    assert report.gaps[-1]["magnetic"] <= 1e-12
+    assert report.gaps[-1]["scalar"] == 0.0
+    assert report.gaps[-1]["magnetic"] == 0.0
+
+
+def test_exhaustion_boundaryless_prefixes_are_exact_and_free(monkeypatch):
+    # No edge leaves a whole component or the full vertex set, so both
+    # restrictions coincide: the gaps are exactly 0 and nothing is factored.
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization called")
+
+    monkeypatch.setattr(metrics, "cho_factor", refuse)
+    g = WeightedGraph(
+        6, {(0, 1): 1.0, (1, 2): 0.5, (0, 2): 2.0, (3, 4): 1.5, (4, 5): 0.7},
+        killing=[0.1, 0.0, 0.3, 0.0, 0.2, 0.4], measure=[1.0, 2.0, 0.5, 1.5, 1.0, 0.8],
+    )
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(7))
+    report = exhaustion_uniqueness_experiment(g, bundle, [[0, 1, 2], list(range(6))])
+    assert report.gaps == [{"k": 1, "scalar": 0.0, "magnetic": 0.0},
+                           {"k": 2, "scalar": 0.0, "magnetic": 0.0}]
 
 
 def test_exhaustion_path50_regression():
@@ -314,6 +331,36 @@ def _dense_magnetic_gap(g, bundle, k, alpha=1.0):
     return np.linalg.norm(dropped - folded, 2)
 
 
+def _boundary_1e6_host():
+    """Path 0-...-7 with a chord (1, 5); the edge (3, 4) leaving the prefix
+    {0, 1, 2, 3} has weight 1e6."""
+    edges = {(i, i + 1): 1.0 for i in range(7)}
+    edges[(3, 4)] = 1e6
+    edges[(1, 5)] = 0.5
+    return WeightedGraph(8, edges, killing=np.linspace(0.0, 0.7, 8),
+                         measure=np.linspace(0.5, 2.0, 8))
+
+
+@pytest.mark.parametrize(
+    "host, make_bundle, members",
+    [(fixtures.path50_graph, fixtures.path50_bundle, range(10)),
+     (_boundary_1e6_host,
+      lambda g: fixtures.random_bundle(g, 2, np.random.default_rng(3)), range(4))],
+    ids=["path50-k1", "boundary-1e6"],
+)
+def test_exhaustion_gaps_match_40_digit_oracle(host, make_bundle, members):
+    # At a boundary weight of 1e6 the host diagonal minus the boundary
+    # weight loses about 10 digits in double precision; the gap must not.
+    g = host()
+    bundle = make_bundle(g)
+    row = exhaustion_uniqueness_experiment(g, bundle, [list(members)]).gaps[0]
+    scalar = oracles.exhaustion_gap(g, members)
+    magnetic = oracles.exhaustion_gap(g, members, bundle)
+    assert min(scalar, magnetic) > 1e-2
+    assert row["scalar"] == pytest.approx(scalar, rel=1e-12, abs=0)
+    assert row["magnetic"] == pytest.approx(magnetic, rel=1e-12, abs=0)
+
+
 def test_exhaustion_magnetic_gap_matches_dense_resolvents():
     # k = 1 on path50, and a rank-2 bundle with endomorphisms on a graph
     # with cycles, where the connection does not gauge away.
@@ -364,6 +411,8 @@ def test_exhaustion_runs_no_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(forms, "_eigh", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     g = fixtures.random_graph(n=12)
     bundle = fixtures.random_bundle(g, 2, np.random.default_rng(23))
     report = exhaustion_uniqueness_experiment(
