@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh, get_blas_funcs
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
@@ -283,23 +283,6 @@ class UniquenessReport:
         return {"gaps": self.gaps, "criteria": self.criteria, "illustrative": True}
 
 
-def _hpd_solve(A, rhs):
-    """A^-1 rhs for a Hermitian positive definite A, through a Cholesky factor.
-
-    A is overwritten. The factorization counts as failed, with LinAlgError,
-    when LAPACK stops or when a pivot r_ii^2 is at most (N+1) eps a_ii: the
-    backward error of the factor is at most about (N+1) (eps/2)
-    sqrt(a_ii a_jj) per entry, so such a pivot is rounding noise and A is
-    singular to working precision.
-    """
-    diag = A.diagonal().real.copy()
-    factor = cho_factor(A, overwrite_a=True)
-    pivots = factor[0].diagonal().real ** 2
-    if (pivots <= (len(A) + 1) * np.finfo(float).eps * diag).any():
-        raise np.linalg.LinAlgError("a Cholesky pivot is lost in rounding")
-    return cho_solve(factor, rhs)
-
-
 def exhaustion_uniqueness_experiment(
     G: WeightedGraph,
     bundle: HermitianBundle,
@@ -314,9 +297,10 @@ def exhaustion_uniqueness_experiment(
     zero-extended to the host. Where no edge leaves a subset (the full
     vertex set, a union of components) both restrictions coincide and the
     gaps are exactly 0. `criteria` holds the largest weighted degree on the
-    component of vertex 0. Raises AlphaInSpectrum when a restricted block
-    plus `alpha` is singular in floating point, as when edge weights near
-    1e150 swamp alpha = 1.
+    component of vertex 0. Raises AlphaInSpectrum when an edge-dropping
+    block plus `alpha` may be singular in floating point: where `alpha` is
+    at most eps times the largest diagonal entry of the block (beyond about
+    4.5e15 at alpha = 1), or where the block does not factor.
     """
     if bundle.graph is not G:
         raise DimensionMismatch("bundle is defined over a different graph")
@@ -347,42 +331,59 @@ def exhaustion_uniqueness_experiment(
         )
         v = np.arange(len(omega))
         for key, (F, W) in forms.items():
-            # The boundary-folding restriction is the host block on the rows
-            # x*d + j of the members (the host form on zero-extensions); the
-            # edge-dropping one has W(x) plus the inner edge weights on its
-            # diagonal, built directly because the host diagonal minus the
-            # boundary weights P would cancel. Both resolvents vanish off the
-            # block, so the gap of their zero-extensions is that of
-            # R = (M^-1/2 L M^-1/2 + alpha)^-1 there, and
-            # R_N - R_D = R_N M^-1 P R_D has no cancellation either.
+            # On the rows x*d + j of the members, the edge-dropping
+            # restriction is the host block with W(x) plus the inner edge
+            # weights on its diagonal, built directly because the host
+            # diagonal minus the boundary weights P would cancel; the
+            # boundary-folding one (the host form on zero-extensions) is that
+            # block plus P. Both resolvents vanish off the block, so the gap
+            # of their zero-extensions is that of
+            # R = (M^-1/2 L M^-1/2 + alpha)^-1 there.
             rows = (omega.members[:, None] * F.d + np.arange(F.d)).ravel()
             cut = np.repeat(boundary, F.d)
             b = np.flatnonzero(cut)
-            folded = F.L[np.ix_(rows, rows)]
-            dropped = folded.copy()
+            dropped = F.L[np.ix_(rows, rows)]
             dropped.reshape(len(omega), F.d, len(omega), F.d)[v, :, v, :] = (
                 inner[:, None, None] * np.eye(F.d) + W[omega.members]
             )
             scale = F.m_isqrt[rows]
-            shift = alpha * np.eye(rows.size)
-            unit = np.zeros((rows.size, b.size))
-            unit[b, np.arange(b.size)] = 1.0
-            # Only the boundary columns X = R_N E_b and Y = R_D E_b are
-            # solved for; R_D[b, :] = Y* since R_D is Hermitian.
-            try:
-                X, Y = (
-                    _hpd_solve(scale[:, None] * block * scale[None, :] + shift, unit)
-                    for block in (dropped, folded)
+            A = scale[:, None] * dropped * scale[None, :]
+            where = f"prefix k={k} ({len(omega)} vertices), {key} form"
+            # alpha bounds the spectrum of A + alpha from below. Once it is
+            # lost in rounding next to the largest diagonal entry, A + alpha
+            # may be singular in floating point.
+            peak = A.diagonal().real.max()
+            if not alpha > np.finfo(float).eps * peak:
+                raise AlphaInSpectrum(
+                    f"{where}: alpha = {alpha} is lost in rounding next to a "
+                    f"diagonal entry {peak:.3g} of the edge-dropping block"
                 )
+            A[np.diag_indices_from(A)] += alpha
+            try:
+                factor = cho_factor(A, overwrite_a=True)
             except np.linalg.LinAlgError as exc:
                 raise AlphaInSpectrum(
-                    f"prefix k={k} ({len(omega)} vertices), {key} form: a "
-                    f"restricted block + alpha = {alpha} is singular in "
-                    f"floating point ({exc})"
+                    f"{where}: the edge-dropping block + alpha = {alpha} does "
+                    f"not factor in floating point ({exc})"
                 ) from exc
-            gap = (X * (cut[b] / F.m_diag[rows[b]])) @ Y.conj().T
-            # The gap is Hermitian: its 2-norm is its largest |eigenvalue|.
-            row[key] = float(np.abs(np.linalg.eigvalsh(gap)[[0, -1]]).max())
+            # With X = R_N E_b, T = (P/m)^1/2 on the boundary rows b and
+            # Z = X T, the Woodbury identity gives
+            # R_N - R_D = Z (I + T X[b] T)^-1 Z*, where nothing cancels, so
+            # its norm is the top eigenvalue of the |b| x |b| pencil
+            # (Z* Z, I + T X[b] T).
+            unit = np.zeros((rows.size, b.size))
+            unit[b, np.arange(b.size)] = 1.0
+            X = cho_solve(factor, unit)
+            t = np.sqrt(cut[b]) * scale[b]
+            Z = X * t
+            # Z* Z from scipy's BLAS: numpy's `@` runs on a second OpenBLAS
+            # whose idle threads, between scipy's LAPACK calls, cost up to
+            # 8 ms per switch on two cores.
+            gram = get_blas_funcs("gemm", (Z,))(1.0, Z, Z, trans_a=2)
+            pencil = t[:, None] * X[b] * t + np.eye(b.size)
+            top = eigh(gram, pencil, eigvals_only=True,
+                       subset_by_index=[b.size - 1] * 2)
+            row[key] = float(top[0])
 
     _, labels = connected_components(
         csr_matrix((G.weights, tuple(G.edges.T)), shape=(G.n, G.n)), directed=False

@@ -267,7 +267,7 @@ def test_uniqueness_singular_block_is_input_error(tmp_path, capsys, b):
     # The edge-dropping block of {0, 1} is b [[1, -1], [-1, 1]] + I, which is
     # singular in floating point: alpha = 1 is lost next to b. LAPACK stops
     # on one of these weights and leaves a pivot of rounding noise on the
-    # other; both are input errors.
+    # other, so alpha is checked against the diagonal before factoring.
     edges = [{"u": 0, "v": 1, "b": b}, {"u": 1, "v": 2, "b": b},
              {"u": 2, "v": 3, "b": 1}]
     spec = write_json(tmp_path / "g.json", {"n": 4, "edges": edges})
@@ -277,8 +277,27 @@ def test_uniqueness_singular_block_is_input_error(tmp_path, capsys, b):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("input error: prefix k=2 (2 vertices), scalar form")
-    assert "alpha = 1.0" in err
+    assert "alpha = 1.0 is lost in rounding" in err
     assert not out.exists()
+
+
+def test_uniqueness_heavy_inner_edge_on_large_prefix_reports(tmp_path):
+    # An inner edge of weight 1e14 leaves cond(block + alpha) near 1e14, short
+    # of singular. It lies 298 steps from the boundary of the 300-vertex
+    # prefix, where the resolvents have decayed far below rounding, so the
+    # gaps are those of the same path with that edge at weight 1.
+    gaps = []
+    for heavy in (1e14, 1.0):
+        edges = [{"u": x, "v": x + 1, "b": heavy if x == 0 else 1.0}
+                 for x in range(300)]
+        spec = write_json(tmp_path / "g.json", {"n": 301, "edges": edges})
+        out = tmp_path / "u.json"
+        assert run(["uniqueness", "--graph", spec, "--omega", "300",
+                    "--out", str(out)]) == 0
+        gaps.append(json.loads(out.read_text())["gaps"][0])
+    assert gaps[0]["scalar"] > 0.1
+    for key in ("scalar", "magnetic"):
+        assert gaps[0][key] == pytest.approx(gaps[1][key], rel=1e-12, abs=0)
 
 
 def test_spectrum_outputs(p2_spec, tmp_path, capsys):

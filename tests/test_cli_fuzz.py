@@ -3,9 +3,9 @@
 Each example starts from a valid graph and bundle spec on at most 5
 vertices, may break one graph or bundle axiom in it (a loop, a negative
 weight or killing term, a zero measure, a non-unitary connection, a
-negative endomorphism), puts odd numbers (NaN, infinities, negative and
-huge values) into about one number slot per document, and applies a few
-more random mutations to it (wrong types; unknown or missing keys; a
+negative endomorphism), may put odd numbers (NaN, infinities, negative
+and huge values) into some of its number slots, and applies a few more
+random mutations to it (wrong types; unknown or missing keys; a
 wrong rank or matrix size; sizes beyond the dense-size bound). Each
 command draws only flags its parser declares.
 
@@ -113,22 +113,18 @@ def _break_axiom(draw, graph, bundle):
         bundle.setdefault("endo", [corner(0.0) for _ in range(n)])[x] = corner(-1.0)
 
 
-
-
 @st.composite
 def mutated_specs(draw):
     graph, bundle = draw(valid_specs())
     if draw(st.booleans()):
         _break_axiom(draw, graph, bundle)
-    # One draw per number slot, of whether and then of what odd number to put
-    # there; the trigger is the largest value, not the simplest one, which
-    # derandomized generation favours. Picking one slot and one value per
-    # mutation instead seldom left the first, simplest choices, so odd
-    # numbers almost never reached float slots such as edge weights.
-    for doc in (graph, bundle):
+    # If the example opts in, one draw per number slot decides whether an odd
+    # number goes there; the trigger is the largest value, not the simplest
+    # one, which derandomized generation favours.
+    for doc in (graph, bundle) if draw(st.booleans()) else ():
         slots = _number_slots(doc)
         for container, key in slots:
-            if draw(st.integers(0, len(slots))) == len(slots):
+            if draw(st.integers(0, 2 * len(slots) + 1)) == 2 * len(slots) + 1:
                 container[key] = draw(st.sampled_from(ODD_NUMBERS))
     for _ in range(draw(st.integers(0, 2))):
         doc = draw(st.sampled_from([graph, bundle]))
@@ -187,10 +183,17 @@ def _strict(token):
     docs=mutated_specs(),
     with_bundle=st.booleans(),
 )
-# An edge weight beyond the float range is always run.
+# An edge weight beyond the float range and a failing (non-unitary)
+# connection, which must exit 1 with a report, are always run.
 @example(
     command_and_flags=("validate", {}),
     docs=({"n": 2, "edges": [{"u": 0, "v": 1, "b": 10**400}]}, {"rank": 1}),
+    with_bundle=True,
+)
+@example(
+    command_and_flags=("validate", {}),
+    docs=({"n": 2, "edges": [{"u": 0, "v": 1, "b": 1.0}]},
+          {"rank": 1, "connection": [{"u": 0, "v": 1, "matrix": [[[2.0, 0.0]]]}]}),
     with_bundle=True,
 )
 def test_cli_fuzz_exit_codes_and_strict_json(command_and_flags, docs, with_bundle):
