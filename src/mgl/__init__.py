@@ -62,12 +62,11 @@ from .metrics import (
     strongly_intrinsic_check,
 )
 from .spectral import (
+    beurling_deny_check,
     euler_limit_check,
     form_limit_check,
     laplace_check,
-    markov_check,
     ouhabaz_invariance_check,
-    positivity_check,
 )
 
 __version__ = "0.1.0"

@@ -271,6 +271,9 @@ def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
         u, v = entry["u"], entry["v"]
         if not isinstance(u, int) or not isinstance(v, int):
             raise SchemaError(f"connection #{i}: u and v must be integers")
+        if (u, v) in connection or (v, u) in connection:
+            edge = (min(u, v), max(u, v))
+            raise SchemaError(f"duplicate connection for edge {edge}")
         mat = parse_matrix(entry["matrix"], f"connection #{i}")
         # A unitary has entries of modulus at most 1; larger ones (or NaN)
         # overflow in the unitarity defect.

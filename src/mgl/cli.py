@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
 )
 from .forms import assemble_magnetic_form, assemble_scalar_form
-from .graphs import load_graph
+from .graphs import DENSE_DIM_BOUND, load_graph
 from .metrics import exhaustion_uniqueness_experiment
 from .serialize import dump_report
 
@@ -34,7 +34,7 @@ from .serialize import dump_report
 _FLAG_RANGES = {
     "t": (lambda v: 0 <= v < np.inf, "finite and >= 0"),
     "alpha": (lambda v: 0 < v < np.inf, "finite and > 0"),
-    "samples": (lambda v: v >= 1, ">= 1"),
+    "samples": (lambda v: 1 <= v <= DENSE_DIM_BOUND, f"in 1..{DENSE_DIM_BOUND}"),
     "seed": (lambda v: v >= 0, ">= 0"),
     "tol_domination": (lambda v: 0 < v < np.inf, "finite and > 0"),
 }
@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
          ("--t", "--alpha", "--samples", "--seed", "--tol-domination")),
         ("uniqueness", "exhaustion gap table", ("--omega",)),
         ("spectrum", "sorted generator eigenvalues", ()),
-        ("semigroup-id", "Laplace/Euler/form-limit identities", ("--alpha", "--seed")),
+        ("semigroup-id", "Laplace/Euler/form-limit identities, Beurling-Deny",
+         ("--alpha", "--seed")),
     ):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--graph", required=True, help="path to a graph-spec JSON file")
@@ -250,18 +251,21 @@ def _identity_suite(form, alphas, seed):
 
 def cmd_semigroup_id(args) -> int:
     graph, bundle = _load_specs(args)
-    report = {"scalar": _identity_suite(
-        assemble_scalar_form(graph), args.alpha, args.seed
-    )}
+    report = {}
     if bundle is not None:
         report["magnetic"] = _identity_suite(
             assemble_magnetic_form(graph, bundle), args.alpha, args.seed
         )
+    # The scalar form is built after the magnetic one is freed, so that at
+    # most one spectrum is held at a time.
+    scalar = assemble_scalar_form(graph)
+    report["scalar"] = _identity_suite(scalar, args.alpha, args.seed)
+    criteria = report["scalar"]["beurling_deny"] = spectral.beurling_deny_check(scalar)
     ok = all(
         section[flag]
         for section in report.values()
         for flag in ("laplace_ok", "euler_ok", "form_limit_ok")
-    )
+    ) and all(c["form_ok"] and c["semigroup_ok"] for c in criteria.values())
     report["ok"] = ok
     _emit(args, report)
     _summary(f"semigroup identities: {'PASS' if ok else 'FAIL'}")

@@ -294,9 +294,15 @@ class DominationReport:
 
     @property
     def consistent(self) -> bool:
-        """Every verdict equals the hypothesis verdict."""
-        verdicts = (self.form, self.resolvent, self.semigroup)
-        return all(v.passed == self.hypothesis_ok for v in verdicts)
+        """The form verdict equals the hypothesis verdict, and a passing
+        hypothesis comes with passing grid verdicts.
+
+        A failing hypothesis forbids domination at some t or alpha, not at
+        every one, so a grid verdict may still pass next to it.
+        """
+        hyp = self.hypothesis_ok
+        grid = self.resolvent.passed and self.semigroup.passed
+        return self.form.passed == hyp and (grid or not hyp)
 
     def to_report(self) -> dict:
         return {
@@ -333,8 +339,9 @@ def diamagnetic_report(
 
     On a finite graph the hypothesis <W(x)v, v> >= c(x)|v|^2 per vertex is
     necessary and sufficient for the bundle form to be dominated by the
-    scalar form, so any verdict that differs from the hypothesis marks the
-    report inconsistent. The margins are judged with the verdicts' `tol`;
+    scalar form, so a form verdict that differs from the hypothesis, or a
+    failing grid verdict next to a passing hypothesis, marks the report
+    inconsistent. The margins are judged with the verdicts' `tol`;
     they equal the form level's vertex probe slacks.
     """
     margins = hypothesis_margins(G, bundle)

@@ -16,6 +16,7 @@ from mgl import (
     WeightedGraph,
     assemble_magnetic_form,
     assemble_scalar_form,
+    beurling_deny_check,
     check_form_domination,
     check_resolvent_domination,
     check_semigroup_domination,
@@ -23,12 +24,10 @@ from mgl import (
     euler_limit_check,
     form_limit_check,
     laplace_check,
-    markov_check,
     negative_part,
     pair,
     path_metric,
     positive_part,
-    positivity_check,
     project_domination_set,
     symmetrize,
     trivial_bundle,
@@ -235,18 +234,17 @@ def test_criterion_5_analytic_identities():
 def test_criterion_6_beurling_deny():
     ok = True
     for name, g in fixtures.fixture_graphs().items():
-        F = assemble_scalar_form(g)
-        pos = positivity_check(F, samples=100, rng=6)
-        mar = markov_check(F, samples=100, rng=6)
-        ok &= pos.semigroup_ok and pos.form_ok
-        ok &= pos.worst_entry >= -1e-10 and pos.worst_form_slack >= -1e-10
-        ok &= mar.semigroup_ok and mar.form_ok
+        criteria = beurling_deny_check(assemble_scalar_form(g))
+        for criterion in criteria.values():
+            ok &= criterion["form_ok"] and criterion["semigroup_ok"]
+        ok &= criteria["positivity"]["max_off_diagonal"] <= 0
+        ok &= criteria["positivity"]["min_kernel_ratio"] >= -1e-10
 
     F = assemble_scalar_form(fixtures.p2())
     perturbed = FormOperator(F.L + np.array([[0.0, 1.5], [1.5, 0.0]]), F.measure)
-    bad = positivity_check(perturbed, samples=100, rng=6)
-    ok &= (not bad.semigroup_ok) and (not bad.form_ok) and bad.agree
-    _criterion(6, "positivity/Markov checks and detector agreement", ok)
+    bad = beurling_deny_check(perturbed)["positivity"]
+    ok &= (not bad["semigroup_ok"]) and (not bad["form_ok"])
+    _criterion(6, "exact Beurling-Deny criteria, form and semigroup sides agree", ok)
 
 
 def test_criterion_7_intrinsic_metrics():

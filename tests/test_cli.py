@@ -326,6 +326,10 @@ def test_semigroup_id_passes(p2_spec, tmp_path):
     assert report["scalar"]["laplace_ok"] is True
     assert report["scalar"]["euler_ok"] is True
     assert report["scalar"]["form_limit_ok"] is True
+    criteria = report["scalar"]["beurling_deny"]
+    assert criteria["positivity"]["form_witness"] == [0, 1]
+    for criterion in criteria.values():
+        assert criterion["form_ok"] is True and criterion["semigroup_ok"] is True
 
 
 @pytest.mark.parametrize("m0", [1e12, 1e150, 1e-150])
@@ -341,6 +345,9 @@ def test_semigroup_id_form_limit_with_extreme_measure(tmp_path, m0):
     section = json.loads(out.read_text())["scalar"]
     assert section["form_limit_ok"] is True
     assert 0.35 <= section["form_limit_ratio"] <= 0.65
+    # The Beurling-Deny tolerances are relative, so no measure fails them.
+    for criterion in section["beurling_deny"].values():
+        assert criterion["form_ok"] is True and criterion["semigroup_ok"] is True
 
 
 @pytest.mark.parametrize("alphas", ["-5", "1e-7", "1e-7,5e-7"])
@@ -357,7 +364,10 @@ def test_semigroup_id_refuses_vacuous_pass(p2_spec, tmp_path, capsys, alphas):
 @pytest.mark.parametrize(
     "flags",
     [["--samples", "-1"], ["--t", "-1"], ["--alpha", "0"], ["--t", "nan"],
-     ["--samples", "0"], ["--tol-domination", "nan"], ["--seed", "-3"]],
+     ["--samples", "0"], ["--tol-domination", "nan"], ["--seed", "-3"],
+     # Beyond graphs.DENSE_DIM_BOUND: a sample batch larger than any dense
+     # form would fail to allocate (1e12) or exceed numpy's dimension limit.
+     ["--samples", "1000000000000"], ["--samples", str(10**23)]],
 )
 def test_cli_parameters_are_input_errors(tmp_path, capsys, flags):
     graph = write_json(tmp_path / "p3.json", {
@@ -531,9 +541,19 @@ ALL_COMMANDS = ("validate", "spectrum", "dominate", "uniqueness", "semigroup-id"
          ALL_COMMANDS[1:], "unitarity defect"),
         (P3_GRAPH, {"rank": 1, "endo": [[[[-1.0, 0.0]]]] * 3}, ALL_COMMANDS[1:],
          "min endo eigenvalue"),
+        # Two entries for one edge, in the same or the reversed orientation.
+        (P3_GRAPH, {"rank": 1, "connection": [
+            {"u": 0, "v": 1, "matrix": [[[1.0, 0.0]]]},
+            {"u": 0, "v": 1, "matrix": [[[-1.0, 0.0]]]}]},
+         ALL_COMMANDS, "duplicate connection for edge (0, 1)"),
+        (P3_GRAPH, {"rank": 1, "connection": [
+            {"u": 0, "v": 1, "matrix": [[[1.0, 0.0]]]},
+            {"u": 1, "v": 0, "matrix": [[[-1.0, 0.0]]]}]},
+         ALL_COMMANDS, "duplicate connection for edge (0, 1)"),
     ],
     ids=["negative-weight", "loop", "zero-measure", "negative-killing",
-         "non-unitary", "negative-endo"],
+         "non-unitary", "negative-endo", "duplicate-connection",
+         "reversed-duplicate-connection"],
 )
 def test_rejected_specs_are_input_errors(tmp_path, capsys, graph_doc, bundle_doc,
                                          commands, named):

@@ -10,11 +10,11 @@ from mgl import (
     WeightedGraph,
     assemble_magnetic_form,
     assemble_scalar_form,
+    beurling_deny_check,
     check_form_domination,
     check_resolvent_domination,
     check_semigroup_domination,
     diamagnetic_report,
-    positivity_check,
     sgn_inequality_check,
     trivial_bundle,
 )
@@ -163,7 +163,21 @@ def test_domination_implies_dominating_positivity():
         A = assemble_magnetic_form(G, bundle)
         B = assemble_scalar_form(G)
         if check_semigroup_domination(A, B, rng=seed).passed:
-            assert positivity_check(B, rng=seed).semigroup_ok
+            assert beurling_deny_check(B)["positivity"]["semigroup_ok"]
+
+
+def test_grid_pass_next_to_failing_hypothesis_is_consistent():
+    # A triangle with flux pi and c(0) = 0.01 > W(0) = 0, so that
+    # lambda_min(W - c) = -0.01 at vertex 0. The hypothesis and the form level
+    # fail; the resolvent level passes on {0.5, 1, 10}. A failing hypothesis
+    # forbids domination at some alpha, not at every one: no contradiction.
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0},
+                      killing=[0.01, 0.0, 0.0])
+    report = diamagnetic_report(g, HermitianBundle(g, 1, {(0, 1): [[-1.0]]}))
+    assert report.hypothesis_margins.min() == pytest.approx(-0.01, rel=1e-12)
+    assert not report.hypothesis_ok and not report.form.passed
+    assert report.resolvent.passed and not report.semigroup.passed
+    assert report.consistent
 
 
 def test_scalar_self_domination_all_fixtures():

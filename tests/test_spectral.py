@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
+import oracles
 from mgl import (
+    WeightedGraph,
     assemble_magnetic_form,
     assemble_scalar_form,
+    beurling_deny_check,
     euler_limit_check,
     form_limit_check,
     laplace_check,
-    markov_check,
     ouhabaz_invariance_check,
-    positivity_check,
 )
 from mgl.errors import (
     AlphaInSpectrum,
@@ -19,6 +22,7 @@ from mgl.errors import (
     NegativeTime,
     ProjectionNotIdempotent,
 )
+from mgl.domination import DEFAULT_T_GRID
 from mgl.forms import FormOperator
 from mgl.spectral import positive_cone_projection, unit_interval_projection
 
@@ -237,21 +241,31 @@ def test_form_limit_linear_convergence():
 
 
 def test_positivity_check_examples():
-    report = positivity_check(assemble_scalar_form(fixtures.p2()), rng=1)
-    assert report.semigroup_ok and report.form_ok and report.agree
+    report = beurling_deny_check(assemble_scalar_form(fixtures.p2()))["positivity"]
+    assert report["form_ok"] and report["semigroup_ok"]
+    assert report["max_off_diagonal"] == -1.0 and report["form_witness"] == [0, 1]
+    # S_t(0, 1) / S_t(0, 0) = tanh(t) on P2; smallest at the smallest t.
+    assert report["min_kernel_ratio"] == pytest.approx(np.tanh(0.01), rel=1e-12)
 
-    report = positivity_check(assemble_scalar_form(fixtures.single_vertex(1.0)), rng=1)
-    assert report.semigroup_ok and report.form_ok
+    single = beurling_deny_check(assemble_scalar_form(fixtures.single_vertex(1.0)))
+    report = single["positivity"]
+    assert report["form_ok"] and report["semigroup_ok"]
+    assert report["form_witness"] is None and report["semigroup_witness"] is None
 
-    report = positivity_check(perturbed_p2_form(), rng=1)
-    assert not report.semigroup_ok and not report.form_ok and report.agree
-    assert report.worst_witness is not None
+    report = beurling_deny_check(perturbed_p2_form())["positivity"]
+    assert not report["form_ok"] and not report["semigroup_ok"]
+    assert report["max_off_diagonal"] == 0.5 and report["form_witness"] == [0, 1]
+    # S_t(0, 1) / S_t(0, 0) = -tanh(t / 2): most negative at the largest t.
+    assert report["min_kernel_ratio"] == pytest.approx(-np.tanh(5.0), rel=1e-12)
+    assert report["semigroup_witness"] == {"t": 10.0, "x": 0, "y": 1}
 
 
 def test_markov_check_examples():
     F = assemble_scalar_form(fixtures.p2())
-    report = markov_check(F, rng=2)
-    assert report.semigroup_ok and report.form_ok
+    report = beurling_deny_check(F)["markov"]
+    assert report["form_ok"] and report["semigroup_ok"]
+    assert report["min_row_ratio"] == 0.0
+    assert abs(report["max_row_excess"]) <= 1e-15
 
     ones = np.ones(2)
     np.testing.assert_allclose(F.semigroup(0.5, ones), ones, atol=1e-12)
@@ -261,27 +275,104 @@ def test_markov_check_examples():
     )
     out = killed.semigroup(0.5, ones)
     assert out[0] < 1.0 - 1e-3
-    assert markov_check(killed, rng=2).semigroup_ok
+    report = beurling_deny_check(killed)["markov"]
+    assert report["form_ok"] and report["semigroup_ok"]
+    assert report["min_row_ratio"] == 0.0 and report["max_row_excess"] < 0
 
 
 def test_markov_check_detects_violation():
-    # Positive off-diagonal entries push e^{-tA} out of the unit box, and
-    # clamping into the box raises the form: both sides fail together.
-    report = markov_check(perturbed_p2_form(), rng=2)
-    assert not report.semigroup_ok and not report.form_ok and report.agree
-    witness = report.worst_witness
-    assert witness is not None
-    assert report.worst_entry == pytest.approx(-0.1805, abs=1e-4)
-    out = witness.output
-    overshoot = max(out.max() - 1.0, -out.min())
-    assert report.worst_entry == -overshoot
+    # Positive off-diagonal entries break positivity, and with it the
+    # sub-Markov property, on both sides; the row figures stay as they are.
+    report = beurling_deny_check(perturbed_p2_form())["markov"]
+    assert not report["form_ok"] and not report["semigroup_ok"]
+    # e^{-tA} 1 = e^{-1.5 t} 1 and sum_y |e^{-tA}(x, y)| = e^{-t/2} on the
+    # bumped P2, so the largest scaled excess sits at the smallest t.
+    t = 0.01
+    exact = np.expm1(-1.5 * t) / (1 + np.exp(-t / 2))
+    assert report["max_row_excess"] == pytest.approx(exact, rel=1e-12)
+    assert report["semigroup_witness"]["t"] == t
+
+    # A negative killing term keeps positivity but breaks the row criterion.
+    F = assemble_scalar_form(fixtures.p2())
+    drained = FormOperator(F.L - np.diag([0.5, 0.0]), F.measure)
+    criteria = beurling_deny_check(drained)
+    assert criteria["positivity"]["form_ok"] and criteria["positivity"]["semigroup_ok"]
+    report = criteria["markov"]
+    assert not report["form_ok"] and not report["semigroup_ok"]
+    assert report["min_row_ratio"] == pytest.approx(-0.5 / 1.5, rel=1e-15)
+    assert report["form_witness"] == 0 and report["semigroup_witness"]["x"] == 0
+    assert report["max_row_excess"] > 1e-3
 
 
 def test_positivity_markov_all_scalar_fixtures():
     for name, F in scalar_fixture_forms().items():
-        assert positivity_check(F, rng=5).semigroup_ok, name
-        assert positivity_check(F, rng=5).form_ok, name
-        assert markov_check(F, rng=5).semigroup_ok, name
+        criteria = beurling_deny_check(F)
+        for criterion in ("positivity", "markov"):
+            assert criteria[criterion]["form_ok"], (name, criterion)
+            assert criteria[criterion]["semigroup_ok"], (name, criterion)
+
+
+def _oracle_figures(L, measure):
+    return oracles.beurling_deny_figures(L, measure, DEFAULT_T_GRID)
+
+
+@pytest.mark.parametrize("case", ["fixtures", "bumped-p2", "extreme-measure"])
+def test_beurling_deny_matches_expm_oracle(case):
+    if case == "fixtures":
+        pairs = [(oracles.scalar_form_matrix(g), g) for g in
+                 fixtures.fixture_graphs().values()]
+        forms = [(L, g.measure, assemble_scalar_form(g)) for L, g in pairs]
+    elif case == "bumped-p2":
+        F = perturbed_p2_form()
+        L = oracles.scalar_form_matrix(fixtures.p2()) + np.array([[0, 1.5], [1.5, 0]])
+        forms = [(L, F.measure, F)]
+    else:
+        forms = []
+        for m0 in (1e12, 1e150, 1e-150):
+            g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0}, measure=[m0, 1.0, 1.0])
+            forms.append((oracles.scalar_form_matrix(g), g.measure,
+                          assemble_scalar_form(g)))
+    for L, measure, F in forms:
+        want = _oracle_figures(L, measure)
+        criteria = beurling_deny_check(F)
+        got = {
+            "max_off_diagonal": criteria["positivity"]["max_off_diagonal"],
+            "min_kernel_ratio": criteria["positivity"]["min_kernel_ratio"],
+            "min_row_ratio": criteria["markov"]["min_row_ratio"],
+            "max_row_excess": criteria["markov"]["max_row_excess"],
+        }
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=0, abs=1e-12), (case, key)
+
+
+SMALL_ENTRY = st.sampled_from([-1.0, -0.5, 0.0, 0.0, 1.0])
+
+
+@st.composite
+def small_symmetric_forms(draw):
+    """A symmetric L on 2-5 vertices with off-diagonal entries in
+    {-1, -0.5, 0, 1} and row sums c(x) in {-0.5, 0, 0.5}, and a measure in
+    {1, 2}: any violation is large enough to show at t = 0.01."""
+    n = draw(st.integers(2, 5))
+    L = np.zeros((n, n))
+    for x in range(n):
+        for y in range(x + 1, n):
+            L[x, y] = L[y, x] = draw(SMALL_ENTRY)
+    c = [draw(st.sampled_from([-0.5, 0.0, 0.5])) for _ in range(n)]
+    L[np.diag_indices(n)] = c - L.sum(axis=1)
+    measure = np.array([draw(st.sampled_from([1.0, 2.0])) for _ in range(n)])
+    return FormOperator(L, measure)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(F=small_symmetric_forms())
+def test_beurling_deny_sides_agree(F):
+    criteria = beurling_deny_check(F)
+    for criterion in ("positivity", "markov"):
+        report = criteria[criterion]
+        assert report["form_ok"] == report["semigroup_ok"], (criterion, F.L)
+    off = F.L[~np.eye(F.n, dtype=bool)]
+    assert criteria["positivity"]["form_ok"] == (off <= 0).all()
 
 
 def test_ouhabaz_cone_and_interval_pass():
