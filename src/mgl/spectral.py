@@ -18,7 +18,6 @@ from operator import itemgetter
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg import blas
 
 from .errors import (
     AlphaTooSmall,
@@ -145,69 +144,77 @@ def form_limit_check(F: FormOperator, u, v, t_list) -> np.ndarray:
     return defects
 
 
+def _semigroup_side(F: FormOperator, t: float, tol: float):
+    """beurling_deny_check's semigroup side at one t; S_t is normalised in place."""
+    n, U, mu, w = F.n, F.eigenvectors, F.eigenvalues, F.m_sqrt
+    half = np.exp(-0.5 * t * mu)
+    V = U * half
+    S = V @ V.T
+    del V
+    delta = n * np.finfo(float).eps * (2.0 + t * np.abs(mu).max()) * half.max() ** 2
+    s = np.sqrt(np.diagonal(S))
+    scale = 1.0 + np.abs(S) @ w / w
+    rise = S @ w / w - 1.0
+    rows_ok = bool((rise <= tol * scale + delta * np.linalg.norm(w) / w).all())
+    x = int(np.argmax(rise / scale))
+    excess = (float(rise[x] / scale[x]), {"t": float(t), "x": x})
+    margin = np.outer(tol * s, s)
+    margin += S
+    kernel_ok = bool(margin.min() >= -delta)
+    s[s == 0] = 1.0
+    S /= s[:, None]
+    S /= s
+    np.fill_diagonal(S, np.inf)
+    x, y = np.unravel_index(np.argmin(S), S.shape)
+    kernel = (float(S[x, y]), {"t": float(t), "x": int(x), "y": int(y)})
+    return kernel_ok, rows_ok, kernel, excess
+
+
 def beurling_deny_check(
     F: FormOperator, t_list=DEFAULT_T_GRID, tol: float = 1e-10
 ) -> dict:
     """The first Beurling-Deny criteria of a real scalar form, decided exactly.
 
-    e^{-tA} >= 0 for every t exactly when every off-diagonal entry of L is
-    <= 0; it is sub-Markov (maps {0 <= u <= 1} into itself) exactly when in
-    addition L 1 >= 0, that is c(x) >= 0. The form side reads L: its largest
-    off-diagonal entry, and its smallest row sum over the row's absolute
-    sum. The semigroup side builds, per t, the kernel S_t = V V^T with
-    V = U e^{-t mu/2} from one syrk; e^{-tA} = M^-1/2 S_t M^1/2 has the entry
-    signs of S_t. It reports the smallest S_t(x, y) / sqrt(S_t(x, x) S_t(y, y))
-    over x != y, and the largest (e^{-tA} 1 - 1)(x) over its absolute scale
-    1 + sum_y |e^{-tA}(x, y)|, so that no judgement depends on the scale of L
-    or of the measure. Each side's Markov verdict includes its positivity
-    verdict. Returns the report dict, witnesses included.
+    e^{-tA} >= 0 for all t iff every off-diagonal entry of L is <= 0; it is
+    sub-Markov iff also L 1 >= 0. Form figures: the largest off-diagonal
+    entry of L, and the smallest row sum over the row's absolute sum.
+    Semigroup figures, from S_t = V V^T, V = U e^{-t mu/2}, which has the
+    entry signs of e^{-tA}: the smallest S_t(x, y) / sqrt(S_t(x, x) S_t(y, y))
+    over x != y, and the largest (e^{-tA} 1 - 1)(x) / (1 + sum_y |e^{-tA}(x, y)|).
+    The eigensolver's backward error leaves S_t off by up to
+    delta_t = n eps (2 + t |mu|_max) |S_t|_2, so a semigroup verdict fails only
+    beyond tol times the figure's scale plus delta_t (times |m^1/2|_2 / m(x)^1/2
+    for a row). Markov verdicts include their side's positivity verdict.
     """
     if F.d != 1 or np.iscomplexobj(F.L):
         raise DimensionMismatch("the Beurling-Deny check requires a real scalar form")
     if not len(t_list) or min(t_list) < 0:
         raise NegativeTime(f"Beurling-Deny times must be >= 0, at least one: {t_list}")
-    n, L, w = F.n, F.L, F.m_sqrt
-    off = np.where(np.eye(n, dtype=bool), -np.inf, L)
+    sides = [_semigroup_side(F, t, tol) for t in t_list]
+    kernel_ok = all(side[0] for side in sides)
+    kernel = min((side[2] for side in sides), key=itemgetter(0))
+    excess = max((side[3] for side in sides), key=itemgetter(0))
+    off = F.L.copy()
+    np.fill_diagonal(off, -np.inf)
     x, y = np.unravel_index(np.argmax(off), off.shape)
-    row_abs = np.abs(L).sum(axis=1)
-    rows = np.divide(L.sum(axis=1), row_abs, out=np.zeros(n), where=row_abs > 0)
+    top, positive = float(off[x, y]), bool(off[x, y] <= 0)
+    row_abs = np.abs(F.L).sum(axis=1)
+    rows = np.divide(F.L.sum(axis=1), row_abs, out=np.zeros(F.n), where=row_abs > 0)
     r = int(np.argmin(rows))
-
-    # (figure, witness) pairs of the semigroup side, compared by figure.
-    kernel, excess = (np.inf, None), (-np.inf, None)
-    U, mu = F.eigenvectors, F.eigenvalues
-    for t in t_list:
-        # syrk fills the upper triangle; mirror it for the row sums.
-        S = blas.dsyrk(1.0, U * np.exp(-0.5 * t * mu))
-        S += np.triu(S, 1).T
-        scale = np.sqrt(np.diagonal(S))
-        scale = np.outer(scale, scale)
-        ratio = np.divide(S, scale, out=np.zeros_like(S), where=scale > 0)
-        np.fill_diagonal(ratio, np.inf)
-        a, b = np.unravel_index(np.argmin(ratio), ratio.shape)
-        found = (float(ratio[a, b]), {"t": float(t), "x": int(a), "y": int(b)})
-        kernel = min(kernel, found, key=itemgetter(0))
-        rise = (S @ w / w - 1.0) / (1.0 + np.abs(S) @ w / w)
-        a = int(np.argmax(rise))
-        found = (float(rise[a]), {"t": float(t), "x": a})
-        excess = max(excess, found, key=itemgetter(0))
-
-    form_positive = bool(off[x, y] <= 0)
-    kernel_positive = kernel[0] >= -tol
     return {
         "positivity": {
-            "form_ok": form_positive,
-            "max_off_diagonal": float(off[x, y]),
-            "form_witness": [int(x), int(y)] if n > 1 else None,
-            "semigroup_ok": kernel_positive,
+            "form_ok": positive,
+            "max_off_diagonal": top,
+            "form_witness": [int(x), int(y)] if F.n > 1 else None,
+            "semigroup_ok": kernel_ok,
             "min_kernel_ratio": kernel[0],
-            "semigroup_witness": kernel[1],
+            "semigroup_witness": kernel[1] if F.n > 1 else None,
         },
         "markov": {
-            "form_ok": form_positive and bool(rows[r] >= -tol),
+            "form_ok": positive and bool(rows[r] >= -tol),
             "min_row_ratio": float(rows[r]),
             "form_witness": r,
-            "semigroup_ok": kernel_positive and excess[0] <= tol,
+            "semigroup_ok": kernel_ok and all(side[1] for side in sides),
             "max_row_excess": excess[0],
             "semigroup_witness": excess[1],
         },

@@ -350,6 +350,32 @@ def test_semigroup_id_form_limit_with_extreme_measure(tmp_path, m0):
         assert criterion["form_ok"] is True and criterion["semigroup_ok"] is True
 
 
+def _path_doc(n, heavy_at=0, heavy=1.0, measure=None):
+    edges = [{"u": x, "v": x + 1, "b": heavy if x == heavy_at else 1.0}
+             for x in range(n - 1)]
+    doc = {"n": n, "edges": edges}
+    if measure is not None:
+        doc["measure"] = measure
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _path_doc(50, heavy_at=25, heavy=1e6),
+    _path_doc(301, heavy_at=0, heavy=1e14),
+    _path_doc(40, measure=[1.0] * 10 + [1e-6] + [1.0] * 29),
+], ids=["p50-edge-1e6", "p301-edge-1e14", "p40-measure-1e-6"])
+def test_semigroup_id_beurling_deny_within_rounding_passes(tmp_path, doc):
+    # Valid specs with c = 0, where the exact row excess is 0 and far kernel
+    # entries are about 0. A heavy edge or a light vertex puts the rounding of
+    # the eigensystem far above 1e-10 of the kernel scale; it must not fail.
+    out = tmp_path / "s.json"
+    argv = ["semigroup-id", "--graph", write_json(tmp_path / "g.json", doc)]
+    assert run(argv + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for criterion in report["scalar"]["beurling_deny"].values():
+        assert criterion["form_ok"] is True and criterion["semigroup_ok"] is True
+
+
 @pytest.mark.parametrize("alphas", ["-5", "1e-7", "1e-7,5e-7"])
 def test_semigroup_id_refuses_vacuous_pass(p2_spec, tmp_path, capsys, alphas):
     # Every alpha is filtered out (by the CLI guard or the Laplace-check

@@ -304,6 +304,25 @@ def test_markov_check_detects_violation():
     assert report["max_row_excess"] > 1e-3
 
 
+def test_beurling_deny_rounding_bound_keeps_small_violations():
+    # Two vertices with killing 1 and a coupling of +1e-9: at t = 10 the
+    # kernel ratio is -tanh(1e-8), far beyond tol = 1e-10, while the
+    # eigensolver's rounding bound is about 2e-19 against a kernel of 4.5e-5.
+    eps = 1e-9
+    criteria = beurling_deny_check(FormOperator(np.array([[1.0, eps], [eps, 1.0]]),
+                                                np.ones(2)))
+    report = criteria["positivity"]
+    assert not report["form_ok"] and not report["semigroup_ok"]
+    assert report["min_kernel_ratio"] == pytest.approx(-np.tanh(10 * eps), rel=1e-6)
+    assert report["semigroup_witness"]["t"] == 10.0
+    # No coupling and killing -1e-9 at vertex 0: e^{-tA} 1 = e^{1e-9 t} there.
+    drained = FormOperator(np.diag([-eps, 1.0]), np.ones(2))
+    report = beurling_deny_check(drained)["markov"]
+    assert not report["form_ok"] and not report["semigroup_ok"]
+    rise = np.expm1(10 * eps)
+    assert report["max_row_excess"] == pytest.approx(rise / (2 + rise), rel=1e-6)
+
+
 def test_positivity_markov_all_scalar_fixtures():
     for name, F in scalar_fixture_forms().items():
         criteria = beurling_deny_check(F)
