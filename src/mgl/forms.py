@@ -3,11 +3,11 @@
 A FormOperator couples the form matrix L (so that Q(u, v) = <Lu, v> in the
 unweighted pairing) with the diagonal measure matrix M. The generator in
 the m-weighted inner product is A = M^-1 L; it is diagonalized through the
-honest Hermitian matrix M^-1/2 L M^-1/2 whose spectral decomposition is
-computed on the first spectral read and cached, since every downstream
-spectral operation (semigroups, resolvents, limit checks) reuses it, while
-callers that only read L (form probes, sparse solves, block restrictions)
-never pay for it. Instances are immutable.
+honest Hermitian matrix M^-1/2 L M^-1/2, whose spectral decomposition (and,
+for the Euler check, Householder reduction) is computed on first use and
+cached, since every downstream spectral operation reuses it, while callers
+that only read L (form probes, block restrictions) never pay for it.
+Instances are immutable.
 """
 
 from __future__ import annotations
@@ -27,8 +27,16 @@ from .errors import (
 )
 from .graphs import WeightedGraph
 
-# zheevd workspace per row beyond its minimum 2N + N^2, so zunmtr runs blocked.
+# Workspace per row (beyond zheevd's minimum 2N + N^2): Householder steps run blocked.
 _EIGH_BLOCK = 64
+
+
+def _lapack(routine, *args, **kwargs):
+    """A LAPACK wrapper's outputs before info; EigSolverFailure if info != 0."""
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise EigSolverFailure(f"{routine.__name__} failed: LAPACK info = {info}")
+    return out
 
 
 def _eigh(a):
@@ -45,11 +53,9 @@ def _eigh(a):
     if np.iscomplexobj(a):
         n = a.shape[0]
         lwork = 2 * n + n * n + _EIGH_BLOCK * n
-        w, v, info = lapack.zheevd(a, lower=1, lwork=lwork, overwrite_a=1)
+        w, v = _lapack(lapack.zheevd, a, lower=1, lwork=lwork, overwrite_a=1)
     else:
-        w, v, info = lapack.dsyevd(a, lower=1, overwrite_a=1)
-    if info != 0:
-        raise EigSolverFailure(f"eigendecomposition failed: LAPACK info = {info}")
+        w, v = _lapack(lapack.dsyevd, a, lower=1, overwrite_a=1)
     if not np.isfinite(w).all():
         raise EigSolverFailure("eigendecomposition returned non-finite eigenvalues")
     return w, v
@@ -112,6 +118,18 @@ class FormOperator:
         w.setflags(write=False)
         U.setflags(write=False)
         return w, U
+
+    @cached_property
+    def _tridiagonal(self):
+        """Householder reduction M^-1/2 L M^-1/2 = Q T Q* (?hetrd, lower), apart
+        from the eigensystem: Q's reflectors, their tau, and T's real diagonals."""
+        a = self._symmetrized()
+        hetrd = lapack.zhetrd if np.iscomplexobj(a) else lapack.dsytrd
+        lwork = _EIGH_BLOCK * self.dim
+        c, d, e, tau = _lapack(hetrd, a, lower=1, lwork=lwork, overwrite_a=1)
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise EigSolverFailure("tridiagonal reduction has non-finite entries")
+        return np.asfortranarray(c[1:, :-1]), d, e, tau
 
     @property
     def eigenvalues(self):

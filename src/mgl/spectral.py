@@ -1,13 +1,10 @@
 """Semigroups, resolvents, their analytic identities, and order criteria.
 
-All semigroup and resolvent evaluations go through the FormOperator's
-cached spectral decomposition. The two identity checks deliberately take
-independent routes: the Laplace check integrates the spectrally computed
-semigroup with composite Gauss-Legendre quadrature and compares against
-the resolvent, while the Euler check raises the resolvent to a power by
-repeated solves against one sparse LU factorization of L + sM, built from
-the form matrix and the measure alone, and compares against the
-spectrally computed semigroup.
+Semigroups and resolvents go through the FormOperator's cached spectral
+decomposition. The identity checks take independent routes: Laplace
+integrates the spectral semigroup (composite Gauss-Legendre) against the
+spectral resolvent; Euler raises the resolvent to a power by tridiagonal
+solves after the form's Householder reduction, which reads no eigenpair.
 """
 
 from __future__ import annotations
@@ -16,8 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     AlphaTooSmall,
@@ -26,7 +22,7 @@ from .errors import (
     ProjectionNotIdempotent,
 )
 from .domination import DEFAULT_T_GRID
-from .forms import FormOperator
+from .forms import FormOperator, _lapack
 
 TRUNCATION = 1e-12
 DEFAULT_PANELS = 64
@@ -92,14 +88,25 @@ def laplace_check(
     return F.norm(integral - F.resolvent(alpha, u))
 
 
+def _reflect(F: FormOperator, trans: str, v):
+    """Q v (trans 'N') or Q* v (trans 'C') in place, for an (N, k) block v of
+    the reduction's dtype; Q's reflectors act on rows 1: (?unmtr, uplo 'L')."""
+    refl, _, _, tau = F._tridiagonal
+    if tau.size:
+        real = not np.iscomplexobj(refl)
+        unmqr = lapack.dormqr if real else lapack.zunmqr
+        trans = trans.replace("C", "T") if real else trans
+        v[1:] = _lapack(unmqr, "L", trans, refl, tau, v[1:], v.shape[1])[0]
+    return v
+
+
 def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     """Error of the Euler approximation (n/t)^n (A + n/t)^-n u to e^{-tA} u.
 
-    With s = n/t, (A + s)^-1 = (L + sM)^-1 M, so the resolvent power is n
-    repeated solves against a single sparse LU factorization of the
-    Hermitian positive-definite matrix L + sM (with the factor s folded
-    into each step, which also avoids overflow). It reads only the form
-    matrix and the measure; the semigroup side is spectral.
+    With h = t/n and the form's Householder reduction M^-1/2 L M^-1/2 = Q T Q*,
+    T real tridiagonal, the power is M^-1/2 Q (I + hT)^-n Q* M^1/2 u: one dpttrf
+    of I + hT and n dpttrs on real columns (the real and imaginary parts); Q is
+    applied from its reflectors. No eigenpair is read; e^{-tA} u is spectral.
     """
     if n < 1:
         raise DimensionMismatch(f"power n must be >= 1, got {n}")
@@ -108,21 +115,16 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     if t == 0:
         return 0.0
     u = np.asarray(u)
-    u = u.astype(np.result_type(F.L, u))
-    weight = n / t * F.m_diag
-    shifted = scipy.sparse.csc_matrix(F.L, dtype=u.dtype) + scipy.sparse.diags(weight)
-    # A symmetric fill-reducing ordering with diagonal pivots keeps the
-    # factors of this Hermitian positive-definite matrix sparse.
-    lu = scipy.sparse.linalg.splu(
-        shifted,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    y = u
+    refl, d, e, _ = F._tridiagonal
+    h = t / n
+    # The wrapper wants a one-entry subdiagonal when T is 1 x 1.
+    df, ef = _lapack(lapack.dpttrf, 1.0 + h * d, h * e if e.size else np.zeros(1))
+    v = (F.m_sqrt * u).astype(np.result_type(refl, u, 1.0))[:, None]
+    y = np.asfortranarray(_reflect(F, "C", v.view(refl.dtype)).view(float))
     for _ in range(n):
-        y = lu.solve(weight * y)
-    return F.norm(y - F.semigroup(t, u))
+        y = _lapack(lapack.dpttrs, df, ef, y, overwrite_b=1)[0]
+    y = _reflect(F, "N", np.ascontiguousarray(y).view(refl.dtype)).view(v.dtype)
+    return F.norm(F.m_isqrt * y[:, 0] - F.semigroup(t, u))
 
 
 def form_limit_check(F: FormOperator, u, v, t_list) -> np.ndarray:

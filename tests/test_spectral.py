@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +20,11 @@ from mgl import (
 from mgl.errors import (
     AlphaInSpectrum,
     AlphaTooSmall,
+    EigSolverFailure,
     NegativeTime,
     ProjectionNotIdempotent,
 )
+from mgl.cli import _identity_suite
 from mgl.domination import DEFAULT_T_GRID
 from mgl.forms import FormOperator
 from mgl.spectral import positive_cone_projection, unit_interval_projection
@@ -183,6 +186,9 @@ def euler_fixture_forms():
     forms["path50"] = assemble_scalar_form(path)
     forms["path50_bundle"] = assemble_magnetic_form(path, fixtures.path50_bundle(path))
     forms["1x1"] = assemble_scalar_form(fixtures.single_vertex(1.0))
+    # One vertex of rank 3: T is 3 x 3 and Q is made of two reflectors.
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    forms["1x3"] = FormOperator(g @ g.conj().T, [0.7], d=3)
     return forms
 
 
@@ -201,13 +207,79 @@ def test_euler_matches_dense_oracle():
     rng = np.random.default_rng(76)
     for name, F in euler_fixture_forms().items():
         u = rng.standard_normal(F.dim)
+        vectors = [u]
         if np.iscomplexobj(F.L):
-            u = u + 1j * rng.standard_normal(F.dim)
-        scale = np.sqrt(np.sum(F.m_diag * np.abs(u) ** 2))
-        for n in (16, 256):
-            got = euler_limit_check(F, 0.7, u, n)
-            want = dense_euler_error(F, 0.7, u, n)
-            assert abs(got - want) <= 1e-10 * scale, (name, n, got, want)
+            # A complex vector, and a real one on the complex form.
+            vectors.insert(0, u + 1j * rng.standard_normal(F.dim))
+        for u in vectors:
+            scale = np.sqrt(np.sum(F.m_diag * np.abs(u) ** 2))
+            for n in (16, 256, 4096):
+                got = euler_limit_check(F, 0.7, u, n)
+                want = dense_euler_error(F, 0.7, u, n)
+                assert abs(got - want) <= 1e-10 * scale, (name, n, got, want)
+
+
+def test_euler_reads_no_eigenpair():
+    # Scaling the cached eigenvalues moves the spectral semigroup only: were
+    # the Euler power read off the eigensystem too, the error would stay small.
+    g = fixtures.random_graph()
+    for F in (
+        assemble_scalar_form(g),
+        assemble_magnetic_form(g, fixtures.random_bundle(g, 2, np.random.default_rng(1))),
+    ):
+        u = np.random.default_rng(2).standard_normal(F.dim)
+        assert _identity_suite(F, [1.0], 42)["euler_ok"]
+        assert euler_limit_check(F, 1.0, u, 4096) <= 1e-3 * F.norm(u)
+        w, U = F._eigensystem
+        F.__dict__["_eigensystem"] = (w * (1 + 1e-2), U)
+        assert euler_limit_check(F, 1.0, u, 4096) > 1e-3 * F.norm(u)
+        assert not _identity_suite(F, [1.0], 42)["euler_ok"]
+
+
+def test_euler_reduces_each_form_once(monkeypatch):
+    calls = []
+    for name in ("zhetrd", "dsytrd"):
+        routine = getattr(lapack, name)
+
+        def counting(a, *args, _routine=routine, **kwargs):
+            calls.append(a.shape)
+            return _routine(a, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, counting)
+    forms = euler_fixture_forms()
+    for F in (forms["rank2"], forms["path50"]):
+        u = np.ones(F.dim)
+        before = len(calls)
+        for n in (256, 512, 4096):
+            euler_limit_check(F, 0.7, u, n)
+        assert calls[before:] == [(F.dim, F.dim)]
+
+
+def test_euler_refuses_failed_lapack_calls(monkeypatch):
+    # A non-finite form fails at the reduction, for real and complex L (an
+    # infinity in a complex L already turns to NaN on ingest, with a warning).
+    g = fixtures.p3()
+    for dtype, bad in ((float, np.nan), (float, np.inf), (complex, np.nan)):
+        for entry in ((1, 1), (2, 0)):
+            L = assemble_scalar_form(g).L.astype(dtype)
+            L[entry] = bad
+            with pytest.raises(EigSolverFailure, match="tridiagonal"):
+                euler_limit_check(FormOperator(L, g.measure), 0.7, np.ones(3), 16)
+    # I + (t/n)A is not positive definite: dpttrf reports it.
+    F = FormOperator(-100.0 * np.eye(2), [1.0, 1.0])
+    with pytest.raises(EigSolverFailure, match="dpttrf"):
+        euler_limit_check(F, 0.7, np.ones(2), 16)
+    for name in ("zhetrd", "dpttrs", "zunmqr"):
+        routine = getattr(lapack, name)
+
+        def failing(*args, _routine=routine, **kwargs):
+            return *_routine(*args, **kwargs)[:-1], -1
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lapack, name, failing)
+            F = euler_fixture_forms()["rank2"]
+            with pytest.raises(EigSolverFailure, match="info = -1"):
+                euler_limit_check(F, 0.7, np.ones(F.dim), 16)
 
 
 def test_form_limit_p2_example():
