@@ -31,6 +31,9 @@ from .graphs import WeightedGraph
 DEFAULT_T_GRID = (0.01, 0.1, 1.0, 10.0)
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 10.0)
 DOMINATION_TOL = 1e-9
+# Columns of eigencoordinates taken back to the vertices at once: the grid
+# verdicts' temporaries stay this wide however many samples and vertices.
+VERDICT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,9 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
     each p the fiber norms of the A-side image of every sample and of every
     vertex probe e_x (x) v_x are compared with the B-side image of their
     pointwise norms (e_x for the probe). Each side projects its columns into
-    eigencoordinates once, so a parameter costs one back-transform per side.
+    eigencoordinates once, so a parameter costs one back-transform per side,
+    taken VERDICT_BLOCK columns at a time. Of equal slacks the first
+    parameter wins, then the least vertex, then the least column.
     """
     n, d = A.n, A.d
     sections = _sections(A, B, samples, rng)
@@ -137,40 +142,36 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
     k = len(sections)
     flat = sections.reshape(k, A.dim).T  # (n*d, k), one section per column
     mags = np.linalg.norm(sections, axis=2).T  # (n, k)
-    ya = np.concatenate(
-        [A._eigencoordinates(flat), A._section_eigencoordinates(fibers)], axis=1
-    )
-    yb = np.concatenate(
-        [B._eigencoordinates(mags), B._section_eigencoordinates(np.ones((n, 1)))],
-        axis=1,
-    )
+    ya = A._probe_eigencoordinates(flat, fibers)
+    yb = B._probe_eigencoordinates(mags, np.ones((n, 1)))
 
-    best = np.inf
-    witness = (None, None, None)
-    for p in params:
+    best = (np.inf, None, None, None)
+    for i, p in enumerate(params):
         fa, fb = multiplier(A, p), multiplier(B, p)
         if fa is None:
             # The identity compares the sections themselves; each vertex
             # probe, with its unit fiber vector, then has slack 0.
             lhs = np.linalg.norm(flat.reshape(n, d, k), axis=1)
-            slack = np.concatenate([mags - lhs, np.zeros((n, n))], axis=1)
-        else:
-            lhs = np.linalg.norm(
-                A._from_eigencoordinates(fa, ya).reshape(n, d, -1), axis=1
-            )
-            slack = B._from_eigencoordinates(fb, yb).real - lhs
-        idx = np.unravel_index(np.argmin(slack), slack.shape)
-        if slack[idx] < best:
-            best = float(slack[idx])
-            witness = (int(idx[1]), float(p), int(idx[0]))
-    if best >= -tol:
-        return Verdict(True, best)
-    column, param, vertex = witness
+            identity = np.concatenate([mags - lhs, np.zeros((n, n))], axis=1)
+        for start in range(0, k + n, VERDICT_BLOCK):
+            cols = slice(start, start + VERDICT_BLOCK)
+            if fa is None:
+                slack = identity[:, cols]
+            else:
+                slack = B._from_eigencoordinates(fb, yb[:, cols]).real
+                slack -= np.linalg.norm(
+                    A._from_eigencoordinates(fa, ya[:, cols]).reshape(n, d, -1), axis=1
+                )
+            x, j = np.unravel_index(np.argmin(slack), slack.shape)
+            best = min(best, (float(slack[x, j]), i, int(x), start + int(j)))
+    slack, i, vertex, column = best
+    if slack >= -tol:
+        return Verdict(True, slack)
     if column < k:
         section = sections[column].copy()
     else:
         section = _vertex_section(n, d, column - k, fibers[column - k])
-    return Verdict(False, best, section, param, vertex)
+    return Verdict(False, slack, section, float(params[i]), vertex)
 
 
 def check_semigroup_domination(

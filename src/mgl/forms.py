@@ -3,11 +3,12 @@
 A FormOperator couples the form matrix L (so that Q(u, v) = <Lu, v> in the
 unweighted pairing) with the diagonal measure matrix M. The generator in
 the m-weighted inner product is A = M^-1 L; it is diagonalized through the
-honest Hermitian matrix M^-1/2 L M^-1/2, whose spectral decomposition (and,
-for the Euler check, Householder reduction) is computed on first use and
-cached, since every downstream spectral operation reuses it, while callers
-that only read L (form probes, block restrictions) never pay for it.
-Instances are immutable.
+honest Hermitian matrix M^-1/2 L M^-1/2. Its Householder reduction Q T Q*
+(?hetrd) is computed on first use and cached. The Euler check solves with
+T directly; the eigensystem diagonalizes T (dstevd) and back-transforms the
+eigenvectors with Q. So each form is reduced once, whichever reads it
+first, while callers that only read L (form probes, block restrictions)
+never pay for it. Instances are immutable.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .errors import (
 )
 from .graphs import WeightedGraph
 
-# Workspace per row (beyond zheevd's minimum 2N + N^2): Householder steps run blocked.
+# Workspace per column of the matrix that ?hetrd reduces or that Q
+# multiplies, so that large reductions and back-transforms run blocked.
 _EIGH_BLOCK = 64
 
 
@@ -37,28 +39,6 @@ def _lapack(routine, *args, **kwargs):
     if info != 0:
         raise EigSolverFailure(f"{routine.__name__} failed: LAPACK info = {info}")
     return out
-
-
-def _eigh(a):
-    """Ascending eigenvalues and orthonormal eigenvectors of the Hermitian
-    matrix a, whose lower triangle is read.
-
-    a may be overwritten: given a Fortran-ordered float64 or complex128 array,
-    LAPACK works in place and the eigenvectors share its memory. Raises
-    EigSolverFailure on non-finite input, on a nonzero LAPACK info, or on
-    a non-finite eigenvalue.
-    """
-    if not np.isfinite(a).all():
-        raise EigSolverFailure("matrix to diagonalize has non-finite entries")
-    if np.iscomplexobj(a):
-        n = a.shape[0]
-        lwork = 2 * n + n * n + _EIGH_BLOCK * n
-        w, v = _lapack(lapack.zheevd, a, lower=1, lwork=lwork, overwrite_a=1)
-    else:
-        w, v = _lapack(lapack.dsyevd, a, lower=1, overwrite_a=1)
-    if not np.isfinite(w).all():
-        raise EigSolverFailure("eigendecomposition returned non-finite eigenvalues")
-    return w, v
 
 
 class FormOperator:
@@ -101,35 +81,58 @@ class FormOperator:
         self.m_isqrt = 1.0 / self.m_sqrt
 
     def _symmetrized(self):
-        """M^-1/2 L M^-1/2, the Hermitian matrix that is diagonalized.
+        """M^-1/2 L M^-1/2, the Hermitian matrix that is reduced.
 
-        Built in Fortran order, so that _eigh overwrites it with the
-        eigenvectors instead of copying it.
+        Built in Fortran order, so that ?hetrd overwrites it with the
+        reflectors instead of copying it.
         """
         # L is exactly Hermitian; the scaling may leave the result off by an
-        # ulp across the diagonal, which _eigh ignores: it reads one triangle.
+        # ulp across the diagonal, which ?hetrd ignores: it reads one triangle.
         a_sym = np.multiply(self.m_isqrt[:, None], self.L, order="F")
         a_sym *= self.m_isqrt[None, :]
         return a_sym
 
     @cached_property
-    def _eigensystem(self):
-        w, U = _eigh(self._symmetrized())
-        w.setflags(write=False)
-        U.setflags(write=False)
-        return w, U
-
-    @cached_property
     def _tridiagonal(self):
-        """Householder reduction M^-1/2 L M^-1/2 = Q T Q* (?hetrd, lower), apart
-        from the eigensystem: Q's reflectors, their tau, and T's real diagonals."""
+        """Householder reduction M^-1/2 L M^-1/2 = Q T Q* (?hetrd, lower): Q's
+        reflectors and their tau, and T's real diagonals (the subdiagonal is
+        one 0 when T is 1 x 1, as the LAPACK wrappers that read it require)."""
         a = self._symmetrized()
+        # LAPACK does not check its input.
+        if not np.isfinite(a).all():
+            raise EigSolverFailure("matrix to reduce to tridiagonal form is not finite")
         hetrd = lapack.zhetrd if np.iscomplexobj(a) else lapack.dsytrd
         lwork = _EIGH_BLOCK * self.dim
         c, d, e, tau = _lapack(hetrd, a, lower=1, lwork=lwork, overwrite_a=1)
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise EigSolverFailure("tridiagonal reduction has non-finite entries")
-        return np.asfortranarray(c[1:, :-1]), d, e, tau
+        return np.asfortranarray(c[1:, :-1]), d, e if e.size else np.zeros(1), tau
+
+    def _reflect(self, trans: str, v):
+        """Q v (trans 'N') or Q* v (trans 'C') in place, for an (N, k) block v of
+        the reduction's dtype; Q's reflectors act on rows 1: (?unmtr, uplo 'L')."""
+        refl, _, _, tau = self._tridiagonal
+        if tau.size:
+            real = not np.iscomplexobj(refl)
+            unmqr = lapack.dormqr if real else lapack.zunmqr
+            trans = trans.replace("C", "T") if real else trans
+            lwork = _EIGH_BLOCK * v.shape[1]
+            v[1:] = _lapack(unmqr, "L", trans, refl, tau, v[1:], lwork)[0]
+        return v
+
+    @cached_property
+    def _eigensystem(self):
+        """T = Z diag(w) Z^T by divide and conquer (dstevd), and U = Q Z."""
+        refl, d, e, _ = self._tridiagonal
+        w, Z = _lapack(lapack.dstevd, d, e)
+        if not np.isfinite(w).all():
+            raise EigSolverFailure("eigendecomposition returned non-finite eigenvalues")
+        # Rebinding frees a complex form's real Z before _reflect copies rows 1:.
+        Z = Z.astype(refl.dtype, order="F", copy=False)
+        U = self._reflect("N", Z)
+        w.setflags(write=False)
+        U.setflags(write=False)
+        return w, U
 
     @property
     def eigenvalues(self):
@@ -194,19 +197,26 @@ class FormOperator:
         # U* v = conj(U^T conj(v)) needs no conjugated N x N copy of U.
         return (self.eigenvectors.T @ (self.m_sqrt[:, None] * cols).conj()).conj()
 
-    def _section_eigencoordinates(self, fibers):
-        """(N, n) eigencoordinates of the sections e_x (x) fibers[x], one
-        column per vertex x, for an (n, d) array of fiber vectors.
+    def _probe_eigencoordinates(self, cols, fibers):
+        """(N, k + n) eigencoordinates of the columns of an (N, k) batch, then
+        of the sections e_x (x) fibers[x], one per vertex x, for an (n, d)
+        array of fiber vectors.
 
-        Column x is m_sqrt(x) U[x d : x d + d]* fibers[x]: d rows of U
+        Column k + x is m_sqrt(x) U[x d : x d + d]* fibers[x]: d rows of U
         contracted with a d-vector.
         """
+        k = cols.shape[1]
+        dtype = np.result_type(self.eigenvectors, cols, fibers)
+        y = np.empty((self.dim, k + self.n), dtype)
+        y[:, :k] = self._eigencoordinates(cols)
         # U^T is C-ordered (LAPACK returns U in Fortran order), so its
         # (N, n, d) reshape is a view; conj(U^T conj(f)) avoids a conjugated
-        # copy of U.
+        # copy of U. The sections are written into y in place.
         rows = self.eigenvectors.T.reshape(self.dim, self.n, self.d)
-        y = np.einsum("kxj,xj->kx", rows, np.conj(fibers)).conj()
-        return y * self.m_sqrt[:: self.d]
+        sections = np.einsum("kxj,xj->kx", rows, np.conj(fibers), out=y[:, k:])
+        np.conjugate(sections, out=sections)
+        sections *= self.m_sqrt[:: self.d]
+        return y
 
     def _from_eigencoordinates(self, scalars, y):
         """M^-1/2 U diag(scalars) y for an (N, k) batch y of eigencoordinates."""

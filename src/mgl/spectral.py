@@ -3,8 +3,10 @@
 Semigroups and resolvents go through the FormOperator's cached spectral
 decomposition. The identity checks take independent routes: Laplace
 integrates the spectral semigroup (composite Gauss-Legendre) against the
-spectral resolvent; Euler raises the resolvent to a power by tridiagonal
-solves after the form's Householder reduction, which reads no eigenpair.
+spectral resolvent. Euler and the eigensystem share the form's one
+Householder reduction Q T Q* (?hetrd) and diverge after it: Euler runs
+dpttrs solves with I + (t/n) T and reads no eigenpair; the eigensystem
+runs dstevd on T, then the back-transform by Q.
 """
 
 from __future__ import annotations
@@ -88,18 +90,6 @@ def laplace_check(
     return F.norm(integral - F.resolvent(alpha, u))
 
 
-def _reflect(F: FormOperator, trans: str, v):
-    """Q v (trans 'N') or Q* v (trans 'C') in place, for an (N, k) block v of
-    the reduction's dtype; Q's reflectors act on rows 1: (?unmtr, uplo 'L')."""
-    refl, _, _, tau = F._tridiagonal
-    if tau.size:
-        real = not np.iscomplexobj(refl)
-        unmqr = lapack.dormqr if real else lapack.zunmqr
-        trans = trans.replace("C", "T") if real else trans
-        v[1:] = _lapack(unmqr, "L", trans, refl, tau, v[1:], v.shape[1])[0]
-    return v
-
-
 def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     """Error of the Euler approximation (n/t)^n (A + n/t)^-n u to e^{-tA} u.
 
@@ -117,13 +107,12 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     u = np.asarray(u)
     refl, d, e, _ = F._tridiagonal
     h = t / n
-    # The wrapper wants a one-entry subdiagonal when T is 1 x 1.
-    df, ef = _lapack(lapack.dpttrf, 1.0 + h * d, h * e if e.size else np.zeros(1))
+    df, ef = _lapack(lapack.dpttrf, 1.0 + h * d, h * e)
     v = (F.m_sqrt * u).astype(np.result_type(refl, u, 1.0))[:, None]
-    y = np.asfortranarray(_reflect(F, "C", v.view(refl.dtype)).view(float))
+    y = np.asfortranarray(F._reflect("C", v.view(refl.dtype)).view(float))
     for _ in range(n):
         y = _lapack(lapack.dpttrs, df, ef, y, overwrite_b=1)[0]
-    y = _reflect(F, "N", np.ascontiguousarray(y).view(refl.dtype)).view(v.dtype)
+    y = F._reflect("N", np.ascontiguousarray(y).view(refl.dtype)).view(v.dtype)
     return F.norm(F.m_isqrt * y[:, 0] - F.semigroup(t, u))
 
 

@@ -6,6 +6,7 @@ import argparse
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from mgl import HermitianBundle, WeightedGraph, trivial_bundle
 from mgl.cli import build_parser
@@ -262,3 +263,18 @@ def cli_flags():
                if flag not in ("-h", "--help")]
         for name, sub in commands.items()
     }
+
+
+def counting_lapack(monkeypatch, names):
+    """Patch each named LAPACK wrapper to record (name, shape of its first
+    argument) per call; return the record."""
+    calls = []
+    for name in names:
+        routine = getattr(lapack, name)
+
+        def counting(a, *args, _routine=routine, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _routine(a, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, counting)
+    return calls

@@ -18,6 +18,7 @@ from mgl import (
     sgn_inequality_check,
     trivial_bundle,
 )
+from mgl import domination
 from mgl.bundles import HermitianBundle, load_bundle, pair
 from mgl.cli import run
 from mgl.domination import (
@@ -495,6 +496,36 @@ def test_eigencoordinate_checks_match_per_parameter_route():
             np.testing.assert_array_equal(
                 verdict.witness_vector, sections[np.argmin(aligned)]
             )
+    assert failures >= 10
+
+
+def test_grid_verdicts_do_not_depend_on_the_block_width(monkeypatch):
+    # The grid verdicts take VERDICT_BLOCK columns back to the vertices at a
+    # time. A width of 7 splits every case into several blocks and 10^6
+    # keeps each whole; the Verdicts must be the same, ties included. The
+    # slacks may differ by rounding only: a complex GEMM on fewer columns
+    # than its kernel's unrolling sums in another order.
+    rng = np.random.default_rng(58)
+    levels = (
+        (check_semigroup_domination, (0.0, 0.01, 1.0, 10.0)),
+        (check_resolvent_domination, (0.5, 10.0)),
+    )
+    failures = 0
+    for A, B, _ in _domination_cases():
+        shape = (9, A.n, A.d)
+        sections = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for check, grid in levels:
+            verdicts = []
+            for width in (7, 10**6):
+                monkeypatch.setattr(domination, "VERDICT_BLOCK", width)
+                verdicts.append(check(A, B, grid, samples=sections))
+            narrow, wide = verdicts
+            assert narrow.passed == wide.passed
+            assert _close(narrow.slack, wide.slack)
+            assert narrow.witness_param == wide.witness_param
+            assert narrow.witness_vertex == wide.witness_vertex
+            np.testing.assert_array_equal(narrow.witness_vector, wide.witness_vector)
+            failures += not narrow.passed
     assert failures >= 10
 
 

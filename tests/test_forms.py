@@ -193,14 +193,7 @@ def test_diamagnetic_form_inequality():
 
 
 def test_spectrum_is_computed_on_first_read(monkeypatch):
-    calls = []
-    eigh = forms._eigh
-
-    def counting(a):
-        calls.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(forms, "_eigh", counting)
+    calls = fixtures.counting_lapack(monkeypatch, ("zhetrd", "dsytrd"))
     g = fixtures.random_graph()
     bundle = fixtures.random_bundle(g, 2, np.random.default_rng(69))
     A = assemble_magnetic_form(g, bundle)
@@ -211,24 +204,25 @@ def test_spectrum_is_computed_on_first_read(monkeypatch):
     assert calls == []
     assert A.lower_bound == A.eigenvalues[0]
     assert A.eigenvectors.shape == (A.dim, A.dim)
-    assert calls == [(A.dim, A.dim)]
+    assert calls == [("zhetrd", (A.dim, A.dim))]
     assert A.reconstruction_defect() <= 1e-12
 
-    def failing(a, **kwargs):
-        # What LAPACK returns when the tridiagonal QR does not converge.
-        return np.zeros(len(a)), a, 1
+    def failing(d, e, **kwargs):
+        # What LAPACK returns when divide and conquer does not converge.
+        return d, np.eye(len(d)), 1
 
-    monkeypatch.setattr(forms.lapack, "dsyevd", failing)
+    monkeypatch.setattr(forms.lapack, "dstevd", failing)
     B = assemble_scalar_form(g)
     assert B.quad(np.ones(g.n)) == pytest.approx(g.killing.sum(), rel=1e-12)
-    with pytest.raises(EigSolverFailure):
+    with pytest.raises(EigSolverFailure, match="info = 1"):
         B.lower_bound
 
 
 def test_lapack_eigensystem_matches_numpy():
-    # forms._eigh against the independent np.linalg.eigh on the fixture set,
-    # plus a complex form with N = 300, large enough that zheevd's blocked
-    # back-transform runs.
+    # The eigensystem (?hetrd, dstevd, then Q applied by ?unmqr) against the
+    # independent np.linalg.eigh on the fixture set, plus a complex form with
+    # N = 300 and a real one with N = 320, large enough that the blocked
+    # back-transform runs for both dtypes.
     rng = np.random.default_rng(71)
     forms_ = []
     for g in fixtures.fixture_graphs().values():
@@ -240,6 +234,8 @@ def test_lapack_eigensystem_matches_numpy():
     big = fixtures.random_graph(n=100)
     forms_.append(assemble_magnetic_form(big, fixtures.random_bundle(big, 3, rng)))
     assert forms_[-1].dim == 300 and np.iscomplexobj(forms_[-1].L)
+    forms_.append(assemble_scalar_form(fixtures.random_graph(n=320)))
+    assert forms_[-1].dim == 320 and not np.iscomplexobj(forms_[-1].L)
     for F in forms_:
         w, U = F.eigenvalues, F.eigenvectors
         expected = np.linalg.eigh(F._symmetrized())[0]
@@ -250,25 +246,31 @@ def test_lapack_eigensystem_matches_numpy():
 
 def test_nonfinite_form_fails_at_the_first_spectral_read(monkeypatch):
     # LAPACK does not check its input: a NaN or infinity in L must raise
-    # EigSolverFailure before the solver runs, while the form itself, which
+    # EigSolverFailure before any LAPACK call, while the form itself, which
     # needs no spectrum, still evaluates (to the non-finite value).
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK called on a non-finite matrix")
 
     g = fixtures.p3()
     with monkeypatch.context() as patch:
-        patch.setattr(forms.lapack, "dsyevd", refuse)
-        for bad in (np.nan, np.inf):
-            L = assemble_scalar_form(g).L.copy()
+        for name in ("dsytrd", "zhetrd", "dstevd"):
+            patch.setattr(forms.lapack, name, refuse)
+        for dtype, bad in ((float, np.nan), (float, np.inf), (complex, np.nan)):
+            L = assemble_scalar_form(g).L.astype(dtype)
             L[1, 1] = bad
             F = FormOperator(L, g.measure)
             assert not np.isfinite(F.quad(np.ones(3)))
             with pytest.raises(EigSolverFailure):
                 F.eigenvalues
-    # A finite matrix whose eigenvalue overflows fails after the solver.
+    # A finite form whose T is finite but whose top eigenvalue, 8e307 times
+    # 1 + sqrt(2), overflows fails after dstevd.
+    calls = fixtures.counting_lapack(monkeypatch, ("dstevd",))
     for dtype in (float, complex):
-        with pytest.raises(EigSolverFailure):
-            forms._eigh(np.full((2, 2), 1e308, dtype=dtype, order="F"))
+        L = 8e307 * (np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1)).astype(dtype)
+        F = FormOperator(L, np.ones(3))
+        with pytest.raises(EigSolverFailure, match="non-finite eigenvalues"):
+            F.eigenvalues
+    assert len(calls) == 2
 
 
 def test_evaluate_batches_match_columns():

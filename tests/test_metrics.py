@@ -410,7 +410,8 @@ def test_exhaustion_runs_no_eigendecomposition(monkeypatch):
         raise AssertionError("eigensolver called")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(forms, "_eigh", refuse)
+    for name in ("zhetrd", "dsytrd", "dstevd"):
+        monkeypatch.setattr(forms.lapack, name, refuse)
     monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
     g = fixtures.random_graph(n=12)

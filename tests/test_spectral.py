@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,7 +26,7 @@ from mgl.errors import (
     NegativeTime,
     ProjectionNotIdempotent,
 )
-from mgl.cli import _identity_suite
+from mgl.cli import _identity_suite, run
 from mgl.domination import DEFAULT_T_GRID
 from mgl.forms import FormOperator
 from mgl.spectral import positive_cone_projection, unit_interval_projection
@@ -237,22 +239,55 @@ def test_euler_reads_no_eigenpair():
 
 
 def test_euler_reduces_each_form_once(monkeypatch):
-    calls = []
-    for name in ("zhetrd", "dsytrd"):
-        routine = getattr(lapack, name)
-
-        def counting(a, *args, _routine=routine, **kwargs):
-            calls.append(a.shape)
-            return _routine(a, *args, **kwargs)
-
-        monkeypatch.setattr(lapack, name, counting)
+    calls = fixtures.counting_lapack(monkeypatch, ("zhetrd", "dsytrd"))
     forms = euler_fixture_forms()
     for F in (forms["rank2"], forms["path50"]):
         u = np.ones(F.dim)
         before = len(calls)
         for n in (256, 512, 4096):
             euler_limit_check(F, 0.7, u, n)
-        assert calls[before:] == [(F.dim, F.dim)]
+        assert [shape for _, shape in calls[before:]] == [(F.dim, F.dim)]
+
+
+def test_spectrum_and_euler_share_one_reduction(monkeypatch):
+    # Whichever is read first, the eigensystem and the Euler check use the
+    # same cached ?hetrd reduction; the eigensystem adds one dstevd on T.
+    calls = fixtures.counting_lapack(monkeypatch, ("zhetrd", "dsytrd", "dstevd"))
+    g = fixtures.random_graph()
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(3))
+    for spectrum_first in (True, False):
+        for F in (assemble_scalar_form(g), assemble_magnetic_form(g, bundle)):
+            u = np.ones(F.dim)
+            before = len(calls)
+            if spectrum_first:
+                F.eigenvalues
+            error = euler_limit_check(F, 0.7, u, 256)
+            F.eigenvectors
+            hetrd = "zhetrd" if np.iscomplexobj(F.L) else "dsytrd"
+            expected = [(hetrd, (F.dim, F.dim)), ("dstevd", (F.dim,))]
+            assert sorted(calls[before:]) == sorted(expected)
+            assert error <= 1e-2 * F.norm(u)
+
+
+def test_semigroup_id_reduces_each_form_once(monkeypatch, tmp_path):
+    # One semigroup-id run on a rank-2 spec: one reduction of the magnetic
+    # form (zhetrd) and one of the scalar form (dsytrd), read by both the
+    # Euler check and the eigensystem; no full eigensolver runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second eigensolver route ran")
+
+    for name in ("zheevd", "dsyevd"):
+        monkeypatch.setattr(lapack, name, refuse)
+    calls = fixtures.counting_lapack(monkeypatch, ("zhetrd", "dsytrd"))
+    paths = []
+    for name, doc in zip(("graph", "bundle"), fixtures.diamagnetic_docs(d=2)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["semigroup-id", "--graph", str(paths[0]), "--bundle", str(paths[1])]
+    assert run([*argv, "--out", str(out)]) == 0
+    n = json.loads(paths[0].read_text())["n"]
+    assert sorted(calls) == [("dsytrd", (n, n)), ("zhetrd", (2 * n, 2 * n))]
 
 
 def test_euler_refuses_failed_lapack_calls(monkeypatch):
