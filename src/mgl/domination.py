@@ -31,8 +31,9 @@ from .graphs import WeightedGraph
 DEFAULT_T_GRID = (0.01, 0.1, 1.0, 10.0)
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 10.0)
 DOMINATION_TOL = 1e-9
-# Columns of eigencoordinates taken back to the vertices at once: the grid
-# verdicts' temporaries stay this wide however many samples and vertices.
+# Columns projected into eigencoordinates and taken back to the vertices at
+# once: the grid verdicts' temporaries stay this wide however many samples
+# and vertices.
 VERDICT_BLOCK = 256
 
 
@@ -94,6 +95,17 @@ def _vertex_section(n: int, d: int, x: int, fiber) -> np.ndarray:
     return out
 
 
+def _blocks(F: FormOperator, rows, cols) -> np.ndarray:
+    """The d x d blocks L(rows[i], cols[i]) of F's form matrix, read from its
+    stored entries: a (len(rows), d, d) array."""
+    d, j = F.d, np.arange(F.d)
+    # Entry (i, a d + b) of these indexes L(rows[i] d + a, cols[i] d + b). Two
+    # 2-D index arrays give a sparse array of their shape, even when empty.
+    r = np.repeat(rows[:, None] * d + j, d, axis=1)
+    c = np.tile(cols[:, None] * d + j, d)
+    return F.L[r, c].toarray().reshape(-1, d, d)
+
+
 def _vertex_probes(A: FormOperator, B: FormOperator):
     """Worst fiber direction at each vertex.
 
@@ -103,8 +115,7 @@ def _vertex_probes(A: FormOperator, B: FormOperator):
     least over all unit sections supported at x.
     """
     v = np.arange(A.n)
-    blocks = A.L.reshape(A.n, A.d, A.n, A.d)[v, :, v, :]
-    shifted = blocks - np.diagonal(B.L).real[:, None, None] * np.eye(A.d)
+    shifted = _blocks(A, v, v) - B.L.diagonal().real[:, None, None] * np.eye(A.d)
     w, vectors = np.linalg.eigh(shifted)
     return w[:, 0], vectors[:, :, 0]
 
@@ -119,9 +130,8 @@ def _edge_probes(A: FormOperator, B: FormOperator, edges):
     fiber vectors v of f1.
     """
     x, y = edges.T
-    blocks = A.L.reshape(A.n, A.d, A.n, A.d)[y, :, x, :]
-    _, s, vh = np.linalg.svd(blocks)
-    return -B.L[y, x].real - s[:, 0], vh[:, 0, :].conj()
+    _, s, vh = np.linalg.svd(_blocks(A, y, x))
+    return -_blocks(B, y, x)[:, 0, 0].real - s[:, 0], vh[:, 0, :].conj()
 
 
 def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
@@ -131,10 +141,11 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
     parameter p, or None where that operator is exactly the identity. At
     each p the fiber norms of the A-side image of every sample and of every
     vertex probe e_x (x) v_x are compared with the B-side image of their
-    pointwise norms (e_x for the probe). Each side projects its columns into
-    eigencoordinates once, so a parameter costs one back-transform per side,
-    taken VERDICT_BLOCK columns at a time. Of equal slacks the first
-    parameter wins, then the least vertex, then the least column.
+    pointwise norms (e_x for the probe). The samples, then the probes, are
+    taken VERDICT_BLOCK columns at a time: each side projects a block into
+    eigencoordinates once and takes it back once per parameter. Of equal
+    slacks the first parameter wins, then the least vertex, then the least
+    column.
     """
     n, d = A.n, A.d
     sections = _sections(A, B, samples, rng)
@@ -142,25 +153,25 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
     k = len(sections)
     flat = sections.reshape(k, A.dim).T  # (n*d, k), one section per column
     mags = np.linalg.norm(sections, axis=2).T  # (n, k)
-    ya = A._probe_eigencoordinates(flat, fibers)
-    yb = B._probe_eigencoordinates(mags, np.ones((n, 1)))
+    scalars = [(multiplier(A, p), multiplier(B, p)) for p in params]
 
     best = (np.inf, None, None, None)
-    for i, p in enumerate(params):
-        fa, fb = multiplier(A, p), multiplier(B, p)
-        if fa is None:
-            # The identity compares the sections themselves; each vertex
-            # probe, with its unit fiber vector, then has slack 0.
-            lhs = np.linalg.norm(flat.reshape(n, d, k), axis=1)
-            identity = np.concatenate([mags - lhs, np.zeros((n, n))], axis=1)
-        for start in range(0, k + n, VERDICT_BLOCK):
-            cols = slice(start, start + VERDICT_BLOCK)
+    for start in range(0, k + n, VERDICT_BLOCK):
+        cols = slice(start, start + VERDICT_BLOCK)
+        probes = slice(max(start - k, 0), max(start + VERDICT_BLOCK - k, 0))
+        ya = A._probe_eigencoordinates(flat[:, cols], fibers, probes)
+        yb = B._probe_eigencoordinates(mags[:, cols], np.ones((n, 1)), probes)
+        for i, (fa, fb) in enumerate(scalars):
             if fa is None:
-                slack = identity[:, cols]
+                # The identity compares the sections themselves; each vertex
+                # probe, with its unit fiber vector, then has slack 0.
+                slack = np.zeros((n, yb.shape[1]))
+                lhs = np.linalg.norm(flat[:, cols].reshape(n, d, -1), axis=1)
+                slack[:, : lhs.shape[1]] = mags[:, cols] - lhs
             else:
-                slack = B._from_eigencoordinates(fb, yb[:, cols]).real
+                slack = B._from_eigencoordinates(fb, yb).real
                 slack -= np.linalg.norm(
-                    A._from_eigencoordinates(fa, ya[:, cols]).reshape(n, d, -1), axis=1
+                    A._from_eigencoordinates(fa, ya).reshape(n, d, -1), axis=1
                 )
             x, j = np.unravel_index(np.argmin(slack), slack.shape)
             best = min(best, (float(slack[x, j]), i, int(x), start + int(j)))

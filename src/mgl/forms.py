@@ -1,14 +1,17 @@
 """Assembly of scalar and magnetic energy forms as Hermitian matrices.
 
 A FormOperator couples the form matrix L (so that Q(u, v) = <Lu, v> in the
-unweighted pairing) with the diagonal measure matrix M. The generator in
-the m-weighted inner product is A = M^-1 L; it is diagonalized through the
-honest Hermitian matrix M^-1/2 L M^-1/2. Its Householder reduction Q T Q*
-(?hetrd) is computed on first use and cached. The Euler check solves with
-T directly; the eigensystem diagonalizes T (dstevd) and back-transforms the
-eigenvectors with Q. So each form is reduced once, whichever reads it
-first, while callers that only read L (form probes, block restrictions)
-never pay for it. Instances are immutable.
+unweighted pairing) with the diagonal measure matrix M. L is kept sparse,
+as a CSR array: form values, the generator action and every block a caller
+reads come from its stored entries. The generator in the m-weighted inner
+product is A = M^-1 L; it is diagonalized through the honest Hermitian
+matrix M^-1/2 L M^-1/2, which is densified once, straight into the buffer
+that its Householder reduction Q T Q* (?hetrd) overwrites. The reduction
+is computed on first use and cached. The Euler check solves with T
+directly; the eigensystem diagonalizes T (dstevd) and back-transforms the
+eigenvectors with Q, in place. So each form is reduced once, whichever
+reads it first, while callers that only read L (form probes, block
+restrictions) never hold a dense N x N array. Instances are immutable.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.sparse import csr_array
 
 from .bundles import HermitianBundle, validate_bundle
 from .errors import (
@@ -47,7 +51,8 @@ class FormOperator:
 
     Parameters
     ----------
-    L : (N, N) array, Hermitian up to rounding; symmetrized on ingest
+    L : (N, N) dense array, Hermitian up to rounding; symmetrized on ingest
+        and kept as a read-only CSR array, so the caller's array is not held
     measure : (n,) strictly positive vertex measures
     d : fiber dimension, with N = n * d (1 for scalar forms)
 
@@ -67,10 +72,12 @@ class FormOperator:
                 f"matrix size {L.shape[0]} != n*d = {measure.size * d}"
             )
 
-        # Averaging with the adjoint makes L exactly Hermitian.
-        self.L = L + L.conj().T
-        self.L *= 0.5
-        self.L.setflags(write=False)
+        # Averaging with the adjoint makes L exactly Hermitian; the sparse
+        # sum adds the same two entries as the dense one would.
+        L = csr_array(L)
+        self.L = (L + L.conj().T) * 0.5
+        for part in (self.L.data, self.L.indices, self.L.indptr):
+            part.setflags(write=False)
         self.measure = measure
         self.d = int(d)
         self.n = measure.size
@@ -83,13 +90,14 @@ class FormOperator:
     def _symmetrized(self):
         """M^-1/2 L M^-1/2, the Hermitian matrix that is reduced.
 
-        Built in Fortran order, so that ?hetrd overwrites it with the
-        reflectors instead of copying it.
+        Densified from L's entries into a Fortran-ordered array, so that
+        ?hetrd overwrites it with the reflectors instead of copying it.
         """
         # L is exactly Hermitian; the scaling may leave the result off by an
         # ulp across the diagonal, which ?hetrd ignores: it reads one triangle.
-        a_sym = np.multiply(self.m_isqrt[:, None], self.L, order="F")
-        a_sym *= self.m_isqrt[None, :]
+        L = self.L.tocoo()
+        a_sym = np.zeros(L.shape, L.dtype, order="F")
+        a_sym[L.row, L.col] = self.m_isqrt[L.row] * L.data * self.m_isqrt[L.col]
         return a_sym
 
     @cached_property
@@ -109,15 +117,32 @@ class FormOperator:
         return np.asfortranarray(c[1:, :-1]), d, e if e.size else np.zeros(1), tau
 
     def _reflect(self, trans: str, v):
-        """Q v (trans 'N') or Q* v (trans 'C') in place, for an (N, k) block v of
-        the reduction's dtype; Q's reflectors act on rows 1: (?unmtr, uplo 'L')."""
+        """Q v (trans 'N') or Q* v (trans 'C') in place, for an (N, k) block v
+        of the reduction's dtype.
+
+        Q's reflectors act on rows 1: (?unmtr, uplo 'L'). ?unmqr overwrites
+        its block only where that is one Fortran array; f2py copies any other.
+        The rows 1: of a single column are, so Q acts on a column from the
+        left. Wider blocks take Q from the right, on the columns 1: of
+        W = conj(v)^T, which are one for a C-ordered v: (Q v)^T = conj(W Q*)
+        and (Q* v)^T = conj(W Q). (From the right, ?unmqr makes a BLAS call
+        per column of W and reflector, which is slow for a single column.)
+        """
         refl, _, _, tau = self._tridiagonal
-        if tau.size:
-            real = not np.iscomplexobj(refl)
-            unmqr = lapack.dormqr if real else lapack.zunmqr
-            trans = trans.replace("C", "T") if real else trans
-            lwork = _EIGH_BLOCK * v.shape[1]
-            v[1:] = _lapack(unmqr, "L", trans, refl, tau, v[1:], lwork)[0]
+        if not tau.size:
+            return v
+        real = not np.iscomplexobj(refl)
+        unmqr = lapack.dormqr if real else lapack.zunmqr
+        side, c = "L", v[1:]
+        if v.shape[1] > 1:
+            side, c = "R", np.conjugate(v, out=v).T[:, 1:]
+            trans = "N" if trans == "C" else "C"
+        trans = trans.replace("C", "T") if real else trans
+        lwork = _EIGH_BLOCK * v.shape[1]
+        # The copy back is a no-op where ?unmqr overwrote c itself.
+        c[...] = _lapack(unmqr, side, trans, refl, tau, c, lwork, overwrite_c=1)[0]
+        if side == "R":
+            np.conjugate(v, out=v)
         return v
 
     @cached_property
@@ -127,8 +152,9 @@ class FormOperator:
         w, Z = _lapack(lapack.dstevd, d, e)
         if not np.isfinite(w).all():
             raise EigSolverFailure("eigendecomposition returned non-finite eigenvalues")
-        # Rebinding frees a complex form's real Z before _reflect copies rows 1:.
-        Z = Z.astype(refl.dtype, order="F", copy=False)
+        # _reflect runs in place on C order; rebinding frees the Fortran-
+        # ordered Z before the back-transform runs.
+        Z = np.ascontiguousarray(Z, dtype=refl.dtype)
         U = self._reflect("N", Z)
         w.setflags(write=False)
         U.setflags(write=False)
@@ -197,25 +223,26 @@ class FormOperator:
         # U* v = conj(U^T conj(v)) needs no conjugated N x N copy of U.
         return (self.eigenvectors.T @ (self.m_sqrt[:, None] * cols).conj()).conj()
 
-    def _probe_eigencoordinates(self, cols, fibers):
-        """(N, k + n) eigencoordinates of the columns of an (N, k) batch, then
-        of the sections e_x (x) fibers[x], one per vertex x, for an (n, d)
-        array of fiber vectors.
+    def _probe_eigencoordinates(self, cols, fibers, vertices: slice):
+        """Eigencoordinates of the columns of an (N, k) batch, then of the
+        sections e_x (x) fibers[x] for the vertices x of a slice, given an
+        (n, d) array of fiber vectors: an (N, k + len(vertices)) array.
 
-        Column k + x is m_sqrt(x) U[x d : x d + d]* fibers[x]: d rows of U
-        contracted with a d-vector.
+        The column of vertex x is m_sqrt(x) U[x d : x d + d]* fibers[x]: d rows
+        of U contracted with a d-vector.
         """
+        # U is C-ordered, so its (n, d, N) reshape is a view; conj(U^T conj(f))
+        # avoids a conjugated copy of U. The sections are written into y.
+        rows = self.eigenvectors.reshape(self.n, self.d, self.dim)[vertices]
         k = cols.shape[1]
         dtype = np.result_type(self.eigenvectors, cols, fibers)
-        y = np.empty((self.dim, k + self.n), dtype)
+        y = np.empty((self.dim, k + len(rows)), dtype)
         y[:, :k] = self._eigencoordinates(cols)
-        # U^T is C-ordered (LAPACK returns U in Fortran order), so its
-        # (N, n, d) reshape is a view; conj(U^T conj(f)) avoids a conjugated
-        # copy of U. The sections are written into y in place.
-        rows = self.eigenvectors.T.reshape(self.dim, self.n, self.d)
-        sections = np.einsum("kxj,xj->kx", rows, np.conj(fibers), out=y[:, k:])
+        sections = np.einsum(
+            "xjk,xj->kx", rows, np.conj(fibers[vertices]), out=y[:, k:]
+        )
         np.conjugate(sections, out=sections)
-        sections *= self.m_sqrt[:: self.d]
+        sections *= self.m_sqrt[:: self.d][vertices]
         return y
 
     def _from_eigencoordinates(self, scalars, y):

@@ -342,7 +342,7 @@ def exhaustion_uniqueness_experiment(
             rows = (omega.members[:, None] * F.d + np.arange(F.d)).ravel()
             cut = np.repeat(boundary, F.d)
             b = np.flatnonzero(cut)
-            dropped = F.L[np.ix_(rows, rows)]
+            dropped = F.L[np.ix_(rows, rows)].toarray()
             dropped.reshape(len(omega), F.d, len(omega), F.d)[v, :, v, :] = (
                 inner[:, None, None] * np.eye(F.d) + W[omega.members]
             )

@@ -185,18 +185,27 @@ def beurling_deny_check(
     kernel_ok = all(side[0] for side in sides)
     kernel = min((side[2] for side in sides), key=itemgetter(0))
     excess = max((side[3] for side in sides), key=itemgetter(0))
-    off = F.L.copy()
-    np.fill_diagonal(off, -np.inf)
-    x, y = np.unravel_index(np.argmax(off), off.shape)
-    top, positive = float(off[x, y]), bool(off[x, y] <= 0)
-    row_abs = np.abs(F.L).sum(axis=1)
+    # The stored off-diagonal entries of L and, if some vertices are not
+    # adjacent, the first such pair in row-major order, whose entry is 0.
+    L = F.L.tocoo()
+    off = L.row != L.col
+    x, y, value = L.row[off], L.col[off], L.data[off]
+    gaps = np.flatnonzero(np.bincount(x, minlength=F.n) < F.n - 1)
+    if gaps.size:
+        row = gaps[0]
+        col = np.setdiff1d(np.arange(F.n), np.append(y[x == row], row))[0]
+        x, y, value = np.append(x, row), np.append(y, col), np.append(value, 0.0)
+    top = float(value.max(initial=-np.inf))
+    first = np.lexsort((y, x, value < top))  # row-major, the largest first
+    positive = top <= 0
+    row_abs = abs(F.L).sum(axis=1)
     rows = np.divide(F.L.sum(axis=1), row_abs, out=np.zeros(F.n), where=row_abs > 0)
     r = int(np.argmin(rows))
     return {
         "positivity": {
             "form_ok": positive,
             "max_off_diagonal": top,
-            "form_witness": [int(x), int(y)] if F.n > 1 else None,
+            "form_witness": [int(x[first[0]]), int(y[first[0]])] if F.n > 1 else None,
             "semigroup_ok": kernel_ok,
             "min_kernel_ratio": kernel[0],
             "semigroup_witness": kernel[1] if F.n > 1 else None,

@@ -241,7 +241,9 @@ def test_criterion_6_beurling_deny():
         ok &= criteria["positivity"]["min_kernel_ratio"] >= -1e-10
 
     F = assemble_scalar_form(fixtures.p2())
-    perturbed = FormOperator(F.L + np.array([[0.0, 1.5], [1.5, 0.0]]), F.measure)
+    perturbed = FormOperator(
+        F.L.toarray() + np.array([[0.0, 1.5], [1.5, 0.0]]), F.measure
+    )
     bad = beurling_deny_check(perturbed)["positivity"]
     ok &= (not bad["semigroup_ok"]) and (not bad["form_ok"])
     _criterion(6, "exact Beurling-Deny criteria, form and semigroup sides agree", ok)

@@ -341,7 +341,7 @@ def test_fiber_probes_match_evaluate_and_beat_axes():
         for k, (x, y) in enumerate(G.edges):
             f1 = _section(n, d, x, edge_fibers[k])
             # The partner fiber is -L_A(y,x) v / ||L_A(y,x) v||.
-            image = A.L[y * d:(y + 1) * d, x * d:(x + 1) * d] @ edge_fibers[k]
+            image = A.L[y * d:(y + 1) * d, x * d:(x + 1) * d].toarray() @ edge_fibers[k]
             f2 = _section(n, d, y, -image / np.linalg.norm(image))
             expected = _pair_slack(A, B, f1, f2)
             assert abs(edge[k] - expected) <= 1e-12 * max(1, abs(expected))
@@ -411,7 +411,8 @@ def _worst_fibers(A, B):
     d = A.d
     fibers = np.empty((A.n, d), dtype=complex)
     for x in range(A.n):
-        block = A.L[x * d:(x + 1) * d, x * d:(x + 1) * d] - B.L[x, x] * np.eye(d)
+        rows = slice(x * d, (x + 1) * d)
+        block = A.L[rows, rows].toarray() - B.L[x, x] * np.eye(d)
         fibers[x] = np.linalg.eigh(block)[1][:, 0]
     return fibers
 

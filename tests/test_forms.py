@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import fixtures
 import oracles
@@ -14,18 +17,19 @@ from mgl import (
     trivial_bundle,
 )
 from mgl.errors import BundleInvalid, DimensionMismatch, EigSolverFailure
+from mgl.spectral import euler_limit_check
 
 
 def test_scalar_assembly_examples():
     np.testing.assert_array_equal(
-        assemble_scalar_form(fixtures.p2()).L, [[1.0, -1.0], [-1.0, 1.0]]
+        assemble_scalar_form(fixtures.p2()).L.toarray(), [[1.0, -1.0], [-1.0, 1.0]]
     )
     np.testing.assert_array_equal(
-        assemble_scalar_form(fixtures.single_vertex(5.0)).L, [[5.0]]
+        assemble_scalar_form(fixtures.single_vertex(5.0)).L.toarray(), [[5.0]]
     )
     restricted = restrict_dirichlet(fixtures.p3(), [0, 1])
     np.testing.assert_array_equal(
-        assemble_scalar_form(restricted).L, [[1.0, -1.0], [-1.0, 2.0]]
+        assemble_scalar_form(restricted).L.toarray(), [[1.0, -1.0], [-1.0, 2.0]]
     )
 
 
@@ -44,7 +48,7 @@ def test_scalar_assembly_vs_double_sum():
 def test_magnetic_assembly_antipodal_p2():
     g = fixtures.p2()
     A = assemble_magnetic_form(g, fixtures.phase_bundle(g, np.pi))
-    np.testing.assert_allclose(A.L, [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(A.L.toarray(), [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
     assert A.quad(np.array([1.0, 1.0])) == pytest.approx(4.0)
 
 
@@ -110,7 +114,7 @@ def test_evaluate_form_conjugate_symmetry_and_reality():
     g = fixtures.random_graph()
     bundle = fixtures.random_bundle(g, 2, rng)
     A = assemble_magnetic_form(g, bundle)
-    assert np.abs(A.L - A.L.conj().T).max() <= 1e-12
+    assert np.abs(A.L.toarray() - A.L.toarray().conj().T).max() <= 1e-12
     for _ in range(20):
         u = fixtures.random_section(g.n, 2, rng).reshape(-1)
         v = fixtures.random_section(g.n, 2, rng).reshape(-1)
@@ -256,7 +260,7 @@ def test_nonfinite_form_fails_at_the_first_spectral_read(monkeypatch):
         for name in ("dsytrd", "zhetrd", "dstevd"):
             patch.setattr(forms.lapack, name, refuse)
         for dtype, bad in ((float, np.nan), (float, np.inf), (complex, np.nan)):
-            L = assemble_scalar_form(g).L.astype(dtype)
+            L = assemble_scalar_form(g).L.toarray().astype(dtype)
             L[1, 1] = bad
             F = FormOperator(L, g.measure)
             assert not np.isfinite(F.quad(np.ones(3)))
@@ -293,3 +297,92 @@ def test_evaluate_batches_match_columns():
             assert (np.abs(F.quad(u) - quads) <= 1e-12 * np.maximum(1, abs(quads))).all()
     with pytest.raises(DimensionMismatch):
         F.evaluate(u, v[:, :3])
+
+
+def test_form_matrix_is_sparse_and_the_eigensystem_fits_its_memory_budget():
+    # L keeps only the assembled entries: the n diagonal blocks and both
+    # orientations of every edge block, and no dense N x N array outlives
+    # assembly. A cold eigensystem then holds at most the reflectors, T's
+    # real eigenvectors and the complex copy that Q overwrites in place:
+    # 2.5 N^2 complex words (3.14 with a dense L, its symmetrized copy and
+    # f2py's copy of the rows that Q acts on).
+    rng = np.random.default_rng(75)
+    g = fixtures.random_graph(n=150, density=0.05, seed=76)
+    bundle = fixtures.random_bundle(g, 3, rng)
+    tracemalloc.start()
+    try:
+        F = assemble_magnetic_form(g, bundle)
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        F.eigenvalues
+        peak = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    square = 16 * F.dim**2  # bytes of one complex N x N array
+    assert F.dim == 450 and isinstance(F.L, csr_array)
+    assert F.L.nnz == (g.n + 2 * len(g.edges)) * 9
+    assert kept <= 0.1 * square
+    assert peak <= 2.6 * square
+
+
+def test_back_transform_overwrites_its_own_buffer(monkeypatch):
+    # ?unmqr receives a block of the array that becomes U (or the Euler
+    # check's vector) and overwrites it, so Q costs no N x N copy.
+    calls = []
+    for name in ("zunmqr", "dormqr"):
+        routine = getattr(forms.lapack, name)
+
+        def spy(side, trans, a, tau, c, *args, _routine=routine, **kwargs):
+            out = _routine(side, trans, a, tau, c, *args, **kwargs)
+            calls.append((c, out[0]))
+            return out
+
+        monkeypatch.setattr(forms.lapack, name, spy)
+    g = fixtures.random_graph()
+    rng = np.random.default_rng(77)
+    for F in (assemble_scalar_form(g),
+              assemble_magnetic_form(g, fixtures.random_bundle(g, 2, rng))):
+        U = F.eigenvectors
+        c, out = calls[-1]
+        assert np.shares_memory(c, U) and np.shares_memory(out, U)
+        euler_limit_check(F, 0.5, rng.standard_normal(F.dim), 4)
+        assert all(np.shares_memory(c, out) for c, out in calls[-2:])
+    assert len(calls) == 6
+
+
+def test_csr_route_matches_the_dense_route(monkeypatch):
+    # On the fixture set (scalar, ranks 1-3), M^-1/2 L M^-1/2 densified from
+    # the CSR entries has the bits of the dense route applied to the
+    # assembled matrix, (M^-1/2 ((L + L*) / 2)) M^-1/2, so the eigenvalues are
+    # the same bits. U = Q Z, with Q applied from the right, equals Q applied
+    # to the rows of Z from the left to 1e-14.
+    assembled = []
+    init = FormOperator.__init__
+
+    def recording(self, L, *args, **kwargs):
+        assembled.append(np.array(L))
+        init(self, L, *args, **kwargs)
+
+    monkeypatch.setattr(FormOperator, "__init__", recording)
+    rng = np.random.default_rng(79)
+    for g in fixtures.fixture_graphs().values():
+        for d in (0, 1, 2, 3):
+            F = (assemble_magnetic_form(g, fixtures.random_bundle(g, d, rng))
+                 if d else assemble_scalar_form(g))
+            L = assembled[-1]
+            L = L + L.conj().T
+            L *= 0.5
+            dense = np.multiply(F.m_isqrt[:, None], L, order="F")
+            dense *= F.m_isqrt[None, :]
+            assert F._symmetrized().tobytes() == dense.tobytes()
+
+            hetrd = forms.lapack.zhetrd if d else forms.lapack.dsytrd
+            lwork = forms._EIGH_BLOCK * F.dim
+            c, diag, off, tau = hetrd(dense, lower=1, lwork=lwork)[:4]
+            w, Z = forms.lapack.dstevd(diag, off if off.size else np.zeros(1))[:2]
+            assert F.eigenvalues.tobytes() == w.tobytes()
+            U = Z.astype(c.dtype, order="F")
+            if tau.size:
+                unmqr = forms.lapack.zunmqr if d else forms.lapack.dormqr
+                U[1:] = unmqr("L", "N", c[1:, :-1], tau, U[1:], lwork)[0]
+            assert np.abs(F.eigenvectors - U).max() <= 1e-14

@@ -41,7 +41,7 @@ def scalar_fixture_forms():
 def perturbed_p2_form():
     """Scalar P2 plus a bump making the off-diagonal entries positive."""
     F = assemble_scalar_form(fixtures.p2())
-    return FormOperator(F.L + np.array([[0.0, 1.5], [1.5, 0.0]]), F.measure)
+    return FormOperator(F.L.toarray() + np.array([[0.0, 1.5], [1.5, 0.0]]), F.measure)
 
 
 def test_semigroup_p2_closed_form():
@@ -112,7 +112,7 @@ def test_resolvent_examples():
     F = assemble_scalar_form(fixtures.p2())
     u = np.array([1.0, 0.0])
     out = F.resolvent(1.0, u)
-    direct = np.linalg.solve(F.L + np.eye(2), u)   # m = 1, so A = L
+    direct = np.linalg.solve(F.L.toarray() + np.eye(2), u)   # m = 1, so A = L
     np.testing.assert_allclose(out, direct, atol=1e-12)
     residual = F.apply_generator(out) + 1.0 * out - u
     assert F.norm(residual) <= 1e-12
@@ -196,7 +196,7 @@ def euler_fixture_forms():
 
 def dense_euler_error(F, t, u, n):
     """Euler error from dense matrices alone: matrix_power and expm."""
-    L, m = F.L, F.m_diag
+    L, m = F.L.toarray(), F.m_diag
     s = n / t
     step = np.linalg.solve(L + s * np.diag(m), s * np.diag(m))
     power = np.linalg.matrix_power(step, n) @ u
@@ -296,7 +296,7 @@ def test_euler_refuses_failed_lapack_calls(monkeypatch):
     g = fixtures.p3()
     for dtype, bad in ((float, np.nan), (float, np.inf), (complex, np.nan)):
         for entry in ((1, 1), (2, 0)):
-            L = assemble_scalar_form(g).L.astype(dtype)
+            L = assemble_scalar_form(g).L.toarray().astype(dtype)
             L[entry] = bad
             with pytest.raises(EigSolverFailure, match="tridiagonal"):
                 euler_limit_check(FormOperator(L, g.measure), 0.7, np.ones(3), 16)
@@ -401,7 +401,7 @@ def test_markov_check_detects_violation():
 
     # A negative killing term keeps positivity but breaks the row criterion.
     F = assemble_scalar_form(fixtures.p2())
-    drained = FormOperator(F.L - np.diag([0.5, 0.0]), F.measure)
+    drained = FormOperator(F.L.toarray() - np.diag([0.5, 0.0]), F.measure)
     criteria = beurling_deny_check(drained)
     assert criteria["positivity"]["form_ok"] and criteria["positivity"]["semigroup_ok"]
     report = criteria["markov"]
@@ -496,9 +496,16 @@ def test_beurling_deny_sides_agree(F):
     criteria = beurling_deny_check(F)
     for criterion in ("positivity", "markov"):
         report = criteria[criterion]
-        assert report["form_ok"] == report["semigroup_ok"], (criterion, F.L)
-    off = F.L[~np.eye(F.n, dtype=bool)]
+        assert report["form_ok"] == report["semigroup_ok"], (criterion, F.L.toarray())
+    off = F.L.toarray()[~np.eye(F.n, dtype=bool)]
     assert criteria["positivity"]["form_ok"] == (off <= 0).all()
+    # The largest off-diagonal entry, a non-adjacent pair's 0 included, and
+    # the first pair in row-major order that attains it.
+    dense = F.L.toarray()
+    np.fill_diagonal(dense, -np.inf)
+    x, y = np.unravel_index(np.argmax(dense), dense.shape)
+    assert criteria["positivity"]["max_off_diagonal"] == dense[x, y]
+    assert criteria["positivity"]["form_witness"] == [x, y]
 
 
 def test_ouhabaz_cone_and_interval_pass():
