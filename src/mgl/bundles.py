@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeG, SchemaError
+from .errors import DimensionMismatch, InvariantError, NegativeG, SchemaError
 from .graphs import (
     MAGNITUDE_BOUND,
     WeightedGraph,
@@ -58,6 +58,7 @@ class HermitianBundle:
             items = list(dict(connection or {}).items())
             pairs = np.array([key for key, _ in items], dtype=int).reshape(-1, 2)
             rows = graph._edge_index(pairs[:, 0], pairs[:, 1])
+            given = set()
             for ((x, y), mat), row in zip(items, rows):
                 x, y = int(x), int(y)
                 key = (x, y) if x < y else (y, x)
@@ -71,7 +72,14 @@ class HermitianBundle:
                         f"connection matrix at edge {key} has shape {mat.shape}, "
                         f"expected ({rank},{rank})"
                     )
-                conn[row] = mat if x < y else mat.conj().T
+                mat = mat if x < y else mat.conj().T
+                if row in given and not np.array_equal(conn[row], mat):
+                    raise InvariantError(
+                        f"conflicting connection for edge {key}: Phi_(y,x) given "
+                        "in both orientations is not the adjoint of Phi_(x,y)"
+                    )
+                given.add(row)
+                conn[row] = mat
         conn.setflags(write=False)
         self.connection = conn
 
@@ -292,7 +300,8 @@ def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
         endo = np.stack(
             [parse_matrix(raw, f"endo #{x}") for x, raw in enumerate(raw_endo)]
         )
-        _check_magnitude(_max_entry(endo) / graph.measure, "|W(x)|/m(x)")
+        with np.errstate(over="ignore"):  # inf is refused like any excess
+            _check_magnitude(_max_entry(endo) / graph.measure, "|W(x)|/m(x)")
 
     try:
         return HermitianBundle(graph, rank, connection, endo)

@@ -134,18 +134,22 @@ def _edge_probes(A: FormOperator, B: FormOperator, edges):
     return -_blocks(B, y, x)[:, 0, 0].real - s[:, 0], vh[:, 0, :].conj()
 
 
-def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
+def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier, slope) -> Verdict:
     """Shared body of the semigroup- and resolvent-level checks.
 
     `multiplier(F, p)` is the spectral multiplier of the operator at
-    parameter p, or None where that operator is exactly the identity. At
-    each p the fiber norms of the A-side image of every sample and of every
-    vertex probe e_x (x) v_x are compared with the B-side image of their
-    pointwise norms (e_x for the probe). The samples, then the probes, are
-    taken VERDICT_BLOCK columns at a time: each side projects a block into
-    eigencoordinates once and takes it back once per parameter. Of equal
-    slacks the first parameter wins, then the least vertex, then the least
-    column.
+    parameter p, or None where that operator is exactly the identity, and
+    `slope(f, p)` its absolute slope at the eigenvalues, given its values f.
+    At each p the fiber norms of the A-side image of every sample and of
+    every vertex probe e_x (x) v_x are compared with the B-side image of
+    their pointwise norms (e_x for the probe). The samples, then the probes,
+    are taken VERDICT_BLOCK columns at a time: each side projects a block
+    into eigencoordinates once and takes it back once per parameter. Of
+    equal slacks the first parameter wins, then the least vertex, then the
+    least column. A comparison fails only beyond tol plus its rounding
+    bound: with delta the eigensolvers' bound on U f(mu) U* summed over both
+    sides (FormOperator._rounding_bound), delta |u|_m / m(x)^1/2 at vertex x
+    for the column u.
     """
     n, d = A.n, A.d
     sections = _sections(A, B, samples, rng)
@@ -154,13 +158,23 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
     flat = sections.reshape(k, A.dim).T  # (n*d, k), one section per column
     mags = np.linalg.norm(sections, axis=2).T  # (n, k)
     scalars = [(multiplier(A, p), multiplier(B, p)) for p in params]
+    deltas = [
+        0.0 if fa is None
+        else A._rounding_bound(fa, slope(fa, p)) + B._rounding_bound(fb, slope(fb, p))
+        for (fa, fb), p in zip(scalars, params)
+    ]
+    # |u|_m of each sample, then of each probe (a unit fiber vector at x).
+    m_norms = np.sqrt(np.concatenate([B.measure @ mags**2, B.measure]))
 
     best = (np.inf, None, None, None)
+    failed = False
     for start in range(0, k + n, VERDICT_BLOCK):
         cols = slice(start, start + VERDICT_BLOCK)
         probes = slice(max(start - k, 0), max(start + VERDICT_BLOCK - k, 0))
         ya = A._probe_eigencoordinates(flat[:, cols], fibers, probes)
         yb = B._probe_eigencoordinates(mags[:, cols], np.ones((n, 1)), probes)
+        # A bound on U f(mu) U* reaches vertex x of the column u times this.
+        scale = np.outer(B.m_isqrt, m_norms[start : start + yb.shape[1]])
         for i, (fa, fb) in enumerate(scalars):
             if fa is None:
                 # The identity compares the sections themselves; each vertex
@@ -173,10 +187,11 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier) -> Verdict:
                 slack -= np.linalg.norm(
                     A._from_eigencoordinates(fa, ya).reshape(n, d, -1), axis=1
                 )
+            failed = failed or bool((slack < -tol - deltas[i] * scale).any())
             x, j = np.unravel_index(np.argmin(slack), slack.shape)
             best = min(best, (float(slack[x, j]), i, int(x), start + int(j)))
     slack, i, vertex, column = best
-    if slack >= -tol:
+    if not failed:
         return Verdict(True, slack)
     if column < k:
         section = sections[column].copy()
@@ -195,7 +210,8 @@ def check_semigroup_domination(
 ) -> Verdict:
     """Pointwise check |e^{-tA}u|(x) <= (e^{-tB}|u|)(x) over grids and samples."""
     return _pointwise_verdict(
-        A, B, t_list, samples, rng, tol, FormOperator._semigroup_multiplier
+        A, B, t_list, samples, rng, tol, FormOperator._semigroup_multiplier,
+        lambda f, t: t * f,
     )
 
 
@@ -209,7 +225,8 @@ def check_resolvent_domination(
 ) -> Verdict:
     """Pointwise check |(A+a)^-1 u|(x) <= ((B+a)^-1 |u|)(x) over grids and samples."""
     return _pointwise_verdict(
-        A, B, alpha_list, samples, rng, tol, FormOperator._resolvent_multiplier
+        A, B, alpha_list, samples, rng, tol, FormOperator._resolvent_multiplier,
+        lambda f, alpha: f * f,
     )
 
 

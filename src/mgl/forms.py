@@ -5,12 +5,13 @@ unweighted pairing) with the diagonal measure matrix M. L is kept sparse,
 as a CSR array: form values, the generator action and every block a caller
 reads come from its stored entries. The generator in the m-weighted inner
 product is A = M^-1 L; it is diagonalized through the honest Hermitian
-matrix M^-1/2 L M^-1/2, which is densified once, straight into the buffer
-that its Householder reduction Q T Q* (?hetrd) overwrites. The reduction
-is computed on first use and cached. The Euler check solves with T
-directly; the eigensystem diagonalizes T (dstevd) and back-transforms the
-eigenvectors with Q, in place. So each form is reduced once, whichever
-reads it first, while callers that only read L (form probes, block
+matrix M^-1/2 L M^-1/2, which is densified once, into the columns 1: of a
+zeroed N x (N+1) buffer that its Householder reduction Q T Q* (?hetrd)
+overwrites; the buffer's columns :-1 are then Q's reflectors as ?unmqr reads
+them. The reduction is computed on first use and cached. The Euler check
+solves with T directly; the eigensystem diagonalizes T (dstevd) and applies
+Q to the eigenvectors from the left, in place. So each form is reduced once,
+whichever reads it first, while callers that only read L (form probes, block
 restrictions) never hold a dense N x N array. Instances are immutable.
 """
 
@@ -90,21 +91,24 @@ class FormOperator:
     def _symmetrized(self):
         """M^-1/2 L M^-1/2, the Hermitian matrix that is reduced.
 
-        Densified from L's entries into a Fortran-ordered array, so that
-        ?hetrd overwrites it with the reflectors instead of copying it.
+        Densified from L's entries into the columns 1: of a zeroed Fortran
+        N x (N+1) buffer, which ?hetrd overwrites with the reflectors.
         """
         # L is exactly Hermitian; the scaling may leave the result off by an
         # ulp across the diagonal, which ?hetrd ignores: it reads one triangle.
         L = self.L.tocoo()
-        a_sym = np.zeros(L.shape, L.dtype, order="F")
+        a_sym = np.zeros((self.dim, self.dim + 1), L.dtype, order="F")[:, 1:]
         a_sym[L.row, L.col] = self.m_isqrt[L.row] * L.data * self.m_isqrt[L.col]
         return a_sym
 
     @cached_property
     def _tridiagonal(self):
-        """Householder reduction M^-1/2 L M^-1/2 = Q T Q* (?hetrd, lower): Q's
-        reflectors and their tau, and T's real diagonals (the subdiagonal is
-        one 0 when T is 1 x 1, as the LAPACK wrappers that read it require)."""
+        """Householder reduction M^-1/2 L M^-1/2 = Q T Q* (?hetrd, lower), in
+        place: Q's reflectors and their tau, and T's real diagonals (the
+        subdiagonal is one 0 when T is 1 x 1, as the LAPACK wrappers that read
+        it require). ?hetrd leaves reflector i below the subdiagonal of column
+        i, column i+1 of the buffer; so the buffer's columns :-1, with tau led
+        by a 0 (the identity), are ?unmqr's reflectors for all N rows."""
         a = self._symmetrized()
         # LAPACK does not check its input.
         if not np.isfinite(a).all():
@@ -112,50 +116,39 @@ class FormOperator:
         hetrd = lapack.zhetrd if np.iscomplexobj(a) else lapack.dsytrd
         lwork = _EIGH_BLOCK * self.dim
         c, d, e, tau = _lapack(hetrd, a, lower=1, lwork=lwork, overwrite_a=1)
+        if c is not a:
+            raise EigSolverFailure(f"{hetrd.__name__} copied its buffer")
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise EigSolverFailure("tridiagonal reduction has non-finite entries")
-        return np.asfortranarray(c[1:, :-1]), d, e if e.size else np.zeros(1), tau
+        return a.base[:, :-1], d, e if e.size else np.zeros(1), np.append(0, tau)
 
     def _reflect(self, trans: str, v):
         """Q v (trans 'N') or Q* v (trans 'C') in place, for an (N, k) block v
-        of the reduction's dtype.
+        of the reduction's dtype: one ?unmqr call from the left.
 
-        Q's reflectors act on rows 1: (?unmtr, uplo 'L'). ?unmqr overwrites
-        its block only where that is one Fortran array; f2py copies any other.
-        The rows 1: of a single column are, so Q acts on a column from the
-        left. Wider blocks take Q from the right, on the columns 1: of
-        W = conj(v)^T, which are one for a C-ordered v: (Q v)^T = conj(W Q*)
-        and (Q* v)^T = conj(W Q). (From the right, ?unmqr makes a BLAS call
-        per column of W and reflector, which is slow for a single column.)
+        ?unmqr overwrites v itself where v is one Fortran array (a column, or
+        a Fortran-ordered block); f2py copies any other.
         """
         refl, _, _, tau = self._tridiagonal
-        if not tau.size:
-            return v
         real = not np.iscomplexobj(refl)
         unmqr = lapack.dormqr if real else lapack.zunmqr
-        side, c = "L", v[1:]
-        if v.shape[1] > 1:
-            side, c = "R", np.conjugate(v, out=v).T[:, 1:]
-            trans = "N" if trans == "C" else "C"
         trans = trans.replace("C", "T") if real else trans
         lwork = _EIGH_BLOCK * v.shape[1]
-        # The copy back is a no-op where ?unmqr overwrote c itself.
-        c[...] = _lapack(unmqr, side, trans, refl, tau, c, lwork, overwrite_c=1)[0]
-        if side == "R":
-            np.conjugate(v, out=v)
+        # The copy back is a no-op where ?unmqr overwrote v itself.
+        v[...] = _lapack(unmqr, "L", trans, refl, tau, v, lwork, overwrite_c=1)[0]
         return v
 
     @cached_property
     def _eigensystem(self):
-        """T = Z diag(w) Z^T by divide and conquer (dstevd), and U = Q Z."""
+        """T = Z diag(w) Z^T by divide and conquer (dstevd), and U = Q Z,
+        overwriting dstevd's Z (a real form) or one complex copy of it."""
         refl, d, e, _ = self._tridiagonal
         w, Z = _lapack(lapack.dstevd, d, e)
         if not np.isfinite(w).all():
             raise EigSolverFailure("eigendecomposition returned non-finite eigenvalues")
-        # _reflect runs in place on C order; rebinding frees the Fortran-
-        # ordered Z before the back-transform runs.
-        Z = np.ascontiguousarray(Z, dtype=refl.dtype)
-        U = self._reflect("N", Z)
+        U = Z.astype(refl.dtype, order="F", copy=False)
+        del Z  # freed before Q runs, where U is a complex copy
+        self._reflect("N", U)
         w.setflags(write=False)
         U.setflags(write=False)
         return w, U
@@ -171,6 +164,19 @@ class FormOperator:
     @property
     def lower_bound(self) -> float:
         return float(self.eigenvalues[0])
+
+    def _rounding_bound(self, scalars, slopes) -> float:
+        """The eigensolver's error bound on U diag(f(mu)) U* in operator norm,
+        for a spectral multiplier f with values `scalars` and absolute slopes
+        `slopes` at the eigenvalues: N eps (2 max |f| + |mu|_max max |f'|).
+
+        The reduction and dstevd are backward stable, so U is unitary to
+        N eps and each eigenvalue is off by at most N eps |mu|_max, which
+        moves f by that times its slope.
+        """
+        eps = self.dim * np.finfo(float).eps
+        top = np.abs(self.eigenvalues).max()
+        return float(eps * (2.0 * np.abs(scalars).max() + top * np.abs(slopes).max()))
 
     def reconstruction_defect(self) -> float:
         """Max-norm distance between U diag(mu) U* and the symmetrized matrix."""
@@ -231,9 +237,11 @@ class FormOperator:
         The column of vertex x is m_sqrt(x) U[x d : x d + d]* fibers[x]: d rows
         of U contracted with a d-vector.
         """
-        # U is C-ordered, so its (n, d, N) reshape is a view; conj(U^T conj(f))
-        # avoids a conjugated copy of U. The sections are written into y.
-        rows = self.eigenvectors.reshape(self.n, self.d, self.dim)[vertices]
+        # A row slice of U and its (vertex, fiber, mode) split are views in
+        # either memory order; conj(U^T conj(f)) avoids a conjugated copy of U.
+        # The sections are written into y.
+        rows = self.eigenvectors[self.d * vertices.start : self.d * vertices.stop]
+        rows = rows.reshape(-1, self.d, self.dim)
         k = cols.shape[1]
         dtype = np.result_type(self.eigenvectors, cols, fibers)
         y = np.empty((self.dim, k + len(rows)), dtype)

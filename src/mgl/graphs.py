@@ -320,8 +320,10 @@ def load_graph(source) -> WeightedGraph:
             f"edge weights at vertex {bad[0]} overflow: row sum is not finite"
         )
     _check_magnitude(graph.measure, "measure")
-    _check_magnitude(1.0 / graph.measure, "1/measure")
-    _check_magnitude(graph.weighted_degrees(), "weighted degree")
+    # A quotient beyond the float range is inf, which the bound refuses.
+    with np.errstate(over="ignore"):
+        _check_magnitude(1.0 / graph.measure, "1/measure")
+        _check_magnitude(graph.weighted_degrees(), "weighted degree")
     return graph
 
 

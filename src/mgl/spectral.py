@@ -27,8 +27,9 @@ from .domination import DEFAULT_T_GRID
 from .forms import FormOperator, _lapack
 
 TRUNCATION = 1e-12
-DEFAULT_PANELS = 64
-DEFAULT_NODES = 12
+# The Laplace check's composite Gauss-Legendre rule: panels, nodes per panel.
+LAPLACE_PANELS = 64
+LAPLACE_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,13 @@ class SemigroupSample:
     output: np.ndarray
 
 
-def _quadrature_grid(alpha: float, panels: int, nodes: int):
+def _quadrature_grid(alpha: float):
     # Geometrically graded panel edges resolve the stiff modes near t = 0
     # that a uniform layout of the same panel count would smear.
-    if panels < 2 or nodes < 2:
-        raise DimensionMismatch("quadrature needs at least 2 panels and 2 nodes")
     T = -np.log(TRUNCATION) / alpha
-    edges = np.empty(panels + 1)
-    edges[0] = 0.0
-    ratio = np.power(1e-8, (panels - np.arange(1, panels + 1)) / (panels - 1))
-    edges[1:] = T * ratio
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    steps = LAPLACE_PANELS - np.arange(1, LAPLACE_PANELS + 1)
+    edges = np.append(0.0, T * np.power(1e-8, steps / (LAPLACE_PANELS - 1)))
+    x, w = np.polynomial.legendre.leggauss(LAPLACE_NODES)
     half = np.diff(edges) / 2
     mid = (edges[:-1] + edges[1:]) / 2
     ts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -63,13 +60,7 @@ def _laplace_floor(F: FormOperator) -> float:
     return max(0.0, -F.lower_bound) + 1e-6
 
 
-def laplace_check(
-    F: FormOperator,
-    alpha: float,
-    u,
-    panels: int = DEFAULT_PANELS,
-    nodes: int = DEFAULT_NODES,
-) -> float:
+def laplace_check(F: FormOperator, alpha: float, u) -> float:
     """Residual of the Laplace-transform identity for the resolvent.
 
     Integrates e^{-t alpha} e^{-tA} u over [0, T] (T chosen so that
@@ -81,7 +72,7 @@ def laplace_check(
             f"alpha = {alpha} must exceed max(0, -lambda_min) by at least 1e-6"
         )
     u = np.asarray(u)
-    ts, ws = _quadrature_grid(alpha, panels, nodes)
+    ts, ws = _quadrature_grid(alpha)
     # In eigencoordinates the integrand is a decaying scalar exponential
     # per mode, so the quadrature acts on exp(-(alpha + mu_i) t).
     decay = np.exp(-np.outer(alpha + F.eigenvalues, ts))
@@ -137,12 +128,12 @@ def form_limit_check(F: FormOperator, u, v, t_list) -> np.ndarray:
 
 def _semigroup_side(F: FormOperator, t: float, tol: float):
     """beurling_deny_check's semigroup side at one t; S_t is normalised in place."""
-    n, U, mu, w = F.n, F.eigenvectors, F.eigenvalues, F.m_sqrt
+    U, mu, w = F.eigenvectors, F.eigenvalues, F.m_sqrt
     half = np.exp(-0.5 * t * mu)
     V = U * half
     S = V @ V.T
     del V
-    delta = n * np.finfo(float).eps * (2.0 + t * np.abs(mu).max()) * half.max() ** 2
+    delta = F._rounding_bound(half**2, t * half**2)
     s = np.sqrt(np.diagonal(S))
     scale = 1.0 + np.abs(S) @ w / w
     rise = S @ w / w - 1.0
@@ -173,9 +164,10 @@ def beurling_deny_check(
     entry signs of e^{-tA}: the smallest S_t(x, y) / sqrt(S_t(x, x) S_t(y, y))
     over x != y, and the largest (e^{-tA} 1 - 1)(x) / (1 + sum_y |e^{-tA}(x, y)|).
     The eigensolver's backward error leaves S_t off by up to
-    delta_t = n eps (2 + t |mu|_max) |S_t|_2, so a semigroup verdict fails only
-    beyond tol times the figure's scale plus delta_t (times |m^1/2|_2 / m(x)^1/2
-    for a row). Markov verdicts include their side's positivity verdict.
+    delta_t = n eps (2 + t |mu|_max) |S_t|_2 (FormOperator._rounding_bound), so
+    a semigroup verdict fails only beyond tol times the figure's scale plus
+    delta_t (times |m^1/2|_2 / m(x)^1/2 for a row). Markov verdicts include
+    their side's positivity verdict.
     """
     if F.d != 1 or np.iscomplexobj(F.L):
         raise DimensionMismatch("the Beurling-Deny check requires a real scalar form")

@@ -15,7 +15,7 @@ from mgl import (
     trivial_bundle,
     validate_bundle,
 )
-from mgl.errors import DimensionMismatch, NegativeG, SchemaError
+from mgl.errors import DimensionMismatch, InvariantError, NegativeG, SchemaError
 
 
 def test_validate_unit_phase_rank1():
@@ -54,6 +54,17 @@ def test_reverse_connection_is_adjoint():
         np.testing.assert_allclose(b.phi(y, x), b.phi(x, y).conj().T)
     # Non-edges and omitted entries act as the identity.
     assert np.array_equal(trivial_bundle(g, 2).phi(0, 1), np.eye(2))
+
+
+def test_both_orientations_must_agree():
+    # Phi_{y,x} given next to Phi_{x,y} must be its adjoint, as WeightedGraph
+    # refuses conflicting weights for one edge.
+    g = fixtures.p2()
+    with pytest.raises(InvariantError, match=r"edge \(0, 1\)"):
+        HermitianBundle(g, 1, {(0, 1): [[1]], (1, 0): [[-1]]})
+    phi = np.array([[0, 1j], [1, 0]])
+    b = HermitianBundle(g, 2, {(1, 0): phi, (0, 1): phi.conj().T})
+    assert np.array_equal(b.phi(1, 0), phi)
 
 
 def test_symmetrize_examples():

@@ -30,8 +30,8 @@ from mgl.cli import run
 
 DECLARED = fixtures.cli_flags()
 
-ODD_NUMBERS = [0.0, -1.0, -1e-3, 1e-308, 1e-150, 1e150, 1e151, 1e200, 1e308, -1e308,
-               float("nan"), float("inf"), float("-inf"), 10**400]
+ODD_NUMBERS = [0.0, -1.0, -1e-3, 1e-308, 1e-320, 1e-150, 1e150, 1e151, 1e200, 1e308,
+               -1e308, float("nan"), float("inf"), float("-inf"), 10**400]
 WRONG_TYPES = st.sampled_from([None, True, "1", [], {}])
 
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from mgl import (
     restrict_dirichlet,
     trivial_bundle,
 )
+from mgl.cli import run
 from mgl.errors import BundleInvalid, DimensionMismatch, EigSolverFailure
 from mgl.spectral import euler_limit_check
 
@@ -350,12 +352,90 @@ def test_back_transform_overwrites_its_own_buffer(monkeypatch):
     assert len(calls) == 6
 
 
+def _spy(monkeypatch, names, record):
+    """Patch each named LAPACK wrapper to call record(args, outputs) per call."""
+    for name in names:
+        routine = getattr(forms.lapack, name)
+
+        def spy(*args, _routine=routine, **kwargs):
+            out = _routine(*args, **kwargs)
+            record(args, out)
+            return out
+
+        monkeypatch.setattr(forms.lapack, name, spy)
+
+
+def test_q_is_applied_from_the_left_only(monkeypatch, tmp_path):
+    # Every ?unmqr call of a semigroup-id run and a dominate run on a rank-2
+    # spec, eigenvector back-transforms and Euler columns alike, takes Q from
+    # the left: 7 per form in semigroup-id (U, then 2 per Euler check), and
+    # one per form in dominate.
+    sides = []
+    _spy(monkeypatch, ("zunmqr", "dormqr"), lambda args, out: sides.append(args[0]))
+    graph_doc, bundle_doc = fixtures.diamagnetic_docs()
+    specs = []
+    for flag, doc in (("--graph", graph_doc), ("--bundle", bundle_doc)):
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        specs += [flag, str(path)]
+    specs += ["--out", str(tmp_path / "r.json")]
+    assert run(["semigroup-id", *specs]) == 0
+    assert run(["dominate", "--samples", "10", *specs]) == 0
+    assert sides == ["L"] * 16
+
+
+def _reduced_forms():
+    g = fixtures.random_graph()
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(81))
+    return assemble_scalar_form(g), assemble_magnetic_form(g, bundle)
+
+
+def test_reflectors_are_read_where_the_reduction_wrote_them(monkeypatch):
+    # ?unmqr reads Q's reflectors from the very buffer that ?hetrd overwrote,
+    # not from a copy of them.
+    written, read = [], []
+    _spy(monkeypatch, ("zhetrd", "dsytrd"), lambda args, out: written.append(out[0]))
+    _spy(monkeypatch, ("zunmqr", "dormqr"), lambda args, out: read.append(args[2]))
+    for F in _reduced_forms():
+        F.eigenvectors
+        assert read[-1].shape == (F.dim, F.dim)
+        assert np.shares_memory(read[-1], written[-1])
+    assert len(written) == len(read) == 2
+
+
+def test_real_eigenvectors_are_dstevd_output(monkeypatch):
+    # Q overwrites dstevd's own Z for a real form; a complex form's U is one
+    # complex copy of it.
+    Zs = []
+    _spy(monkeypatch, ("dstevd",), lambda args, out: Zs.append(out[1]))
+    scalar, magnetic = _reduced_forms()
+    assert np.shares_memory(scalar.eigenvectors, Zs[-1])
+    assert not np.shares_memory(magnetic.eigenvectors, Zs[-1])
+    assert scalar.eigenvectors.flags.f_contiguous
+
+
+def test_reduction_overwrites_its_own_buffer():
+    # The reduction holds the one N x (N+1) buffer that ?hetrd overwrites,
+    # plus its workspace and a finiteness mask: no second N x N array.
+    rng = np.random.default_rng(75)
+    g = fixtures.random_graph(n=150, density=0.05, seed=76)
+    F = assemble_magnetic_form(g, fixtures.random_bundle(g, 3, rng))
+    tracemalloc.start()
+    try:
+        F._tridiagonal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.dim == 450
+    assert peak <= 1.3 * 16 * F.dim**2
+
+
 def test_csr_route_matches_the_dense_route(monkeypatch):
     # On the fixture set (scalar, ranks 1-3), M^-1/2 L M^-1/2 densified from
     # the CSR entries has the bits of the dense route applied to the
     # assembled matrix, (M^-1/2 ((L + L*) / 2)) M^-1/2, so the eigenvalues are
-    # the same bits. U = Q Z, with Q applied from the right, equals Q applied
-    # to the rows of Z from the left to 1e-14.
+    # the same bits. U = Q Z, with Q applied to all N rows of Z, led by an
+    # identity reflector, equals Q applied to the rows 1: of Z to 1e-14.
     assembled = []
     init = FormOperator.__init__
 
