@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import HermitianBundle, pair
-from .errors import DimensionMismatch
-from .forms import FormOperator, assemble_magnetic_form, assemble_scalar_form
+from .errors import DimensionMismatch, SchemaError
+from .forms import FormOperator, _gemm, assemble_magnetic_form, assemble_scalar_form
 from .graphs import WeightedGraph
 
 DEFAULT_T_GRID = (0.01, 0.1, 1.0, 10.0)
@@ -134,12 +134,15 @@ def _edge_probes(A: FormOperator, B: FormOperator, edges):
     return -_blocks(B, y, x)[:, 0, 0].real - s[:, 0], vh[:, 0, :].conj()
 
 
-def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier, slope) -> Verdict:
+def _pointwise_verdict(
+    A, B, name, params, samples, rng, tol, multiplier, slope
+) -> Verdict:
     """Shared body of the semigroup- and resolvent-level checks.
 
     `multiplier(F, p)` is the spectral multiplier of the operator at
-    parameter p, or None where that operator is exactly the identity, and
-    `slope(f, p)` its absolute slope at the eigenvalues, given its values f.
+    parameter p (named `name` in messages), or None where that operator is
+    exactly the identity, and `slope(f, p)` its absolute slope at the
+    eigenvalues, given its values f.
     At each p the fiber norms of the A-side image of every sample and of
     every vertex probe e_x (x) v_x are compared with the B-side image of
     their pointwise norms (e_x for the probe). The samples, then the probes,
@@ -149,7 +152,9 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier, slope) -> Ve
     least column. A comparison fails only beyond tol plus its rounding
     bound: with delta the eigensolvers' bound on U f(mu) U* summed over both
     sides (FormOperator._rounding_bound), delta |u|_m / m(x)^1/2 at vertex x
-    for the column u.
+    for the column u. Where no comparison fails but at some p delta reaches
+    max f_B, the B side's norm, that p resolves nothing: SchemaError, since
+    a PASS there would check nothing.
     """
     n, d = A.n, A.d
     sections = _sections(A, B, samples, rng)
@@ -164,7 +169,8 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier, slope) -> Ve
         for (fa, fb), p in zip(scalars, params)
     ]
     # |u|_m of each sample, then of each probe (a unit fiber vector at x).
-    m_norms = np.sqrt(np.concatenate([B.measure @ mags**2, B.measure]))
+    squares = _gemm(mags**2, B.measure[:, None], trans_a=1)[:, 0]
+    m_norms = np.sqrt(np.concatenate([squares, B.measure]))
 
     best = (np.inf, None, None, None)
     failed = False
@@ -192,6 +198,12 @@ def _pointwise_verdict(A, B, params, samples, rng, tol, multiplier, slope) -> Ve
             best = min(best, (float(slack[x, j]), i, int(x), start + int(j)))
     slack, i, vertex, column = best
     if not failed:
+        for p, (_, fb), delta in zip(params, scalars, deltas):
+            if fb is not None and delta >= fb.max():
+                raise SchemaError(
+                    f"{name} = {p:g} resolves nothing: the eigensolvers' rounding "
+                    f"allowance {delta:.3g} reaches max f_B = {fb.max():.3g}"
+                )
         return Verdict(True, slack)
     if column < k:
         section = sections[column].copy()
@@ -210,7 +222,7 @@ def check_semigroup_domination(
 ) -> Verdict:
     """Pointwise check |e^{-tA}u|(x) <= (e^{-tB}|u|)(x) over grids and samples."""
     return _pointwise_verdict(
-        A, B, t_list, samples, rng, tol, FormOperator._semigroup_multiplier,
+        A, B, "t", t_list, samples, rng, tol, FormOperator._semigroup_multiplier,
         lambda f, t: t * f,
     )
 
@@ -225,7 +237,8 @@ def check_resolvent_domination(
 ) -> Verdict:
     """Pointwise check |(A+a)^-1 u|(x) <= ((B+a)^-1 |u|)(x) over grids and samples."""
     return _pointwise_verdict(
-        A, B, alpha_list, samples, rng, tol, FormOperator._resolvent_multiplier,
+        A, B, "alpha", alpha_list, samples, rng, tol,
+        FormOperator._resolvent_multiplier,
         lambda f, alpha: f * f,
     )
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse import csr_array
 
 from .bundles import HermitianBundle, validate_bundle
@@ -44,6 +44,25 @@ def _lapack(routine, *args, **kwargs):
     if info != 0:
         raise EigSolverFailure(f"{routine.__name__} failed: LAPACK info = {info}")
     return out
+
+
+def _gemm(a, b, trans_a=0, trans_b=0):
+    """op(a) op(b) on scipy's BLAS (?gemm), where op is the identity (0), the
+    transpose (1) or the conjugate transpose (2); a Fortran-ordered result.
+
+    numpy's `@` runs on a second OpenBLAS runtime, whose idle threads,
+    between scipy's LAPACK calls, cost up to 8 ms per switch on two cores;
+    so every dense product on N-sized operands runs here. f2py copies an
+    operand that is not Fortran-ordered: pass a C-ordered one as its
+    transposed view, flipping trans. A real a times a complex b runs as two
+    real products, so that a is not cast to complex.
+    """
+    if np.iscomplexobj(b) and not np.iscomplexobj(a):
+        real = _gemm(a, b.real, trans_a, trans_b)
+        imag = _gemm(a, b.imag, trans_a, trans_b)
+        return real + (-1j if trans_b == 2 else 1j) * imag
+    gemm = blas.zgemm if np.iscomplexobj(a) else blas.dgemm
+    return gemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
 
 
 class FormOperator:
@@ -181,7 +200,7 @@ class FormOperator:
     def reconstruction_defect(self) -> float:
         """Max-norm distance between U diag(mu) U* and the symmetrized matrix."""
         U, w = self.eigenvectors, self.eigenvalues
-        defect = (U * w[None, :]) @ U.conj().T - self._symmetrized()
+        defect = _gemm(U * w[None, :], U, trans_b=2) - self._symmetrized()
         return float(np.abs(defect).max())
 
     # -- form evaluation ---------------------------------------------------
@@ -226,8 +245,7 @@ class FormOperator:
 
     def _eigencoordinates(self, cols):
         """U* M^1/2 u for each column u of an (N, k) batch."""
-        # U* v = conj(U^T conj(v)) needs no conjugated N x N copy of U.
-        return (self.eigenvectors.T @ (self.m_sqrt[:, None] * cols).conj()).conj()
+        return _gemm(self.eigenvectors, self.m_sqrt[:, None] * cols, trans_a=2)
 
     def _probe_eigencoordinates(self, cols, fibers, vertices: slice):
         """Eigencoordinates of the columns of an (N, k) batch, then of the
@@ -239,12 +257,12 @@ class FormOperator:
         """
         # A row slice of U and its (vertex, fiber, mode) split are views in
         # either memory order; conj(U^T conj(f)) avoids a conjugated copy of U.
-        # The sections are written into y.
+        # The sections are written into y, Fortran-ordered for ?gemm.
         rows = self.eigenvectors[self.d * vertices.start : self.d * vertices.stop]
         rows = rows.reshape(-1, self.d, self.dim)
         k = cols.shape[1]
         dtype = np.result_type(self.eigenvectors, cols, fibers)
-        y = np.empty((self.dim, k + len(rows)), dtype)
+        y = np.empty((self.dim, k + len(rows)), dtype, order="F")
         y[:, :k] = self._eigencoordinates(cols)
         sections = np.einsum(
             "xjk,xj->kx", rows, np.conj(fibers[vertices]), out=y[:, k:]
@@ -255,7 +273,7 @@ class FormOperator:
 
     def _from_eigencoordinates(self, scalars, y):
         """M^-1/2 U diag(scalars) y for an (N, k) batch y of eigencoordinates."""
-        return self.m_isqrt[:, None] * (self.eigenvectors @ (scalars[:, None] * y))
+        return self.m_isqrt[:, None] * _gemm(self.eigenvectors, scalars[:, None] * y)
 
     def _apply_function(self, scalars, u):
         """M^-1/2 U diag(scalars) U* M^1/2 u for a vector or an (N, k) batch u."""
@@ -295,7 +313,7 @@ class FormOperator:
     def resolvent_matrix(self, alpha):
         """The matrix of (A + alpha)^-1, M^-1/2 U diag(1/(mu + alpha)) U* M^1/2."""
         U = self.eigenvectors
-        core = (U * self._resolvent_multiplier(alpha)[None, :]) @ U.conj().T
+        core = _gemm(U * self._resolvent_multiplier(alpha)[None, :], U, trans_b=2)
         return self.m_isqrt[:, None] * core * self.m_sqrt[None, :]
 
     # -- m-weighted geometry -------------------------------------------------

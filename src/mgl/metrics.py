@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, get_blas_funcs
+from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
@@ -26,7 +26,7 @@ from .errors import (
     MonotonicityViolated,
     NotNested,
 )
-from .forms import assemble_magnetic_form, assemble_scalar_form
+from .forms import _gemm, assemble_magnetic_form, assemble_scalar_form
 from .graphs import WeightedGraph, _as_subset, _restriction
 
 METRIC_TOL = 1e-12
@@ -376,10 +376,7 @@ def exhaustion_uniqueness_experiment(
             X = cho_solve(factor, unit)
             t = np.sqrt(cut[b]) * scale[b]
             Z = X * t
-            # Z* Z from scipy's BLAS: numpy's `@` runs on a second OpenBLAS
-            # whose idle threads, between scipy's LAPACK calls, cost up to
-            # 8 ms per switch on two cores.
-            gram = get_blas_funcs("gemm", (Z,))(1.0, Z, Z, trans_a=2)
+            gram = _gemm(Z, Z, trans_a=2)
             pencil = t[:, None] * X[b] * t + np.eye(b.size)
             top = eigh(gram, pencil, eigvals_only=True,
                        subset_by_index=[b.size - 1] * 2)

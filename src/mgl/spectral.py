@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import (
     AlphaTooSmall,
@@ -24,7 +24,7 @@ from .errors import (
     ProjectionNotIdempotent,
 )
 from .domination import DEFAULT_T_GRID
-from .forms import FormOperator, _lapack
+from .forms import FormOperator, _gemm, _lapack
 
 TRUNCATION = 1e-12
 # The Laplace check's composite Gauss-Legendre rule: panels, nodes per panel.
@@ -76,7 +76,7 @@ def laplace_check(F: FormOperator, alpha: float, u) -> float:
     # In eigencoordinates the integrand is a decaying scalar exponential
     # per mode, so the quadrature acts on exp(-(alpha + mu_i) t).
     decay = np.exp(-np.outer(alpha + F.eigenvalues, ts))
-    mode_integrals = decay @ ws
+    mode_integrals = _gemm(decay.T, ws[:, None], trans_a=1)[:, 0]
     integral = F._apply_function(mode_integrals, u)
     return F.norm(integral - F.resolvent(alpha, u))
 
@@ -130,22 +130,24 @@ def _semigroup_side(F: FormOperator, t: float, tol: float):
     """beurling_deny_check's semigroup side at one t; S_t is normalised in place."""
     U, mu, w = F.eigenvectors, F.eigenvalues, F.m_sqrt
     half = np.exp(-0.5 * t * mu)
-    V = U * half
-    S = V @ V.T
-    del V
+    # S = V V^T by one dsyrk on scipy's BLAS (see forms._gemm), which fills
+    # the upper triangle; the mirror makes S exactly symmetric.
+    S = blas.dsyrk(1.0, U * half)
+    S += np.triu(S, 1).T
     delta = F._rounding_bound(half**2, t * half**2)
     s = np.sqrt(np.diagonal(S))
-    scale = 1.0 + np.abs(S) @ w / w
-    rise = S @ w / w - 1.0
+    scale = 1.0 + _gemm(np.abs(S), w[:, None])[:, 0] / w
+    rise = _gemm(S, w[:, None])[:, 0] / w - 1.0
     rows_ok = bool((rise <= tol * scale + delta * np.linalg.norm(w) / w).all())
     x = int(np.argmax(rise / scale))
     excess = (float(rise[x] / scale[x]), {"t": float(t), "x": x})
     margin = np.outer(tol * s, s)
     margin += S
     kernel_ok = bool(margin.min() >= -delta)
+    # One product s(x) s(y) per entry keeps the normalised S_t exactly
+    # symmetric, so the witness is the first, x < y, of its two entries.
     s[s == 0] = 1.0
-    S /= s[:, None]
-    S /= s
+    S /= np.outer(s, s, out=margin)
     np.fill_diagonal(S, np.inf)
     x, y = np.unravel_index(np.argmin(S), S.shape)
     kernel = (float(S[x, y]), {"t": float(t), "x": int(x), "y": int(y)})

@@ -6,7 +6,7 @@ import argparse
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from mgl import HermitianBundle, WeightedGraph, trivial_bundle
 from mgl.cli import build_parser
@@ -277,4 +277,22 @@ def counting_lapack(monkeypatch, names):
             return _routine(a, *args, **kwargs)
 
         monkeypatch.setattr(lapack, name, counting)
+    return calls
+
+
+def counting_blas(monkeypatch, names):
+    """Patch each named scipy BLAS wrapper to record, per call, (name, shape
+    of its operand a, after alpha, and whether every array operand is
+    Fortran-contiguous, so that f2py copies none); return the record."""
+    calls = []
+    for name in names:
+        routine = getattr(blas, name)
+
+        def counting(alpha, a, *args, _routine=routine, _name=name, **kwargs):
+            arrays = [x for x in (a, *args) if isinstance(x, np.ndarray)]
+            fortran = all(x.flags.f_contiguous for x in arrays)
+            calls.append((_name, np.shape(a), fortran))
+            return _routine(alpha, a, *args, **kwargs)
+
+        monkeypatch.setattr(blas, name, counting)
     return calls

@@ -197,6 +197,55 @@ def test_dominate_equality_passes_beyond_the_multiplier_rounding(tmp_path, flags
     assert code == 0
 
 
+def test_dominate_refuses_a_grid_point_that_resolves_nothing(tmp_path, capsys):
+    # K3, rank 2, c = 0.5 and W = 0: the hypothesis fails and e^{-tB} ~ 0,
+    # while e^{-tA} keeps the constant sections, so the pair is not
+    # dominated at large t. At t = 1e15 the eigensolvers' rounding
+    # allowance (4.5) exceeds max f_B = e^{-0.5 t} and no comparison can
+    # fail: an input error that names t, not a PASS. At t = 1e13 the
+    # slack, -1.9, fails beyond the allowance, 0.04.
+    graph = write_json(tmp_path / "g.json", {"n": 3, "edges": [
+        {"u": 0, "v": 1, "b": 1.0}, {"u": 1, "v": 2, "b": 1.0},
+        {"u": 0, "v": 2, "b": 1.0}], "killing": [0.5, 0.5, 0.5]})
+    bundle = write_json(tmp_path / "b.json", {"rank": 2})
+    out = tmp_path / "report.json"
+    argv = ["dominate", "--graph", graph, "--bundle", bundle, "--out", str(out)]
+    assert run([*argv, "--t", "1e15"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"t = 1e\+15 resolves nothing: .* allowance 4\.\d+ reaches "
+                     r"max f_B = 0", err), err
+    assert not out.exists()
+    # A failure decided at any grid point wins over an unresolved one.
+    for t in ("1e13", "1e13,1e15"):
+        assert run([*argv, "--t", t]) == 0
+        report = json.loads(out.read_text())
+        assert report["semigroup"]["passed"] is False
+        assert report["hypothesis"]["passed"] is False
+
+
+def test_spectral_products_run_on_scipys_blas(diamagnetic_specs, tmp_path, monkeypatch):
+    # Every dense product on N-sized operands in `semigroup-id` and `dominate`
+    # runs on scipy's BLAS, the runtime of its LAPACK, not on numpy's `@`.
+    calls = fixtures.counting_blas(monkeypatch, ("dgemm", "zgemm", "dsyrk"))
+    graph, bundle = diamagnetic_specs
+    n = fixtures.diamagnetic_docs()[0]["n"]
+    out = str(tmp_path / "r.json")
+    argv = ["--graph", graph, "--bundle", bundle, "--out", out]
+    assert run(["semigroup-id", *argv]) == 0
+    # U* M^1/2 u on each form, and the Beurling-Deny kernel S_t = V V^T, with
+    # every operand passed as f2py reads it, so that none is copied.
+    assert ("zgemm", (2 * n, 2 * n), True) in calls
+    assert ("dgemm", (n, n), True) in calls
+    assert calls.count(("dsyrk", (n, n), True)) == 4
+    assert all(fortran for *_, fortran in calls)
+    calls.clear()
+    assert run(["dominate", *argv, "--samples", "5"]) == 0
+    # The grid verdicts project into and back from both forms' eigenvectors.
+    assert ("zgemm", (2 * n, 2 * n), True) in calls
+    assert ("dgemm", (n, n), True) in calls
+    assert all(fortran for *_, fortran in calls)
+
+
 def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatch):
     import mgl.cli
     from mgl.cli import cmd_dominate

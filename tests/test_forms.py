@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -277,6 +278,47 @@ def test_nonfinite_form_fails_at_the_first_spectral_read(monkeypatch):
         with pytest.raises(EigSolverFailure, match="non-finite eigenvalues"):
             F.eigenvalues
     assert len(calls) == 2
+
+
+def test_gemm_matches_numpy():
+    # op(a) op(b) on scipy's BLAS against numpy's `@`, for real, complex and
+    # mixed operands in either memory order, every op, and single columns.
+    rng = np.random.default_rng(89)
+    ops = {0: lambda x: x, 1: lambda x: x.T, 2: lambda x: x.conj().T}
+
+    def draw(shape, dtype, order, trans):
+        x = rng.standard_normal(shape[::-1] if trans else shape)
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal(x.shape)
+        return np.asarray(x, order=order)
+
+    types = (float, complex)
+    cases = itertools.product(types, types, "CF", ops, ops, (1, 6))
+    for a_type, b_type, order, trans_a, trans_b, k in cases:
+        a = draw((7, 30), a_type, order, trans_a)
+        b = draw((30, k), b_type, order, trans_b)
+        c = forms._gemm(a, b, trans_a, trans_b)
+        ref = ops[trans_a](a) @ ops[trans_b](b)
+        assert c.shape == (7, k) and c.flags.f_contiguous
+        assert np.iscomplexobj(c) == np.iscomplexobj(ref)
+        assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_gemm_copies_no_fortran_operand():
+    # f2py copies an operand that is not Fortran-ordered; a C-ordered one
+    # passed as its transposed view, and a real a against a complex b, are
+    # not copied. Only the (N, 2) result and b's parts are allocated.
+    rng = np.random.default_rng(97)
+    a = np.asfortranarray(fixtures.random_section(400, 400, rng))
+    b = np.asfortranarray(fixtures.random_section(400, 2, rng))
+    real = np.asfortranarray(a.real)
+    for args in ((a, b), (a, b, 2), (np.ascontiguousarray(a).T, b, 1), (real, b),
+                 (np.ascontiguousarray(real).T, b, 1), (real, b.real)):
+        tracemalloc.start()
+        forms._gemm(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < args[0].nbytes / 10
 
 
 def test_evaluate_batches_match_columns():
