@@ -32,7 +32,6 @@ from .domination import (
     check_resolvent_domination,
     check_semigroup_domination,
     diamagnetic_report,
-    sgn_inequality_check,
 )
 from .forms import (
     FormOperator,
@@ -66,7 +65,6 @@ from .spectral import (
     euler_limit_check,
     form_limit_check,
     laplace_check,
-    ouhabaz_invariance_check,
 )
 
 __version__ = "0.1.0"

@@ -49,10 +49,6 @@ class AlphaTooSmall(MglError):
     """Laplace-transform quadrature requires alpha above the decay margin."""
 
 
-class ProjectionNotIdempotent(MglError):
-    """A supplied projection callable is not idempotent on the given samples."""
-
-
 class InfiniteEdgeDistance(MglError):
     """A pseudo-metric is infinite on an edge with positive weight."""
 

@@ -24,8 +24,9 @@ from .errors import InvariantError, SchemaError
 # symmetrization of L, m-weighted norms, the eigensolver) can overflow.
 MAGNITUDE_BOUND = 1e150
 
-# Largest accepted form dimension n * d. Forms are dense N x N matrices with
-# a dense eigendecomposition; one complex matrix of this size takes 4 GiB.
+# Largest accepted form dimension n * d. L is kept sparse, but assembly builds
+# a dense N x N transient, the reduction an N x (N+1) buffer and the
+# eigensystem a dense U; one complex N x N matrix of this size takes 4 GiB.
 DENSE_DIM_BOUND = 16384
 
 

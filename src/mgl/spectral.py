@@ -11,18 +11,12 @@ runs dstevd on T, then the back-transform by Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import (
-    AlphaTooSmall,
-    DimensionMismatch,
-    NegativeTime,
-    ProjectionNotIdempotent,
-)
+from .errors import AlphaTooSmall, DimensionMismatch, NegativeTime
 from .domination import DEFAULT_T_GRID
 from .forms import FormOperator, _gemm, _lapack
 
@@ -30,15 +24,6 @@ TRUNCATION = 1e-12
 # The Laplace check's composite Gauss-Legendre rule: panels, nodes per panel.
 LAPLACE_PANELS = 64
 LAPLACE_NODES = 12
-
-
-@dataclass(frozen=True)
-class SemigroupSample:
-    """One recorded application of e^{-tA}."""
-
-    t: float
-    input: np.ndarray
-    output: np.ndarray
 
 
 def _quadrature_grid(alpha: float):
@@ -214,80 +199,3 @@ def beurling_deny_check(
         },
     }
 
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Invariance criterion vs direct semigroup membership for a convex set."""
-
-    form_ok: bool
-    semigroup_ok: bool
-    worst_form_slack: float
-    worst_escape: float
-    form_witness: np.ndarray | None
-    escape_witness: SemigroupSample | None
-
-    @property
-    def agree(self) -> bool:
-        return self.form_ok == self.semigroup_ok
-
-
-def ouhabaz_invariance_check(
-    F: FormOperator,
-    projection,
-    samples,
-    t_list=DEFAULT_T_GRID,
-    tol: float = 1e-9,
-) -> InvarianceReport:
-    """Compare Re Q(Pu, u - Pu) >= 0 with direct invariance of the set.
-
-    `projection` maps vectors onto a closed convex set; idempotency is
-    verified on the samples first. Membership of e^{-tA}(Pu) is measured
-    by the m-distance to its own projection.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    projected = np.stack([projection(s) for s in samples])
-    for p in projected:
-        again = projection(p)
-        if F.norm(again - p) > 1e-10 * max(1.0, F.norm(p)):
-            raise ProjectionNotIdempotent(
-                "projection(projection(u)) differs from projection(u)"
-            )
-
-    worst_slack = np.inf
-    form_witness = None
-    for s, p in zip(samples, projected):
-        slack = F.evaluate(p, s - p).real
-        if slack < worst_slack:
-            worst_slack = float(slack)
-            form_witness = s
-    form_ok = worst_slack >= -tol
-
-    worst_escape = 0.0
-    escape_witness = None
-    for p in projected:
-        for t in t_list:
-            out = F.semigroup(t, p)
-            dist = F.norm(np.asarray(projection(out)) - out)
-            if dist > worst_escape:
-                worst_escape = float(dist)
-                escape_witness = SemigroupSample(float(t), p.copy(), out.copy())
-    semigroup_ok = worst_escape <= tol
-
-    return InvarianceReport(
-        bool(form_ok),
-        bool(semigroup_ok),
-        worst_slack,
-        worst_escape,
-        None if form_ok else form_witness,
-        None if semigroup_ok else escape_witness,
-    )
-
-
-def positive_cone_projection(u):
-    """Projection onto the nonnegative orthant (any weighted l2 norm)."""
-    return np.maximum(np.asarray(u, dtype=float), 0.0)
-
-
-def unit_interval_projection(u):
-    """Projection onto {0 <= u <= 1} (any weighted l2 norm)."""
-    return np.clip(np.asarray(u, dtype=float), 0.0, 1.0)

@@ -197,19 +197,26 @@ def test_dominate_equality_passes_beyond_the_multiplier_rounding(tmp_path, flags
     assert code == 0
 
 
-def test_dominate_refuses_a_grid_point_that_resolves_nothing(tmp_path, capsys):
-    # K3, rank 2, c = 0.5 and W = 0: the hypothesis fails and e^{-tB} ~ 0,
-    # while e^{-tA} keeps the constant sections, so the pair is not
-    # dominated at large t. At t = 1e15 the eigensolvers' rounding
-    # allowance (4.5) exceeds max f_B = e^{-0.5 t} and no comparison can
-    # fail: an input error that names t, not a PASS. At t = 1e13 the
-    # slack, -1.9, fails beyond the allowance, 0.04.
+def killed_k3_argv(tmp_path):
+    """`dominate` on K3, rank 2, c = 0.5 and W = 0, and its report's path.
+
+    The hypothesis fails and e^{-tB} ~ 0, while e^{-tA} keeps the constant
+    sections, so the pair is not dominated at large t.
+    """
     graph = write_json(tmp_path / "g.json", {"n": 3, "edges": [
         {"u": 0, "v": 1, "b": 1.0}, {"u": 1, "v": 2, "b": 1.0},
         {"u": 0, "v": 2, "b": 1.0}], "killing": [0.5, 0.5, 0.5]})
     bundle = write_json(tmp_path / "b.json", {"rank": 2})
     out = tmp_path / "report.json"
-    argv = ["dominate", "--graph", graph, "--bundle", bundle, "--out", str(out)]
+    return ["dominate", "--graph", graph, "--bundle", bundle, "--out", str(out)], out
+
+
+def test_dominate_refuses_a_grid_point_that_resolves_nothing(tmp_path, capsys):
+    # At t = 1e15 the eigensolvers' rounding allowance (4.5) exceeds
+    # max f_B = e^{-0.5 t} and no comparison can fail: an input error that
+    # names t, not a PASS. At t = 1e13 the slack, -1.9, fails beyond the
+    # allowance, 0.04.
+    argv, out = killed_k3_argv(tmp_path)
     assert run([*argv, "--t", "1e15"]) == 2
     err = capsys.readouterr().err
     assert re.search(r"t = 1e\+15 resolves nothing: .* allowance 4\.\d+ reaches "
@@ -221,6 +228,31 @@ def test_dominate_refuses_a_grid_point_that_resolves_nothing(tmp_path, capsys):
         report = json.loads(out.read_text())
         assert report["semigroup"]["passed"] is False
         assert report["hypothesis"]["passed"] is False
+
+
+def test_dominate_failing_witness_fails_beyond_its_allowance(tmp_path):
+    # t = 1e15 holds the least slack, -1.94, but within its allowance, 4.5;
+    # the verdict fails at t = 1e13 (slack -1.91, allowance 0.04), so that
+    # comparison is the witness.
+    argv, out = killed_k3_argv(tmp_path)
+    assert run([*argv, "--t", "1e13,1e15"]) == 0
+    semigroup = json.loads(out.read_text())["semigroup"]
+    assert semigroup["passed"] is False
+    assert semigroup["witness_param"] == 1e13
+    assert semigroup["slack"] == pytest.approx(-1.908, abs=1e-3)
+
+
+def test_dominate_overflowing_multiplier_is_skipped_without_warning(tmp_path, capsys):
+    # A's zero eigenvalue rounds to about -1e-16, so exp(-t mu) overflows at
+    # t = 1e20: its allowance is infinite and it is not applied. Warnings
+    # are errors under pytest.
+    argv, out = killed_k3_argv(tmp_path)
+    assert run([*argv, "--t", "1e20"]) == 2
+    assert "t = 1e+20 resolves nothing" in capsys.readouterr().err
+    assert run([*argv, "--t", "1e13,1e20"]) == 0
+    semigroup = json.loads(out.read_text())["semigroup"]
+    assert semigroup["passed"] is False
+    assert semigroup["witness_param"] == 1e13
 
 
 def test_spectral_products_run_on_scipys_blas(diamagnetic_specs, tmp_path, monkeypatch):

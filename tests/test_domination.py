@@ -15,7 +15,6 @@ from mgl import (
     check_resolvent_domination,
     check_semigroup_domination,
     diamagnetic_report,
-    sgn_inequality_check,
     trivial_bundle,
 )
 from mgl import domination
@@ -268,25 +267,6 @@ def test_hypothesis_margins_values():
         w = bundle.endo[x] - g.killing[x] * np.eye(2)
         expected = np.linalg.eigvalsh((w + w.conj().T) / 2).min()
         assert margins[x] == pytest.approx(expected)
-
-
-def test_sgn_inequality_hand_values():
-    # a = (2, 0), b = (0, 1), alpha = beta = 1: LHS 2 <= RHS 5.
-    a = np.array([2.0, 0.0])
-    b = np.array([0.0, 1.0])
-    ta = a / 2.0
-    tb = b
-    lhs = np.linalg.norm(ta - tb) ** 2
-    rhs = 0.0 + np.linalg.norm(a - b) ** 2
-    assert lhs == pytest.approx(2.0)
-    assert rhs == pytest.approx(5.0)
-
-
-def test_sgn_inequality_random_and_branches():
-    assert sgn_inequality_check(1, 500, rng=0) >= -1e-12
-    assert sgn_inequality_check(3, 500, rng=1) >= -1e-12
-    with pytest.raises(DimensionMismatch):
-        sgn_inequality_check(2, 0)
 
 
 def test_dimension_mismatch_rejected():

@@ -17,19 +17,16 @@ from mgl import (
     euler_limit_check,
     form_limit_check,
     laplace_check,
-    ouhabaz_invariance_check,
 )
 from mgl.errors import (
     AlphaInSpectrum,
     AlphaTooSmall,
     EigSolverFailure,
     NegativeTime,
-    ProjectionNotIdempotent,
 )
 from mgl.cli import _identity_suite, run
 from mgl.domination import DEFAULT_T_GRID
 from mgl.forms import FormOperator
-from mgl.spectral import positive_cone_projection, unit_interval_projection
 
 
 def scalar_fixture_forms():
@@ -506,29 +503,3 @@ def test_beurling_deny_sides_agree(F):
     x, y = np.unravel_index(np.argmax(dense), dense.shape)
     assert criteria["positivity"]["max_off_diagonal"] == dense[x, y]
     assert criteria["positivity"]["form_witness"] == [x, y]
-
-
-def test_ouhabaz_cone_and_interval_pass():
-    F = assemble_scalar_form(fixtures.random_graph())
-    rng = np.random.default_rng(75)
-    samples = rng.standard_normal((30, F.dim))
-    for projection in (positive_cone_projection, unit_interval_projection):
-        report = ouhabaz_invariance_check(F, projection, samples)
-        assert report.form_ok and report.semigroup_ok and report.agree
-
-
-def test_ouhabaz_detects_violation():
-    F = perturbed_p2_form()
-    rng = np.random.default_rng(76)
-    samples = np.vstack([rng.standard_normal((20, 2)), [[1.0, -1.0]]])
-    report = ouhabaz_invariance_check(F, positive_cone_projection, samples)
-    assert not report.form_ok and not report.semigroup_ok and report.agree
-    assert report.worst_form_slack < -1e-3
-    assert report.escape_witness is not None
-
-
-def test_ouhabaz_rejects_non_idempotent():
-    F = assemble_scalar_form(fixtures.p2())
-    samples = np.array([[1.0, -1.0]])
-    with pytest.raises(ProjectionNotIdempotent):
-        ouhabaz_invariance_check(F, lambda u: u * 0.5, samples)
