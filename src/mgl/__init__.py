@@ -23,7 +23,6 @@ from .cones import (
     negative_part,
     positive_part,
     project_domination_set,
-    project_domination_set_halfsum,
 )
 from .domination import (
     DominationReport,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bundles import HermitianBundle, pair, symmetrize
-from .errors import ComplexInput, DimensionMismatch, PreconditionViolated
+from .errors import ComplexInput, DimensionMismatch
 
 
 def _require_real(g) -> np.ndarray:
@@ -22,6 +22,14 @@ def _require_real(g) -> np.ndarray:
             raise ComplexInput("input must be real-valued")
         arr = arr.real
     return np.asarray(arr, dtype=float)
+
+
+def _real_pair(f, g):
+    f = _require_real(f)
+    g = _require_real(g)
+    if f.shape != g.shape:
+        raise DimensionMismatch(f"shapes differ: {f.shape} vs {g.shape}")
+    return f, g
 
 
 def positive_part(g) -> np.ndarray:
@@ -42,19 +50,13 @@ def absolute_part(g) -> np.ndarray:
 
 def lattice_sup(f, g) -> np.ndarray:
     """Lattice supremum (f + g + |f - g|) / 2, the componentwise max."""
-    f = _require_real(f)
-    g = _require_real(g)
-    if f.shape != g.shape:
-        raise DimensionMismatch(f"shapes differ: {f.shape} vs {g.shape}")
+    f, g = _real_pair(f, g)
     return 0.5 * (f + g + np.abs(f - g))
 
 
 def lattice_inf(f, g) -> np.ndarray:
     """Lattice infimum (f + g - |f - g|) / 2, the componentwise min."""
-    f = _require_real(f)
-    g = _require_real(g)
-    if f.shape != g.shape:
-        raise DimensionMismatch(f"shapes differ: {f.shape} vs {g.shape}")
+    f, g = _real_pair(f, g)
     return 0.5 * (f + g - np.abs(f - g))
 
 
@@ -64,7 +66,9 @@ def project_domination_set(f1, g, B: HermitianBundle):
     Uses the exact lattice formula: the projected section is half the
     section paired to (min(S(f1), g) + S(f1))^+, and the projected bound
     is half of (max(S(f1), g) + g)^+. The constraint and the squared distance
-    both decompose over vertices, so the measure drops out.
+    both decompose over vertices, so the measure drops out. Where
+    0 <= g <= S(f1) this is the half-sum ((f1 + f2)/2, (S(f1) + g)/2), f2 the
+    section paired to g.
     """
     g = _require_real(g)
     f1 = B.check_section(f1)
@@ -73,25 +77,3 @@ def project_domination_set(f1, g, B: HermitianBundle):
     f_hat = 0.5 * pair(f1, magnitudes, B)
     g_hat = 0.5 * positive_part(lattice_sup(s, g) + g)
     return f_hat, g_hat
-
-
-def project_domination_set_halfsum(f1, g, B: HermitianBundle):
-    """Projection onto the same set for 0 <= g <= S(f1): half-sum shortcut.
-
-    On this input class the projection is ((f1 + f2)/2, (S(f1) + g)/2) with
-    f2 paired to g. Raises PreconditionViolated outside the class.
-    """
-    g = _require_real(g)
-    f1 = B.check_section(f1)
-    s = symmetrize(f1, B)
-    if (g < 0).any():
-        worst = int(np.argmin(g))
-        raise PreconditionViolated(f"g must be nonnegative; g({worst}) = {g[worst]}")
-    if (g > s).any():
-        worst = int(np.argmax(g - s))
-        raise PreconditionViolated(
-            f"g must be dominated by S(f1); at vertex {worst}: "
-            f"g = {g[worst]} > {s[worst]}"
-        )
-    f2 = pair(f1, g, B)
-    return 0.5 * (f1 + f2), 0.5 * (s + g)

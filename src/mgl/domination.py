@@ -19,7 +19,7 @@ its vertex and edge probes decide that inequality exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,19 +53,7 @@ class Verdict:
     witness_vertex: int | None = None
 
     def to_report(self) -> dict:
-        return {
-            "passed": self.passed,
-            "slack": self.slack,
-            "witness_vertex": self.witness_vertex,
-            "witness_param": self.witness_param,
-            "witness_vector": None
-            if self.witness_vector is None
-            else np.asarray(self.witness_vector),
-        }
-
-
-def _as_rng(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        return asdict(self)
 
 
 def _check_compatible(A: FormOperator, B: FormOperator):
@@ -82,7 +70,7 @@ def _sections(A: FormOperator, B: FormOperator, samples, rng) -> np.ndarray:
     given array, after checking that B can dominate A."""
     _check_compatible(A, B)
     if isinstance(samples, (int, np.integer)):
-        rng = _as_rng(rng)
+        rng = np.random.default_rng(rng)
         shape = (int(samples), A.n, A.d)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return np.asarray(samples, dtype=complex)
@@ -140,9 +128,9 @@ def _pointwise_verdict(
     """Shared body of the semigroup- and resolvent-level checks.
 
     `multiplier(F, p)` is the spectral multiplier of the operator at
-    parameter p (named `name` in messages), or None where that operator is
-    exactly the identity, and `slope(f, p)` its absolute slope at the
-    eigenvalues, given its values f.
+    parameter p (named `name` in messages), and `slope(f, p)` its absolute
+    slope at the eigenvalues, given its values f. An empty grid checks
+    nothing: SchemaError.
     At each p the fiber norms of the A-side image of every sample and of
     every vertex probe e_x (x) v_x are compared with the B-side image of
     their pointwise norms (e_x for the probe). The samples, then the probes,
@@ -159,6 +147,8 @@ def _pointwise_verdict(
     would check nothing. A p whose delta is infinite, where exp(-t mu)
     overflows, is not applied: no comparison could fail there.
     """
+    if len(params) == 0:
+        raise SchemaError(f"the {name} grid is empty: nothing would be compared")
     n, d = A.n, A.d
     sections = _sections(A, B, samples, rng)
     _, fibers = _vertex_probes(A, B)
@@ -170,8 +160,7 @@ def _pointwise_verdict(
     with np.errstate(over="ignore"):
         scalars = [(multiplier(A, p), multiplier(B, p)) for p in params]
     deltas = [
-        0.0 if fa is None
-        else A._rounding_bound(fa, slope(fa, p)) + B._rounding_bound(fb, slope(fb, p))
+        A._rounding_bound(fa, slope(fa, p)) + B._rounding_bound(fb, slope(fb, p))
         for (fa, fb), p in zip(scalars, params)
     ]
     # |u|_m of each sample, then of each probe (a unit fiber vector at x).
@@ -190,17 +179,10 @@ def _pointwise_verdict(
         for i, (fa, fb) in enumerate(scalars):
             if not np.isfinite(deltas[i]):
                 continue
-            if fa is None:
-                # The identity compares the sections themselves; each vertex
-                # probe, with its unit fiber vector, then has slack 0.
-                slack = np.zeros((n, yb.shape[1]))
-                lhs = np.linalg.norm(flat[:, cols].reshape(n, d, -1), axis=1)
-                slack[:, : lhs.shape[1]] = mags[:, cols] - lhs
-            else:
-                slack = B._from_eigencoordinates(fb, yb).real
-                slack -= np.linalg.norm(
-                    A._from_eigencoordinates(fa, ya).reshape(n, d, -1), axis=1
-                )
+            slack = B._from_eigencoordinates(fb, yb).real
+            slack -= np.linalg.norm(
+                A._from_eigencoordinates(fa, ya).reshape(n, d, -1), axis=1
+            )
             beyond = slack < -tol - deltas[i] * scale
             if beyond.any() and not failed:
                 failed, best = True, (np.inf, None, None, None)
@@ -211,7 +193,7 @@ def _pointwise_verdict(
     slack, i, vertex, column = best
     if not failed:
         for p, (_, fb), delta in zip(params, scalars, deltas):
-            if fb is not None and delta >= fb.max():
+            if delta >= fb.max():
                 raise SchemaError(
                     f"{name} = {p:g} resolves nothing: the eigensolvers' rounding "
                     f"allowance {delta:.3g} reaches max f_B = {fb.max():.3g}"
@@ -270,7 +252,7 @@ def check_form_domination(
     supported pair across every edge, and the worst section at every vertex
     paired with itself.
     """
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     sections = _sections(A, B, samples, rng)
     k, n, d = len(sections), A.n, A.d
     mags = np.linalg.norm(sections, axis=2)

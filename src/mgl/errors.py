@@ -21,10 +21,6 @@ class NegativeG(MglError):
     """A nonnegative scalar function was expected."""
 
 
-class PreconditionViolated(MglError):
-    """The hypothesis of a restricted-input operation does not hold."""
-
-
 class DimensionMismatch(MglError):
     """Vector/matrix shapes are incompatible."""
 

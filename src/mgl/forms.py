@@ -281,19 +281,18 @@ class FormOperator:
         return self._from_eigencoordinates(scalars, y).reshape(u.shape)
 
     def _semigroup_multiplier(self, t):
-        """exp(-t mu), the spectral multiplier of e^{-tA}; None at t = 0,
-        where the semigroup is exactly the identity."""
+        """exp(-t mu), the spectral multiplier of e^{-tA}."""
         if t < 0:
             raise NegativeTime(f"semigroup time must be nonnegative, got {t}")
-        return None if t == 0 else np.exp(-t * self.eigenvalues)
+        return np.exp(-t * self.eigenvalues)
 
     def semigroup(self, t, u):
-        """e^{-tA} u via the cached spectral decomposition; identity at t = 0."""
+        """e^{-tA} u via the cached spectral decomposition; exactly u at t = 0,
+        where the spectrum is not read."""
+        if t == 0:
+            return np.array(self._check_vector(u), copy=True)
         scalars = self._semigroup_multiplier(t)
-        u = self._check_vector(u)
-        if scalars is None:
-            return np.array(u, copy=True)
-        return self._apply_function(scalars, u)
+        return self._apply_function(scalars, self._check_vector(u))
 
     def _resolvent_multiplier(self, alpha):
         """1/(mu + alpha), the spectral multiplier of (A + alpha)^-1."""

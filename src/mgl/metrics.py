@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components, csgraph_from_dense, shortest_path
 
 from .bundles import HermitianBundle
 from .errors import (
@@ -36,7 +36,7 @@ class PseudoMetric:
     """Symmetric nonnegative distance matrix with zero diagonal.
 
     Entries may be +inf for disconnected pairs. The triangle inequality is
-    verified on construction (exhaustively for n <= 150).
+    verified on construction: d must equal its own shortest-path closure.
     """
 
     __slots__ = ("dist", "n")
@@ -59,11 +59,11 @@ class PseudoMetric:
             raise InvariantError("pseudo-metric entries must be nonnegative")
         if np.any(d != d.T):
             raise InvariantError("pseudo-metric is not symmetric")
-        if self.n <= 150:
-            # d(x,y) <= d(x,z) + d(z,y); inf arithmetic is safe here.
-            through = (d[:, :, None] + d[None, :, :]).min(axis=1)
-            if np.any(d > through + METRIC_TOL):
-                raise InvariantError("pseudo-metric violates the triangle inequality")
+        # d(x,y) <= d(x,z) + d(z,y) for all z exactly when no path is shorter
+        # than d. Infinite entries are no edge; zero ones stay edges.
+        graph = csgraph_from_dense(d, null_value=np.inf)
+        if np.any(d > shortest_path(graph, directed=False) + METRIC_TOL):
+            raise InvariantError("pseudo-metric violates the triangle inequality")
 
     def __getitem__(self, key):
         return self.dist[key]

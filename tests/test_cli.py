@@ -426,6 +426,20 @@ def test_spectrum_outputs(p2_spec, tmp_path, capsys):
     np.testing.assert_allclose(report["scalar"], [5.0])
 
 
+def test_library_failure_exits_1_without_report(p2_spec, tmp_path, capsys,
+                                               monkeypatch):
+    import mgl.forms
+
+    def dstevd(d, e):
+        return d, np.eye(len(d)), 3
+
+    monkeypatch.setattr(mgl.forms.lapack, "dstevd", dstevd)
+    out = tmp_path / "s.json"
+    assert run(["spectrum", "--graph", p2_spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: dstevd failed: LAPACK info = 3\n"
+    assert not out.exists()
+
+
 def test_semigroup_id_passes(p2_spec, tmp_path):
     out = tmp_path / "s.json"
     assert run(["semigroup-id", "--graph", p2_spec, "--out", str(out)]) == 0

@@ -26,7 +26,7 @@ from mgl.domination import (
     _vertex_probes,
     hypothesis_margins,
 )
-from mgl.errors import DimensionMismatch
+from mgl.errors import DimensionMismatch, SchemaError
 from mgl.forms import FormOperator
 from mgl.graphs import load_graph
 
@@ -199,6 +199,17 @@ def test_diamagnetic_report_hypothesis_failure_is_honest():
     assert not report.hypothesis_ok
     assert report.hypothesis_margins[0] == pytest.approx(-1.0)
     assert isinstance(report.consistent, bool)
+
+
+def test_empty_grid_is_refused():
+    # K3 with W = 0 < c = 0.5: the hypothesis fails, so a PASS on an empty
+    # grid, where nothing was compared, would hide it.
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}, killing=[0.5] * 3)
+    bundle = HermitianBundle(g, 2)
+    with pytest.raises(SchemaError, match="t grid is empty"):
+        diamagnetic_report(g, bundle, t_list=(), alpha_list=())
+    with pytest.raises(SchemaError, match="alpha grid is empty"):
+        diamagnetic_report(g, bundle, alpha_list=())
 
 
 def test_diamagnetic_report_equality_instance():
@@ -463,8 +474,9 @@ def test_eigencoordinate_checks_match_per_parameter_route():
                 assert (verdict.witness_param, verdict.witness_vertex) == (param, vertex)
                 np.testing.assert_array_equal(verdict.witness_vector, section)
         # At t = 0 the semigroup is the identity: each vertex probe
-        # e_x (x) v_x has norm e_x, with slack exactly 0.
-        assert check_semigroup_domination(A, B, (0.0,), samples=0).slack == 0.0
+        # e_x (x) v_x has norm e_x, with slack 0 up to rounding.
+        at_zero = check_semigroup_domination(A, B, (0.0,), samples=0)
+        assert at_zero.passed and abs(at_zero.slack) <= 1e-12
 
         verdict = check_form_domination(A, B, bundle, sections, rng=7)
         aligned = _form_by_sample(A, B, bundle, sections, np.random.default_rng(7))

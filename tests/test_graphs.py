@@ -21,6 +21,14 @@ def test_load_p2_row_sums():
     np.testing.assert_array_equal(g.measure, [1.0, 1.0])
 
 
+def test_zero_weight_edge_is_dropped():
+    g = load_graph({"n": 3, "edges": [{"u": 0, "v": 1, "b": 1.0},
+                                      {"u": 1, "v": 2, "b": 0.0}]})
+    np.testing.assert_array_equal(g.edges, [[0, 1]])
+    np.testing.assert_array_equal(g.weights, [1.0])
+    np.testing.assert_array_equal(g.row_sums, [1.0, 1.0, 0.0])
+
+
 def test_load_rejects_loop_as_b1():
     with pytest.raises(InvariantError, match=r"\(b1\).*vertex 0"):
         load_graph({"n": 1, "edges": [{"u": 0, "v": 0, "b": 1.0}]})

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,48 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_modules_import_nothing_they_do_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def orphaned_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Functions, classes and methods named with one leading underscore
+    that nothing outside their own body references, over all the modules
+    given as {file name: source}."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+
+    def references(root) -> Counter:
+        found = Counter()
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                found[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                found[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+        return found
+
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    orphans = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and everywhere[node.name] == references(node)[node.name]):
+                orphans.append(f"{name}: {node.name} (line {node.lineno})")
+    return orphans
+
+
+def test_orphaned_private_helpers_are_found():
+    source = (
+        "def _used():\n    return 1\n"
+        "def _recursive(k):\n    return _recursive(k - 1)\n"
+        "class Box:\n"
+        "    def _helper(self):\n        return _used()\n"
+        "    def value(self):\n        return self._helper()\n"
+    )
+    assert orphaned_private_helpers({"m.py": source}) == ["m.py: _recursive (line 3)"]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert orphaned_private_helpers(sources) == []

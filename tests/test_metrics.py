@@ -72,6 +72,19 @@ def test_pseudo_metric_validation():
         PseudoMetric(bad_triangle)
 
 
+def test_pseudo_metric_checks_the_triangle_inequality_at_every_size():
+    x = np.random.default_rng(7).standard_normal((151, 3))
+    d = np.linalg.norm(x[:, None] - x[None], axis=2)
+    PseudoMetric(d)
+    d[0, 1] = d[1, 0] = d[0, 1] + 5.0
+    with pytest.raises(InvariantError, match="triangle"):
+        PseudoMetric(d)
+    # A violation through a zero distance: d(0, 2) > d(0, 1) + d(1, 2).
+    zero_hop = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    with pytest.raises(InvariantError, match="triangle"):
+        PseudoMetric(zero_hop)
+
+
 def test_path_metric_examples():
     d = path_metric(fixtures.p3(), EdgeLengths.constant(fixtures.p3()))
     assert d[0, 2] == 2.0
