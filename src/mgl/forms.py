@@ -7,16 +7,20 @@ reads come from its stored entries. The generator in the m-weighted inner
 product is A = M^-1 L; it is diagonalized through the honest Hermitian
 matrix M^-1/2 L M^-1/2, which is densified once, into the columns 1: of a
 zeroed N x (N+1) buffer that its Householder reduction Q T Q* (?hetrd)
-overwrites; the buffer's columns :-1 are then Q's reflectors as ?unmqr reads
-them. The reduction is computed on first use and cached. The Euler check
-solves with T directly; the eigensystem diagonalizes T (dstevd) and applies
-Q to the eigenvectors from the left, in place. So each form is reduced once,
-whichever reads it first, while callers that only read L (form probes, block
-restrictions) never hold a dense N x N array. Instances are immutable.
+overwrites; the buffer's columns :-1 are then Q's reflectors as ?ungqr reads
+them. Each step is computed on first use and cached: the reduction; T's
+eigensystem w, Z (dstevd), which gives the eigenvalues; and the
+eigenvectors U = Q Z, built in the reduction's buffer, which then holds U
+instead of the reflectors. The Euler check solves with T and applies Q as
+U Z^T. So each form is reduced once, whichever reads it first, U is built
+only where eigenvectors are read, and callers that only read L (form
+probes, block restrictions) never hold a dense N x N array. Instances are
+immutable.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -33,8 +37,8 @@ from .errors import (
 )
 from .graphs import WeightedGraph
 
-# Workspace per column of the matrix that ?hetrd reduces or that Q
-# multiplies, so that large reductions and back-transforms run blocked.
+# Workspace per column of the matrix that ?hetrd reduces or that ?ungqr
+# forms, so that both run blocked; half the rows of each panel of Q Z.
 _EIGH_BLOCK = 64
 
 
@@ -65,6 +69,12 @@ def _gemm(a, b, trans_a=0, trans_b=0):
     return gemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
 
 
+def _real_rows(x):
+    """A Fortran-ordered (k, N) array as the real (2k, N) array of its real
+    and imaginary parts, interleaved by row, without a copy; a real x as is."""
+    return x.T.view(float).T
+
+
 class FormOperator:
     """Hermitian form matrix with a measure-symmetrized eigensystem, computed
     on first use.
@@ -76,8 +86,9 @@ class FormOperator:
     measure : (n,) strictly positive vertex measures
     d : fiber dimension, with N = n * d (1 for scalar forms)
 
-    Reading `eigenvalues`, `eigenvectors` or `lower_bound` the first time
-    runs the eigensolver, and raises EigSolverFailure if it fails.
+    Reading `eigenvalues` or `lower_bound` the first time runs the reduction
+    and dstevd, and reading `eigenvectors` the first time also builds U; each
+    raises EigSolverFailure if a step fails.
     """
 
     def __init__(self, L, measure, d=1):
@@ -106,6 +117,7 @@ class FormOperator:
         self.m_diag = np.repeat(measure, d)
         self.m_sqrt = np.sqrt(self.m_diag)
         self.m_isqrt = 1.0 / self.m_sqrt
+        self._lock = threading.Lock()
 
     def _symmetrized(self):
         """M^-1/2 L M^-1/2, the Hermitian matrix that is reduced.
@@ -123,11 +135,13 @@ class FormOperator:
     @cached_property
     def _tridiagonal(self):
         """Householder reduction M^-1/2 L M^-1/2 = Q T Q* (?hetrd, lower), in
-        place: Q's reflectors and their tau, and T's real diagonals (the
-        subdiagonal is one 0 when T is 1 x 1, as the LAPACK wrappers that read
-        it require). ?hetrd leaves reflector i below the subdiagonal of column
-        i, column i+1 of the buffer; so the buffer's columns :-1, with tau led
-        by a 0 (the identity), are ?unmqr's reflectors for all N rows."""
+        place: T's real diagonals (the subdiagonal is one 0 when T is 1 x 1,
+        as the LAPACK wrappers that read it require). Q's reflectors stay in
+        the buffer, which waits in `_householder`, with their tau, until
+        `eigenvectors` takes it. ?hetrd leaves reflector i below the
+        subdiagonal of column i, column i+1 of the buffer; so the buffer's
+        columns :-1, with tau led by a 0 (the identity), are ?ungqr's
+        reflectors for all N rows."""
         a = self._symmetrized()
         # LAPACK does not check its input.
         if not np.isfinite(a).all():
@@ -139,38 +153,19 @@ class FormOperator:
             raise EigSolverFailure(f"{hetrd.__name__} copied its buffer")
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise EigSolverFailure("tridiagonal reduction has non-finite entries")
-        return a.base[:, :-1], d, e if e.size else np.zeros(1), np.append(0, tau)
-
-    def _reflect(self, trans: str, v):
-        """Q v (trans 'N') or Q* v (trans 'C') in place, for an (N, k) block v
-        of the reduction's dtype: one ?unmqr call from the left.
-
-        ?unmqr overwrites v itself where v is one Fortran array (a column, or
-        a Fortran-ordered block); f2py copies any other.
-        """
-        refl, _, _, tau = self._tridiagonal
-        real = not np.iscomplexobj(refl)
-        unmqr = lapack.dormqr if real else lapack.zunmqr
-        trans = trans.replace("C", "T") if real else trans
-        lwork = _EIGH_BLOCK * v.shape[1]
-        # The copy back is a no-op where ?unmqr overwrote v itself.
-        v[...] = _lapack(unmqr, "L", trans, refl, tau, v, lwork, overwrite_c=1)[0]
-        return v
+        self._householder = a.base[:, :-1], np.append(0, tau)
+        return d, e if e.size else np.zeros(1)
 
     @cached_property
     def _eigensystem(self):
-        """T = Z diag(w) Z^T by divide and conquer (dstevd), and U = Q Z,
-        overwriting dstevd's Z (a real form) or one complex copy of it."""
-        refl, d, e, _ = self._tridiagonal
-        w, Z = _lapack(lapack.dstevd, d, e)
+        """T = Z diag(w) Z^T by divide and conquer (dstevd): the eigenvalues
+        and T's real, Fortran-ordered eigenvectors Z."""
+        w, Z = _lapack(lapack.dstevd, *self._tridiagonal)
         if not np.isfinite(w).all():
             raise EigSolverFailure("eigendecomposition returned non-finite eigenvalues")
-        U = Z.astype(refl.dtype, order="F", copy=False)
-        del Z  # freed before Q runs, where U is a complex copy
-        self._reflect("N", U)
         w.setflags(write=False)
-        U.setflags(write=False)
-        return w, U
+        Z.setflags(write=False)
+        return w, Z
 
     @property
     def eigenvalues(self):
@@ -178,7 +173,43 @@ class FormOperator:
 
     @property
     def eigenvectors(self):
-        return self._eigensystem[1]
+        # Building U consumes the reflectors: one thread builds it, and a
+        # concurrent first read waits for it.
+        with self._lock:
+            return self._eigenvectors
+
+    @cached_property
+    def _eigenvectors(self):
+        """U = Q Z, built inside the reduction's buffer: ?ungqr turns the
+        reflectors into Q there, then Q Z overwrites Q a panel of rows at a
+        time. The buffer is taken from `_householder` first, so nothing reads
+        it as reflectors again."""
+        Z = self._eigensystem[1]
+        try:
+            q, tau = self.__dict__.pop("_householder")
+        except KeyError:
+            raise EigSolverFailure("a failed eigenvector build consumed the "
+                                   "reflectors") from None
+        ungqr = lapack.zungqr if np.iscomplexobj(q) else lapack.dorgqr
+        lwork = _EIGH_BLOCK * self.dim
+        U = _lapack(ungqr, q, tau, lwork=lwork, overwrite_a=1)[0]
+        if U is not q:
+            raise EigSolverFailure(f"{ungqr.__name__} copied its buffer")
+        # Each panel of rows is copied into a Fortran block and multiplied,
+        # by ?gemm, into a second one. Z is real: a complex row enters as two
+        # real rows, its real and imaginary parts. A panel has 2 _EIGH_BLOCK
+        # rows, or N / 4 if fewer, so that the two blocks together stay within
+        # the N^2 / 2 words of dstevd's workspace, which is freed by now.
+        height = max(1, min(2 * _EIGH_BLOCK, self.dim // 4))
+        blocks = np.empty((2, height * self.dim), U.dtype)
+        for start in range(0, self.dim, height):
+            rows = U[start : start + height]
+            panel, out = (b[: rows.size].reshape(rows.shape, order="F") for b in blocks)
+            panel[...] = rows
+            blas.dgemm(1.0, _real_rows(panel), Z, c=_real_rows(out), overwrite_c=1)
+            rows[...] = out
+        U.setflags(write=False)
+        return U
 
     @property
     def lower_bound(self) -> float:

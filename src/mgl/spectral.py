@@ -5,8 +5,9 @@ decomposition. The identity checks take independent routes: Laplace
 integrates the spectral semigroup (composite Gauss-Legendre) against the
 spectral resolvent. Euler and the eigensystem share the form's one
 Householder reduction Q T Q* (?hetrd) and diverge after it: Euler runs
-dpttrs solves with I + (t/n) T and reads no eigenpair; the eigensystem
-runs dstevd on T, then the back-transform by Q.
+dpttrs solves with I + (t/n) T; the eigensystem runs dstevd on T, then
+builds U = Q Z. Euler applies Q as U Z^T, so it reads the eigenvectors
+but no eigenvalue.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import AlphaTooSmall, DimensionMismatch, NegativeTime
+from .errors import AlphaTooSmall, DimensionMismatch, NegativeTime, SchemaError
 from .domination import DEFAULT_T_GRID
 from .forms import FormOperator, _gemm, _lapack
 
@@ -71,8 +72,9 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
 
     With h = t/n and the form's Householder reduction M^-1/2 L M^-1/2 = Q T Q*,
     T real tridiagonal, the power is M^-1/2 Q (I + hT)^-n Q* M^1/2 u: one dpttrf
-    of I + hT and n dpttrs on real columns (the real and imaginary parts); Q is
-    applied from its reflectors. No eigenpair is read; e^{-tA} u is spectral.
+    of I + hT and n dpttrs on real columns (the real and imaginary parts).
+    With T = Z diag(mu) Z^T, Q = U Z^T, so Q* v = Z U* v and Q y = U Z^T y;
+    no eigenvalue is read, while e^{-tA} u is spectral.
     """
     if n < 1:
         raise DimensionMismatch(f"power n must be >= 1, got {n}")
@@ -81,15 +83,23 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     if t == 0:
         return 0.0
     u = np.asarray(u)
-    refl, d, e, _ = F._tridiagonal
+    d, e = F._tridiagonal
+    U, Z = F.eigenvectors, F._eigensystem[1]
     h = t / n
     df, ef = _lapack(lapack.dpttrf, 1.0 + h * d, h * e)
-    v = (F.m_sqrt * u).astype(np.result_type(refl, u, 1.0))[:, None]
-    y = np.asfortranarray(F._reflect("C", v.view(refl.dtype)).view(float))
+    v = (F.m_sqrt * u).astype(np.result_type(U, u, 1.0))[:, None]
+    y = _gemm(Z, _columns(_gemm(U, _columns(v, U.dtype), trans_a=2), float))
     for _ in range(n):
         y = _lapack(lapack.dpttrs, df, ef, y, overwrite_b=1)[0]
-    y = F._reflect("N", np.ascontiguousarray(y).view(refl.dtype)).view(v.dtype)
+    y = _columns(_gemm(U, _columns(_gemm(Z, y, trans_a=1), U.dtype)), v.dtype)
     return F.norm(F.m_isqrt * y[:, 0] - F.semigroup(t, u))
+
+
+def _columns(x, dtype):
+    """The (N, k) array x as Fortran-ordered columns of `dtype`: a complex
+    column as two real ones, its real and imaginary parts, or two real
+    columns as one complex column."""
+    return np.asfortranarray(np.ascontiguousarray(x).view(dtype))
 
 
 def form_limit_check(F: FormOperator, u, v, t_list) -> np.ndarray:
@@ -111,15 +121,15 @@ def form_limit_check(F: FormOperator, u, v, t_list) -> np.ndarray:
     return defects
 
 
-def _semigroup_side(F: FormOperator, t: float, tol: float):
-    """beurling_deny_check's semigroup side at one t; S_t is normalised in place."""
+def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float):
+    """beurling_deny_check's semigroup side at one t, with rounding bound
+    delta; S_t is normalised in place."""
     U, mu, w = F.eigenvectors, F.eigenvalues, F.m_sqrt
     half = np.exp(-0.5 * t * mu)
     # S = V V^T by one dsyrk on scipy's BLAS (see forms._gemm), which fills
     # the upper triangle; the mirror makes S exactly symmetric.
     S = blas.dsyrk(1.0, U * half)
     S += np.triu(S, 1).T
-    delta = F._rounding_bound(half**2, t * half**2)
     s = np.sqrt(np.diagonal(S))
     scale = 1.0 + _gemm(np.abs(S), w[:, None])[:, 0] / w
     rise = _gemm(S, w[:, None])[:, 0] / w - 1.0
@@ -150,18 +160,37 @@ def beurling_deny_check(
     Semigroup figures, from S_t = V V^T, V = U e^{-t mu/2}, which has the
     entry signs of e^{-tA}: the smallest S_t(x, y) / sqrt(S_t(x, x) S_t(y, y))
     over x != y, and the largest (e^{-tA} 1 - 1)(x) / (1 + sum_y |e^{-tA}(x, y)|).
+    The times are those of t_list times min(1, 10 / |mu|_max), so that
+    t |mu|_max is at most 10 times the listed time, as the Euler check's t
+    is scaled; a witness reports the time used.
     The eigensolver's backward error leaves S_t off by up to
     delta_t = n eps (2 + t |mu|_max) |S_t|_2 (FormOperator._rounding_bound), so
     a semigroup verdict fails only beyond tol times the figure's scale plus
-    delta_t (times |m^1/2|_2 / m(x)^1/2 for a row). Markov verdicts include
-    their side's positivity verdict.
+    delta_t (times |m^1/2|_2 / m(x)^1/2 for a row). Where delta_t reaches
+    |S_t|_2 = max e^{-t mu}, no entry or row could fail: if none fails at any
+    t, such a t resolves nothing, and SchemaError names it rather than let
+    it pass. Markov verdicts include their side's positivity verdict.
     """
     if F.d != 1 or np.iscomplexobj(F.L):
         raise DimensionMismatch("the Beurling-Deny check requires a real scalar form")
     if not len(t_list) or min(t_list) < 0:
         raise NegativeTime(f"Beurling-Deny times must be >= 0, at least one: {t_list}")
-    sides = [_semigroup_side(F, t, tol) for t in t_list]
+    mu = F.eigenvalues
+    times = np.asarray(t_list, float) * (10.0 / max(np.abs(mu).max(), 10.0))
+    with np.errstate(over="ignore"):
+        tops = [np.exp(-t * mu).max() for t in times]
+    deltas = [F._rounding_bound(top, t * top) for t, top in zip(times, tops)]
+    resolved = [delta < top for top, delta in zip(tops, deltas)]
+    sides = [_semigroup_side(F, t, tol, delta)
+             for t, delta, ok in zip(times, deltas, resolved) if ok]
     kernel_ok = all(side[0] for side in sides)
+    rows_ok = kernel_ok and all(side[1] for side in sides)
+    if rows_ok and not all(resolved):
+        i = resolved.index(False)
+        raise SchemaError(
+            f"Beurling-Deny time t = {times[i]:g} resolves nothing: the eigensolver's "
+            f"rounding allowance {deltas[i]:.3g} reaches |S_t|_2 = {tops[i]:.3g}"
+        )
     kernel = min((side[2] for side in sides), key=itemgetter(0))
     excess = max((side[3] for side in sides), key=itemgetter(0))
     # The stored off-diagonal entries of L and, if some vertices are not
@@ -193,7 +222,7 @@ def beurling_deny_check(
             "form_ok": positive and bool(rows[r] >= -tol),
             "min_row_ratio": float(rows[r]),
             "form_witness": r,
-            "semigroup_ok": kernel_ok and all(side[1] for side in sides),
+            "semigroup_ok": rows_ok,
             "max_row_excess": excess[0],
             "semigroup_witness": excess[1],
         },

@@ -4,10 +4,12 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import fixtures
 from mgl.cli import build_parser, run
@@ -269,6 +271,9 @@ def test_spectral_products_run_on_scipys_blas(diamagnetic_specs, tmp_path, monke
     assert ("zgemm", (2 * n, 2 * n), True) in calls
     assert ("dgemm", (n, n), True) in calls
     assert calls.count(("dsyrk", (n, n), True)) == 4
+    # U = Q Z on the magnetic form, N = 2n: four panels of N / 4 rows of Q,
+    # each entering as twice as many real rows, the real and imaginary parts.
+    assert calls.count(("dgemm", (n, 2 * n), True)) == 4
     assert all(fortran for *_, fortran in calls)
     calls.clear()
     assert run(["dominate", *argv, "--samples", "5"]) == 0
@@ -276,6 +281,52 @@ def test_spectral_products_run_on_scipys_blas(diamagnetic_specs, tmp_path, monke
     assert ("zgemm", (2 * n, 2 * n), True) in calls
     assert ("dgemm", (n, n), True) in calls
     assert all(fortran for *_, fortran in calls)
+
+
+def test_semigroup_id_catches_a_broken_back_transform(diamagnetic_specs, tmp_path,
+                                                     monkeypatch):
+    # Q with two columns swapped is still unitary, and U = Q Z then
+    # diagonalizes Q P T P^T Q* exactly: the Laplace and Euler checks, which
+    # read only U, Z and T, agree with it. The form limit compares U's
+    # spectral calculus with the sparse L, and is the check that catches it.
+    for name in ("zungqr", "dorgqr"):
+        routine = getattr(lapack, name)
+
+        def swapped(*args, _routine=routine, **kwargs):
+            q, *rest = _routine(*args, **kwargs)
+            q[:, [0, 1]] = q[:, [1, 0]]
+            return q, *rest
+
+        monkeypatch.setattr(lapack, name, swapped)
+    graph, bundle = diamagnetic_specs
+    out = tmp_path / "r.json"
+    argv = ["semigroup-id", "--graph", graph, "--bundle", bundle, "--out", str(out)]
+    assert run(argv) == 1
+    report = json.loads(out.read_text())
+    assert report["ok"] is False
+    for form in ("magnetic", "scalar"):
+        assert report[form]["form_limit_ok"] is False, form
+
+
+def test_commands_fit_their_memory_budgets(tmp_path):
+    # Each command's traced peak, in complex N x N arrays, on one n = 150,
+    # rank-3 spec (N = 450), against the budgets that README states: one
+    # more N x N complex copy anywhere would exceed its command's budget.
+    budgets = {"spectrum": 2.3, "semigroup-id": 3.4, "dominate": 4.25}
+    graph_doc, bundle_doc = fixtures.diamagnetic_docs(n=150, d=3)
+    argv = ["--graph", write_json(tmp_path / "g.json", graph_doc),
+            "--bundle", write_json(tmp_path / "b.json", bundle_doc),
+            "--out", str(tmp_path / "r.json")]
+    square = 16 * (150 * 3) ** 2
+    for command, budget in budgets.items():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert run([command, *argv]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * square, (command, peak / square)
 
 
 def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import itertools
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,6 @@ from mgl import (
 )
 from mgl.cli import run
 from mgl.errors import BundleInvalid, DimensionMismatch, EigSolverFailure
-from mgl.spectral import euler_limit_check
 
 
 def test_scalar_assembly_examples():
@@ -226,10 +227,10 @@ def test_spectrum_is_computed_on_first_read(monkeypatch):
 
 
 def test_lapack_eigensystem_matches_numpy():
-    # The eigensystem (?hetrd, dstevd, then Q applied by ?unmqr) against the
-    # independent np.linalg.eigh on the fixture set, plus a complex form with
-    # N = 300 and a real one with N = 320, large enough that the blocked
-    # back-transform runs for both dtypes.
+    # The eigensystem (?hetrd, dstevd, then U = Q Z from ?ungqr's Q) against
+    # the independent np.linalg.eigh on the fixture set, plus a complex form
+    # with N = 300 and a real one with N = 320, large enough that ?ungqr runs
+    # blocked and Q Z takes several row panels for both dtypes.
     rng = np.random.default_rng(71)
     forms_ = []
     for g in fixtures.fixture_graphs().values():
@@ -346,10 +347,9 @@ def test_evaluate_batches_match_columns():
 def test_form_matrix_is_sparse_and_the_eigensystem_fits_its_memory_budget():
     # L keeps only the assembled entries: the n diagonal blocks and both
     # orientations of every edge block, and no dense N x N array outlives
-    # assembly. A cold eigensystem then holds at most the reflectors, T's
-    # real eigenvectors and the complex copy that Q overwrites in place:
-    # 2.5 N^2 complex words (3.14 with a dense L, its symmetrized copy and
-    # f2py's copy of the rows that Q acts on).
+    # assembly. A cold eigensystem then holds at most the reduction buffer,
+    # T's real eigenvectors Z and dstevd's workspace, 2.0 complex N^2 words,
+    # and keeps U, which is the buffer, and Z: 1.5.
     rng = np.random.default_rng(75)
     g = fixtures.random_graph(n=150, density=0.05, seed=76)
     bundle = fixtures.random_bundle(g, 3, rng)
@@ -358,40 +358,16 @@ def test_form_matrix_is_sparse_and_the_eigensystem_fits_its_memory_budget():
         F = assemble_magnetic_form(g, bundle)
         kept = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        F.eigenvalues
-        peak = tracemalloc.get_traced_memory()[1] - kept
+        F.eigenvectors
+        held, peak = (size - kept for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     square = 16 * F.dim**2  # bytes of one complex N x N array
     assert F.dim == 450 and isinstance(F.L, csr_array)
     assert F.L.nnz == (g.n + 2 * len(g.edges)) * 9
     assert kept <= 0.1 * square
-    assert peak <= 2.6 * square
-
-
-def test_back_transform_overwrites_its_own_buffer(monkeypatch):
-    # ?unmqr receives a block of the array that becomes U (or the Euler
-    # check's vector) and overwrites it, so Q costs no N x N copy.
-    calls = []
-    for name in ("zunmqr", "dormqr"):
-        routine = getattr(forms.lapack, name)
-
-        def spy(side, trans, a, tau, c, *args, _routine=routine, **kwargs):
-            out = _routine(side, trans, a, tau, c, *args, **kwargs)
-            calls.append((c, out[0]))
-            return out
-
-        monkeypatch.setattr(forms.lapack, name, spy)
-    g = fixtures.random_graph()
-    rng = np.random.default_rng(77)
-    for F in (assemble_scalar_form(g),
-              assemble_magnetic_form(g, fixtures.random_bundle(g, 2, rng))):
-        U = F.eigenvectors
-        c, out = calls[-1]
-        assert np.shares_memory(c, U) and np.shares_memory(out, U)
-        euler_limit_check(F, 0.5, rng.standard_normal(F.dim), 4)
-        assert all(np.shares_memory(c, out) for c, out in calls[-2:])
-    assert len(calls) == 6
+    assert peak <= 2.1 * square
+    assert held <= 1.55 * square
 
 
 def _spy(monkeypatch, names, record):
@@ -407,13 +383,38 @@ def _spy(monkeypatch, names, record):
         monkeypatch.setattr(forms.lapack, name, spy)
 
 
-def test_q_is_applied_from_the_left_only(monkeypatch, tmp_path):
-    # Every ?unmqr call of a semigroup-id run and a dominate run on a rank-2
-    # spec, eigenvector back-transforms and Euler columns alike, takes Q from
-    # the left: 7 per form in semigroup-id (U, then 2 per Euler check), and
-    # one per form in dominate.
-    sides = []
-    _spy(monkeypatch, ("zunmqr", "dormqr"), lambda args, out: sides.append(args[0]))
+def _reduced_forms():
+    g = fixtures.random_graph()
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(81))
+    return assemble_scalar_form(g), assemble_magnetic_form(g, bundle)
+
+
+def test_back_transform_overwrites_its_own_buffer(monkeypatch):
+    # U is the very buffer that ?hetrd overwrote with the reflectors: ?ungqr
+    # forms Q there and Q Z overwrites it, so U costs no N x N copy. The
+    # buffer is then no longer at hand as reflectors.
+    written = []
+    _spy(monkeypatch, ("zhetrd", "dsytrd"), lambda args, out: written.append(out[0]))
+    for F in _reduced_forms():
+        F.eigenvalues
+        assert hasattr(F, "_householder")
+        U = F.eigenvectors
+        assert np.shares_memory(U, written[-1]) and U.flags.f_contiguous
+        assert U.shape == (F.dim, F.dim) and not hasattr(F, "_householder")
+        assert not U.flags.writeable
+    assert len(written) == 2
+
+
+def test_no_command_calls_unmqr(monkeypatch, tmp_path):
+    # A semigroup-id, a dominate and a spectrum run on a rank-2 spec never
+    # apply Q from its reflectors; the first two form Q once per form, by
+    # ?ungqr, and spectrum, which reads no eigenvector, never does.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Q was applied from its reflectors")
+
+    for name in ("zunmqr", "dormqr"):
+        monkeypatch.setattr(forms.lapack, name, refuse)
+    calls = fixtures.counting_lapack(monkeypatch, ("zungqr", "dorgqr"))
     graph_doc, bundle_doc = fixtures.diamagnetic_docs()
     specs = []
     for flag, doc in (("--graph", graph_doc), ("--bundle", bundle_doc)):
@@ -421,39 +422,80 @@ def test_q_is_applied_from_the_left_only(monkeypatch, tmp_path):
         path.write_text(json.dumps(doc), encoding="utf-8")
         specs += [flag, str(path)]
     specs += ["--out", str(tmp_path / "r.json")]
-    assert run(["semigroup-id", *specs]) == 0
-    assert run(["dominate", "--samples", "10", *specs]) == 0
-    assert sides == ["L"] * 16
+    n = graph_doc["n"]
+    per_form = [("dorgqr", (n, n)), ("zungqr", (2 * n, 2 * n))]
+    for argv, formed in ((["semigroup-id"], per_form),
+                         (["dominate", "--samples", "10"], per_form),
+                         (["spectrum"], [])):
+        calls.clear()
+        assert run([*argv, *specs]) == 0
+        assert sorted(calls) == formed
 
 
-def _reduced_forms():
-    g = fixtures.random_graph()
-    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(81))
-    return assemble_scalar_form(g), assemble_magnetic_form(g, bundle)
+def test_a_failed_eigenvector_build_is_not_run_again(monkeypatch):
+    # ?ungqr may have overwritten the reflectors before it failed: a second
+    # read of `eigenvectors` must not build U from what is left of them.
+    def failing(a, tau, **kwargs):
+        return a, None, -1
+
+    F = _reduced_forms()[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(forms.lapack, "dorgqr", failing)
+        with pytest.raises(EigSolverFailure, match="info = -1"):
+            F.eigenvectors
+    with pytest.raises(EigSolverFailure, match="consumed the reflectors"):
+        F.eigenvectors
+    assert F.lower_bound == F.eigenvalues[0]
 
 
 def test_reflectors_are_read_where_the_reduction_wrote_them(monkeypatch):
-    # ?unmqr reads Q's reflectors from the very buffer that ?hetrd overwrote,
-    # not from a copy of them.
+    # ?ungqr reads Q's reflectors from the very buffer that ?hetrd overwrote,
+    # not from a copy of them, and forms Q there.
     written, read = [], []
     _spy(monkeypatch, ("zhetrd", "dsytrd"), lambda args, out: written.append(out[0]))
-    _spy(monkeypatch, ("zunmqr", "dormqr"), lambda args, out: read.append(args[2]))
+    _spy(monkeypatch, ("zungqr", "dorgqr"),
+         lambda args, out: read.append((args[0], out[0])))
     for F in _reduced_forms():
         F.eigenvectors
-        assert read[-1].shape == (F.dim, F.dim)
-        assert np.shares_memory(read[-1], written[-1])
+        reflectors, q = read[-1]
+        assert reflectors.shape == (F.dim, F.dim) and q is reflectors
+        assert np.shares_memory(reflectors, written[-1])
     assert len(written) == len(read) == 2
 
 
-def test_real_eigenvectors_are_dstevd_output(monkeypatch):
-    # Q overwrites dstevd's own Z for a real form; a complex form's U is one
-    # complex copy of it.
-    Zs = []
-    _spy(monkeypatch, ("dstevd",), lambda args, out: Zs.append(out[1]))
-    scalar, magnetic = _reduced_forms()
-    assert np.shares_memory(scalar.eigenvectors, Zs[-1])
-    assert not np.shares_memory(magnetic.eigenvectors, Zs[-1])
-    assert scalar.eigenvectors.flags.f_contiguous
+def test_spectrum_forms_no_eigenvectors(monkeypatch):
+    # The eigenvalues are dstevd's alone: reading them, or lower_bound,
+    # forms no Q and no U, and leaves the reflectors in the buffer.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Q was formed for the eigenvalues")
+
+    for name in ("zungqr", "dorgqr"):
+        monkeypatch.setattr(forms.lapack, name, refuse)
+    for F in _reduced_forms():
+        assert F.lower_bound == F.eigenvalues[0]
+        assert "_eigenvectors" not in F.__dict__ and hasattr(F, "_householder")
+
+
+def test_concurrent_first_reads_share_one_eigenvector_build():
+    # Building U consumes the reflectors: first reads of `eigenvectors` from
+    # several threads get the one U that a single build made.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for F in [F for _ in range(3) for F in _reduced_forms()]:
+            F.eigenvalues
+            built = []
+            threads = [threading.Thread(target=lambda: built.append(F.eigenvectors))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(built) == 4 and all(U is built[0] for U in built)
+            assert F.reconstruction_defect() <= 1e-12
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_reduction_overwrites_its_own_buffer():

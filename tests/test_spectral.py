@@ -23,6 +23,7 @@ from mgl.errors import (
     AlphaTooSmall,
     EigSolverFailure,
     NegativeTime,
+    SchemaError,
 )
 from mgl.cli import _identity_suite, run
 from mgl.domination import DEFAULT_T_GRID
@@ -218,9 +219,10 @@ def test_euler_matches_dense_oracle():
                 assert abs(got - want) <= 1e-10 * scale, (name, n, got, want)
 
 
-def test_euler_reads_no_eigenpair():
+def test_euler_reads_no_eigenvalue():
     # Scaling the cached eigenvalues moves the spectral semigroup only: were
-    # the Euler power read off the eigensystem too, the error would stay small.
+    # the Euler power read off them too, the error would stay small. (It
+    # reads the eigenvectors, to apply Q = U Z^T.)
     g = fixtures.random_graph()
     for F in (
         assemble_scalar_form(g),
@@ -229,8 +231,8 @@ def test_euler_reads_no_eigenpair():
         u = np.random.default_rng(2).standard_normal(F.dim)
         assert _identity_suite(F, [1.0], 42)["euler_ok"]
         assert euler_limit_check(F, 1.0, u, 4096) <= 1e-3 * F.norm(u)
-        w, U = F._eigensystem
-        F.__dict__["_eigensystem"] = (w * (1 + 1e-2), U)
+        w, Z = F._eigensystem
+        F.__dict__["_eigensystem"] = (w * (1 + 1e-2), Z)
         assert euler_limit_check(F, 1.0, u, 4096) > 1e-3 * F.norm(u)
         assert not _identity_suite(F, [1.0], 42)["euler_ok"]
 
@@ -301,7 +303,7 @@ def test_euler_refuses_failed_lapack_calls(monkeypatch):
     F = FormOperator(-100.0 * np.eye(2), [1.0, 1.0])
     with pytest.raises(EigSolverFailure, match="dpttrf"):
         euler_limit_check(F, 0.7, np.ones(2), 16)
-    for name in ("zhetrd", "dpttrs", "zunmqr"):
+    for name in ("zhetrd", "dstevd", "zungqr", "dpttrs"):
         routine = getattr(lapack, name)
 
         def failing(*args, _routine=routine, **kwargs):
@@ -427,6 +429,36 @@ def test_beurling_deny_rounding_bound_keeps_small_violations():
     assert report["max_row_excess"] == pytest.approx(rise / (2 + rise), rel=1e-6)
 
 
+@pytest.mark.parametrize("w", [1.0, 1e6, 1e15])
+def test_beurling_deny_times_scale_with_the_spectrum(w):
+    # Two disjoint edges: a light one whose coupling +0.5 breaks positivity,
+    # with kernel ratio -tanh(t / 2), and one of weight w, so |mu|_max = 2w.
+    # Unscaled, t = 10 at w = 1e15 had a rounding allowance of 17.8, and the
+    # ratio -0.9999 there read as a pass. The times t min(1, 10 / |mu|_max)
+    # keep the allowance at rounding level: the verdict judges the figure.
+    L = np.zeros((4, 4))
+    L[:2, :2] = [[1.0, 0.5], [0.5, 1.0]]
+    L[2:, 2:] = w * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    report = beurling_deny_check(FormOperator(L, np.ones(4)))["positivity"]
+    t = 10.0 * min(1.0, 10.0 / (2 * w))
+    assert not report["form_ok"]
+    assert report["semigroup_witness"]["t"] == pytest.approx(t, rel=1e-12)
+    assert report["min_kernel_ratio"] == pytest.approx(-np.tanh(t / 2), rel=1e-2)
+    assert report["semigroup_ok"] == (report["min_kernel_ratio"] >= -1e-10)
+    assert report["semigroup_ok"] == (w == 1e15)
+
+
+def test_beurling_deny_refuses_a_time_that_resolves_nothing():
+    # On P2, t = 1e17 puts the rounding allowance above |S_t|_2, so no entry
+    # or row could fail there; unless another time fails, that is an error.
+    F = assemble_scalar_form(fixtures.p2())
+    with pytest.raises(SchemaError, match="t = 1e[+]17 resolves nothing"):
+        beurling_deny_check(F, t_list=(0.1, 1e17))
+    report = beurling_deny_check(perturbed_p2_form(), t_list=(10.0, 1e17))["positivity"]
+    assert not report["semigroup_ok"]
+    assert report["semigroup_witness"] == {"t": 10.0, "x": 0, "y": 1}
+
+
 def test_positivity_markov_all_scalar_fixtures():
     for name, F in scalar_fixture_forms().items():
         criteria = beurling_deny_check(F)
@@ -435,8 +467,10 @@ def test_positivity_markov_all_scalar_fixtures():
             assert criteria[criterion]["semigroup_ok"], (name, criterion)
 
 
-def _oracle_figures(L, measure):
-    return oracles.beurling_deny_figures(L, measure, DEFAULT_T_GRID)
+def _oracle_figures(L, measure, F):
+    # The check's times: the default grid times min(1, 10 / |mu|_max).
+    scale = 10.0 / max(np.abs(F.eigenvalues).max(), 10.0)
+    return oracles.beurling_deny_figures(L, measure, [t * scale for t in DEFAULT_T_GRID])
 
 
 @pytest.mark.parametrize("case", ["fixtures", "bumped-p2", "extreme-measure"])
@@ -456,7 +490,7 @@ def test_beurling_deny_matches_expm_oracle(case):
             forms.append((oracles.scalar_form_matrix(g), g.measure,
                           assemble_scalar_form(g)))
     for L, measure, F in forms:
-        want = _oracle_figures(L, measure)
+        want = _oracle_figures(L, measure, F)
         criteria = beurling_deny_check(F)
         got = {
             "max_off_diagonal": criteria["positivity"]["max_off_diagonal"],
