@@ -75,6 +75,13 @@ def _real_rows(x):
     return x.T.view(float).T
 
 
+def _columns(x, dtype):
+    """The (N, k) array x as Fortran-ordered columns of `dtype`: a complex
+    column as two real ones, its real and imaginary parts, or two real
+    columns as one complex column."""
+    return np.asfortranarray(np.ascontiguousarray(x).view(dtype))
+
+
 class FormOperator:
     """Hermitian form matrix with a measure-symmetrized eigensystem, computed
     on first use.
@@ -210,6 +217,19 @@ class FormOperator:
             rows[...] = out
         U.setflags(write=False)
         return U
+
+    def _to_reduced_frame(self, cols):
+        """Q* cols for an (N, k) batch, with Q from the reduction Q T Q*:
+        T = Z diag(mu) Z^T and U = Q Z, so Q* = Z U*. Fortran-ordered real
+        columns, a complex column as two, its real and imaginary parts."""
+        U, Z = self.eigenvectors, self._eigensystem[1]
+        return _gemm(Z, _columns(_gemm(U, _columns(cols, U.dtype), trans_a=2), float))
+
+    def _from_reduced_frame(self, y, dtype):
+        """Q y = U Z^T y for real columns y laid out as `_to_reduced_frame`
+        returns them, as (N, k) columns of `dtype`."""
+        U, Z = self.eigenvectors, self._eigensystem[1]
+        return _columns(_gemm(U, _columns(_gemm(Z, y, trans_a=1), U.dtype)), dtype)
 
     @property
     def lower_bound(self) -> float:

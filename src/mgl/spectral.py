@@ -16,6 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 from scipy.linalg import blas, lapack
+from scipy.sparse.csgraph import connected_components
 
 from .errors import AlphaTooSmall, DimensionMismatch, NegativeTime, SchemaError
 from .domination import DEFAULT_T_GRID
@@ -84,22 +85,14 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
         return 0.0
     u = np.asarray(u)
     d, e = F._tridiagonal
-    U, Z = F.eigenvectors, F._eigensystem[1]
     h = t / n
     df, ef = _lapack(lapack.dpttrf, 1.0 + h * d, h * e)
-    v = (F.m_sqrt * u).astype(np.result_type(U, u, 1.0))[:, None]
-    y = _gemm(Z, _columns(_gemm(U, _columns(v, U.dtype), trans_a=2), float))
+    v = (F.m_sqrt * u).astype(np.result_type(F.L.dtype, u, 1.0))[:, None]
+    y = F._to_reduced_frame(v)
     for _ in range(n):
         y = _lapack(lapack.dpttrs, df, ef, y, overwrite_b=1)[0]
-    y = _columns(_gemm(U, _columns(_gemm(Z, y, trans_a=1), U.dtype)), v.dtype)
+    y = F._from_reduced_frame(y, v.dtype)
     return F.norm(F.m_isqrt * y[:, 0] - F.semigroup(t, u))
-
-
-def _columns(x, dtype):
-    """The (N, k) array x as Fortran-ordered columns of `dtype`: a complex
-    column as two real ones, its real and imaginary parts, or two real
-    columns as one complex column."""
-    return np.asfortranarray(np.ascontiguousarray(x).view(dtype))
 
 
 def form_limit_check(F: FormOperator, u, v, t_list) -> np.ndarray:
@@ -121,9 +114,19 @@ def form_limit_check(F: FormOperator, u, v, t_list) -> np.ndarray:
     return defects
 
 
-def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float):
+def _resolution(F: FormOperator, t: float):
+    """|S_t|_2 = max e^{-t mu} and the eigensolver's rounding allowance on S_t,
+    n eps (2 + t |mu|_max) |S_t|_2 (FormOperator._rounding_bound); both are
+    infinite where e^{-t mu} overflows."""
+    with np.errstate(over="ignore"):
+        top = np.exp(-t * F.eigenvalues).max()
+    return top, F._rounding_bound(top, t * top)
+
+
+def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float, part):
     """beurling_deny_check's semigroup side at one t, with rounding bound
-    delta; S_t is normalised in place."""
+    delta, on the form of one component; `part` maps its vertices to the
+    whole graph's for the witnesses. S_t is normalised in place."""
     U, mu, w = F.eigenvectors, F.eigenvalues, F.m_sqrt
     half = np.exp(-0.5 * t * mu)
     # S = V V^T by one dsyrk on scipy's BLAS (see forms._gemm), which fills
@@ -135,7 +138,7 @@ def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float):
     rise = _gemm(S, w[:, None])[:, 0] / w - 1.0
     rows_ok = bool((rise <= tol * scale + delta * np.linalg.norm(w) / w).all())
     x = int(np.argmax(rise / scale))
-    excess = (float(rise[x] / scale[x]), {"t": float(t), "x": x})
+    excess = (float(rise[x] / scale[x]), {"t": float(t), "x": int(part[x])})
     margin = np.outer(tol * s, s)
     margin += S
     kernel_ok = bool(margin.min() >= -delta)
@@ -145,7 +148,7 @@ def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float):
     S /= np.outer(s, s, out=margin)
     np.fill_diagonal(S, np.inf)
     x, y = np.unravel_index(np.argmin(S), S.shape)
-    kernel = (float(S[x, y]), {"t": float(t), "x": int(x), "y": int(y)})
+    kernel = (float(S[x, y]), {"t": float(t), "x": int(part[x]), "y": int(part[y])})
     return kernel_ok, rows_ok, kernel, excess
 
 
@@ -160,38 +163,56 @@ def beurling_deny_check(
     Semigroup figures, from S_t = V V^T, V = U e^{-t mu/2}, which has the
     entry signs of e^{-tA}: the smallest S_t(x, y) / sqrt(S_t(x, x) S_t(y, y))
     over x != y, and the largest (e^{-tA} 1 - 1)(x) / (1 + sum_y |e^{-tA}(x, y)|).
-    The times are those of t_list times min(1, 10 / |mu|_max), so that
-    t |mu|_max is at most 10 times the listed time, as the Euler check's t
-    is scaled; a witness reports the time used.
+    e^{-tA} is block diagonal over the connected components of L, so S_t
+    is exactly 0 between them, and each component is decided on its own
+    eigensystem, with its own |mu|_max: a heavy component does not blur a
+    light one.
     The eigensolver's backward error leaves S_t off by up to
     delta_t = n eps (2 + t |mu|_max) |S_t|_2 (FormOperator._rounding_bound), so
     a semigroup verdict fails only beyond tol times the figure's scale plus
     delta_t (times |m^1/2|_2 / m(x)^1/2 for a row). Where delta_t reaches
-    |S_t|_2 = max e^{-t mu}, no entry or row could fail: if none fails at any
-    t, such a t resolves nothing, and SchemaError names it rather than let
-    it pass. Markov verdicts include their side's positivity verdict.
+    |S_t|_2 = max e^{-t mu}, no entry or row could fail: that t resolves
+    nothing, and the component is judged at t min(1, 10 / |mu|_max) instead,
+    as the Euler check's t is scaled (a witness reports the time used). If
+    that time resolves nothing either, then unless the kernel fails
+    elsewhere, SchemaError names it rather than let the positivity verdict
+    pass, whatever the rows read. Markov verdicts include their side's
+    positivity verdict.
     """
     if F.d != 1 or np.iscomplexobj(F.L):
         raise DimensionMismatch("the Beurling-Deny check requires a real scalar form")
     if not len(t_list) or min(t_list) < 0:
         raise NegativeTime(f"Beurling-Deny times must be >= 0, at least one: {t_list}")
-    mu = F.eigenvalues
-    times = np.asarray(t_list, float) * (10.0 / max(np.abs(mu).max(), 10.0))
-    with np.errstate(over="ignore"):
-        tops = [np.exp(-t * mu).max() for t in times]
-    deltas = [F._rounding_bound(top, t * top) for t, top in zip(times, tops)]
-    resolved = [delta < top for top, delta in zip(tops, deltas)]
-    sides = [_semigroup_side(F, t, tol, delta)
-             for t, delta, ok in zip(times, deltas, resolved) if ok]
+    count, labels = connected_components(F.L, directed=False)
+    sides, unresolved = [], []
+    for c in range(count):
+        part = np.flatnonzero(labels == c)
+        form = F
+        if count > 1:
+            form = FormOperator(F.L[part][:, part].toarray(), F.measure[part])
+        stretch = 10.0 / max(np.abs(form.eigenvalues).max(), 10.0)
+        for t in t_list:
+            top, delta = _resolution(form, t)
+            if not delta < top:
+                t *= stretch
+                top, delta = _resolution(form, t)
+            if delta < top:
+                sides.append(_semigroup_side(form, t, tol, delta, part))
+            else:
+                unresolved.append((t, delta, top))
     kernel_ok = all(side[0] for side in sides)
-    rows_ok = kernel_ok and all(side[1] for side in sides)
-    if rows_ok and not all(resolved):
-        i = resolved.index(False)
+    if kernel_ok and unresolved:
+        t, delta, top = unresolved[0]
         raise SchemaError(
-            f"Beurling-Deny time t = {times[i]:g} resolves nothing: the eigensolver's "
-            f"rounding allowance {deltas[i]:.3g} reaches |S_t|_2 = {tops[i]:.3g}"
+            f"Beurling-Deny time t = {t:g} resolves nothing: the eigensolver's "
+            f"rounding allowance {delta:.3g} reaches |S_t|_2 = {top:.3g}"
         )
-    kernel = min((side[2] for side in sides), key=itemgetter(0))
+    kernels = [side[2] for side in sides]
+    if count > 1:
+        # S_t is 0 between components: the first such pair, in row-major order.
+        y = int(np.flatnonzero(labels != labels[0])[0])
+        kernels.append((0.0, {"t": float(t_list[0]), "x": 0, "y": y}))
+    kernel = min(kernels, key=itemgetter(0))
     excess = max((side[3] for side in sides), key=itemgetter(0))
     # The stored off-diagonal entries of L and, if some vertices are not
     # adjacent, the first such pair in row-major order, whose entry is 0.
@@ -222,7 +243,7 @@ def beurling_deny_check(
             "form_ok": positive and bool(rows[r] >= -tol),
             "min_row_ratio": float(rows[r]),
             "form_witness": r,
-            "semigroup_ok": rows_ok,
+            "semigroup_ok": kernel_ok and all(side[1] for side in sides),
             "max_row_excess": excess[0],
             "semigroup_witness": excess[1],
         },

@@ -429,23 +429,32 @@ def test_beurling_deny_rounding_bound_keeps_small_violations():
     assert report["max_row_excess"] == pytest.approx(rise / (2 + rise), rel=1e-6)
 
 
-@pytest.mark.parametrize("w", [1.0, 1e6, 1e15])
-def test_beurling_deny_times_scale_with_the_spectrum(w):
+@pytest.mark.parametrize("w", [1.0, 1e6, 1e12, 1e14, 1e15, 1e17])
+def test_beurling_deny_judges_each_component_on_its_own_spectrum(w):
     # Two disjoint edges: a light one whose coupling +0.5 breaks positivity,
     # with kernel ratio -tanh(t / 2), and one of weight w, so |mu|_max = 2w.
-    # Unscaled, t = 10 at w = 1e15 had a rounding allowance of 17.8, and the
-    # ratio -0.9999 there read as a pass. The times t min(1, 10 / |mu|_max)
-    # keep the allowance at rounding level: the verdict judges the figure.
+    # On the whole form, t = 10 at w = 1e15 had a rounding allowance of 17.8,
+    # and the ratio -0.9999 there read as a pass. e^{-tA} is block diagonal,
+    # and the light component, on its own eigensystem, resolves every t.
     L = np.zeros((4, 4))
     L[:2, :2] = [[1.0, 0.5], [0.5, 1.0]]
     L[2:, 2:] = w * np.array([[1.0, -1.0], [-1.0, 1.0]])
     report = beurling_deny_check(FormOperator(L, np.ones(4)))["positivity"]
-    t = 10.0 * min(1.0, 10.0 / (2 * w))
-    assert not report["form_ok"]
-    assert report["semigroup_witness"]["t"] == pytest.approx(t, rel=1e-12)
-    assert report["min_kernel_ratio"] == pytest.approx(-np.tanh(t / 2), rel=1e-2)
-    assert report["semigroup_ok"] == (report["min_kernel_ratio"] >= -1e-10)
-    assert report["semigroup_ok"] == (w == 1e15)
+    assert not report["form_ok"] and not report["semigroup_ok"]
+    assert report["semigroup_witness"] == {"t": 10.0, "x": 0, "y": 1}
+    assert report["min_kernel_ratio"] == pytest.approx(-np.tanh(5.0), rel=1e-12)
+
+
+def test_beurling_deny_judges_an_unresolved_time_at_a_scaled_one():
+    # On P2 with an edge of 1e15, |mu|_max = 2e15 and t = 10 has a rounding
+    # allowance of 8.9 |S_t|_2: it is judged at t 10 / |mu|_max = 5e-14,
+    # where t |mu|_max = 100, so e^{-tA} is the mean: a kernel ratio of 1.
+    F = assemble_scalar_form(WeightedGraph(2, {(0, 1): 1e15}))
+    criteria = beurling_deny_check(F, t_list=(10.0,))
+    report = criteria["positivity"]
+    assert report["semigroup_ok"] and criteria["markov"]["semigroup_ok"]
+    assert report["semigroup_witness"] == {"t": 5e-14, "x": 0, "y": 1}
+    assert report["min_kernel_ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_beurling_deny_refuses_a_time_that_resolves_nothing():
@@ -459,6 +468,17 @@ def test_beurling_deny_refuses_a_time_that_resolves_nothing():
     assert report["semigroup_witness"] == {"t": 10.0, "x": 0, "y": 1}
 
 
+def test_beurling_deny_refuses_an_unresolved_time_when_only_rows_fail():
+    # P2 with killing -0.1 at vertex 0: e^{-tA} >= 0, and its row at 0
+    # exceeds 1 at t = 0.1. That Markov failure does not decide positivity,
+    # so t = 1e17, where e^{-t mu} overflows, is still an error.
+    F = FormOperator(np.array([[0.9, -1.0], [-1.0, 1.0]]), np.ones(2))
+    report = beurling_deny_check(F, t_list=(0.1,))
+    assert report["positivity"]["semigroup_ok"] and not report["markov"]["semigroup_ok"]
+    with pytest.raises(SchemaError, match="t = 1e[+]17 resolves nothing"):
+        beurling_deny_check(F, t_list=(0.1, 1e17))
+
+
 def test_positivity_markov_all_scalar_fixtures():
     for name, F in scalar_fixture_forms().items():
         criteria = beurling_deny_check(F)
@@ -467,10 +487,8 @@ def test_positivity_markov_all_scalar_fixtures():
             assert criteria[criterion]["semigroup_ok"], (name, criterion)
 
 
-def _oracle_figures(L, measure, F):
-    # The check's times: the default grid times min(1, 10 / |mu|_max).
-    scale = 10.0 / max(np.abs(F.eigenvalues).max(), 10.0)
-    return oracles.beurling_deny_figures(L, measure, [t * scale for t in DEFAULT_T_GRID])
+def _oracle_figures(L, measure, times=DEFAULT_T_GRID):
+    return oracles.beurling_deny_figures(L, measure, times)
 
 
 @pytest.mark.parametrize("case", ["fixtures", "bumped-p2", "extreme-measure"])
@@ -478,19 +496,24 @@ def test_beurling_deny_matches_expm_oracle(case):
     if case == "fixtures":
         pairs = [(oracles.scalar_form_matrix(g), g) for g in
                  fixtures.fixture_graphs().values()]
-        forms = [(L, g.measure, assemble_scalar_form(g)) for L, g in pairs]
+        forms = [(L, g.measure, assemble_scalar_form(g), DEFAULT_T_GRID)
+                 for L, g in pairs]
     elif case == "bumped-p2":
         F = perturbed_p2_form()
         L = oracles.scalar_form_matrix(fixtures.p2()) + np.array([[0, 1.5], [1.5, 0]])
-        forms = [(L, F.measure, F)]
+        forms = [(L, F.measure, F, DEFAULT_T_GRID)]
     else:
         forms = []
         for m0 in (1e12, 1e150, 1e-150):
             g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0}, measure=[m0, 1.0, 1.0])
-            forms.append((oracles.scalar_form_matrix(g), g.measure,
-                          assemble_scalar_form(g)))
-    for L, measure, F in forms:
-        want = _oracle_figures(L, measure, F)
+            F = assemble_scalar_form(g)
+            # At m0 = 1e-150, |mu|_max is about 2e150: no grid time resolves
+            # anything, and each is judged at t 10 / |mu|_max instead.
+            stretch = 10.0 / np.abs(F.eigenvalues).max() if m0 < 1 else 1.0
+            forms.append((oracles.scalar_form_matrix(g), g.measure, F,
+                          [t * stretch for t in DEFAULT_T_GRID]))
+    for L, measure, F, times in forms:
+        want = _oracle_figures(L, measure, times)
         criteria = beurling_deny_check(F)
         got = {
             "max_off_diagonal": criteria["positivity"]["max_off_diagonal"],
