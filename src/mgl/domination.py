@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .bundles import HermitianBundle, pair
 from .errors import DimensionMismatch, SchemaError
@@ -31,9 +32,11 @@ from .graphs import WeightedGraph
 DEFAULT_T_GRID = (0.01, 0.1, 1.0, 10.0)
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 10.0)
 DOMINATION_TOL = 1e-9
-# Columns projected into eigencoordinates and taken back to the vertices at
-# once: the grid verdicts' temporaries stay this wide however many samples
-# and vertices.
+# The most columns that the grid verdicts project into eigencoordinates and
+# take back to the vertices at once. They take N // 12 where that is fewer
+# (at least one), so that their three N-row blocks and the samples fit in
+# the N^2 / 2 complex words of dstevd's workspace, freed by then: dominate
+# peaks at its eigensystem however many samples and vertices.
 VERDICT_BLOCK = 256
 
 
@@ -122,6 +125,45 @@ def _edge_probes(A: FormOperator, B: FormOperator, edges):
     return -_blocks(B, y, x)[:, 0, 0].real - s[:, 0], vh[:, 0, :].conj()
 
 
+def _eigencoordinates(F: FormOperator, cols, fibers, probes: range, blocks):
+    """U* M^1/2 u for each column u of an (N, k) batch, then for the sections
+    e_x (x) fibers[x] of the vertices x in `probes`, given an (n, d) array of
+    fiber vectors: the first k + len(probes) columns of blocks[0], with
+    blocks[1] as scratch.
+
+    The samples are scaled into the scratch block and projected by one ?gemm
+    into the output. The column of vertex x is m_sqrt(x) U[x d : x d + d]*
+    fibers[x], written as d multiplies of strided rows of U.
+    """
+    U, d, k = F.eigenvectors, F.d, cols.shape[1]
+    y, scratch = blocks[0][:, : k + len(probes)], blocks[1]
+    vertices = slice(probes.start, probes.stop)
+    gemm = blas.zgemm if np.iscomplexobj(y) else blas.dgemm
+    if k:
+        scaled = np.multiply(cols, F.m_sqrt[:, None], out=scratch[:, :k])
+        gemm(1.0, U, scaled, trans_a=2, c=y[:, :k], overwrite_c=1)
+    # conj(U^T conj(f)) avoids a conjugated copy of U.
+    sections = y[:, k:]
+    weights = F.m_sqrt[::d][vertices, None] * np.conj(fibers[vertices])
+    for j in range(d):
+        rows = U[d * probes.start + j : d * probes.stop : d].T
+        out = sections if j == 0 else scratch[:, : len(probes)]
+        np.multiply(rows, weights[:, j], out=out)
+        if j:
+            sections += out
+    np.conjugate(sections, out=sections)
+    return y
+
+
+def _image(F: FormOperator, scalars, y, blocks):
+    """U diag(scalars) y for eigencoordinates y, in blocks[2], with the scaled
+    copy of y in blocks[1]: M^-1/2 times it is the spectral image."""
+    m = y.shape[1]
+    scaled = np.multiply(y, scalars[:, None], out=blocks[1][:, :m])
+    gemm = blas.zgemm if np.iscomplexobj(y) else blas.dgemm
+    return gemm(1.0, F.eigenvectors, scaled, c=blocks[2][:, :m], overwrite_c=1)
+
+
 def _pointwise_verdict(
     A, B, name, params, samples, rng, tol, multiplier, slope
 ) -> Verdict:
@@ -134,8 +176,10 @@ def _pointwise_verdict(
     At each p the fiber norms of the A-side image of every sample and of
     every vertex probe e_x (x) v_x are compared with the B-side image of
     their pointwise norms (e_x for the probe). The samples, then the probes,
-    are taken VERDICT_BLOCK columns at a time: each side projects a block
-    into eigencoordinates once and takes it back once per parameter. Of
+    are taken a block of columns at a time: each side projects a block
+    into eigencoordinates once and takes it back once per parameter, in
+    three reused N x w blocks (eigencoordinates, their scaled copy, the
+    product) with w = min(VERDICT_BLOCK, N // 12). Of
     equal slacks the first parameter wins, then the least vertex, then the
     least column. A comparison fails only beyond tol plus its rounding
     bound: with delta the eigensolvers' bound on U f(mu) U* summed over both
@@ -167,27 +211,44 @@ def _pointwise_verdict(
     squares = _gemm(mags**2, B.measure[:, None], trans_a=1)[:, 0]
     m_norms = np.sqrt(np.concatenate([squares, B.measure]))
 
+    width = max(1, min(VERDICT_BLOCK, A.dim // 12))
+    ones = np.ones((n, 1))
+    blocks_a, blocks_b = (
+        np.split(np.empty((F.dim, 3 * width), np.result_type(F.eigenvectors, c, f),
+                          order="F"), 3, axis=1)
+        for F, c, f in ((A, flat, fibers), (B, mags, ones))
+    )
     best = (np.inf, None, None, None)
     failed = False
-    for start in range(0, k + n, VERDICT_BLOCK):
-        cols = slice(start, start + VERDICT_BLOCK)
-        probes = slice(max(start - k, 0), max(start + VERDICT_BLOCK - k, 0))
-        ya = A._probe_eigencoordinates(flat[:, cols], fibers, probes)
-        yb = B._probe_eigencoordinates(mags[:, cols], np.ones((n, 1)), probes)
-        # A bound on U f(mu) U* reaches vertex x of the column u times this.
-        scale = np.outer(B.m_isqrt, m_norms[start : start + yb.shape[1]])
+    for start in range(0, k + n, width):
+        cols = slice(start, start + width)
+        probes = range(n)[max(start - k, 0) : max(start + width - k, 0)]
+        ya = _eigencoordinates(A, flat[:, cols], fibers, probes, blocks_a)
+        yb = _eigencoordinates(B, mags[:, cols], ones, probes, blocks_b)
+        m = ya.shape[1]
         for i, (fa, fb) in enumerate(scalars):
             if not np.isfinite(deltas[i]):
                 continue
-            slack = B._from_eigencoordinates(fb, yb).real
-            slack -= np.linalg.norm(
-                A._from_eigencoordinates(fa, ya).reshape(n, d, -1), axis=1
-            )
-            beyond = slack < -tol - deltas[i] * scale
+            # Fiber norms from the real view of the product: per column, the
+            # 2d real parts of each vertex's fiber, squared and summed.
+            parts = _image(A, fa, ya, blocks_a).T.view(float).reshape(m, n, -1)
+            norms = np.square(parts, out=parts).sum(axis=2)
+            np.sqrt(norms, out=norms)
+            norms *= A.m_isqrt[::d]
+            slack = _image(B, fb, yb, blocks_b).real
+            slack *= B.m_isqrt[:, None]
+            slack -= norms.T
+            # A bound on U f(mu) U* reaches vertex x of the column u times
+            # m(x)^-1/2 |u|_m. The norms are spent: their array takes it.
+            bound = np.multiply(B.m_isqrt[:, None], m_norms[start : start + m],
+                                out=norms.T)
+            bound *= -deltas[i]
+            bound -= tol
+            beyond = slack < bound
             if beyond.any() and not failed:
                 failed, best = True, (np.inf, None, None, None)
             if failed:
-                slack = np.where(beyond, slack, np.inf)
+                slack[~beyond] = np.inf
             x, j = np.unravel_index(np.argmin(slack), slack.shape)
             best = min(best, (float(slack[x, j]), i, int(x), start + int(j)))
     slack, i, vertex, column = best

@@ -38,7 +38,8 @@ from .errors import (
 from .graphs import WeightedGraph
 
 # Workspace per column of the matrix that ?hetrd reduces or that ?ungqr
-# forms, so that both run blocked; half the rows of each panel of Q Z.
+# forms, so that both run blocked (?hetrd unless the matrix is already
+# tridiagonal); half the rows of each panel of Q Z.
 _EIGH_BLOCK = 64
 
 
@@ -154,7 +155,12 @@ class FormOperator:
         if not np.isfinite(a).all():
             raise EigSolverFailure("matrix to reduce to tridiagonal form is not finite")
         hetrd = lapack.zhetrd if np.iscomplexobj(a) else lapack.dsytrd
-        lwork = _EIGH_BLOCK * self.dim
+        # An already tridiagonal matrix (a path's scalar form) has identity
+        # reflectors, which the unblocked reduction, run with lwork = N, skips;
+        # the blocked one would still do its O(N^3) update.
+        L = self.L.tocoo()
+        tridiagonal = (np.abs(L.row - L.col) <= 1).all()
+        lwork = self.dim if tridiagonal else _EIGH_BLOCK * self.dim
         c, d, e, tau = _lapack(hetrd, a, lower=1, lwork=lwork, overwrite_a=1)
         if c is not a:
             raise EigSolverFailure(f"{hetrd.__name__} copied its buffer")
@@ -290,46 +296,12 @@ class FormOperator:
 
     # -- spectral calculus ---------------------------------------------------
 
-    # The spectral calculus f(A) = M^-1/2 U diag(f(mu)) U* M^1/2 runs in two
-    # steps, so that callers applying several functions to one batch project
-    # it into eigencoordinates once.
-
-    def _eigencoordinates(self, cols):
-        """U* M^1/2 u for each column u of an (N, k) batch."""
-        return _gemm(self.eigenvectors, self.m_sqrt[:, None] * cols, trans_a=2)
-
-    def _probe_eigencoordinates(self, cols, fibers, vertices: slice):
-        """Eigencoordinates of the columns of an (N, k) batch, then of the
-        sections e_x (x) fibers[x] for the vertices x of a slice, given an
-        (n, d) array of fiber vectors: an (N, k + len(vertices)) array.
-
-        The column of vertex x is m_sqrt(x) U[x d : x d + d]* fibers[x]: d rows
-        of U contracted with a d-vector.
-        """
-        # A row slice of U and its (vertex, fiber, mode) split are views in
-        # either memory order; conj(U^T conj(f)) avoids a conjugated copy of U.
-        # The sections are written into y, Fortran-ordered for ?gemm.
-        rows = self.eigenvectors[self.d * vertices.start : self.d * vertices.stop]
-        rows = rows.reshape(-1, self.d, self.dim)
-        k = cols.shape[1]
-        dtype = np.result_type(self.eigenvectors, cols, fibers)
-        y = np.empty((self.dim, k + len(rows)), dtype, order="F")
-        y[:, :k] = self._eigencoordinates(cols)
-        sections = np.einsum(
-            "xjk,xj->kx", rows, np.conj(fibers[vertices]), out=y[:, k:]
-        )
-        np.conjugate(sections, out=sections)
-        sections *= self.m_sqrt[:: self.d][vertices]
-        return y
-
-    def _from_eigencoordinates(self, scalars, y):
-        """M^-1/2 U diag(scalars) y for an (N, k) batch y of eigencoordinates."""
-        return self.m_isqrt[:, None] * _gemm(self.eigenvectors, scalars[:, None] * y)
-
     def _apply_function(self, scalars, u):
-        """M^-1/2 U diag(scalars) U* M^1/2 u for a vector or an (N, k) batch u."""
-        y = self._eigencoordinates(u.reshape(self.dim, -1))
-        return self._from_eigencoordinates(scalars, y).reshape(u.shape)
+        """The spectral calculus M^-1/2 U diag(scalars) U* M^1/2 u, for a
+        vector or an (N, k) batch u."""
+        U = self.eigenvectors
+        y = _gemm(U, self.m_sqrt[:, None] * u.reshape(self.dim, -1), trans_a=2)
+        return (self.m_isqrt[:, None] * _gemm(U, scalars[:, None] * y)).reshape(u.shape)
 
     def _semigroup_multiplier(self, t):
         """exp(-t mu), the spectral multiplier of e^{-tA}."""

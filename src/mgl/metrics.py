@@ -347,7 +347,9 @@ def exhaustion_uniqueness_experiment(
                 inner[:, None, None] * np.eye(F.d) + W[omega.members]
             )
             scale = F.m_isqrt[rows]
-            A = scale[:, None] * dropped * scale[None, :]
+            A = dropped
+            A *= scale[:, None]
+            A *= scale[None, :]
             where = f"prefix k={k} ({len(omega)} vertices), {key} form"
             # alpha bounds the spectrum of A + alpha from below. Once it is
             # lost in rounding next to the largest diagonal entry, A + alpha

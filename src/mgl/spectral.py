@@ -61,9 +61,15 @@ def laplace_check(F: FormOperator, alpha: float, u) -> float:
     u = np.asarray(u)
     ts, ws = _quadrature_grid(alpha)
     # In eigencoordinates the integrand is a decaying scalar exponential
-    # per mode, so the quadrature acts on exp(-(alpha + mu_i) t).
-    decay = np.exp(-np.outer(alpha + F.eigenvalues, ts))
-    mode_integrals = _gemm(decay.T, ws[:, None], trans_a=1)[:, 0]
+    # per mode, so the quadrature acts on exp(-(alpha + mu_i) t), tabulated
+    # one panel of nodes at a time, so that the table stays N x LAPLACE_NODES.
+    rates = alpha + F.eigenvalues
+    mode_integrals = np.zeros(F.dim)
+    panels = (LAPLACE_PANELS, LAPLACE_NODES)
+    for t, w in zip(ts.reshape(panels), ws.reshape(panels)):
+        decay = np.multiply.outer(-t, rates)
+        np.exp(decay, out=decay)
+        mode_integrals += _gemm(decay.T, w[:, None])[:, 0]
     integral = F._apply_function(mode_integrals, u)
     return F.norm(integral - F.resolvent(alpha, u))
 

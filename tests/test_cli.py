@@ -312,7 +312,8 @@ def test_commands_fit_their_memory_budgets(tmp_path):
     # Each command's traced peak, in complex N x N arrays, on one n = 150,
     # rank-3 spec (N = 450), against the budgets that README states: one
     # more N x N complex copy anywhere would exceed its command's budget.
-    budgets = {"spectrum": 2.3, "semigroup-id": 3.4, "dominate": 4.25}
+    budgets = {"spectrum": 2.3, "semigroup-id": 2.2, "dominate": 3.0,
+               "uniqueness": 1.5}
     graph_doc, bundle_doc = fixtures.diamagnetic_docs(n=150, d=3)
     argv = ["--graph", write_json(tmp_path / "g.json", graph_doc),
             "--bundle", write_json(tmp_path / "b.json", bundle_doc),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,11 +494,12 @@ def test_eigencoordinate_checks_match_per_parameter_route():
 
 
 def test_grid_verdicts_do_not_depend_on_the_block_width(monkeypatch):
-    # The grid verdicts take VERDICT_BLOCK columns back to the vertices at a
-    # time. A width of 7 splits every case into several blocks and 10^6
-    # keeps each whole; the Verdicts must be the same, ties included. The
-    # slacks may differ by rounding only: a complex GEMM on fewer columns
-    # than its kernel's unrolling sums in another order.
+    # The grid verdicts take min(VERDICT_BLOCK, N // 12) columns back to the
+    # vertices at a time, at least one. Widths of 1 and 7 split every case
+    # into several blocks, and a cap of 10^6 leaves the N-derived width; the
+    # Verdicts must be the same, ties included. The slacks may differ by
+    # rounding only: a complex GEMM on fewer columns than its kernel's
+    # unrolling sums in another order.
     rng = np.random.default_rng(58)
     levels = (
         (check_semigroup_domination, (0.0, 0.01, 1.0, 10.0)),
@@ -509,17 +511,43 @@ def test_grid_verdicts_do_not_depend_on_the_block_width(monkeypatch):
         sections = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for check, grid in levels:
             verdicts = []
-            for width in (7, 10**6):
+            for width in (10**6, 7, 1):
                 monkeypatch.setattr(domination, "VERDICT_BLOCK", width)
                 verdicts.append(check(A, B, grid, samples=sections))
-            narrow, wide = verdicts
-            assert narrow.passed == wide.passed
-            assert _close(narrow.slack, wide.slack)
-            assert narrow.witness_param == wide.witness_param
-            assert narrow.witness_vertex == wide.witness_vertex
-            np.testing.assert_array_equal(narrow.witness_vector, wide.witness_vector)
-            failures += not narrow.passed
+            derived = verdicts[0]
+            for narrow in verdicts[1:]:
+                assert narrow.passed == derived.passed
+                assert _close(narrow.slack, derived.slack)
+                assert narrow.witness_param == derived.witness_param
+                assert narrow.witness_vertex == derived.witness_vertex
+                np.testing.assert_array_equal(
+                    narrow.witness_vector, derived.witness_vector
+                )
+            failures += not derived.passed
     assert failures >= 10
+
+
+def test_grid_verdicts_fit_in_the_eigensolver_workspace():
+    # Once both eigensystems exist, the two grid verdicts of an n = 300,
+    # rank-3 fixture (N = 900) allocate at most the N^2 / 2 complex words
+    # that dstevd's workspace held, so that dominate peaks at its
+    # eigensystem. Taking the 256-column blocks back to the vertices through
+    # N x 256 temporaries reads 1.23.
+    graph_doc, bundle_doc = fixtures.diamagnetic_docs(n=300, d=3)
+    G = load_graph(graph_doc)
+    A = assemble_magnetic_form(G, load_bundle(G, bundle_doc))
+    B = assemble_scalar_form(G)
+    A.eigenvectors, B.eigenvectors
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert check_semigroup_domination(A, B, rng=rng).passed
+        assert check_resolvent_domination(A, B, rng=rng).passed
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 16 * A.dim**2, peak / (16 * A.dim**2)
 
 
 def _p30(s):

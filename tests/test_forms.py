@@ -514,6 +514,38 @@ def test_reduction_overwrites_its_own_buffer():
     assert peak <= 1.3 * 16 * F.dim**2
 
 
+def test_tridiagonal_matrices_are_reduced_unblocked(monkeypatch):
+    # A path's scalar form is already tridiagonal: ?hetrd gets lwork = N, so
+    # that it runs unblocked and skips its identity reflectors (every tau is
+    # 0), where the blocked reduction would still do its O(N^3) update. A
+    # wider band, as a path's rank-2 form or a random graph has, gets the
+    # blocked workspace. The eigenvalues match numpy's either way.
+    lworks = []
+    for name in ("zhetrd", "dsytrd"):
+        routine = getattr(forms.lapack, name)
+
+        def recording(*args, _routine=routine, **kwargs):
+            lworks.append(kwargs["lwork"])
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(forms.lapack, name, recording)
+    n = 200
+    rng = np.random.default_rng(83)
+    path = WeightedGraph(n, {(x, x + 1): 0.5 + rng.random() for x in range(n - 1)},
+                         killing=rng.random(n), measure=0.5 + rng.random(n))
+    cases = [
+        (assemble_scalar_form(path), n),
+        (assemble_magnetic_form(path, fixtures.random_bundle(path, 2, rng)),
+         forms._EIGH_BLOCK * 2 * n),
+        (assemble_scalar_form(fixtures.random_graph(n=n)), forms._EIGH_BLOCK * n),
+    ]
+    for F, lwork in cases:
+        expected = np.linalg.eigvalsh(F._symmetrized())
+        assert np.abs(F.eigenvalues - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert lworks.pop() == lwork and not lworks
+    assert not cases[0][0]._householder[1].any()
+
+
 def test_csr_route_matches_the_dense_route(monkeypatch):
     # On the fixture set (scalar, ranks 1-3), M^-1/2 L M^-1/2 densified from
     # the CSR entries has the bits of the dense route applied to the
