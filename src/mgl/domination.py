@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from .bundles import HermitianBundle, pair
 from .errors import DimensionMismatch, SchemaError
@@ -46,11 +45,14 @@ class Verdict:
 
     `slack` is the minimum of (dominating side - dominated side) over the
     comparisons, or, when a grid verdict fails, over those that fail; the
-    check passes when none fails. A witness is recorded only on failure.
+    check passes when none fails. `allowance` is what the comparison that
+    gives the slack was judged against: it fails when slack < -allowance.
+    A witness is recorded only on failure.
     """
 
     passed: bool
     slack: float
+    allowance: float
     witness_vector: np.ndarray | None = None
     witness_param: float | None = None
     witness_vertex: int | None = None
@@ -138,10 +140,9 @@ def _eigencoordinates(F: FormOperator, cols, fibers, probes: range, blocks):
     U, d, k = F.eigenvectors, F.d, cols.shape[1]
     y, scratch = blocks[0][:, : k + len(probes)], blocks[1]
     vertices = slice(probes.start, probes.stop)
-    gemm = blas.zgemm if np.iscomplexobj(y) else blas.dgemm
     if k:
         scaled = np.multiply(cols, F.m_sqrt[:, None], out=scratch[:, :k])
-        gemm(1.0, U, scaled, trans_a=2, c=y[:, :k], overwrite_c=1)
+        _gemm(U, scaled, trans_a=2, out=y[:, :k])
     # conj(U^T conj(f)) avoids a conjugated copy of U.
     sections = y[:, k:]
     weights = F.m_sqrt[::d][vertices, None] * np.conj(fibers[vertices])
@@ -160,8 +161,7 @@ def _image(F: FormOperator, scalars, y, blocks):
     copy of y in blocks[1]: M^-1/2 times it is the spectral image."""
     m = y.shape[1]
     scaled = np.multiply(y, scalars[:, None], out=blocks[1][:, :m])
-    gemm = blas.zgemm if np.iscomplexobj(y) else blas.dgemm
-    return gemm(1.0, F.eigenvectors, scaled, c=blocks[2][:, :m], overwrite_c=1)
+    return _gemm(F.eigenvectors, scaled, out=blocks[2][:, :m])
 
 
 def _pointwise_verdict(
@@ -184,8 +184,9 @@ def _pointwise_verdict(
     least column. A comparison fails only beyond tol plus its rounding
     bound: with delta the eigensolvers' bound on U f(mu) U* summed over both
     sides (FormOperator._rounding_bound), delta |u|_m / m(x)^1/2 at vertex x
-    for the column u. A failing verdict's slack and witness are the least
-    over the comparisons that fail; a passing one reports the plain minimum.
+    for the column u; tol plus that is the comparison's allowance. A failing
+    verdict's slack, allowance and witness are those of the least comparison
+    that fails; a passing one reports the plain minimum and its allowance.
     Where no comparison fails but at some p delta reaches max f_B, the B
     side's norm, that p resolves nothing: SchemaError, since a PASS there
     would check nothing. A p whose delta is infinite, where exp(-t mu)
@@ -218,7 +219,7 @@ def _pointwise_verdict(
                           order="F"), 3, axis=1)
         for F, c, f in ((A, flat, fibers), (B, mags, ones))
     )
-    best = (np.inf, None, None, None)
+    best = (np.inf, None, None, None, None)
     failed = False
     for start in range(0, k + n, width):
         cols = slice(start, start + width)
@@ -246,12 +247,13 @@ def _pointwise_verdict(
             bound -= tol
             beyond = slack < bound
             if beyond.any() and not failed:
-                failed, best = True, (np.inf, None, None, None)
+                failed, best = True, (np.inf, None, None, None, None)
             if failed:
                 slack[~beyond] = np.inf
             x, j = np.unravel_index(np.argmin(slack), slack.shape)
-            best = min(best, (float(slack[x, j]), i, int(x), start + int(j)))
-    slack, i, vertex, column = best
+            best = min(best, (float(slack[x, j]), i, int(x), start + int(j),
+                              -float(bound[x, j])))
+    slack, i, vertex, column, allowance = best
     if not failed:
         for p, (_, fb), delta in zip(params, scalars, deltas):
             if delta >= fb.max():
@@ -259,12 +261,12 @@ def _pointwise_verdict(
                     f"{name} = {p:g} resolves nothing: the eigensolvers' rounding "
                     f"allowance {delta:.3g} reaches max f_B = {fb.max():.3g}"
                 )
-        return Verdict(True, slack)
+        return Verdict(True, slack, allowance)
     if column < k:
         section = sections[column].copy()
     else:
         section = _vertex_section(n, d, column - k, fibers[column - k])
-    return Verdict(False, slack, section, float(params[i]), vertex)
+    return Verdict(False, slack, allowance, section, float(params[i]), vertex)
 
 
 def check_semigroup_domination(
@@ -331,15 +333,17 @@ def check_form_domination(
     j = int(np.argmin(slacks))
     slack = float(slacks[j])
     if slack >= -tol:
-        return Verdict(True, slack)
+        return Verdict(True, slack, tol)
     if j < k:
-        return Verdict(False, slack, sections[j])
+        return Verdict(False, slack, tol, sections[j])
     j -= k
     if j < len(edges):
         x, y = edges[j].tolist()
-        return Verdict(False, slack, _vertex_section(n, d, x, edge_fibers[j]), None, y)
+        return Verdict(False, slack, tol, _vertex_section(n, d, x, edge_fibers[j]),
+                       None, y)
     j -= len(edges)
-    return Verdict(False, slack, _vertex_section(n, d, j, vertex_fibers[j]), None, j)
+    return Verdict(False, slack, tol, _vertex_section(n, d, j, vertex_fibers[j]),
+                   None, j)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Assembly of scalar and magnetic energy forms as Hermitian matrices.
 
+Form-matrix blocks are written in one place, `_form_matrix`, from edge
+arrays, potentials and a connection: the two assemblers call it on the
+graph, the exhaustion experiment on each subset's inner edges.
+
 A FormOperator couples the form matrix L (so that Q(u, v) = <Lu, v> in the
 unweighted pairing) with the diagonal measure matrix M. L is kept sparse,
 as a CSR array: form values, the generator action and every block a caller
@@ -11,11 +15,11 @@ overwrites; the buffer's columns :-1 are then Q's reflectors as ?ungqr reads
 them. Each step is computed on first use and cached: the reduction; T's
 eigensystem w, Z (dstevd), which gives the eigenvalues; and the
 eigenvectors U = Q Z, built in the reduction's buffer, which then holds U
-instead of the reflectors. The Euler check solves with T and applies Q as
-U Z^T. So each form is reduced once, whichever reads it first, U is built
-only where eigenvectors are read, and callers that only read L (form
-probes, block restrictions) never hold a dense N x N array. Instances are
-immutable.
+instead of the reflectors (where every reflector is the identity, U is Z).
+The Euler check solves with T and applies Q as U Z^T. So each form is
+reduced once, whichever reads it first, U is built only where
+eigenvectors are read, and callers that only read L (form probes) never
+hold a dense N x N array. Instances are immutable.
 """
 
 from __future__ import annotations
@@ -51,23 +55,32 @@ def _lapack(routine, *args, **kwargs):
     return out
 
 
-def _gemm(a, b, trans_a=0, trans_b=0):
+def _gemm(a, b, trans_a=0, trans_b=0, out=None):
     """op(a) op(b) on scipy's BLAS (?gemm), where op is the identity (0), the
-    transpose (1) or the conjugate transpose (2); a Fortran-ordered result.
+    transpose (1) or the conjugate transpose (2); a Fortran-ordered result,
+    or the Fortran block `out`, overwritten with it.
 
     numpy's `@` runs on a second OpenBLAS runtime, whose idle threads,
     between scipy's LAPACK calls, cost up to 8 ms per switch on two cores;
     so every dense product on N-sized operands runs here. f2py copies an
     operand that is not Fortran-ordered: pass a C-ordered one as its
     transposed view, flipping trans. A real a times a complex b runs as two
-    real products, so that a is not cast to complex.
+    real products, one part at a time, so that a is not cast to complex.
     """
     if np.iscomplexobj(b) and not np.iscomplexobj(a):
         real = _gemm(a, b.real, trans_a, trans_b)
-        imag = _gemm(a, b.imag, trans_a, trans_b)
-        return real + (-1j if trans_b == 2 else 1j) * imag
+        if out is None:
+            out = np.empty(real.shape, complex, order="F")
+        out.real = real
+        del real
+        out.imag = _gemm(a, b.imag, trans_a, trans_b)
+        if trans_b == 2:
+            np.negative(out.imag, out=out.imag)
+        return out
     gemm = blas.zgemm if np.iscomplexobj(a) else blas.dgemm
-    return gemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
+    if out is None:
+        return gemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
+    return gemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b, c=out, overwrite_c=1)
 
 
 def _real_rows(x):
@@ -196,13 +209,16 @@ class FormOperator:
         """U = Q Z, built inside the reduction's buffer: ?ungqr turns the
         reflectors into Q there, then Q Z overwrites Q a panel of rows at a
         time. The buffer is taken from `_householder` first, so nothing reads
-        it as reflectors again."""
+        it as reflectors again. Where every tau is 0 (an already tridiagonal
+        matrix with a real subdiagonal), Q = I and U is Z itself."""
         Z = self._eigensystem[1]
         try:
             q, tau = self.__dict__.pop("_householder")
         except KeyError:
             raise EigSolverFailure("a failed eigenvector build consumed the "
                                    "reflectors") from None
+        if not tau.any():
+            return Z
         ungqr = lapack.zungqr if np.iscomplexobj(q) else lapack.dorgqr
         lwork = _EIGH_BLOCK * self.dim
         U = _lapack(ungqr, q, tau, lwork=lwork, overwrite_a=1)[0]
@@ -351,27 +367,25 @@ class FormOperator:
         return f"FormOperator(dim={self.dim}, d={self.d})"
 
 
-def assemble_scalar_form(G: WeightedGraph) -> FormOperator:
-    """Form matrix of the scalar energy with killing term.
+def _form_matrix(n, edges, weights, potential, connection):
+    """Dense form matrix on n vertices, rows x d + j: the diagonal blocks
+    (sum of incident weights) I + potential[x], the block -b Phi at each
+    edge row (x, y) and its adjoint at (y, x). Real when both inputs are."""
+    d = potential.shape[-1]
+    L = np.zeros((n * d, n * d), np.result_type(potential, connection))
+    blocks = L.reshape(n, d, n, d)
+    v = np.arange(n)
+    degree = np.bincount(edges.ravel(), weights=np.repeat(weights, 2), minlength=n)
+    blocks[v, :, v, :] = degree[:, None, None] * np.eye(d) + potential
+    x, y = edges.T
+    b = weights[:, None, None]
+    blocks[x, :, y, :] = -b * connection
+    blocks[y, :, x, :] = -b * connection.conj().transpose(0, 2, 1)
+    return L
 
-    Q(u, v) = 1/2 sum_{x,y} b(x,y)(u(x)-u(y))(conj v(x)-conj v(y))
-              + sum_x c(x) u(x) conj v(x),
-    realized as L = diag(row sums + c) - (weight matrix).
-    """
-    L = np.diag(G.row_sums + G.killing)
-    x, y = G.edges.T
-    L[x, y] = -G.weights
-    L[y, x] = -G.weights
-    return FormOperator(L, G.measure, d=1)
 
-
-def assemble_magnetic_form(G: WeightedGraph, B: HermitianBundle) -> FormOperator:
-    """Block form matrix of the bundle energy with endomorphism term.
-
-    Diagonal blocks are (sum_y b(x,y)) I + W(x); the block at (x, y) is
-    -b(x,y) Phi_{x,y}. The quadratic form equals
-    1/2 sum_{x,y} b(x,y) |u(x) - Phi_{x,y} u(y)|^2 + sum_x <W(x)u(x), u(x)>.
-    """
+def _check_bundle(G: WeightedGraph, B: HermitianBundle):
+    """DimensionMismatch unless B is over G; BundleInvalid unless it validates."""
     if B.graph is not G:
         raise DimensionMismatch("bundle is defined over a different graph")
     report = validate_bundle(B)
@@ -382,14 +396,26 @@ def assemble_magnetic_form(G: WeightedGraph, B: HermitianBundle) -> FormOperator
             f"edge {edge}; min endo eigenvalue {report.endo_min_eigs.min():.3g})"
         )
 
-    n, d = G.n, B.rank
-    L = np.zeros((n * d, n * d), dtype=complex)
-    blocks = L.reshape(n, d, n, d)
-    v = np.arange(n)
-    blocks[v, :, v, :] = G.row_sums[:, None, None] * np.eye(d) + B.endo
-    x, y = G.edges.T
-    b = G.weights[:, None, None]
-    blocks[x, :, y, :] = -b * B.connection
-    blocks[y, :, x, :] = -b * B.connection.conj().transpose(0, 2, 1)
-    return FormOperator(L, G.measure, d=d)
 
+def assemble_scalar_form(G: WeightedGraph) -> FormOperator:
+    """Form matrix of the scalar energy with killing term.
+
+    Q(u, v) = 1/2 sum_{x,y} b(x,y)(u(x)-u(y))(conj v(x)-conj v(y))
+              + sum_x c(x) u(x) conj v(x),
+    realized as L = diag(row sums + c) - (weight matrix).
+    """
+    unit = np.ones((len(G.edges), 1, 1))
+    L = _form_matrix(G.n, G.edges, G.weights, G.killing[:, None, None], unit)
+    return FormOperator(L, G.measure, d=1)
+
+
+def assemble_magnetic_form(G: WeightedGraph, B: HermitianBundle) -> FormOperator:
+    """Block form matrix of the bundle energy with endomorphism term.
+
+    Diagonal blocks are (sum_y b(x,y)) I + W(x); the block at (x, y) is
+    -b(x,y) Phi_{x,y}. The quadratic form equals
+    1/2 sum_{x,y} b(x,y) |u(x) - Phi_{x,y} u(y)|^2 + sum_x <W(x)u(x), u(x)>.
+    """
+    _check_bundle(G, B)
+    L = _form_matrix(G.n, G.edges, G.weights, B.endo, B.connection)
+    return FormOperator(L, G.measure, d=B.rank)

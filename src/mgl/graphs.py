@@ -26,8 +26,9 @@ MAGNITUDE_BOUND = 1e150
 
 # Largest accepted form dimension n * d. L is kept sparse, but assembly builds
 # a dense N x N transient, the reduction an N x (N+1) buffer, which later
-# holds U, and the eigensystem T's real eigenvectors Z; one complex N x N
-# matrix of this size takes 4 GiB.
+# holds U, and the eigensystem T's real eigenvectors Z; the exhaustion
+# experiment assembles no host form but factors a dense block per subset,
+# up to N x N. One complex N x N matrix of this size takes 4 GiB.
 DENSE_DIM_BOUND = 16384
 
 

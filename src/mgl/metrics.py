@@ -26,7 +26,7 @@ from .errors import (
     MonotonicityViolated,
     NotNested,
 )
-from .forms import _gemm, assemble_magnetic_form, assemble_scalar_form
+from .forms import _check_bundle, _form_matrix, _gemm
 from .graphs import WeightedGraph, _as_subset, _restriction
 
 METRIC_TOL = 1e-12
@@ -302,8 +302,7 @@ def exhaustion_uniqueness_experiment(
     at most eps times the largest diagonal entry of the block (beyond about
     4.5e15 at alpha = 1), or where the block does not factor.
     """
-    if bundle.graph is not G:
-        raise DimensionMismatch("bundle is defined over a different graph")
+    _check_bundle(G, bundle)
     if alpha <= 0:
         raise AlphaInSpectrum(
             f"alpha = {alpha} must be > 0: the edge-dropping restriction can "
@@ -316,38 +315,28 @@ def exhaustion_uniqueness_experiment(
                 "exhaustion subsets must be strictly increasing under inclusion"
             )
 
-    # Each form with its potential: c(x) as a 1x1 block, or W(x).
-    forms = {"scalar": (assemble_scalar_form(G), G.killing[:, None, None]),
-             "magnetic": (assemble_magnetic_form(G, bundle), bundle.endo)}
+    # Each form's potential and connection, as (n, d, d) and (E, d, d) blocks.
+    forms = {"scalar": (G.killing[:, None, None], np.ones((len(G.edges), 1, 1))),
+             "magnetic": (bundle.endo, bundle.connection)}
     gaps = []
     for k, omega in enumerate(subsets, start=1):
         _, keep, ends, boundary = _restriction(G, omega)
+        members = omega.members
         row = {"k": k, **dict.fromkeys(forms, 0.0)}
         gaps.append(row)
         if not boundary.any():
             continue  # no edge leaves the subset: both restrictions coincide
-        inner = np.bincount(
-            ends.ravel(), weights=G.weights[keep].repeat(2), minlength=len(omega)
-        )
-        v = np.arange(len(omega))
-        for key, (F, W) in forms.items():
-            # On the rows x*d + j of the members, the edge-dropping
-            # restriction is the host block with W(x) plus the inner edge
-            # weights on its diagonal, built directly because the host
-            # diagonal minus the boundary weights P would cancel; the
-            # boundary-folding one (the host form on zero-extensions) is that
-            # block plus P. Both resolvents vanish off the block, so the gap
-            # of their zero-extensions is that of
-            # R = (M^-1/2 L M^-1/2 + alpha)^-1 there.
-            rows = (omega.members[:, None] * F.d + np.arange(F.d)).ravel()
-            cut = np.repeat(boundary, F.d)
+        for key, (W, phi) in forms.items():
+            # The edge-dropping restriction is the form of the inner edges;
+            # the boundary-folding one (the host form on zero-extensions) is
+            # that plus the boundary weights P on its diagonal. Both
+            # resolvents vanish off the members, so the gap of their
+            # zero-extensions is that of R = (M^-1/2 L M^-1/2 + alpha)^-1 there.
+            A = _form_matrix(len(omega), ends, G.weights[keep], W[members], phi[keep])
+            d = W.shape[-1]
+            cut = np.repeat(boundary, d)
             b = np.flatnonzero(cut)
-            dropped = F.L[np.ix_(rows, rows)].toarray()
-            dropped.reshape(len(omega), F.d, len(omega), F.d)[v, :, v, :] = (
-                inner[:, None, None] * np.eye(F.d) + W[omega.members]
-            )
-            scale = F.m_isqrt[rows]
-            A = dropped
+            scale = 1.0 / np.sqrt(np.repeat(G.measure[members], d))
             A *= scale[:, None]
             A *= scale[None, :]
             where = f"prefix k={k} ({len(omega)} vertices), {key} form"
@@ -373,7 +362,7 @@ def exhaustion_uniqueness_experiment(
             # R_N - R_D = Z (I + T X[b] T)^-1 Z*, where nothing cancels, so
             # its norm is the top eigenvalue of the |b| x |b| pencil
             # (Z* Z, I + T X[b] T).
-            unit = np.zeros((rows.size, b.size))
+            unit = np.zeros((len(A), b.size))
             unit[b, np.arange(b.size)] = 1.0
             X = cho_solve(factor, unit)
             t = np.sqrt(cut[b]) * scale[b]

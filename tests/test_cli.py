@@ -283,12 +283,13 @@ def test_spectral_products_run_on_scipys_blas(diamagnetic_specs, tmp_path, monke
     assert all(fortran for *_, fortran in calls)
 
 
-def test_semigroup_id_catches_a_broken_back_transform(diamagnetic_specs, tmp_path,
-                                                     monkeypatch):
+def test_semigroup_id_catches_a_broken_back_transform(tmp_path, monkeypatch):
     # Q with two columns swapped is still unitary, and U = Q Z then
     # diagonalizes Q P T P^T Q* exactly: the Laplace and Euler checks, which
     # read only U, Z and T, agree with it. The form limit compares U's
     # spectral calculus with the sparse L, and is the check that catches it.
+    # The graph is not a path, so that both forms build Q (a path's scalar
+    # form has Q = I and takes U = Z).
     for name in ("zungqr", "dorgqr"):
         routine = getattr(lapack, name)
 
@@ -298,7 +299,9 @@ def test_semigroup_id_catches_a_broken_back_transform(diamagnetic_specs, tmp_pat
             return q, *rest
 
         monkeypatch.setattr(lapack, name, swapped)
-    graph, bundle = diamagnetic_specs
+    graph_doc, bundle_doc = fixtures.killing_without_endo_docs(n=20, d=2)
+    graph = write_json(tmp_path / "g.json", graph_doc)
+    bundle = write_json(tmp_path / "b.json", bundle_doc)
     out = tmp_path / "r.json"
     argv = ["semigroup-id", "--graph", graph, "--bundle", bundle, "--out", str(out)]
     assert run(argv) == 1
@@ -849,6 +852,7 @@ def test_traced_benchmark_wraps_cli_layers(diamagnetic_specs, tmp_path):
     runs = json.loads(result.stdout)
     for name in commands:
         assert runs[name]["code"] == 0, name
+    for name in ("dominate", "semigroup-id"):
         assert runs[name]["metrics"]["forms.operator_inits"] > 0, name
         assert runs[name]["metrics"]["forms.operator_dim_sum"] > 0, name
     dominate = runs["dominate"]["metrics"]
@@ -856,5 +860,9 @@ def test_traced_benchmark_wraps_cli_layers(diamagnetic_specs, tmp_path):
     assert dominate["domination.comparisons"] > 0
     assert runs["semigroup-id"]["metrics"]["forms.evaluate_calls"] > 0
     assert runs["semigroup-id"]["metrics"]["spectral.euler_solves"] > 0
-    # uniqueness builds the two host forms once and restricts no graph.
-    assert runs["uniqueness"]["metrics"]["forms.operator_inits"] == 2
+    # uniqueness builds each prefix block from the graph: no form operator
+    # and no restricted graph.
+    uniqueness = runs["uniqueness"]["metrics"]
+    assert uniqueness["forms.operator_inits"] == 0
+    assert uniqueness["graphs.restrict_calls"] == 0
+    assert uniqueness["metrics.exhaustion_uniqueness_experiment_s"] > 0

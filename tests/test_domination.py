@@ -114,7 +114,8 @@ def test_form_domination_doubled_witness():
     assert not verdict.passed
     assert verdict.slack <= -1.0 + 1e-12  # at least as bad as the edge probe
     assert set(verdict.to_report()) == {
-        "passed", "slack", "witness_vertex", "witness_param", "witness_vector"}
+        "passed", "slack", "allowance", "witness_vertex", "witness_param",
+        "witness_vector"}
 
 
 def test_form_domination_equality_trivial_gauge():
@@ -548,6 +549,56 @@ def test_grid_verdicts_fit_in_the_eigensolver_workspace():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * 16 * A.dim**2, peak / (16 * A.dim**2)
+
+
+def test_a_real_form_is_not_cast_to_complex_in_the_grid_verdicts():
+    # A scalar form checked against itself: its real U meets complex sample
+    # blocks, and each product runs as two real ones into the N x w block.
+    # Passing U to zgemm casts it to a complex N x N copy (1.68 N^2 words).
+    B = assemble_scalar_form(fixtures.random_graph(n=600, density=0.01))
+    B.eigenvectors
+    rng = np.random.default_rng(7)
+    for check in (check_semigroup_domination, check_resolvent_domination):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            verdict = check(B, B, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert verdict.passed
+        assert peak <= 0.8 * 16 * B.dim**2, (check.__name__, peak / (16 * B.dim**2))
+
+
+def test_verdicts_report_the_allowance_they_were_judged_against(tmp_path):
+    # K3, rank 2, identity connection, W = 0 = c at alpha = 1e-11: the
+    # resolvent slack lies far below -tol and passes within its rounding
+    # allowance, which the report now shows. The form level reports tol.
+    graph, bundle, out = (tmp_path / name for name in ("g.json", "b.json", "r.json"))
+    graph.write_text(json.dumps({"n": 3, "edges": [
+        {"u": 0, "v": 1, "b": 1.0}, {"u": 1, "v": 2, "b": 1.0},
+        {"u": 0, "v": 2, "b": 1.0}]}))
+    bundle.write_text(json.dumps({"rank": 2}))
+    code = run(["dominate", "--graph", str(graph), "--bundle", str(bundle),
+                "--alpha", "1e-11", "--out", str(out)])
+    report = json.loads(out.read_text())
+    resolvent = report["resolvent"]
+    assert code == 0 and resolvent["passed"] is True
+    assert resolvent["slack"] < -DOMINATION_TOL
+    assert resolvent["slack"] + resolvent["allowance"] >= 0
+    assert report["form"]["allowance"] == DOMINATION_TOL
+    # A failing verdict fails beyond its allowance.
+    for seed in range(3):
+        G2, bundle2, G = fixtures.doubled_pair(seed)
+        A = assemble_magnetic_form(G2, bundle2)
+        B = assemble_scalar_form(G)
+        rng = np.random.default_rng(seed)
+        for verdict in (check_semigroup_domination(A, B, rng=rng),
+                        check_resolvent_domination(A, B, rng=rng),
+                        check_form_domination(A, B, bundle2, rng=rng)):
+            assert not verdict.passed
+            assert verdict.slack < -verdict.allowance
+            assert verdict.allowance >= DOMINATION_TOL
 
 
 def _p30(s):

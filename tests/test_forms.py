@@ -407,8 +407,9 @@ def test_back_transform_overwrites_its_own_buffer(monkeypatch):
 
 def test_no_command_calls_unmqr(monkeypatch, tmp_path):
     # A semigroup-id, a dominate and a spectrum run on a rank-2 spec never
-    # apply Q from its reflectors; the first two form Q once per form, by
-    # ?ungqr, and spectrum, which reads no eigenvector, never does.
+    # apply Q from its reflectors; the first two form the magnetic form's Q
+    # once, by ?ungqr, and spectrum, which reads no eigenvector, never does.
+    # The spec's graph is a path, whose scalar form has Q = I and takes U = Z.
     def refuse(*args, **kwargs):
         raise AssertionError("Q was applied from its reflectors")
 
@@ -423,7 +424,7 @@ def test_no_command_calls_unmqr(monkeypatch, tmp_path):
         specs += [flag, str(path)]
     specs += ["--out", str(tmp_path / "r.json")]
     n = graph_doc["n"]
-    per_form = [("dorgqr", (n, n)), ("zungqr", (2 * n, 2 * n))]
+    per_form = [("zungqr", (2 * n, 2 * n))]
     for argv, formed in ((["semigroup-id"], per_form),
                          (["dominate", "--samples", "10"], per_form),
                          (["spectrum"], [])):
@@ -544,6 +545,31 @@ def test_tridiagonal_matrices_are_reduced_unblocked(monkeypatch):
         assert np.abs(F.eigenvalues - expected).max() <= 1e-12 * np.abs(expected).max()
         assert lworks.pop() == lwork and not lworks
     assert not cases[0][0]._householder[1].any()
+
+
+def test_eigenvectors_of_an_unreflected_matrix_are_z(monkeypatch):
+    # Where every tau of the reduction is 0 (a path's scalar form), Q = I and
+    # U is dstevd's Z itself: ?ungqr and the Q Z panels are skipped. A random
+    # graph, and a rank-1 path whose non-real phases ?hetrd rotates away
+    # (tau != 0), still form Q.
+    calls = fixtures.counting_lapack(monkeypatch, ("zungqr", "dorgqr"))
+    n = 60
+    rng = np.random.default_rng(19)
+    path = WeightedGraph(n, {(x, x + 1): 0.5 + rng.random() for x in range(n - 1)},
+                         killing=rng.random(n), measure=0.5 + rng.random(n))
+    cases = [
+        (assemble_scalar_form(path), []),
+        (assemble_scalar_form(fixtures.random_graph(n=n)), ["dorgqr"]),
+        (assemble_magnetic_form(path, fixtures.phase_bundle(path, 0.7)), ["zungqr"]),
+    ]
+    for F, expected in cases:
+        U, Z = F.eigenvectors, F._eigensystem[1]
+        assert [name for name, _ in calls] == expected
+        assert "_householder" not in F.__dict__
+        assert np.shares_memory(U, Z) == (not expected)
+        defect = F.reconstruction_defect()
+        assert defect <= 1e-12 * np.abs(F.eigenvalues).max(), defect
+        calls.clear()
 
 
 def test_csr_route_matches_the_dense_route(monkeypatch):

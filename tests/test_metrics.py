@@ -436,6 +436,21 @@ def test_exhaustion_runs_no_eigendecomposition(monkeypatch):
     assert report.gaps[-1]["scalar"] == 0.0 and report.gaps[-1]["magnetic"] == 0.0
 
 
+def test_exhaustion_builds_no_form_operator(monkeypatch):
+    # Each prefix block is built from the graph's arrays, not sliced out of
+    # an assembled host form.
+    def refuse(*args, **kwargs):
+        raise AssertionError("FormOperator built")
+
+    monkeypatch.setattr(forms.FormOperator, "__init__", refuse)
+    g = fixtures.random_graph(n=12)
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(23))
+    report = exhaustion_uniqueness_experiment(
+        g, bundle, [list(range(4)), list(range(8)), list(range(12))]
+    )
+    assert report.gaps[0]["scalar"] > 0 and report.gaps[0]["magnetic"] > 0
+
+
 def test_exhaustion_rejects_nonpositive_alpha():
     # The edge-dropping restriction of a form without killing has
     # eigenvalue 0, so no alpha <= 0 is in the resolvent set of both.
