@@ -18,8 +18,8 @@ from .errors import DimensionMismatch, InvariantError, NegativeG, SchemaError
 from .graphs import (
     MAGNITUDE_BOUND,
     WeightedGraph,
-    _check_dense_size,
     _check_magnitude,
+    _check_words,
     _read_spec,
     _restriction,
     restrict_neumann,
@@ -256,7 +256,7 @@ def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
     rank = doc.get("rank")
     if not isinstance(rank, int) or isinstance(rank, bool) or rank <= 0:
         raise SchemaError("bundle spec requires a positive integer 'rank'")
-    _check_dense_size(graph.n, rank)
+    _check_words(graph.n * rank * rank, "the endomorphism blocks")
 
     def parse_matrix(raw, where):
         try:

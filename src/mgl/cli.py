@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
 )
 from .forms import assemble_magnetic_form, assemble_scalar_form
-from .graphs import DENSE_DIM_BOUND, load_graph
+from .graphs import DENSE_DIM_BOUND, _check_dense_size, load_graph
 from .metrics import exhaustion_uniqueness_experiment
 from .serialize import dump_report
 
@@ -115,18 +115,20 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _load_specs(args):
+def _load_specs(args, dense=True):
     """The graph and the bundle (None without --bundle), both read before any
-    form is built, so that every spec error, the size guard included, comes
-    first."""
+    form is built, so that every spec error comes first. Commands that build
+    a dense spectrum (`dense`) also refuse there a form dimension n * d above
+    DENSE_DIM_BOUND; validate and uniqueness, which build none, take any."""
     graph = load_graph(args.graph)
-    if not args.bundle:
-        return graph, None
-    return graph, load_bundle(graph, args.bundle)
+    bundle = load_bundle(graph, args.bundle) if args.bundle else None
+    if dense:
+        _check_dense_size(graph.n, bundle.rank if bundle else 1)
+    return graph, bundle
 
 
 def cmd_validate(args) -> int:
-    graph, bundle = _load_specs(args)
+    graph, bundle = _load_specs(args, dense=False)
     report = {"graph": {"ok": True, "n": graph.n, "edges": len(graph.edges)}}
     code = 0
     if bundle is not None:
@@ -169,7 +171,7 @@ def cmd_dominate(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    graph, bundle = _load_specs(args)
+    graph, bundle = _load_specs(args, dense=False)
     if bundle is None:
         bundle = trivial_bundle(graph)
     sizes = args.omega

@@ -1,8 +1,9 @@
 """Assembly of scalar and magnetic energy forms as Hermitian matrices.
 
 Form-matrix blocks are written in one place, `_form_matrix`, from edge
-arrays, potentials and a connection: the two assemblers call it on the
-graph, the exhaustion experiment on each subset's inner edges.
+arrays, potentials and a connection, as a sparse COO array: the two
+assemblers densify it for FormOperator, the exhaustion experiment factors
+it sparse for each subset's inner edges.
 
 A FormOperator couples the form matrix L (so that Q(u, v) = <Lu, v> in the
 unweighted pairing) with the diagonal measure matrix M. L is kept sparse,
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array
 
 from .bundles import HermitianBundle, validate_bundle
 from .errors import (
@@ -368,20 +369,22 @@ class FormOperator:
 
 
 def _form_matrix(n, edges, weights, potential, connection):
-    """Dense form matrix on n vertices, rows x d + j: the diagonal blocks
-    (sum of incident weights) I + potential[x], the block -b Phi at each
-    edge row (x, y) and its adjoint at (y, x). Real when both inputs are."""
+    """Form matrix on n vertices as a COO array, rows x d + j: the diagonal
+    blocks (sum of incident weights) I + potential[x], the block -b Phi at
+    each edge row (x, y) and its adjoint at (y, x), each d x d block stored
+    whole and once (so there are no duplicate entries). Real when both
+    inputs are."""
     d = potential.shape[-1]
-    L = np.zeros((n * d, n * d), np.result_type(potential, connection))
-    blocks = L.reshape(n, d, n, d)
-    v = np.arange(n)
     degree = np.bincount(edges.ravel(), weights=np.repeat(weights, 2), minlength=n)
-    blocks[v, :, v, :] = degree[:, None, None] * np.eye(d) + potential
-    x, y = edges.T
-    b = weights[:, None, None]
-    blocks[x, :, y, :] = -b * connection
-    blocks[y, :, x, :] = -b * connection.conj().transpose(0, 2, 1)
-    return L
+    upper = -weights[:, None, None] * connection
+    blocks = np.concatenate([degree[:, None, None] * np.eye(d) + potential,
+                             upper, upper.conj().transpose(0, 2, 1)])
+    v, (x, y) = np.arange(n), edges.T
+    fiber = np.arange(d)
+    rows = np.concatenate([v, x, y])[:, None, None] * d + fiber[:, None]
+    cols = np.concatenate([v, y, x])[:, None, None] * d + fiber[None, :]
+    rows, cols = (np.broadcast_to(ix, blocks.shape).ravel() for ix in (rows, cols))
+    return coo_array((blocks.ravel(), (rows, cols)), shape=(n * d, n * d))
 
 
 def _check_bundle(G: WeightedGraph, B: HermitianBundle):
@@ -405,7 +408,8 @@ def assemble_scalar_form(G: WeightedGraph) -> FormOperator:
     realized as L = diag(row sums + c) - (weight matrix).
     """
     unit = np.ones((len(G.edges), 1, 1))
-    L = _form_matrix(G.n, G.edges, G.weights, G.killing[:, None, None], unit)
+    # FormOperator takes a dense L: mglbench/spans.py reads its len().
+    L = _form_matrix(G.n, G.edges, G.weights, G.killing[:, None, None], unit).toarray()
     return FormOperator(L, G.measure, d=1)
 
 
@@ -417,5 +421,5 @@ def assemble_magnetic_form(G: WeightedGraph, B: HermitianBundle) -> FormOperator
     1/2 sum_{x,y} b(x,y) |u(x) - Phi_{x,y} u(y)|^2 + sum_x <W(x)u(x), u(x)>.
     """
     _check_bundle(G, B)
-    L = _form_matrix(G.n, G.edges, G.weights, B.endo, B.connection)
+    L = _form_matrix(G.n, G.edges, G.weights, B.endo, B.connection).toarray()
     return FormOperator(L, G.measure, d=B.rank)

@@ -24,11 +24,14 @@ from .errors import InvariantError, SchemaError
 # symmetrization of L, m-weighted norms, the eigensolver) can overflow.
 MAGNITUDE_BOUND = 1e150
 
-# Largest accepted form dimension n * d. L is kept sparse, but assembly builds
-# a dense N x N transient, the reduction an N x (N+1) buffer, which later
-# holds U, and the eigensystem T's real eigenvectors Z; the exhaustion
-# experiment assembles no host form but factors a dense block per subset,
-# up to N x N. One complex N x N matrix of this size takes 4 GiB.
+# Largest form dimension n * d of a command that builds a dense spectrum
+# (dominate, spectrum, semigroup-id), which they refuse before building any
+# form. L is kept sparse, but assembly builds a dense N x N transient, the
+# reduction an N x (N+1) buffer, which later holds U, and the eigensystem T's
+# real eigenvectors Z. One complex N x N matrix of this size takes 4 GiB,
+# and DENSE_DIM_BOUND^2 words also bound every other array a command builds:
+# the loaders' vertex arrays and endomorphism blocks, and the N x |b| panels
+# of each prefix in uniqueness, whose blocks are factored sparse.
 DENSE_DIM_BOUND = 16384
 
 
@@ -264,6 +267,15 @@ def _check_dense_size(n: int, d: int = 1):
         )
 
 
+def _check_words(words: int, what: str):
+    """SchemaError when `what` needs more than DENSE_DIM_BOUND^2 words."""
+    if words > DENSE_DIM_BOUND**2:
+        raise SchemaError(
+            f"{what} need {words} words, above DENSE_DIM_BOUND^2 = "
+            f"{DENSE_DIM_BOUND**2}; arrays of that size do not fit in memory"
+        )
+
+
 def load_graph(source) -> WeightedGraph:
     """Build a validated WeightedGraph from a graph-spec JSON document.
 
@@ -284,7 +296,7 @@ def load_graph(source) -> WeightedGraph:
     n = doc["n"]
     if n <= 0:
         raise SchemaError("'n' must be positive")
-    _check_dense_size(n)
+    _check_words(n, "the vertex arrays")
 
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):

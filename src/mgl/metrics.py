@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, csgraph_from_dense, shortest_path
+from scipy.sparse.linalg import splu
 
 from .bundles import HermitianBundle
 from .errors import (
@@ -25,9 +26,10 @@ from .errors import (
     InvariantError,
     MonotonicityViolated,
     NotNested,
+    SchemaError,
 )
 from .forms import _check_bundle, _form_matrix, _gemm
-from .graphs import WeightedGraph, _as_subset, _restriction
+from .graphs import WeightedGraph, _as_subset, _check_words, _restriction
 
 METRIC_TOL = 1e-12
 
@@ -273,14 +275,45 @@ class UniquenessReport:
     """Gap table of an exhaustion experiment plus the host's degree bound.
 
     Finite hosts cannot falsify the uniqueness transfer, so the table is
-    labeled illustrative.
+    labeled illustrative. `diagnostics` names the factor route and, per
+    prefix and form, the block dimension N, the boundary columns |b| and
+    the entries SuperLU stores for L and U (all 0 but N where nothing
+    leaves the prefix).
     """
 
     gaps: list          # dicts {"k", "scalar", "magnetic"}
     criteria: dict
+    diagnostics: dict
 
     def to_report(self) -> dict:
-        return {"gaps": self.gaps, "criteria": self.criteria, "illustrative": True}
+        return {"gaps": self.gaps, "criteria": self.criteria,
+                "diagnostics": self.diagnostics, "illustrative": True}
+
+
+def _factor(A, alpha, where):
+    """The SuperLU factor of the CSC block A, which is Hermitian positive
+    definite in exact arithmetic, in symmetric mode: a fill-reducing
+    ordering of A + A^T applied to rows and columns alike, pivots taken on
+    the diagonal. AlphaInSpectrum where SuperLU fails, a pivot leaves the
+    diagonal or a pivot is not finite and positive: the LU analogue of a
+    failing Cholesky factorization."""
+    try:
+        factor = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        problem = str(exc)
+    else:
+        pivots = factor.U.diagonal()
+        if not np.array_equal(factor.perm_r, factor.perm_c):
+            problem = "a pivot left the diagonal"
+        elif not (np.isfinite(pivots).all() and (pivots.real > 0).all()):
+            problem = "a pivot is not finite and positive"
+        else:
+            return factor
+    raise AlphaInSpectrum(
+        f"{where}: the edge-dropping block + alpha = {alpha} does not factor "
+        f"in floating point ({problem})"
+    )
 
 
 def exhaustion_uniqueness_experiment(
@@ -300,7 +333,9 @@ def exhaustion_uniqueness_experiment(
     component of vertex 0. Raises AlphaInSpectrum when an edge-dropping
     block plus `alpha` may be singular in floating point: where `alpha` is
     at most eps times the largest diagonal entry of the block (beyond about
-    4.5e15 at alpha = 1), or where the block does not factor.
+    4.5e15 at alpha = 1), or where the block does not factor. Raises
+    SchemaError, naming the subset, where the N x |b| Woodbury panels would
+    exceed DENSE_DIM_BOUND^2 words or the factor runs out of memory.
     """
     _check_bundle(G, bundle)
     if alpha <= 0:
@@ -318,59 +353,67 @@ def exhaustion_uniqueness_experiment(
     # Each form's potential and connection, as (n, d, d) and (E, d, d) blocks.
     forms = {"scalar": (G.killing[:, None, None], np.ones((len(G.edges), 1, 1))),
              "magnetic": (bundle.endo, bundle.connection)}
-    gaps = []
+    gaps, prefixes = [], []
     for k, omega in enumerate(subsets, start=1):
         _, keep, ends, boundary = _restriction(G, omega)
         members = omega.members
         row = {"k": k, **dict.fromkeys(forms, 0.0)}
         gaps.append(row)
-        if not boundary.any():
-            continue  # no edge leaves the subset: both restrictions coincide
+        prefix = {"k": k}
+        prefixes.append(prefix)
         for key, (W, phi) in forms.items():
+            d = W.shape[-1]
+            cut = np.repeat(boundary, d)
+            b = np.flatnonzero(cut)
+            prefix[key] = {"N": cut.size, "boundary": b.size, "nnz_lu": 0}
+            if not b.size:
+                continue  # no edge leaves the subset: both restrictions coincide
+            where = f"prefix k={k} ({len(omega)} vertices), {key} form"
+            _check_words(cut.size * b.size, f"{where}: the N x |b| Woodbury panels")
             # The edge-dropping restriction is the form of the inner edges;
             # the boundary-folding one (the host form on zero-extensions) is
             # that plus the boundary weights P on its diagonal. Both
             # resolvents vanish off the members, so the gap of their
             # zero-extensions is that of R = (M^-1/2 L M^-1/2 + alpha)^-1 there.
             A = _form_matrix(len(omega), ends, G.weights[keep], W[members], phi[keep])
-            d = W.shape[-1]
-            cut = np.repeat(boundary, d)
-            b = np.flatnonzero(cut)
             scale = 1.0 / np.sqrt(np.repeat(G.measure[members], d))
-            A *= scale[:, None]
-            A *= scale[None, :]
-            where = f"prefix k={k} ({len(omega)} vertices), {key} form"
+            A.data *= scale[A.row]
+            A.data *= scale[A.col]
             # alpha bounds the spectrum of A + alpha from below. Once it is
             # lost in rounding next to the largest diagonal entry, A + alpha
             # may be singular in floating point.
-            peak = A.diagonal().real.max()
+            diagonal = A.row == A.col
+            peak = A.data[diagonal].real.max()
             if not alpha > np.finfo(float).eps * peak:
                 raise AlphaInSpectrum(
                     f"{where}: alpha = {alpha} is lost in rounding next to a "
                     f"diagonal entry {peak:.3g} of the edge-dropping block"
                 )
-            A[np.diag_indices_from(A)] += alpha
-            try:
-                factor = cho_factor(A, overwrite_a=True)
-            except np.linalg.LinAlgError as exc:
-                raise AlphaInSpectrum(
-                    f"{where}: the edge-dropping block + alpha = {alpha} does "
-                    f"not factor in floating point ({exc})"
-                ) from exc
+            A.data[diagonal] += alpha
             # With X = R_N E_b, T = (P/m)^1/2 on the boundary rows b and
             # Z = X T, the Woodbury identity gives
             # R_N - R_D = Z (I + T X[b] T)^-1 Z*, where nothing cancels, so
             # its norm is the top eigenvalue of the |b| x |b| pencil
-            # (Z* Z, I + T X[b] T).
-            unit = np.zeros((len(A), b.size))
-            unit[b, np.arange(b.size)] = 1.0
-            X = cho_solve(factor, unit)
+            # (Z* Z, I + T X[b] T). The unit columns E_b are built in the
+            # factor's type and order, so that the solve casts nothing.
+            A = A.tocsc()
+            try:
+                factor = _factor(A, alpha, where)
+                unit = np.zeros((cut.size, b.size), A.dtype, order="F")
+                unit[b, np.arange(b.size)] = 1.0
+                X = factor.solve(unit)
+            except MemoryError as exc:
+                raise SchemaError(f"{where}: the sparse factor and its "
+                                  "panels do not fit in memory") from exc
+            prefix[key]["nnz_lu"] = factor.nnz
+            del A, factor, unit
             t = np.sqrt(cut[b]) * scale[b]
-            Z = X * t
-            gram = _gemm(Z, Z, trans_a=2)
             pencil = t[:, None] * X[b] * t + np.eye(b.size)
-            top = eigh(gram, pencil, eigvals_only=True,
-                       subset_by_index=[b.size - 1] * 2)
+            X *= t  # Z, in place
+            gram = _gemm(X, X, trans_a=2)
+            del X
+            top = eigh(gram, pencil, eigvals_only=True, overwrite_a=True,
+                       overwrite_b=True, subset_by_index=[b.size - 1] * 2)
             row[key] = float(top[0])
 
     _, labels = connected_components(
@@ -378,4 +421,4 @@ def exhaustion_uniqueness_experiment(
     )
     component = labels == labels[0]
     criteria = {"degree_bounded": float(G.weighted_degrees()[component].max())}
-    return UniquenessReport(gaps, criteria)
+    return UniquenessReport(gaps, criteria, {"route": "splu", "prefixes": prefixes})

@@ -252,6 +252,28 @@ def killing_without_endo_docs(seed=0, n=60, d=3):
     return graph_doc, {"rank": d, "connection": connection}
 
 
+def path_docs(n, seed=0, d=2):
+    """Spec documents for the path 0-1-...-(n-1), weights in [0.5, 1.5), no
+    killing or endomorphism, and a random unitary on every edge.
+
+    A path is a tree, so the connection gauges away: the bundle form is
+    unitarily equivalent to d copies of the scalar one, by a unitary that
+    is block diagonal over the vertices.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, n - 1)
+    z = rng.standard_normal((n - 1, d, d)) + 1j * rng.standard_normal((n - 1, d, d))
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    unitaries = q * (phases / np.abs(phases))[:, None, :]
+    cells = np.stack([unitaries.real, unitaries.imag], axis=-1).tolist()
+    graph_doc = {"n": n, "edges": [{"u": x, "v": x + 1, "b": float(b)}
+                                   for x, b in enumerate(weights)]}
+    connection = [{"u": x, "v": x + 1, "matrix": matrix}
+                  for x, matrix in enumerate(cells)]
+    return graph_doc, {"rank": d, "connection": connection}
+
+
 def cli_flags():
     """{command: option strings it declares, -h/--help aside}, read from the
     `mgl` parser itself."""

@@ -5,11 +5,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
+from scipy.sparse.linalg import splu
 
 import fixtures
 from mgl.cli import build_parser, run
@@ -316,7 +318,7 @@ def test_commands_fit_their_memory_budgets(tmp_path):
     # rank-3 spec (N = 450), against the budgets that README states: one
     # more N x N complex copy anywhere would exceed its command's budget.
     budgets = {"spectrum": 2.3, "semigroup-id": 2.2, "dominate": 3.0,
-               "uniqueness": 1.5}
+               "uniqueness": 0.5}
     graph_doc, bundle_doc = fixtures.diamagnetic_docs(n=150, d=3)
     argv = ["--graph", write_json(tmp_path / "g.json", graph_doc),
             "--bundle", write_json(tmp_path / "b.json", bundle_doc),
@@ -389,8 +391,25 @@ def test_uniqueness_path50(tmp_path):
     assert all(a > b for a, b in zip(scalar, scalar[1:]))
     assert scalar[-1] <= 1e-12
     assert report["illustrative"] is True
-    assert set(report) == {"gaps", "criteria", "illustrative", "metadata"}
+    assert set(report) == {"gaps", "criteria", "illustrative", "metadata",
+                           "diagnostics"}
     assert set(report["criteria"]) == {"degree_bounded"}
+    # A prefix {0..10k-1} of the path has one boundary vertex, and path50's
+    # bundle has rank 1. Its block is tridiagonal, so L and U hold at least
+    # its N diagonal and N - 1 off-diagonal entries each, and at most dense
+    # triangles (SuperLU stores small supernodes dense). The full set
+    # factors nothing.
+    diagnostics = report["diagnostics"]
+    assert diagnostics["route"] == "splu"
+    assert [p["k"] for p in diagnostics["prefixes"]] == [1, 2, 3, 4, 5]
+    for k, prefix in enumerate(diagnostics["prefixes"][:4], start=1):
+        assert prefix["scalar"] == prefix["magnetic"]
+        assert prefix["scalar"]["N"] == 10 * k
+        assert prefix["scalar"]["boundary"] == 1
+        assert 2 * (20 * k - 1) <= prefix["scalar"]["nnz_lu"] <= 10 * k * (10 * k + 1)
+    for key in ("scalar", "magnetic"):
+        last = diagnostics["prefixes"][-1][key]
+        assert last["boundary"] == last["nnz_lu"] == 0
 
 
 def test_uniqueness_single_full_step(p2_spec, tmp_path):
@@ -428,9 +447,9 @@ def test_uniqueness_determinism(tmp_path):
 @pytest.mark.parametrize("b", [2e149, 4e149])
 def test_uniqueness_singular_block_is_input_error(tmp_path, capsys, b):
     # The edge-dropping block of {0, 1} is b [[1, -1], [-1, 1]] + I, which is
-    # singular in floating point: alpha = 1 is lost next to b. LAPACK stops
-    # on one of these weights and leaves a pivot of rounding noise on the
-    # other, so alpha is checked against the diagonal before factoring.
+    # singular in floating point: alpha = 1 is lost next to b. A factor may
+    # stop on one of these weights and leave a pivot of rounding noise on
+    # the other, so alpha is checked against the diagonal before factoring.
     edges = [{"u": 0, "v": 1, "b": b}, {"u": 1, "v": 2, "b": b},
              {"u": 2, "v": 3, "b": 1}]
     spec = write_json(tmp_path / "g.json", {"n": 4, "edges": edges})
@@ -461,6 +480,113 @@ def test_uniqueness_heavy_inner_edge_on_large_prefix_reports(tmp_path):
     assert gaps[0]["scalar"] > 0.1
     for key in ("scalar", "magnetic"):
         assert gaps[0][key] == pytest.approx(gaps[1][key], rel=1e-12, abs=0)
+
+
+def uniqueness_argv(tmp_path, graph_doc, bundle_doc):
+    return ["uniqueness", "--graph", write_json(tmp_path / "g.json", graph_doc),
+            "--bundle", write_json(tmp_path / "b.json", bundle_doc),
+            "--out", str(tmp_path / "u.json")]
+
+
+def test_uniqueness_holds_no_dense_block(tmp_path):
+    # On a 1000-vertex rank-2 path the largest prefix with a boundary has
+    # 800 vertices, so its magnetic block has N = 1600. That block alone,
+    # dense, is one complex N x N array; the sparse factor and the N x |b|
+    # panels, with everything the command loads, stay under 0.05 of one.
+    argv = uniqueness_argv(tmp_path, *fixtures.path_docs(1000))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * 16 * 1600**2, peak / (16 * 1600**2)
+
+
+def test_uniqueness_runs_past_the_dense_bound(tmp_path):
+    # n * d = 40000 lies beyond DENSE_DIM_BOUND, which only the commands
+    # that build a dense spectrum apply. Each gap lies in [0, 1/alpha],
+    # since 0 <= R_D <= R_N <= 1/alpha; and a path is a tree, so the
+    # connection gauges away and the magnetic gap is the scalar one.
+    argv = uniqueness_argv(tmp_path, *fixtures.path_docs(20000))
+    assert run(argv) == 0
+    first = (tmp_path / "u.json").read_bytes()
+    assert run(argv) == 0
+    assert (tmp_path / "u.json").read_bytes() == first
+    report = json.loads(first)
+    assert report["diagnostics"]["prefixes"][3]["magnetic"]["N"] == 32000
+    assert report["gaps"][0]["scalar"] > 0.1
+    for row in report["gaps"]:
+        assert 0.0 <= row["scalar"] <= 1.0 and 0.0 <= row["magnetic"] <= 1.0
+        assert row["magnetic"] == pytest.approx(row["scalar"], rel=1e-12, abs=0)
+
+
+def test_uniqueness_refuses_panels_beyond_the_bound(tmp_path, capsys, monkeypatch):
+    # With the bound at 16, prefix {0..9} of this spec has 7 boundary
+    # vertices: the scalar panels need 10 * 7 words, within 16^2, the
+    # rank-2 ones 20 * 14, beyond it. The loaders' arrays (20 vertices,
+    # 20 * 2^2 endomorphism words) fit.
+    from mgl import graphs
+
+    monkeypatch.setattr(graphs, "DENSE_DIM_BOUND", 16)
+    argv = uniqueness_argv(tmp_path, *fixtures.killing_without_endo_docs(n=20, d=2))
+    assert run(argv + ["--omega", "10,20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: prefix k=1 (10 vertices), magnetic form: "
+                          "the N x |b| Woodbury panels need 280 words"), err
+    assert not (tmp_path / "u.json").exists()
+
+
+def test_uniqueness_out_of_memory_names_the_prefix(tmp_path, capsys, monkeypatch):
+    import mgl.metrics
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(mgl.metrics, "splu", exhausted)
+    assert run(["uniqueness", "--graph", path50_spec(tmp_path), "--omega", "10,20",
+                "--out", str(tmp_path / "u.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: prefix k=1 (10 vertices), scalar form: "
+                          "the sparse factor and its panels do not fit in memory")
+    assert not (tmp_path / "u.json").exists()
+
+
+def _singular(A, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _negated(A, **kwargs):
+    return splu(-A, **kwargs)
+
+
+def _off_diagonal(A, **kwargs):
+    factor = splu(A, **kwargs)
+    return types.SimpleNamespace(U=factor.U, perm_c=factor.perm_c,
+                                 perm_r=factor.perm_r[::-1])
+
+
+@pytest.mark.parametrize("factor, problem", [
+    (_singular, "Factor is exactly singular"),
+    (_negated, "a pivot is not finite and positive"),
+    (_off_diagonal, "a pivot left the diagonal"),
+])
+def test_uniqueness_block_that_does_not_factor_is_input_error(
+        tmp_path, capsys, monkeypatch, factor, problem):
+    # Where SuperLU fails, or its symmetric-mode factor is not that of a
+    # positive definite block, the block + alpha may be singular in
+    # floating point: an input error, as a failing Cholesky factor was.
+    import mgl.metrics
+
+    monkeypatch.setattr(mgl.metrics, "splu", factor)
+    assert run(["uniqueness", "--graph", path50_spec(tmp_path), "--omega", "10,20",
+                "--out", str(tmp_path / "u.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("input error: prefix k=1 (10 vertices), scalar form: the "
+                   "edge-dropping block + alpha = 1.0 does not factor in floating "
+                   f"point ({problem})\n")
+    assert not (tmp_path / "u.json").exists()
 
 
 def test_spectrum_outputs(p2_spec, tmp_path, capsys):
@@ -720,8 +846,10 @@ def test_overflowing_scales_are_input_errors(tmp_path, capsys, graph_doc, bundle
     ids=["graph", "bundle"],
 )
 def test_dense_size_guard_is_input_error(tmp_path, capsys, graph_doc, bundle_doc):
-    # n * d above 16384 would ask for dense N x N matrices of many GiB (a
-    # 320 GB adjacency at n = 200000); every command refuses it up front.
+    # n * d above 16384 would ask the commands that build a dense spectrum
+    # for N x N matrices of many GiB (a 320 GB adjacency at n = 200000);
+    # they refuse it up front. validate and uniqueness build no dense form,
+    # so they run: here every prefix is boundaryless and factors nothing.
     graph = write_json(tmp_path / "g.json", graph_doc)
     bundle = write_json(tmp_path / "b.json", bundle_doc)
     start = time.perf_counter()
@@ -729,9 +857,12 @@ def test_dense_size_guard_is_input_error(tmp_path, capsys, graph_doc, bundle_doc
         code = run([command, "--graph", graph, "--bundle", bundle,
                     "--out", str(tmp_path / "r.json")])
         err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command in ("validate", "uniqueness"):
+            assert code == 0, (command, err)
+            continue
         assert code == 2, (command, err)
         assert err.startswith("input error:") and "16384" in err, command
-        assert "Traceback" not in err
     assert time.perf_counter() - start < 10
 
 

@@ -7,6 +7,7 @@ from mgl import forms, metrics
 from mgl import (
     CutoffSequence,
     EdgeLengths,
+    HermitianBundle,
     PseudoMetric,
     WeightedGraph,
     assemble_magnetic_form,
@@ -235,7 +236,7 @@ def test_exhaustion_boundaryless_prefixes_are_exact_and_free(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("factorization called")
 
-    monkeypatch.setattr(metrics, "cho_factor", refuse)
+    monkeypatch.setattr(metrics, "splu", refuse)
     g = WeightedGraph(
         6, {(0, 1): 1.0, (1, 2): 0.5, (0, 2): 2.0, (3, 4): 1.5, (4, 5): 0.7},
         killing=[0.1, 0.0, 0.3, 0.0, 0.2, 0.4], measure=[1.0, 2.0, 0.5, 1.5, 1.0, 0.8],
@@ -390,6 +391,22 @@ def test_exhaustion_magnetic_gap_matches_dense_resolvents():
     expected = _dense_magnetic_gap(g, bundle, 6)
     assert expected > 1e-3
     assert report.gaps[0]["magnetic"] == pytest.approx(expected, rel=1e-10)
+
+
+def test_exhaustion_gaps_match_dense_resolvents_on_every_prefix():
+    # The sparse factor against numpy's dense inverses, on every prefix of
+    # a 120-vertex random graph with a rank-2 bundle. The scalar form is the
+    # rank-1 bundle form with W = c and a unit connection.
+    g = fixtures.random_graph(n=120)
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(24))
+    scalar = HermitianBundle(g, 1, endo=g.killing[:, None, None])
+    sizes = (24, 48, 72, 96, 119)
+    report = exhaustion_uniqueness_experiment(g, bundle, [range(k) for k in sizes])
+    for row, k in zip(report.gaps, sizes):
+        for key, B in (("scalar", scalar), ("magnetic", bundle)):
+            expected = _dense_magnetic_gap(g, B, k)
+            assert expected > 1e-3
+            assert row[key] == pytest.approx(expected, rel=1e-12, abs=0), (k, key)
 
 
 def test_host_block_is_the_restricted_form():
