@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, InvariantError, NegativeG, SchemaError
 from .graphs import (
     MAGNITUDE_BOUND,
     WeightedGraph,
+    _check_dense_size,
     _check_magnitude,
     _check_words,
     _read_spec,
@@ -240,7 +241,7 @@ def restrict_bundle(B: HermitianBundle, omega, fold_boundary: bool = False):
     return HermitianBundle(sub, B.rank, B.connection[keep], endo)
 
 
-def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
+def load_bundle(graph: WeightedGraph, source, dense: bool = False) -> HermitianBundle:
     """Build a HermitianBundle from a bundle-spec JSON document.
 
     Format::
@@ -251,12 +252,18 @@ def load_bundle(graph: WeightedGraph, source) -> HermitianBundle:
 
     Omitted connection entries default to the identity; an omitted endo
     field defaults to zero matrices. Complex entries are [re, im] pairs.
+    As soon as the rank is read, and before any block is built, the
+    (n + 2E) d^2 entries of the bundle's form matrix must fit in
+    DENSE_DIM_BOUND^2 words and, with `dense`, n * d in DENSE_DIM_BOUND.
     """
     doc = _read_spec(source, "bundle spec", ("rank", "connection", "endo"))
     rank = doc.get("rank")
     if not isinstance(rank, int) or isinstance(rank, bool) or rank <= 0:
         raise SchemaError("bundle spec requires a positive integer 'rank'")
-    _check_words(graph.n * rank * rank, "the endomorphism blocks")
+    if dense:
+        _check_dense_size(graph.n, rank)
+    _check_words((graph.n + 2 * len(graph.edges)) * rank * rank,
+                 "the form-matrix blocks")
 
     def parse_matrix(raw, where):
         try:

@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
 )
 from .forms import assemble_magnetic_form, assemble_scalar_form
-from .graphs import DENSE_DIM_BOUND, _check_dense_size, load_graph
+from .graphs import DENSE_DIM_BOUND, load_graph
 from .metrics import exhaustion_uniqueness_experiment
 from .serialize import dump_report
 
@@ -118,13 +118,13 @@ def _summary(line: str) -> None:
 def _load_specs(args, dense=True):
     """The graph and the bundle (None without --bundle), both read before any
     form is built, so that every spec error comes first. Commands that build
-    a dense spectrum (`dense`) also refuse there a form dimension n * d above
-    DENSE_DIM_BOUND; validate and uniqueness, which build none, take any."""
-    graph = load_graph(args.graph)
-    bundle = load_bundle(graph, args.bundle) if args.bundle else None
-    if dense:
-        _check_dense_size(graph.n, bundle.rank if bundle else 1)
-    return graph, bundle
+    a dense spectrum (`dense`) also refuse a form dimension n * d above
+    DENSE_DIM_BOUND, as soon as n and the rank are read; validate and
+    uniqueness, which build none, take any."""
+    graph = load_graph(args.graph, dense)
+    if not args.bundle:
+        return graph, None
+    return graph, load_bundle(graph, args.bundle, dense)
 
 
 def cmd_validate(args) -> int:

@@ -29,9 +29,11 @@ MAGNITUDE_BOUND = 1e150
 # form. L is kept sparse, but assembly builds a dense N x N transient, the
 # reduction an N x (N+1) buffer, which later holds U, and the eigensystem T's
 # real eigenvectors Z. One complex N x N matrix of this size takes 4 GiB,
-# and DENSE_DIM_BOUND^2 words also bound every other array a command builds:
-# the loaders' vertex arrays and endomorphism blocks, and the N x |b| panels
-# of each prefix in uniqueness, whose blocks are factored sparse.
+# and DENSE_DIM_BOUND^2 words also bound each array any command builds from
+# the specs: the vertex arrays, the bundle's (n + 2E) d^2 form-matrix
+# entries (which bound its endomorphism and connection blocks), and the
+# N x |b| panels of each prefix in uniqueness, whose blocks are factored
+# sparse. The fill of those sparse factors is not bounded in advance.
 DENSE_DIM_BOUND = 16384
 
 
@@ -272,11 +274,12 @@ def _check_words(words: int, what: str):
     if words > DENSE_DIM_BOUND**2:
         raise SchemaError(
             f"{what} need {words} words, above DENSE_DIM_BOUND^2 = "
-            f"{DENSE_DIM_BOUND**2}; arrays of that size do not fit in memory"
+            f"{DENSE_DIM_BOUND}^2 = {DENSE_DIM_BOUND**2}; arrays of that size "
+            "do not fit in memory"
         )
 
 
-def load_graph(source) -> WeightedGraph:
+def load_graph(source, dense: bool = False) -> WeightedGraph:
     """Build a validated WeightedGraph from a graph-spec JSON document.
 
     `source` may be a dict already parsed from JSON, or a path to a JSON
@@ -289,6 +292,8 @@ def load_graph(source) -> WeightedGraph:
 
     Raises SchemaError for malformed documents and InvariantError (naming
     the violated axiom) for well-formed documents describing invalid graphs.
+    With `dense`, for a command that builds a dense spectrum, n above
+    DENSE_DIM_BOUND is a SchemaError as soon as n is read.
     """
     doc = _read_spec(source, "graph spec", ("n", "edges", "killing", "measure"))
     if "n" not in doc or not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
@@ -296,6 +301,8 @@ def load_graph(source) -> WeightedGraph:
     n = doc["n"]
     if n <= 0:
         raise SchemaError("'n' must be positive")
+    if dense:
+        _check_dense_size(n)
     _check_words(n, "the vertex arrays")
 
     raw_edges = doc.get("edges", [])

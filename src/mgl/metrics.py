@@ -335,7 +335,10 @@ def exhaustion_uniqueness_experiment(
     at most eps times the largest diagonal entry of the block (beyond about
     4.5e15 at alpha = 1), or where the block does not factor. Raises
     SchemaError, naming the subset, where the N x |b| Woodbury panels would
-    exceed DENSE_DIM_BOUND^2 words or the factor runs out of memory.
+    exceed DENSE_DIM_BOUND^2 words or the factor raises MemoryError. The
+    factor's fill is not bounded in advance: under memory overcommit a
+    factor that outgrows the host's memory may get the process killed
+    instead.
     """
     _check_bundle(G, bundle)
     if alpha <= 0:

@@ -523,18 +523,19 @@ def test_uniqueness_runs_past_the_dense_bound(tmp_path):
 
 
 def test_uniqueness_refuses_panels_beyond_the_bound(tmp_path, capsys, monkeypatch):
-    # With the bound at 16, prefix {0..9} of this spec has 7 boundary
-    # vertices: the scalar panels need 10 * 7 words, within 16^2, the
-    # rank-2 ones 20 * 14, beyond it. The loaders' arrays (20 vertices,
-    # 20 * 2^2 endomorphism words) fit.
+    # With the bound at 16, prefix {0..9} of this perfect matching is all
+    # boundary: the scalar panels need 10 * 10 words, within 16^2, the
+    # rank-2 ones 20 * 20, beyond it. The loaders' arrays (20 vertices,
+    # (20 + 2 * 10) * 2^2 form-matrix words) fit.
     from mgl import graphs
 
     monkeypatch.setattr(graphs, "DENSE_DIM_BOUND", 16)
-    argv = uniqueness_argv(tmp_path, *fixtures.killing_without_endo_docs(n=20, d=2))
+    matching = {"n": 20, "edges": [{"u": x, "v": x + 10, "b": 1.0} for x in range(10)]}
+    argv = uniqueness_argv(tmp_path, matching, {"rank": 2})
     assert run(argv + ["--omega", "10,20"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: prefix k=1 (10 vertices), magnetic form: "
-                          "the N x |b| Woodbury panels need 280 words"), err
+                          "the N x |b| Woodbury panels need 400 words"), err
     assert not (tmp_path / "u.json").exists()
 
 
@@ -840,16 +841,26 @@ def test_overflowing_scales_are_input_errors(tmp_path, capsys, graph_doc, bundle
         assert "Traceback" not in err
 
 
+K16_GRAPH = {"n": 16, "edges": [{"u": u, "v": v, "b": 1.0}
+                                 for u in range(16) for v in range(u + 1, 16)]}
+
+
 @pytest.mark.parametrize(
-    "graph_doc, bundle_doc",
-    [({"n": 200000}, {"rank": 1}), ({"n": 6000}, {"rank": 3})],
-    ids=["graph", "bundle"],
+    "graph_doc, bundle_doc, sparse_code",
+    [({"n": 200000}, {"rank": 1}, 0), ({"n": 6000}, {"rank": 3}, 0),
+     # n d^2 = 2^28 endomorphism words fit, but the 120 edges' identity
+     # connection and the form matrix, (n + 2E) d^2 = 2^32 words, do not.
+     (K16_GRAPH, {"rank": 4096}, 2)],
+    ids=["graph", "bundle", "connection"],
 )
-def test_dense_size_guard_is_input_error(tmp_path, capsys, graph_doc, bundle_doc):
+def test_dense_size_guard_is_input_error(tmp_path, capsys, graph_doc, bundle_doc,
+                                         sparse_code):
     # n * d above 16384 would ask the commands that build a dense spectrum
     # for N x N matrices of many GiB (a 320 GB adjacency at n = 200000);
     # they refuse it up front. validate and uniqueness build no dense form,
-    # so they run: here every prefix is boundaryless and factors nothing.
+    # so they run (here every prefix is boundaryless and factors nothing)
+    # unless an array of the specs' own would exceed 16384^2 words, which
+    # they refuse as soon as the rank is read.
     graph = write_json(tmp_path / "g.json", graph_doc)
     bundle = write_json(tmp_path / "b.json", bundle_doc)
     start = time.perf_counter()
@@ -859,10 +870,13 @@ def test_dense_size_guard_is_input_error(tmp_path, capsys, graph_doc, bundle_doc
         err = capsys.readouterr().err
         assert "Traceback" not in err
         if command in ("validate", "uniqueness"):
-            assert code == 0, (command, err)
+            assert code == sparse_code, (command, err)
+            if sparse_code:
+                assert err.startswith("input error: the form-matrix blocks need "
+                                      "4294967296 words"), (command, err)
             continue
         assert code == 2, (command, err)
-        assert err.startswith("input error:") and "16384" in err, command
+        assert err.startswith("input error: form dimension") and "16384" in err, command
     assert time.perf_counter() - start < 10
 
 
