@@ -241,6 +241,33 @@ def restrict_bundle(B: HermitianBundle, omega, fold_boundary: bool = False):
     return HermitianBundle(sub, B.rank, B.connection[keep], endo)
 
 
+def _parse_matrix(raw, rank, where):
+    """One matrix of [re, im] cells as a complex (rank, rank) array."""
+    try:
+        mat = np.asarray([[complex(cell[0], cell[1]) for cell in row] for row in raw])
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{where}: entries must be [re, im] float pairs") from exc
+    if mat.shape != (rank, rank):
+        raise SchemaError(f"{where}: matrix must be {rank}x{rank}")
+    return mat
+
+
+def _parse_matrices(raws, rank):
+    """The complex (k, rank, rank) stack of k matrices of [re, im] cells, by
+    one numpy conversion; None unless every cell is a pair of numbers (bool,
+    int or float), so that _parse_matrix, matrix by matrix, raises on the
+    same input as ever: numpy would take a string "1.5" as a number, and
+    _parse_matrix reads a longer cell's first two entries."""
+    try:
+        cells = np.asarray(raws)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if cells.shape != (len(raws), rank, rank, 2) or cells.dtype.kind not in "biuf":
+        return None
+    # complex(re, im) stores re and im as they are: a view of the float pairs.
+    return np.ascontiguousarray(cells, dtype=float).view(complex)[..., 0]
+
+
 def load_bundle(graph: WeightedGraph, source, dense: bool = False) -> HermitianBundle:
     """Build a HermitianBundle from a bundle-spec JSON document.
 
@@ -265,21 +292,18 @@ def load_bundle(graph: WeightedGraph, source, dense: bool = False) -> HermitianB
     _check_words((graph.n + 2 * len(graph.edges)) * rank * rank,
                  "the form-matrix blocks")
 
-    def parse_matrix(raw, where):
-        try:
-            mat = np.asarray(
-                [[complex(cell[0], cell[1]) for cell in row] for row in raw]
-            )
-        except (TypeError, IndexError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{where}: entries must be [re, im] float pairs") from exc
-        if mat.shape != (rank, rank):
-            raise SchemaError(f"{where}: matrix must be {rank}x{rank}")
-        return mat
-
     connection = {}
     raw_conn = doc.get("connection", [])
     if not isinstance(raw_conn, list):
         raise SchemaError("'connection' must be a list")
+    mats = _parse_matrices(
+        [entry.get("matrix") if isinstance(entry, dict) else None for entry in raw_conn],
+        rank,
+    )
+    # A unitary has entries of modulus at most 1; larger ones (or NaN)
+    # overflow in the unitarity defect.
+    if mats is not None:
+        bounded = (np.abs(mats) <= MAGNITUDE_BOUND).all(axis=(1, 2))
     for i, entry in enumerate(raw_conn):
         if not isinstance(entry, dict) or not {"u", "v", "matrix"} <= set(entry):
             raise SchemaError(f"connection #{i} must have keys u, v, matrix")
@@ -289,10 +313,12 @@ def load_bundle(graph: WeightedGraph, source, dense: bool = False) -> HermitianB
         if (u, v) in connection or (v, u) in connection:
             edge = (min(u, v), max(u, v))
             raise SchemaError(f"duplicate connection for edge {edge}")
-        mat = parse_matrix(entry["matrix"], f"connection #{i}")
-        # A unitary has entries of modulus at most 1; larger ones (or NaN)
-        # overflow in the unitarity defect.
-        if not (np.abs(mat) <= MAGNITUDE_BOUND).all():
+        if mats is None:
+            mat = _parse_matrix(entry["matrix"], rank, f"connection #{i}")
+            ok = (np.abs(mat) <= MAGNITUDE_BOUND).all()
+        else:
+            mat, ok = mats[i], bounded[i]
+        if not ok:
             raise SchemaError(
                 f"connection #{i}: matrix entries must be finite and at most "
                 f"{MAGNITUDE_BOUND:.0e} in modulus"
@@ -304,9 +330,10 @@ def load_bundle(graph: WeightedGraph, source, dense: bool = False) -> HermitianB
         raw_endo = doc["endo"]
         if not isinstance(raw_endo, list) or len(raw_endo) != graph.n:
             raise SchemaError(f"'endo' must be a list of length n={graph.n}")
-        endo = np.stack(
-            [parse_matrix(raw, f"endo #{x}") for x, raw in enumerate(raw_endo)]
-        )
+        endo = _parse_matrices(raw_endo, rank)
+        if endo is None:
+            endo = np.stack([_parse_matrix(raw, rank, f"endo #{x}")
+                             for x, raw in enumerate(raw_endo)])
         with np.errstate(over="ignore"):  # inf is refused like any excess
             _check_magnitude(_max_entry(endo) / graph.measure, "|W(x)|/m(x)")
 

@@ -12,15 +12,18 @@ reads come from its stored entries. The generator in the m-weighted inner
 product is A = M^-1 L; it is diagonalized through the honest Hermitian
 matrix M^-1/2 L M^-1/2, which is densified once, into the columns 1: of a
 zeroed N x (N+1) buffer that its Householder reduction Q T Q* (?hetrd)
-overwrites; the buffer's columns :-1 are then Q's reflectors as ?ungqr reads
-them. Each step is computed on first use and cached: the reduction; T's
-eigensystem w, Z (dstevd), which gives the eigenvalues; and the
-eigenvectors U = Q Z, built in the reduction's buffer, which then holds U
-instead of the reflectors (where every reflector is the identity, U is Z).
-The Euler check solves with T and applies Q as U Z^T. So each form is
-reduced once, whichever reads it first, U is built only where
-eigenvectors are read, and callers that only read L (form probes) never
-hold a dense N x N array. Instances are immutable.
+overwrites; the buffer's columns :-1 are then Q's reflectors as ?unmqr and
+?ungqr read them. Each step is computed on first use and cached: the
+reduction; T's eigensystem w, Z (dstevd), which gives the eigenvalues; and
+the eigenvectors U = Q Z, built in the reduction's buffer, which then holds
+U instead of the reflectors (where every reflector is the identity, U is
+Z). The semigroup, the resolvent and the Euler check transform vectors
+only: they apply Q and Q* from the reflectors (?unmqr) and Z by real
+products, and Q as U Z^T only once U exists. So each form is reduced once,
+whichever reads it first, U is built only where `eigenvectors` is read
+(the domination verdicts, Beurling-Deny, the reconstruction defect and the
+resolvent matrix), and callers that only read L (form probes) never hold a
+dense N x N array. Instances are immutable.
 """
 
 from __future__ import annotations
@@ -241,18 +244,38 @@ class FormOperator:
         U.setflags(write=False)
         return U
 
-    def _to_reduced_frame(self, cols):
-        """Q* cols for an (N, k) batch, with Q from the reduction Q T Q*:
-        T = Z diag(mu) Z^T and U = Q Z, so Q* = Z U*. Fortran-ordered real
-        columns, a complex column as two, its real and imaginary parts."""
-        U, Z = self.eigenvectors, self._eigensystem[1]
-        return _gemm(Z, _columns(_gemm(U, _columns(cols, U.dtype), trans_a=2), float))
+    def _in_reduced_frame(self, cols, inner):
+        """Q inner(Q* cols) for an (N, k) batch, with Q from the reduction
+        Q T Q*, in the batch's dtype; `inner` maps Fortran-ordered real
+        columns, a complex column entering as two, its real and imaginary
+        parts. The batch may be overwritten.
 
-    def _from_reduced_frame(self, y, dtype):
-        """Q y = U Z^T y for real columns y laid out as `_to_reduced_frame`
-        returns them, as (N, k) columns of `dtype`."""
-        U, Z = self.eigenvectors, self._eigensystem[1]
-        return _columns(_gemm(U, _columns(_gemm(Z, y, trans_a=1), U.dtype)), dtype)
+        While the buffer still holds the reflectors, ?unmqr applies them, with
+        the minimal workspace, so that it runs unblocked: a blocked call would
+        first form a triangular factor per panel, which costs more than a
+        few columns do. Once U is built, Q = U Z^T. The lock is held
+        throughout, since building U overwrites the reflectors: both sides of
+        `inner` apply Q the same way."""
+        self._tridiagonal  # leaves the reflectors in `_householder`
+        with self._lock:
+            if "_householder" in self.__dict__:
+                q, tau = self._householder
+                unmqr = lapack.zunmqr if np.iscomplexobj(q) else lapack.dormqr
+                trans = ("N", "C" if np.iscomplexobj(q) else "T")
+
+                def reflect(x, adjoint):
+                    lwork = max(1, x.shape[1])
+                    return _lapack(unmqr, "L", trans[adjoint], q, tau, x, lwork,
+                                   overwrite_c=1)[0]
+            else:
+                U, Z = self._eigenvectors, self._eigensystem[1]
+
+                def reflect(x, adjoint):
+                    if adjoint:
+                        return _gemm(Z, _gemm(U, x, trans_a=2))
+                    return _gemm(U, _gemm(Z, x, trans_a=1))
+            y = inner(_columns(reflect(_columns(cols, self.L.dtype), True), float))
+            return _columns(reflect(_columns(y, self.L.dtype), False), cols.dtype)
 
     @property
     def lower_bound(self) -> float:
@@ -315,10 +338,14 @@ class FormOperator:
 
     def _apply_function(self, scalars, u):
         """The spectral calculus M^-1/2 U diag(scalars) U* M^1/2 u, for a
-        vector or an (N, k) batch u."""
-        U = self.eigenvectors
-        y = _gemm(U, self.m_sqrt[:, None] * u.reshape(self.dim, -1), trans_a=2)
-        return (self.m_isqrt[:, None] * _gemm(U, scalars[:, None] * y)).reshape(u.shape)
+        vector or an (N, k) batch u, as Q Z diag(scalars) Z^T Q*: U itself is
+        not built for it."""
+        Z = self._eigensystem[1]
+        v = self.m_sqrt[:, None] * u.reshape(self.dim, -1)
+        v = v.astype(np.result_type(self.L.dtype, v), copy=False)
+        y = self._in_reduced_frame(
+            v, lambda y: _gemm(Z, scalars[:, None] * _gemm(Z, y, trans_a=1)))
+        return (self.m_isqrt[:, None] * y).reshape(u.shape)
 
     def _semigroup_multiplier(self, t):
         """exp(-t mu), the spectral multiplier of e^{-tA}."""

@@ -5,9 +5,10 @@ decomposition. The identity checks take independent routes: Laplace
 integrates the spectral semigroup (composite Gauss-Legendre) against the
 spectral resolvent. Euler and the eigensystem share the form's one
 Householder reduction Q T Q* (?hetrd) and diverge after it: Euler runs
-dpttrs solves with I + (t/n) T; the eigensystem runs dstevd on T, then
-builds U = Q Z. Euler applies Q as U Z^T, so it reads the eigenvectors
-but no eigenvalue.
+dpttrs solves with I + (t/n) T; the eigensystem runs dstevd on T. Euler
+applies Q from the reduction's reflectors, so it reads neither
+eigenvalues nor eigenvectors; the identity checks build no U, which only
+the Beurling-Deny kernel reads.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     With h = t/n and the form's Householder reduction M^-1/2 L M^-1/2 = Q T Q*,
     T real tridiagonal, the power is M^-1/2 Q (I + hT)^-n Q* M^1/2 u: one dpttrf
     of I + hT and n dpttrs on real columns (the real and imaginary parts).
-    With T = Z diag(mu) Z^T, Q = U Z^T, so Q* v = Z U* v and Q y = U Z^T y;
-    no eigenvalue is read, while e^{-tA} u is spectral.
+    Q and Q* are applied from the reduction's reflectors (?unmqr), or as
+    U Z^T where U is already built; no eigenvalue is read, while e^{-tA} u
+    is spectral.
     """
     if n < 1:
         raise DimensionMismatch(f"power n must be >= 1, got {n}")
@@ -94,10 +96,13 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     h = t / n
     df, ef = _lapack(lapack.dpttrf, 1.0 + h * d, h * e)
     v = (F.m_sqrt * u).astype(np.result_type(F.L.dtype, u, 1.0))[:, None]
-    y = F._to_reduced_frame(v)
-    for _ in range(n):
-        y = _lapack(lapack.dpttrs, df, ef, y, overwrite_b=1)[0]
-    y = F._from_reduced_frame(y, v.dtype)
+
+    def solves(y):
+        for _ in range(n):
+            y = _lapack(lapack.dpttrs, df, ef, y, overwrite_b=1)[0]
+        return y
+
+    y = F._in_reduced_frame(v, solves)
     return F.norm(F.m_isqrt * y[:, 0] - F.semigroup(t, u))
 
 
@@ -132,7 +137,8 @@ def _resolution(F: FormOperator, t: float):
 def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float, part):
     """beurling_deny_check's semigroup side at one t, with rounding bound
     delta, on the form of one component; `part` maps its vertices to the
-    whole graph's for the witnesses. S_t is normalised in place."""
+    whole graph's for the witnesses. Each figure comes with its witness and
+    with delta on the figure's scale. S_t is normalised in place."""
     U, mu, w = F.eigenvectors, F.eigenvalues, F.m_sqrt
     half = np.exp(-0.5 * t * mu)
     # S = V V^T by one dsyrk on scipy's BLAS (see forms._gemm), which fills
@@ -144,7 +150,8 @@ def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float, part):
     rise = _gemm(S, w[:, None])[:, 0] / w - 1.0
     rows_ok = bool((rise <= tol * scale + delta * np.linalg.norm(w) / w).all())
     x = int(np.argmax(rise / scale))
-    excess = (float(rise[x] / scale[x]), {"t": float(t), "x": int(part[x])})
+    excess = (float(rise[x] / scale[x]), {"t": float(t), "x": int(part[x])},
+              float(delta * np.linalg.norm(w) / (w[x] * scale[x])))
     margin = np.outer(tol * s, s)
     margin += S
     kernel_ok = bool(margin.min() >= -delta)
@@ -154,7 +161,8 @@ def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float, part):
     S /= np.outer(s, s, out=margin)
     np.fill_diagonal(S, np.inf)
     x, y = np.unravel_index(np.argmin(S), S.shape)
-    kernel = (float(S[x, y]), {"t": float(t), "x": int(part[x]), "y": int(part[y])})
+    kernel = (float(S[x, y]), {"t": float(t), "x": int(part[x]), "y": int(part[y])},
+              float(delta / (s[x] * s[y])))
     return kernel_ok, rows_ok, kernel, excess
 
 
@@ -182,8 +190,12 @@ def beurling_deny_check(
     as the Euler check's t is scaled (a witness reports the time used). If
     that time resolves nothing either, then unless the kernel fails
     elsewhere, SchemaError names it rather than let the positivity verdict
-    pass, whatever the rows read. Markov verdicts include their side's
-    positivity verdict.
+    pass, whatever the rows read. The same holds where a form verdict, which
+    is exact, fails and its semigroup figure fails tol but passes within
+    delta_t: that figure resolves nothing, and SchemaError names its t, the
+    figure and its allowance. (delta_t is normwise: it cannot see a
+    coupling far below n eps |mu|_max within one component.) Markov
+    verdicts include their side's positivity verdict.
     """
     if F.d != 1 or np.iscomplexobj(F.L):
         raise DimensionMismatch("the Beurling-Deny check requires a real scalar form")
@@ -217,7 +229,7 @@ def beurling_deny_check(
     if count > 1:
         # S_t is 0 between components: the first such pair, in row-major order.
         y = int(np.flatnonzero(labels != labels[0])[0])
-        kernels.append((0.0, {"t": float(t_list[0]), "x": 0, "y": y}))
+        kernels.append((0.0, {"t": float(t_list[0]), "x": 0, "y": y}, 0.0))
     kernel = min(kernels, key=itemgetter(0))
     excess = max((side[3] for side in sides), key=itemgetter(0))
     # The stored off-diagonal entries of L and, if some vertices are not
@@ -236,6 +248,19 @@ def beurling_deny_check(
     row_abs = abs(F.L).sum(axis=1)
     rows = np.divide(F.L.sum(axis=1), row_abs, out=np.zeros(F.n), where=row_abs > 0)
     r = int(np.argmin(rows))
+    markov_form_ok = positive and bool(rows[r] >= -tol)
+    markov_semigroup_ok = kernel_ok and all(side[1] for side in sides)
+    for form_ok, semigroup_ok, beyond_tol, (figure, witness, allowance) in (
+        (positive, kernel_ok, kernel[0] < -tol, kernel),
+        (markov_form_ok, markov_semigroup_ok, excess[0] > tol, excess),
+    ):
+        if not form_ok and semigroup_ok and beyond_tol:
+            raise SchemaError(
+                f"Beurling-Deny time t = {witness['t']:g} resolves nothing: the "
+                f"form criterion fails, and the semigroup figure {figure:.3g} "
+                f"passes only within the eigensolver's rounding allowance "
+                f"{allowance:.3g}"
+            )
     return {
         "positivity": {
             "form_ok": positive,
@@ -246,10 +271,10 @@ def beurling_deny_check(
             "semigroup_witness": kernel[1] if F.n > 1 else None,
         },
         "markov": {
-            "form_ok": positive and bool(rows[r] >= -tol),
+            "form_ok": markov_form_ok,
             "min_row_ratio": float(rows[r]),
             "form_witness": r,
-            "semigroup_ok": kernel_ok and all(side[1] for side in sides),
+            "semigroup_ok": markov_semigroup_ok,
             "max_row_excess": excess[0],
             "semigroup_witness": excess[1],
         },

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ import fixtures
 from fixtures import ConeContext
 from mgl import (
     HermitianBundle,
+    bundles,
     check_paired,
     load_bundle,
+    load_graph,
     pair,
     restrict_bundle,
     symmetrize,
@@ -246,6 +250,50 @@ def test_load_bundle_defaults_and_errors():
             fixtures.p3(),
             {"rank": 1, "connection": [{"u": 0, "v": 2, "matrix": [[[1.0, 0.0]]]}]},
         )
+
+
+def _fixture_bundle_docs():
+    docs = [fixtures.diamagnetic_docs(), fixtures.diamagnetic_docs(seed=3, n=9, d=1),
+            fixtures.killing_without_endo_docs(n=12), fixtures.path_docs(8, d=3)]
+    return [(load_graph(graph_doc), bundle_doc) for graph_doc, bundle_doc in docs]
+
+
+def test_bundle_matrices_parse_alike_in_one_conversion_and_one_by_one():
+    # All connection matrices, and all endo blocks, parse by one numpy
+    # conversion each; matrix by matrix, _parse_matrix gives the same bits.
+    for graph, doc in _fixture_bundle_docs():
+        rank = doc["rank"]
+        fields = [[entry["matrix"] for entry in doc["connection"]], doc.get("endo")]
+        for raws in filter(None, fields):
+            fast = bundles._parse_matrices(raws, rank)
+            slow = [bundles._parse_matrix(raw, rank, "m") for raw in raws]
+            assert fast is not None and fast.dtype == complex
+            assert fast.tobytes() == np.array(slow, complex).reshape(fast.shape).tobytes()
+        # A cell of three entries sends the whole field matrix by matrix,
+        # which reads each cell's first two, as it always has.
+        loaded = load_bundle(graph, doc)
+        for field in ("connection", "endo"):
+            if field not in doc:
+                continue
+            padded = copy.deepcopy(doc)
+            cell = (padded[field][0]["matrix"] if field == "connection"
+                    else padded[field][0])[0][0]
+            cell.append(7.0)
+            again = load_bundle(graph, padded)
+            assert again.connection.tobytes() == loaded.connection.tobytes()
+            assert again.endo.tobytes() == loaded.endo.tobytes()
+
+
+def test_string_cells_are_refused_as_ever():
+    # numpy would read the string "1.5" as a number; the loader does not.
+    graph, doc = _fixture_bundle_docs()[0]
+    for field, where in (("connection", "connection #1"), ("endo", "endo #1")):
+        bad = copy.deepcopy(doc)
+        matrix = bad[field][1]["matrix"] if field == "connection" else bad[field][1]
+        matrix[0][0] = ["1.5", 0.0]
+        with pytest.raises(SchemaError, match=f"^{where}: entries must be "
+                           r"\[re, im\] float pairs$"):
+            load_bundle(graph, bad)
 
 
 @pytest.mark.parametrize("kind", ["non-object", "unknown-key", "invalid-json", "missing"])

@@ -263,42 +263,50 @@ def test_spectral_products_run_on_scipys_blas(diamagnetic_specs, tmp_path, monke
     # Every dense product on N-sized operands in `semigroup-id` and `dominate`
     # runs on scipy's BLAS, the runtime of its LAPACK, not on numpy's `@`.
     calls = fixtures.counting_blas(monkeypatch, ("dgemm", "zgemm", "dsyrk"))
+    reflections = fixtures.counting_lapack(monkeypatch, ("zunmqr", "dormqr"))
     graph, bundle = diamagnetic_specs
     n = fixtures.diamagnetic_docs()[0]["n"]
     out = str(tmp_path / "r.json")
     argv = ["--graph", graph, "--bundle", bundle, "--out", out]
     assert run(["semigroup-id", *argv]) == 0
-    # U* M^1/2 u on each form, and the Beurling-Deny kernel S_t = V V^T, with
-    # every operand passed as f2py reads it, so that none is copied.
-    assert ("zgemm", (2 * n, 2 * n), True) in calls
+    # The identities apply Q from each form's reflectors (?unmqr) and T's real
+    # eigenvectors Z by real products, N = 2n on the magnetic form, with
+    # every operand passed as f2py reads it, so that none is copied; U is
+    # not built for them, so no complex product runs. The Beurling-Deny
+    # kernel is S_t = V V^T.
+    assert {name for name, _ in reflections} == {"zunmqr", "dormqr"}
+    assert ("dgemm", (2 * n, 2 * n), True) in calls
     assert ("dgemm", (n, n), True) in calls
+    assert not [call for call in calls if call[0] == "zgemm"]
     assert calls.count(("dsyrk", (n, n), True)) == 4
-    # U = Q Z on the magnetic form, N = 2n: four panels of N / 4 rows of Q,
-    # each entering as twice as many real rows, the real and imaginary parts.
-    assert calls.count(("dgemm", (n, 2 * n), True)) == 4
     assert all(fortran for *_, fortran in calls)
     calls.clear()
+    reflections.clear()
     assert run(["dominate", *argv, "--samples", "5"]) == 0
     # The grid verdicts project into and back from both forms' eigenvectors.
     assert ("zgemm", (2 * n, 2 * n), True) in calls
     assert ("dgemm", (n, n), True) in calls
     assert all(fortran for *_, fortran in calls)
+    assert not reflections
 
 
 def test_semigroup_id_catches_a_broken_back_transform(tmp_path, monkeypatch):
-    # Q with two columns swapped is still unitary, and U = Q Z then
+    # ?unmqr applies Q P, Q with its first two columns swapped, wherever it
+    # applies Q, and (Q P)* wherever it applies Q*. Q P is still unitary and
     # diagonalizes Q P T P^T Q* exactly: the Laplace and Euler checks, which
-    # read only U, Z and T, agree with it. The form limit compares U's
+    # read only Q, Z and T, agree with it. The form limit compares that
     # spectral calculus with the sparse L, and is the check that catches it.
-    # The graph is not a path, so that both forms build Q (a path's scalar
-    # form has Q = I and takes U = Z).
-    for name in ("zungqr", "dorgqr"):
+    # The graph is not a path, so that both forms have Q != I.
+    for name in ("zunmqr", "dormqr"):
         routine = getattr(lapack, name)
 
-        def swapped(*args, _routine=routine, **kwargs):
-            q, *rest = _routine(*args, **kwargs)
-            q[:, [0, 1]] = q[:, [1, 0]]
-            return q, *rest
+        def swapped(side, trans, a, tau, c, *args, _routine=routine, **kwargs):
+            if trans == "N":
+                c[[0, 1]] = c[[1, 0]]
+            cq, *rest = _routine(side, trans, a, tau, c, *args, **kwargs)
+            if trans != "N":
+                cq[[0, 1]] = cq[[1, 0]]
+            return cq, *rest
 
         monkeypatch.setattr(lapack, name, swapped)
     graph_doc, bundle_doc = fixtures.killing_without_endo_docs(n=20, d=2)
@@ -310,7 +318,9 @@ def test_semigroup_id_catches_a_broken_back_transform(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["ok"] is False
     for form in ("magnetic", "scalar"):
-        assert report[form]["form_limit_ok"] is False, form
+        section = report[form]
+        assert section["laplace_ok"] and section["euler_ok"], form
+        assert section["form_limit_ok"] is False, form
 
 
 def test_commands_fit_their_memory_budgets(tmp_path):

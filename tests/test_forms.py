@@ -405,18 +405,16 @@ def test_back_transform_overwrites_its_own_buffer(monkeypatch):
     assert len(written) == 2
 
 
-def test_no_command_calls_unmqr(monkeypatch, tmp_path):
-    # A semigroup-id, a dominate and a spectrum run on a rank-2 spec never
-    # apply Q from its reflectors; the first two form the magnetic form's Q
-    # once, by ?ungqr, and spectrum, which reads no eigenvector, never does.
-    # The spec's graph is a path, whose scalar form has Q = I and takes U = Z.
-    def refuse(*args, **kwargs):
-        raise AssertionError("Q was applied from its reflectors")
-
-    for name in ("zunmqr", "dormqr"):
-        monkeypatch.setattr(forms.lapack, name, refuse)
+def test_q_is_formed_only_where_eigenvectors_are_read(monkeypatch, tmp_path):
+    # semigroup-id applies Q from its reflectors (?unmqr) for the identities
+    # and forms it (?ungqr) only for the scalar form's Beurling-Deny kernel,
+    # never for the magnetic form; dominate forms Q once per form, and
+    # spectrum, which reads no eigenvector, never does. Neither applies Q
+    # from its reflectors. The graph is not a path, so that both forms have
+    # Q != I.
     calls = fixtures.counting_lapack(monkeypatch, ("zungqr", "dorgqr"))
-    graph_doc, bundle_doc = fixtures.diamagnetic_docs()
+    reflections = fixtures.counting_lapack(monkeypatch, ("zunmqr", "dormqr"))
+    graph_doc, bundle_doc = fixtures.killing_without_endo_docs(n=20, d=2)
     specs = []
     for flag, doc in (("--graph", graph_doc), ("--bundle", bundle_doc)):
         path = tmp_path / f"{flag[2:]}.json"
@@ -424,13 +422,17 @@ def test_no_command_calls_unmqr(monkeypatch, tmp_path):
         specs += [flag, str(path)]
     specs += ["--out", str(tmp_path / "r.json")]
     n = graph_doc["n"]
-    per_form = [("zungqr", (2 * n, 2 * n))]
-    for argv, formed in ((["semigroup-id"], per_form),
-                         (["dominate", "--samples", "10"], per_form),
-                         (["spectrum"], [])):
+    scalar, magnetic = ("dorgqr", (n, n)), ("zungqr", (2 * n, 2 * n))
+    for argv, formed, reflected in (
+        (["semigroup-id"], [scalar], {"zunmqr", "dormqr"}),
+        (["dominate", "--samples", "10"], [scalar, magnetic], set()),
+        (["spectrum"], [], set()),
+    ):
         calls.clear()
+        reflections.clear()
         assert run([*argv, *specs]) == 0
         assert sorted(calls) == formed
+        assert {name for name, _ in reflections} == reflected
 
 
 def test_a_failed_eigenvector_build_is_not_run_again(monkeypatch):
@@ -479,7 +481,18 @@ def test_spectrum_forms_no_eigenvectors(monkeypatch):
 
 def test_concurrent_first_reads_share_one_eigenvector_build():
     # Building U consumes the reflectors: first reads of `eigenvectors` from
-    # several threads get the one U that a single build made.
+    # several threads get the one U that a single build made. A semigroup
+    # applied while U is built either reads the reflectors before the build
+    # takes them, or U after it: it returns one of the two sequential
+    # results, bit for bit. ?unmqr and ?ungqr release the GIL, and on N = 400
+    # the build takes long enough for them to overlap.
+    g = fixtures.random_graph(n=200, density=0.02, seed=85)
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(86))
+    before, after, *racing = (assemble_magnetic_form(g, bundle) for _ in range(10))
+    u = np.random.default_rng(87).standard_normal((before.dim, 64))
+    before.eigenvalues
+    after.eigenvectors
+    sequential = [before.semigroup(0.3, u), after.semigroup(0.3, u)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -495,6 +508,19 @@ def test_concurrent_first_reads_share_one_eigenvector_build():
             assert not any(thread.is_alive() for thread in threads)
             assert len(built) == 4 and all(U is built[0] for U in built)
             assert F.reconstruction_defect() <= 1e-12
+        for F in racing:
+            F.eigenvalues
+            applied = []
+            threads = [
+                threading.Thread(target=lambda: applied.append(F.semigroup(0.3, u))),
+                threading.Thread(target=lambda: F.eigenvectors),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert any(np.array_equal(applied[0], result) for result in sequential)
     finally:
         sys.setswitchinterval(interval)
 

@@ -78,3 +78,46 @@ def test_orphaned_private_helpers_are_found():
 def test_every_private_helper_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert orphaned_private_helpers(sources) == []
+
+
+def direct_lapack_calls(source: str) -> list[str]:
+    """Calls of a scipy LAPACK wrapper other than through forms._lapack,
+    which turns a nonzero info into EigSolverFailure: `lapack.name(...)`,
+    or a call of a name bound to an expression that reads `lapack.name`;
+    and wrappers imported by name, whose calls this cannot tell apart."""
+    tree = ast.parse(source)
+    imported = [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "scipy.linalg.lapack" for alias in node.names]
+
+    def reads_lapack(node) -> bool:
+        return any(isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                   and sub.value.id == "lapack" for sub in ast.walk(node))
+
+    aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and reads_lapack(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id in aliases
+                  or isinstance(node.func, ast.Attribute) and reads_lapack(node.func))]
+    return imported + [f"{ast.unparse(node.func)} (line {node.lineno})" for node in calls]
+
+
+def test_direct_lapack_calls_are_found():
+    source = (
+        "from scipy.linalg import lapack\n"
+        "from .forms import _lapack\n"
+        "w = _lapack(lapack.dstevd, d, e)\n"
+        "trd = lapack.zhetrd if c else lapack.dsytrd\n"
+        "_lapack(trd, a)\n"
+        "trd(a)\n"
+        "lapack.dpttrf(d, e)\n"
+        "from scipy.linalg.lapack import dpttrs\n"
+    )
+    assert direct_lapack_calls(source) == [
+        "dpttrs (line 8)", "trd (line 6)", "lapack.dpttrf (line 7)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_lapack_is_called_only_through_the_info_check(path):
+    assert direct_lapack_calls(path.read_text(encoding="utf-8")) == []

@@ -222,7 +222,7 @@ def test_euler_matches_dense_oracle():
 def test_euler_reads_no_eigenvalue():
     # Scaling the cached eigenvalues moves the spectral semigroup only: were
     # the Euler power read off them too, the error would stay small. (It
-    # reads the eigenvectors, to apply Q = U Z^T.)
+    # applies Q from the reduction's reflectors.)
     g = fixtures.random_graph()
     for F in (
         assemble_scalar_form(g),
@@ -235,6 +235,36 @@ def test_euler_reads_no_eigenvalue():
         F.__dict__["_eigensystem"] = (w * (1 + 1e-2), Z)
         assert euler_limit_check(F, 1.0, u, 4096) > 1e-3 * F.norm(u)
         assert not _identity_suite(F, [1.0], 42)["euler_ok"]
+
+
+def test_identity_figures_agree_whichever_way_q_is_applied():
+    # Until U is built, Q is applied from the reduction's reflectors (?unmqr);
+    # after, as U Z^T. On each fixture form, built afresh for each route, the
+    # Euler errors agree to 1e-10 relative, and the two routes' Laplace
+    # residuals differ by at most 1e-13 |u|_m and stay within 1e-12 |u|_m at
+    # alpha = 1 and 10. (At alpha = 0.5 the quadrature's truncation alone
+    # leaves 1.6e-12 |u|_m on path50, on either route.) The identity suite
+    # reads the same verdicts.
+    reflected, built = euler_fixture_forms(), euler_fixture_forms()
+    rng = np.random.default_rng(77)
+    flags = ("laplace_ok", "euler_ok", "form_limit_ok")
+    for name, F in reflected.items():
+        G = built[name]
+        G.eigenvectors
+        u = rng.standard_normal(F.dim)
+        if np.iscomplexobj(F.L):
+            u = u + 1j * rng.standard_normal(F.dim)
+        scale = F.norm(u)
+        for n in (16, 256, 4096):
+            got, want = euler_limit_check(F, 0.7, u, n), euler_limit_check(G, 0.7, u, n)
+            assert abs(got - want) <= 1e-10 * want, (name, n, got, want)
+        for alpha in (0.5, 1.0, 10.0):
+            residuals = [laplace_check(form, alpha, u) for form in (F, G)]
+            assert abs(residuals[0] - residuals[1]) <= 1e-13 * scale, (name, alpha)
+            assert alpha < 1 or max(residuals) <= 1e-12 * scale, (name, alpha, residuals)
+        suites = [_identity_suite(form, [0.5, 1.0, 10.0], 42) for form in (F, G)]
+        assert [[suite[flag] for flag in flags] for suite in suites] == [[True] * 3] * 2
+        assert "_eigenvectors" not in F.__dict__, name
 
 
 def test_euler_reduces_each_form_once(monkeypatch):
@@ -303,7 +333,7 @@ def test_euler_refuses_failed_lapack_calls(monkeypatch):
     F = FormOperator(-100.0 * np.eye(2), [1.0, 1.0])
     with pytest.raises(EigSolverFailure, match="dpttrf"):
         euler_limit_check(F, 0.7, np.ones(2), 16)
-    for name in ("zhetrd", "dstevd", "zungqr", "dpttrs"):
+    for name in ("zhetrd", "dstevd", "zunmqr", "dpttrs"):
         routine = getattr(lapack, name)
 
         def failing(*args, _routine=routine, **kwargs):
@@ -443,6 +473,53 @@ def test_beurling_deny_judges_each_component_on_its_own_spectrum(w):
     assert not report["form_ok"] and not report["semigroup_ok"]
     assert report["semigroup_witness"] == {"t": 10.0, "x": 0, "y": 1}
     assert report["min_kernel_ratio"] == pytest.approx(-np.tanh(5.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("w", [1e14, 1e15])
+def test_beurling_deny_refuses_a_form_failure_passed_within_rounding(w):
+    # The two blocks of the test above, joined by an edge of weight 1: one
+    # component, so |mu|_max = 2w bounds the rounding of the whole kernel.
+    # The form fails exactly (the coupling +0.5). At w = 1e14 the kernel
+    # fails too, beyond its allowance; at w = 1e15 its ratio -0.050 at
+    # t = 0.1 fails tol only, within the allowance 0.20: that resolves
+    # nothing, and is refused rather than read as a pass.
+    L = np.zeros((4, 4))
+    L[:2, :2] = [[1.0, 0.5], [0.5, 1.0]]
+    L[2:, 2:] = w * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    L[1:3, 1:3] += [[1.0, -1.0], [-1.0, 1.0]]
+    F = FormOperator(L, np.ones(4))
+    if w < 1e15:
+        report = beurling_deny_check(F)["positivity"]
+        assert not report["form_ok"] and not report["semigroup_ok"]
+        assert report["semigroup_witness"] == {"t": 1.0, "x": 0, "y": 1}
+        return
+    with pytest.raises(SchemaError, match=r"t = 0.1 resolves nothing: the form criterion "
+                       r"fails, and the semigroup figure -0.05 passes only within "
+                       r"the eigensolver's rounding allowance 0.2"):
+        beurling_deny_check(F)
+
+
+def test_beurling_deny_refuses_a_markov_failure_passed_within_rounding():
+    # A light edge with killing -1e-3 at vertex 0, joined by an edge of
+    # weight 1 to an edge of weight w: e^{-tA} >= 0, and its row at 0 exceeds
+    # 1 by about 1e-3 t. At w = 1 the rows fail beyond their allowance; at
+    # w = 1e14 the largest excess, 4.6e-5 at t = 0.1, fails tol only, within
+    # an allowance of 0.018, and is refused rather than read as a pass.
+    for w in (1.0, 1e14):
+        L = np.zeros((4, 4))
+        L[:2, :2] = [[1.0 - 1e-3, -1.0], [-1.0, 1.0]]
+        L[2:, 2:] = w * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        L[1:3, 1:3] += [[1.0, -1.0], [-1.0, 1.0]]
+        F = FormOperator(L, np.ones(4))
+        if w == 1.0:
+            criteria = beurling_deny_check(F)
+            assert criteria["positivity"]["semigroup_ok"]
+            assert not criteria["markov"]["form_ok"]
+            assert not criteria["markov"]["semigroup_ok"]
+            continue
+        with pytest.raises(SchemaError, match="t = 0.1 resolves nothing: the form "
+                           "criterion fails"):
+            beurling_deny_check(F)
 
 
 def test_beurling_deny_judges_an_unresolved_time_at_a_scaled_one():
