@@ -13,7 +13,6 @@ from .bundles import (
     pair,
     restrict_bundle,
     symmetrize,
-    trivial_bundle,
     validate_bundle,
 )
 from .cones import (

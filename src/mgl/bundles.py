@@ -11,6 +11,7 @@ direction is the adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -18,9 +19,11 @@ from .errors import DimensionMismatch, InvariantError, NegativeG, SchemaError
 from .graphs import (
     MAGNITUDE_BOUND,
     WeightedGraph,
+    _align_pairs,
     _check_dense_size,
     _check_magnitude,
     _check_words,
+    _numbers,
     _read_spec,
     _restriction,
     restrict_neumann,
@@ -55,32 +58,23 @@ class HermitianBundle:
                     f"connection array has shape {conn.shape}, expected {shape}"
                 )
         else:
-            conn = np.tile(np.eye(rank, dtype=complex), (len(graph.edges), 1, 1))
-            items = list(dict(connection or {}).items())
-            pairs = np.array([key for key, _ in items], dtype=int).reshape(-1, 2)
-            rows = graph._edge_index(pairs[:, 0], pairs[:, 1])
-            given = set()
-            for ((x, y), mat), row in zip(items, rows):
-                x, y = int(x), int(y)
-                key = (x, y) if x < y else (y, x)
-                if row < 0:
-                    raise DimensionMismatch(
-                        f"connection given on non-edge {key} (b=0 there)"
-                    )
-                mat = np.asarray(mat, dtype=complex)
-                if mat.shape != (rank, rank):
-                    raise DimensionMismatch(
-                        f"connection matrix at edge {key} has shape {mat.shape}, "
-                        f"expected ({rank},{rank})"
-                    )
-                mat = mat if x < y else mat.conj().T
-                if row in given and not np.array_equal(conn[row], mat):
-                    raise InvariantError(
-                        f"conflicting connection for edge {key}: Phi_(y,x) given "
-                        "in both orientations is not the adjoint of Phi_(x,y)"
-                    )
-                given.add(row)
-                conn[row] = mat
+            connection = dict(connection or {})
+            shapes = set(map(np.shape, connection.values())) - {(rank, rank)}
+            if shapes:
+                raise DimensionMismatch(
+                    f"connection matrices have shapes {sorted(shapes)}, "
+                    f"expected ({rank},{rank})")
+            mats = np.array(list(connection.values()), complex).reshape(-1, rank, rank)
+            rows, flipped, conflict = _align_pairs(
+                graph.n, list(connection), mats, graph, _adjoint, DimensionMismatch,
+                "connection")
+            if conflict is not None:
+                x, y = graph.edges[rows[conflict]]
+                raise InvariantError(
+                    f"conflicting connection for edge ({x}, {y}): Phi_(y,x) given "
+                    "in both orientations is not the adjoint of Phi_(x,y)"
+                )
+            conn = _connection_array(graph, rank, rows, flipped, mats)
         conn.setflags(write=False)
         self.connection = conn
 
@@ -114,11 +108,6 @@ class HermitianBundle:
 
     def __repr__(self):
         return f"HermitianBundle(n={self.graph.n}, rank={self.rank})"
-
-
-def trivial_bundle(graph: WeightedGraph, rank: int = 1) -> HermitianBundle:
-    """Identity connection, zero endomorphism."""
-    return HermitianBundle(graph, rank)
 
 
 @dataclass(frozen=True)
@@ -241,31 +230,39 @@ def restrict_bundle(B: HermitianBundle, omega, fold_boundary: bool = False):
     return HermitianBundle(sub, B.rank, B.connection[keep], endo)
 
 
-def _parse_matrix(raw, rank, where):
-    """One matrix of [re, im] cells as a complex (rank, rank) array."""
-    try:
-        mat = np.asarray([[complex(cell[0], cell[1]) for cell in row] for row in raw])
-    except (TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{where}: entries must be [re, im] float pairs") from exc
-    if mat.shape != (rank, rank):
-        raise SchemaError(f"{where}: matrix must be {rank}x{rank}")
-    return mat
+def _connection_array(graph, rank, rows, flipped, mats):
+    """The (E, d, d) connection: mats, oriented x < y, at rows; I elsewhere."""
+    conn = np.tile(np.eye(rank, dtype=complex), (len(graph.edges), 1, 1))
+    conn[rows] = np.where(flipped[:, None, None], _adjoint(mats), mats)
+    return conn
 
 
-def _parse_matrices(raws, rank):
+def _matrix_stack(raws, rank):
     """The complex (k, rank, rank) stack of k matrices of [re, im] cells, by
-    one numpy conversion; None unless every cell is a pair of numbers (bool,
-    int or float), so that _parse_matrix, matrix by matrix, raises on the
-    same input as ever: numpy would take a string "1.5" as a number, and
-    _parse_matrix reads a longer cell's first two entries."""
+    one numpy conversion, and None; or None and why it is not one."""
     try:
-        cells = np.asarray(raws)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if cells.shape != (len(raws), rank, rank, 2) or cells.dtype.kind not in "biuf":
-        return None
-    # complex(re, im) stores re and im as they are: a view of the float pairs.
-    return np.ascontiguousarray(cells, dtype=float).view(complex)[..., 0]
+        rows = list(chain.from_iterable(raws))
+        cells = list(chain.from_iterable(rows))
+        # complex(re, im) stores re and im as they are: a view of the pairs.
+        mats = _numbers(list(chain.from_iterable(cells)), "cells").view(complex)
+    except (TypeError, ValueError, SchemaError):
+        mats = None
+    if mats is None or set(map(len, cells)) - {2}:
+        return None, "entries must be [re, im] float pairs"
+    if (set(map(len, raws)) | set(map(len, rows))) - {rank}:
+        return None, f"matrix must be {rank}x{rank}"
+    return mats.reshape(-1, rank, rank), None
+
+
+def _parse_matrices(raws, rank, what):
+    """_matrix_stack of the k matrices `raws`; if that fails, SchemaError
+    naming the first of them that fails alone."""
+    mats, _ = _matrix_stack(raws, rank)
+    for i, raw in enumerate(raws if mats is None else ()):
+        why = _matrix_stack([raw], rank)[1]
+        if why:
+            raise SchemaError(f"{what} #{i}: {why}")
+    return mats
 
 
 def load_bundle(graph: WeightedGraph, source, dense: bool = False) -> HermitianBundle:
@@ -278,10 +275,14 @@ def load_bundle(graph: WeightedGraph, source, dense: bool = False) -> HermitianB
          "endo": [matrix; n]}
 
     Omitted connection entries default to the identity; an omitted endo
-    field defaults to zero matrices. Complex entries are [re, im] pairs.
-    As soon as the rank is read, and before any block is built, the
-    (n + 2E) d^2 entries of the bundle's form matrix must fit in
-    DENSE_DIM_BOUND^2 words and, with `dense`, n * d in DENSE_DIM_BOUND.
+    field defaults to zero matrices. Complex entries are [re, im] pairs of
+    numbers (not booleans), and a connection entry has exactly the keys u,
+    v and matrix. Each edge takes at most one entry, in either orientation;
+    (v, u) stores the adjoint of the matrix at the edge (u, v). As soon as
+    the rank is read, and before any block is built, the (n + 2E) d^2
+    entries of the bundle's form matrix must fit in DENSE_DIM_BOUND^2 words
+    and, with `dense`, n * d in DENSE_DIM_BOUND. Every malformed document,
+    non-edge and repeated edge is a SchemaError.
     """
     doc = _read_spec(source, "bundle spec", ("rank", "connection", "endo"))
     rank = doc.get("rank")
@@ -292,52 +293,36 @@ def load_bundle(graph: WeightedGraph, source, dense: bool = False) -> HermitianB
     _check_words((graph.n + 2 * len(graph.edges)) * rank * rank,
                  "the form-matrix blocks")
 
-    connection = {}
     raw_conn = doc.get("connection", [])
     if not isinstance(raw_conn, list):
         raise SchemaError("'connection' must be a list")
-    mats = _parse_matrices(
-        [entry.get("matrix") if isinstance(entry, dict) else None for entry in raw_conn],
-        rank,
-    )
+    pairs, raws = [], []
+    for i, entry in enumerate(raw_conn):
+        if not isinstance(entry, dict) or entry.keys() != {"u", "v", "matrix"}:
+            raise SchemaError(
+                f"connection #{i} must be an object with exactly the keys u, v, matrix")
+        pairs.append((entry["u"], entry["v"]))
+        raws.append(entry["matrix"])
+    mats = _parse_matrices(raws, rank, "connection")
     # A unitary has entries of modulus at most 1; larger ones (or NaN)
     # overflow in the unitarity defect.
-    if mats is not None:
-        bounded = (np.abs(mats) <= MAGNITUDE_BOUND).all(axis=(1, 2))
-    for i, entry in enumerate(raw_conn):
-        if not isinstance(entry, dict) or not {"u", "v", "matrix"} <= set(entry):
-            raise SchemaError(f"connection #{i} must have keys u, v, matrix")
-        u, v = entry["u"], entry["v"]
-        if not isinstance(u, int) or not isinstance(v, int):
-            raise SchemaError(f"connection #{i}: u and v must be integers")
-        if (u, v) in connection or (v, u) in connection:
-            edge = (min(u, v), max(u, v))
-            raise SchemaError(f"duplicate connection for edge {edge}")
-        if mats is None:
-            mat = _parse_matrix(entry["matrix"], rank, f"connection #{i}")
-            ok = (np.abs(mat) <= MAGNITUDE_BOUND).all()
-        else:
-            mat, ok = mats[i], bounded[i]
-        if not ok:
-            raise SchemaError(
-                f"connection #{i}: matrix entries must be finite and at most "
-                f"{MAGNITUDE_BOUND:.0e} in modulus"
-            )
-        connection[(u, v)] = mat
+    for i in np.flatnonzero(~(np.abs(mats) <= MAGNITUDE_BOUND).all(axis=(1, 2)))[:1]:
+        raise SchemaError(f"connection #{i}: matrix entries must be finite and at most "
+                          f"{MAGNITUDE_BOUND:.0e} in modulus")
+    rows, flipped, _ = _align_pairs(graph.n, pairs, mats, graph, _adjoint, SchemaError,
+                                    "connection")
+    for x, y in graph.edges[np.bincount(rows, minlength=len(graph.edges)) > 1][:1]:
+        raise SchemaError(f"duplicate connection for edge ({x}, {y})")
 
     endo = None
     if "endo" in doc:
         raw_endo = doc["endo"]
         if not isinstance(raw_endo, list) or len(raw_endo) != graph.n:
             raise SchemaError(f"'endo' must be a list of length n={graph.n}")
-        endo = _parse_matrices(raw_endo, rank)
-        if endo is None:
-            endo = np.stack([_parse_matrix(raw, rank, f"endo #{x}")
-                             for x, raw in enumerate(raw_endo)])
+        endo = _parse_matrices(raw_endo, rank, "endo")
         with np.errstate(over="ignore"):  # inf is refused like any excess
             _check_magnitude(_max_entry(endo) / graph.measure, "|W(x)|/m(x)")
 
-    try:
-        return HermitianBundle(graph, rank, connection, endo)
-    except DimensionMismatch as exc:
-        raise SchemaError(str(exc)) from exc
+    return HermitianBundle(
+        graph, rank, _connection_array(graph, rank, rows, flipped, mats), endo
+    )

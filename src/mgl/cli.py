@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import domination, spectral
-from .bundles import load_bundle, trivial_bundle, validate_bundle
+from .bundles import HermitianBundle, load_bundle, validate_bundle
 from .domination import diamagnetic_report
 from .errors import (
     AlphaInSpectrum,
@@ -173,7 +173,7 @@ def cmd_dominate(args) -> int:
 def cmd_uniqueness(args) -> int:
     graph, bundle = _load_specs(args, dense=False)
     if bundle is None:
-        bundle = trivial_bundle(graph)
+        bundle = HermitianBundle(graph, 1)
     sizes = args.omega
     if not sizes:
         sizes = sorted({max(1, round(graph.n * k / 5)) for k in range(1, 6)})

@@ -11,7 +11,9 @@ objects are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import contextlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,36 +64,10 @@ class WeightedGraph:
         zero weights are dropped."""
         if not isinstance(n, (int, np.integer)) or n <= 0:
             raise InvariantError(f"vertex count must be a positive integer, got {n!r}")
-        n = int(n)
-
-        clean = {}
-        for (x, y), b in dict(edges).items():
-            x, y = int(x), int(y)
-            b = float(b)
-            if not (0 <= x < n and 0 <= y < n):
-                raise InvariantError(f"edge ({x},{y}) out of range for n={n}")
-            if x == y:
-                raise InvariantError(f"axiom (b1) violated: loop weight at vertex {x}")
-            if not np.isfinite(b) or b < 0:
-                raise InvariantError(
-                    f"edge-weight nonnegativity violated at edge ({x},{y}): b={b}"
-                )
-            if b == 0.0:
-                continue
-            key = (x, y) if x < y else (y, x)
-            if key in clean and clean[key] != b:
-                raise InvariantError(
-                    f"axiom (b2) violated: conflicting weights for edge {key}"
-                )
-            clean[key] = b
-        rows = sorted(clean)
-        self._store(
-            n,
-            np.array(rows, dtype=np.intp).reshape(-1, 2),
-            np.array([clean[r] for r in rows], dtype=float),
-            killing,
-            measure,
-        )
+        edges = dict(edges)
+        b = np.array(list(edges.values()), dtype=float)
+        edge_rows, weights, _ = _weighted_edges(int(n), list(edges), b)
+        self._store(int(n), edge_rows, weights, killing, measure)
 
     @classmethod
     def _from_arrays(cls, n, edges, weights, killing, measure):
@@ -250,14 +226,77 @@ def _check_magnitude(values, what: str):
         )
 
 
-def _number(value, where: str) -> float:
-    """A JSON number as a float; SchemaError otherwise, or beyond the float range."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise SchemaError(f"{where} is not a number within the float range")
+def _numbers(values, what: str) -> np.ndarray:
+    """A list of JSON numbers as a float array; SchemaError unless each is an
+    int or a float (a boolean is neither) within the float range."""
+    if all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))):
+        with contextlib.suppress(OverflowError):
+            return np.array(values, dtype=float)
+    raise SchemaError(f"{what} must be numbers within the float range")
+
+
+def _align_pairs(n, pairs, values, graph=None, reverse=None, error=InvariantError,
+                 what="edge"):
+    """Align k vertex pairs (x, y), each in either orientation, to edge rows.
+
+    Returns (rows, flipped, conflict): each pair's row in `graph.edges` or,
+    without a graph, among the pairs' distinct edges in sorted order; the
+    mask of the pairs given with x > y; and the position of the first pair
+    that repeats an earlier pair's row with another of the (k, ...)
+    `values`, or None. `reverse` turns the values of flipped pairs to the
+    other orientation. `error` names `what` and the first pair with a
+    vertex that is a boolean, not an integer or not in 0..n-1, or that is
+    off `graph.edges`; a loop is InvariantError, as axiom (b1).
+    """
+    if set(map(len, pairs)) - {2}:
+        raise error(f"each {what} must be given on a vertex pair (x, y)")
+    flat = list(chain.from_iterable(pairs))
+    wrong = {t for t in set(map(type, flat))
+             if t is bool or not issubclass(t, (int, np.integer))}
+    if wrong or min(flat, default=0) < 0 or max(flat, default=0) >= n:
+        i = next(i for i, v in enumerate(flat) if type(v) in wrong or not 0 <= v < n) // 2
+        raise error(f"{what} #{i}: vertices {pairs[i]!r} must be integers in 0..{n - 1}")
+    ends = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    flipped = ends[:, 0] > ends[:, 1]
+    ends.sort(axis=1)
+    for i in np.flatnonzero(ends[:, 0] == ends[:, 1])[:1]:
+        raise InvariantError(
+            f"axiom (b1) violated: {what} #{i} is a loop at vertex {ends[i, 0]}")
+    if graph is None:
+        rows = np.unique(ends @ np.array([n, 1]), return_inverse=True)[1]
+    else:
+        rows = graph._edge_index(ends[:, 0], ends[:, 1])
+    for i in np.flatnonzero(rows < 0)[:1]:
+        raise error(f"{what} #{i} on non-edge {tuple(ends[i].tolist())} (b=0 there)")
+    if reverse is not None:
+        values = values.copy()
+        values[flipped] = reverse(values[flipped])
+    # Each later pair on a row against the first one there.
+    _, first, of_row = np.unique(rows, return_index=True, return_inverse=True)
+    later = first[of_row] < np.arange(len(rows))
+    differ = values != values[first][of_row]
+    conflict = later & differ.any(axis=tuple(range(1, differ.ndim)))
+    return rows, flipped, np.argmax(conflict) if conflict.any() else None
+
+
+def _weighted_edges(n, pairs, b, error=InvariantError):
+    """WeightedGraph's sorted edge rows and positive weights from k pairs,
+    each in either orientation, and the (k,) weights b; also the pairs'
+    rows among their distinct edges, before zero weights are dropped."""
+    rows, _, conflict = _align_pairs(n, pairs, b, error=error)
+    edges = np.empty((rows.max(initial=-1) + 1, 2), dtype=np.intp)
+    edges[rows] = np.sort(np.reshape(pairs, (-1, 2)), axis=1)
+    for i in np.flatnonzero(~(np.isfinite(b) & (b >= 0)))[:1]:
+        x, y = edges[rows[i]]
+        raise InvariantError(
+            f"edge-weight nonnegativity violated at edge ({x},{y}): b={b[i]}")
+    if conflict is not None:
+        x, y = edges[rows[conflict]]
+        raise InvariantError(
+            f"axiom (b2) violated: conflicting weights for edge ({x}, {y})")
+    weights = np.empty(len(edges))
+    weights[rows] = b
+    return edges[weights > 0], weights[weights > 0], rows
 
 
 def _check_dense_size(n: int, d: int = 1):
@@ -290,10 +329,13 @@ def load_graph(source, dense: bool = False) -> WeightedGraph:
          "killing": [float; n],   # optional, default 0
          "measure": [float; n]}   # optional, default 1
 
-    Raises SchemaError for malformed documents and InvariantError (naming
-    the violated axiom) for well-formed documents describing invalid graphs.
-    With `dense`, for a command that builds a dense spectrum, n above
-    DENSE_DIM_BOUND is a SchemaError as soon as n is read.
+    An edge entry has exactly the keys u, v and b, with u and v integers
+    (not booleans) in 0..n-1, and each edge appears once, in either
+    orientation. Raises SchemaError for malformed documents and
+    InvariantError (naming the violated axiom) for well-formed documents
+    describing invalid graphs. With `dense`, for a command that builds a
+    dense spectrum, n above DENSE_DIM_BOUND is a SchemaError as soon as n
+    is read.
     """
     doc = _read_spec(source, "graph spec", ("n", "edges", "killing", "measure"))
     if "n" not in doc or not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
@@ -308,24 +350,12 @@ def load_graph(source, dense: bool = False) -> WeightedGraph:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise SchemaError("'edges' must be a list")
-    edges = {}
+    pairs, weights = [], []
     for i, entry in enumerate(raw_edges):
-        if not isinstance(entry, dict) or not {"u", "v", "b"} <= set(entry):
-            raise SchemaError(f"edge #{i} must be an object with keys u, v, b")
-        u, v = entry["u"], entry["v"]
-        if not isinstance(u, int) or not isinstance(v, int):
-            raise SchemaError(f"edge #{i}: u and v must be integers")
-        b = _number(entry["b"], f"edge #{i}: b")
-        if not (0 <= u < n and 0 <= v < n):
-            raise SchemaError(f"edge #{i}: endpoints ({u},{v}) out of range")
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            if edges[key] != b:
-                raise InvariantError(
-                    f"axiom (b2) violated: conflicting weights for edge {key}"
-                )
-            raise SchemaError(f"duplicate edge {key} in edge list")
-        edges[key] = b
+        if not isinstance(entry, dict) or entry.keys() != {"u", "v", "b"}:
+            raise SchemaError(f"edge #{i} must be an object with exactly the keys u, v, b")
+        pairs.append((entry["u"], entry["v"]))
+        weights.append(entry["b"])
 
     vertex = {}
     for field in ("killing", "measure"):
@@ -333,9 +363,16 @@ def load_graph(source, dense: bool = False) -> WeightedGraph:
             vals = doc[field]
             if not isinstance(vals, list) or len(vals) != n:
                 raise SchemaError(f"'{field}' must be a list of length n={n}")
-            vertex[field] = [_number(x, f"'{field}' entry") for x in vals]
+            vertex[field] = _numbers(vals, f"'{field}' entry")
 
-    graph = WeightedGraph(n, edges, vertex.get("killing"), vertex.get("measure"))
+    edges, weights, rows = _weighted_edges(n, pairs, _numbers(weights, "edge weights"),
+                                           SchemaError)
+    for row in np.flatnonzero(np.bincount(rows) > 1)[:1]:
+        x, y = sorted(pairs[np.argmax(rows == row)])
+        raise SchemaError(f"duplicate edge ({x}, {y}) in edge list")
+    graph = WeightedGraph._from_arrays(
+        n, edges, weights, vertex.get("killing"), vertex.get("measure")
+    )
     bad = np.flatnonzero(~np.isfinite(graph.row_sums))
     if bad.size:
         raise SchemaError(

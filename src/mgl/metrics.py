@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .forms import _check_bundle, _form_matrix, _gemm
-from .graphs import WeightedGraph, _as_subset, _check_words, _restriction
+from .graphs import WeightedGraph, _align_pairs, _as_subset, _check_words, _restriction
 
 METRIC_TOL = 1e-12
 
@@ -87,24 +87,19 @@ class EdgeLengths:
             if arr.shape != (len(graph.edges),):
                 raise InvariantError("edge lengths do not match the graph's edge set")
         else:
-            norm = {}
-            for (x, y), s in dict(lengths).items():
-                key = (x, y) if x < y else (y, x)
-                if key in norm and norm[key] != float(s):
-                    raise InvariantError(f"conflicting lengths for edge {key}")
-                norm[key] = float(s)
-            keys = np.array(list(norm), dtype=int).reshape(-1, 2)
-            rows = graph._edge_index(keys[:, 0], keys[:, 1])
-            given = np.zeros(len(graph.edges), dtype=bool)
-            given[rows[rows >= 0]] = True
-            if not given.all():
-                missing = list(map(tuple, graph.edges[~given].tolist()))
-                raise InvariantError(f"edge lengths missing on edges: {missing}")
-            if (rows < 0).any():
-                extra = sorted(map(tuple, keys[rows < 0].tolist()))
-                raise InvariantError(f"edge lengths given on non-edges: {extra}")
+            lengths = dict(lengths)
+            values = np.array(list(lengths.values()), dtype=float)
+            rows, _, conflict = _align_pairs(graph.n, list(lengths), values, graph,
+                                             what="edge length")
+            if conflict is not None:
+                x, y = graph.edges[rows[conflict]]
+                raise InvariantError(f"conflicting lengths for edge ({x}, {y})")
+            missing = graph.edges[np.bincount(rows, minlength=len(graph.edges)) == 0]
+            if missing.size:
+                raise InvariantError(f"edge lengths missing on edges: "
+                                     f"{list(map(tuple, missing.tolist()))}")
             arr = np.empty(len(graph.edges))
-            arr[rows] = list(norm.values())
+            arr[rows] = values
         if not (np.isfinite(arr) & (arr > 0)).all():
             raise InvariantError("edge lengths must be positive and finite")
         arr.setflags(write=False)

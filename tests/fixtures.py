@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from mgl import HermitianBundle, WeightedGraph, trivial_bundle
+from mgl import HermitianBundle, WeightedGraph
 from mgl.cli import build_parser
 
 
@@ -163,7 +163,7 @@ def doubled_pair(seed, n_max=12):
     m = 0.5 + rng.random(n)
     G = WeightedGraph(n, edges, None, m)
     G2 = WeightedGraph(n, {e: 2 * b for e, b in edges.items()}, None, m)
-    return G2, trivial_bundle(G2), G
+    return G2, HermitianBundle(G2, 1), G
 
 
 def path50_graph(q=0.8):

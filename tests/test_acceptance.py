@@ -12,6 +12,7 @@ import fixtures
 from fixtures import ConeContext
 import oracles
 from mgl import (
+    HermitianBundle,
     EdgeLengths,
     WeightedGraph,
     assemble_magnetic_form,
@@ -30,7 +31,6 @@ from mgl import (
     positive_part,
     project_domination_set,
     symmetrize,
-    trivial_bundle,
 )
 from mgl.cli import run
 from mgl.forms import FormOperator
@@ -86,7 +86,7 @@ def test_criterion_2_projection_vs_oracle():
         d = int(rng.integers(1, 3))
         g = WeightedGraph(n, {}, None, 0.5 + rng.random(n))
         ctx = ConeContext(g)
-        bundle = trivial_bundle(g, d)
+        bundle = HermitianBundle(g, d)
         f1 = fixtures.random_section(n, d, rng)
         gv = rng.standard_normal(n) * 2.0
 
@@ -159,7 +159,7 @@ def test_criterion_4_three_way_consistency(diamagnetic_family):
     # The hand-derived P2 witness: Re a(e0, e1) = -2 < b(e0, e1) = -1.
     g = fixtures.p2()
     g2 = WeightedGraph(2, {(0, 1): 2.0})
-    A = assemble_magnetic_form(g2, trivial_bundle(g2))
+    A = assemble_magnetic_form(g2, HermitianBundle(g2, 1))
     B = assemble_scalar_form(g)
     e0 = np.array([1.0 + 0j, 0.0])
     e1 = np.array([0.0 + 0j, 1.0])
@@ -311,7 +311,7 @@ def test_criterion_9_symmetrization_properties():
         d = int(rng.integers(1, 4))
         g = WeightedGraph(n, {}, None, 0.5 + rng.random(n))
         ctx = ConeContext(g)
-        bundle = trivial_bundle(g, d)
+        bundle = HermitianBundle(g, d)
         f1 = fixtures.random_section(n, d, rng)
         f2 = fixtures.random_section(n, d, rng)
         s1 = symmetrize(f1, bundle)

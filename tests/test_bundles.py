@@ -1,4 +1,6 @@
 import copy
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 import fixtures
 from fixtures import ConeContext
 from mgl import (
+    EdgeLengths,
     HermitianBundle,
+    WeightedGraph,
     bundles,
     check_paired,
     load_bundle,
@@ -16,7 +20,6 @@ from mgl import (
     pair,
     restrict_bundle,
     symmetrize,
-    trivial_bundle,
     validate_bundle,
 )
 from mgl.errors import DimensionMismatch, InvariantError, NegativeG, SchemaError
@@ -57,7 +60,7 @@ def test_reverse_connection_is_adjoint():
     for (x, y) in g.edges:
         np.testing.assert_allclose(b.phi(y, x), b.phi(x, y).conj().T)
     # Non-edges and omitted entries act as the identity.
-    assert np.array_equal(trivial_bundle(g, 2).phi(0, 1), np.eye(2))
+    assert np.array_equal(HermitianBundle(g, 2).phi(0, 1), np.eye(2))
 
 
 def test_both_orientations_must_agree():
@@ -73,11 +76,11 @@ def test_both_orientations_must_agree():
 
 def test_symmetrize_examples():
     g = fixtures.p2()
-    b1 = trivial_bundle(g, 1)
+    b1 = HermitianBundle(g, 1)
     out = symmetrize(np.array([[3 + 4j], [0]]), b1)
     np.testing.assert_allclose(out, [5.0, 0.0])
 
-    b2 = trivial_bundle(g, 2)
+    b2 = HermitianBundle(g, 2)
     out = symmetrize(np.array([[1, 1], [0, 0]], dtype=complex), b2)
     np.testing.assert_allclose(out, [np.sqrt(2), 0.0])
 
@@ -86,7 +89,7 @@ def test_symmetrize_norm_preservation():
     g = fixtures.random_graph()
     ctx = ConeContext(g)
     rng = np.random.default_rng(5)
-    b = trivial_bundle(g, 3)
+    b = HermitianBundle(g, 3)
     for _ in range(50):
         u = fixtures.random_section(g.n, 3, rng)
         su = symmetrize(u, b)
@@ -95,7 +98,7 @@ def test_symmetrize_norm_preservation():
 
 def test_pair_hand_example():
     g = fixtures.single_vertex(0.0)
-    b = trivial_bundle(g, 1)
+    b = HermitianBundle(g, 1)
     f2 = pair(np.array([[3 + 4j]]), np.array([2.0]), b)
     np.testing.assert_allclose(f2, [[(6 + 8j) / 5]])
     inner = (np.array([[3 + 4j]]) * f2.conj()).sum()
@@ -104,7 +107,7 @@ def test_pair_hand_example():
 
 def test_pair_zero_block_uses_first_basis_vector():
     g = fixtures.p2()
-    b = trivial_bundle(g, 2)
+    b = HermitianBundle(g, 2)
     f1 = np.zeros((2, 2), dtype=complex)
     f1[1, 1] = 5.0
     f2 = pair(f1, np.array([1.0, 0.0]), b)
@@ -114,7 +117,7 @@ def test_pair_zero_block_uses_first_basis_vector():
 
 def test_pair_zero_g_gives_zero():
     g = fixtures.p3()
-    b = trivial_bundle(g, 2)
+    b = HermitianBundle(g, 2)
     rng = np.random.default_rng(0)
     f2 = pair(fixtures.random_section(3, 2, rng), np.zeros(3), b)
     assert np.abs(f2).max() == 0.0
@@ -122,7 +125,7 @@ def test_pair_zero_g_gives_zero():
 
 def test_pair_rejects_negative_g():
     g = fixtures.p2()
-    b = trivial_bundle(g, 1)
+    b = HermitianBundle(g, 1)
     with pytest.raises(NegativeG):
         pair(np.ones((2, 1), dtype=complex), np.array([1.0, -0.1]), b)
 
@@ -130,7 +133,7 @@ def test_pair_rejects_negative_g():
 def test_pair_postconditions_random():
     g = fixtures.random_graph()
     ctx = ConeContext(g)
-    b = trivial_bundle(g, 2)
+    b = HermitianBundle(g, 2)
     rng = np.random.default_rng(17)
     for _ in range(50):
         f1 = fixtures.random_section(g.n, 2, rng)
@@ -163,7 +166,7 @@ def test_cauchy_schwarz_symmetrization(seed):
     n, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
     g = fixtures.WeightedGraph(n, {}, None, 0.5 + rng.random(n))
     ctx = ConeContext(g)
-    b = trivial_bundle(g, d)
+    b = HermitianBundle(g, d)
     f1 = fixtures.random_section(n, d, rng)
     f2 = fixtures.random_section(n, d, rng)
     lhs = abs(ctx.section_inner(f1, f2))
@@ -178,7 +181,7 @@ def test_triangle_homogeneity_lipschitz(seed):
     n, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
     g = fixtures.WeightedGraph(n, {}, None, 0.5 + rng.random(n))
     ctx = ConeContext(g)
-    b = trivial_bundle(g, d)
+    b = HermitianBundle(g, d)
     f1 = fixtures.random_section(n, d, rng)
     f2 = fixtures.random_section(n, d, rng)
     gfun = np.abs(rng.standard_normal(n))
@@ -201,7 +204,7 @@ def test_triangle_homogeneity_lipschitz(seed):
 def test_abs_difference_identity():
     # For S(f2) <= S(f1) paired pairs: S(f1 - f2) = S(f1) - S(f2).
     g = fixtures.random_graph()
-    b = trivial_bundle(g, 2)
+    b = HermitianBundle(g, 2)
     rng = np.random.default_rng(23)
     for _ in range(50):
         f1 = fixtures.random_section(g.n, 2, rng)
@@ -260,28 +263,29 @@ def _fixture_bundle_docs():
 
 def test_bundle_matrices_parse_alike_in_one_conversion_and_one_by_one():
     # All connection matrices, and all endo blocks, parse by one numpy
-    # conversion each; matrix by matrix, _parse_matrix gives the same bits.
+    # conversion each; matrix by matrix, and cell by cell with complex(re,
+    # im), they give the same bits.
     for graph, doc in _fixture_bundle_docs():
         rank = doc["rank"]
         fields = [[entry["matrix"] for entry in doc["connection"]], doc.get("endo")]
         for raws in filter(None, fields):
-            fast = bundles._parse_matrices(raws, rank)
-            slow = [bundles._parse_matrix(raw, rank, "m") for raw in raws]
-            assert fast is not None and fast.dtype == complex
-            assert fast.tobytes() == np.array(slow, complex).reshape(fast.shape).tobytes()
-        # A cell of three entries sends the whole field matrix by matrix,
-        # which reads each cell's first two, as it always has.
-        loaded = load_bundle(graph, doc)
-        for field in ("connection", "endo"):
+            fast = bundles._parse_matrices(raws, rank, "m")
+            one_by_one = [bundles._matrix_stack([raw], rank)[0] for raw in raws]
+            by_cell = [[[complex(re, im) for re, im in row] for row in raw] for raw in raws]
+            assert fast.dtype == complex and fast.shape == (len(raws), rank, rank)
+            assert fast.tobytes() == np.concatenate(one_by_one).tobytes()
+            assert fast.tobytes() == np.array(by_cell, complex).tobytes()
+        # A cell of three entries is refused, in either field.
+        for field, where in (("connection", "connection #0"), ("endo", "endo #0")):
             if field not in doc:
                 continue
             padded = copy.deepcopy(doc)
             cell = (padded[field][0]["matrix"] if field == "connection"
                     else padded[field][0])[0][0]
             cell.append(7.0)
-            again = load_bundle(graph, padded)
-            assert again.connection.tobytes() == loaded.connection.tobytes()
-            assert again.endo.tobytes() == loaded.endo.tobytes()
+            with pytest.raises(SchemaError, match=f"^{where}: entries must be "
+                               r"\[re, im\] float pairs$"):
+                load_bundle(graph, padded)
 
 
 def test_string_cells_are_refused_as_ever():
@@ -294,6 +298,94 @@ def test_string_cells_are_refused_as_ever():
         with pytest.raises(SchemaError, match=f"^{where}: entries must be "
                            r"\[re, im\] float pairs$"):
             load_bundle(graph, bad)
+
+
+def test_boolean_cells_vertices_and_unknown_entry_keys_are_refused():
+    graph, doc = _fixture_bundle_docs()[0]
+    for field, where in (("connection", "connection #1"), ("endo", "endo #1")):
+        bad = copy.deepcopy(doc)
+        matrix = bad[field][1]["matrix"] if field == "connection" else bad[field][1]
+        matrix[0][0] = [True, 0]
+        with pytest.raises(SchemaError, match=f"^{where}: entries must be "
+                           r"\[re, im\] float pairs$"):
+            load_bundle(graph, bad)
+    for u, v in ((False, True), (0, 1.0)):
+        bad = copy.deepcopy(doc)
+        bad["connection"][1].update(u=u, v=v)
+        with pytest.raises(SchemaError, match="connection #1: vertices"):
+            load_bundle(graph, bad)
+    bad = copy.deepcopy(doc)
+    bad["connection"][1]["phase"] = 0.0
+    with pytest.raises(SchemaError, match="connection #1 must be an object with exactly"):
+        load_bundle(graph, bad)
+    # The mapping constructor refuses the same vertex pairs.
+    for key in ((False, True), (0.0, 1.0), (0.5, 1.9)):
+        with pytest.raises(DimensionMismatch, match="must be integers"):
+            HermitianBundle(fixtures.p2(), 1, {key: [[1.0]]})
+
+
+def _bench_specs():
+    """The benchmark's instance generator, mglbench/specs.py (numpy only)."""
+    path = Path(__file__).resolve().parents[1] / "mglbench" / "specs.py"
+    spec = importlib.util.spec_from_file_location("bench_specs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _complex(matrix):
+    """A matrix of [re, im] cells as a complex array, cell by cell."""
+    return np.array([[complex(re, im) for re, im in row] for row in matrix])
+
+
+def _reverse_every_other(graph_doc, bundle_doc):
+    """Copies of the docs with every other edge and connection entry given
+    as (v, u), its matrix the adjoint."""
+    graph_doc, bundle_doc = copy.deepcopy(graph_doc), copy.deepcopy(bundle_doc)
+    for entry in graph_doc["edges"][1::2] + bundle_doc["connection"][1::2]:
+        entry["u"], entry["v"] = entry["v"], entry["u"]
+    for entry in bundle_doc["connection"][1::2]:
+        entry["matrix"] = fixtures.mat_to_doc(_complex(entry["matrix"]).conj().T)
+    return graph_doc, bundle_doc
+
+
+def test_loader_mapping_and_array_constructors_agree():
+    # On the fixture specs and a benchmark-shaped instance (n = 600, rank
+    # 3), with every other entry reversed, the JSON loaders, the mapping
+    # constructors and the array constructors give the same bytes.
+    rng = np.random.default_rng(1)
+    specs = _bench_specs()
+    bench_graph = specs.random_graph(600, rng)
+    for graph_doc, bundle_doc in [
+        fixtures.diamagnetic_docs(), fixtures.diamagnetic_docs(seed=3, n=9, d=1),
+        fixtures.killing_without_endo_docs(n=12), fixtures.path_docs(8, d=3),
+        (bench_graph, specs.random_bundle(bench_graph, 3, rng)),
+    ]:
+        n, rank = graph_doc["n"], bundle_doc["rank"]
+        # The arrays, read off the specs, which list their edges sorted.
+        edges = np.array([[e["u"], e["v"]] for e in graph_doc["edges"]], dtype=np.intp)
+        weights = np.array([e["b"] for e in graph_doc["edges"]])
+        conn = np.array([_complex(e["matrix"]) for e in bundle_doc["connection"]])
+        endo = np.array([_complex(m) for m in bundle_doc.get("endo", [])] or
+                        np.zeros((n, rank, rank), complex))
+        lengths = 1.0 / np.sqrt(weights)
+
+        graph_doc, bundle_doc = _reverse_every_other(graph_doc, bundle_doc)
+        pairs = [(e["u"], e["v"]) for e in graph_doc["edges"]]
+        loaded = load_graph(graph_doc)
+        mapping = WeightedGraph(n, dict(zip(pairs, weights)),
+                                graph_doc.get("killing"), graph_doc.get("measure"))
+        for g in (loaded, mapping):
+            assert g.edges.tobytes() == edges.tobytes()
+            assert g.weights.tobytes() == weights.tobytes()
+        mats = {(e["u"], e["v"]): _complex(e["matrix"]) for e in bundle_doc["connection"]}
+        for b in (load_bundle(loaded, bundle_doc),
+                  HermitianBundle(loaded, rank, mats, endo),
+                  HermitianBundle(loaded, rank, conn, endo)):
+            assert b.connection.tobytes() == conn.tobytes()
+            assert b.endo.tobytes() == endo.tobytes()
+        assert (EdgeLengths(loaded, dict(zip(pairs, lengths))).lengths.tobytes()
+                == EdgeLengths(loaded, lengths).lengths.tobytes() == lengths.tobytes())
 
 
 @pytest.mark.parametrize("kind", ["non-object", "unknown-key", "invalid-json", "missing"])
@@ -312,7 +404,7 @@ def test_load_bundle_spec_preamble_errors(tmp_path, kind):
 
 def test_section_shape_checks():
     g = fixtures.p2()
-    b = trivial_bundle(g, 2)
+    b = HermitianBundle(g, 2)
     with pytest.raises(DimensionMismatch):
         symmetrize(np.ones((2, 3)), b)
     with pytest.raises(DimensionMismatch):

@@ -6,13 +6,16 @@ weight or killing term, a zero measure, a non-unitary connection, a
 negative endomorphism), may put odd numbers (NaN, infinities, negative
 and huge values) into some of its number slots, and applies a few more
 random mutations to it (wrong types; unknown or missing keys; a
-wrong rank or matrix size; sizes beyond the dense-size bound). Each
-command draws only flags its parser declares.
+wrong rank or matrix size; sizes beyond the dense-size bound). Some
+examples last get one entry that the spec format refuses: a boolean or a
+float vertex, a matrix cell of three entries, or an unknown key in an edge
+or connection entry. Each command draws only flags its parser declares.
 
 Whatever the input, `mgl` must exit 0, 1 or 2 without a traceback; exit 1
 (a verified failure) must come with a written report and exit 2 (an input
-error) without one; and every report it writes must be strict JSON (no
-NaN or Infinity tokens).
+error) without one; a refused entry in a spec that is read must give exit
+2; and every report it writes must be strict JSON (no NaN or Infinity
+tokens).
 """
 
 import contextlib
@@ -144,7 +147,35 @@ def mutated_specs(draw):
             entry = draw(st.sampled_from(bundle["connection"]))
             if isinstance(entry, dict) and entry.get("matrix"):
                 entry["matrix"] = entry["matrix"][1:] or [[[1.0, 0.0]] * 2]
-    return graph, bundle
+    return graph, bundle, _refuse(draw, graph, bundle)
+
+
+def _refuse(draw, graph, bundle):
+    """Maybe put one entry the spec format refuses into an edge or connection
+    entry; return the document changed ("graph" or "bundle") or None."""
+    kind = draw(st.sampled_from([None, None, "bool-vertex", "float-vertex",
+                                 "three-entry-cell", "unknown-entry-key"]))
+    docs = {"graph": graph.get("edges"), "bundle": bundle.get("connection")}
+    entries = [(name, entry) for name, listed in docs.items()
+               if isinstance(listed, list) for entry in listed
+               if isinstance(entry, dict) and {"u", "v"} <= set(entry)]
+    if kind == "three-entry-cell":
+        entries = [(name, entry) for name, entry in entries
+                   if isinstance(entry.get("matrix"), list) and entry["matrix"]
+                   and isinstance(entry["matrix"][0], list) and entry["matrix"][0]
+                   and isinstance(entry["matrix"][0][0], list)]
+    if kind is None or not entries:
+        return None
+    name, entry = draw(st.sampled_from(entries))
+    if kind == "bool-vertex":
+        entry[draw(st.sampled_from(["u", "v"]))] = draw(st.booleans())
+    elif kind == "float-vertex":
+        entry["u"] = draw(st.sampled_from([0.0, 1.0, 0.5]))
+    elif kind == "three-entry-cell":
+        entry["matrix"][0][0].append(0.0)
+    else:
+        entry["phase"] = 0.0
+    return name
 
 
 # Values for every flag besides the spec and report paths, odd ones included.
@@ -187,17 +218,19 @@ def _strict(token):
 # connection, which must exit 1 with a report, are always run.
 @example(
     command_and_flags=("validate", {}),
-    docs=({"n": 2, "edges": [{"u": 0, "v": 1, "b": 10**400}]}, {"rank": 1}),
+    docs=({"n": 2, "edges": [{"u": 0, "v": 1, "b": 10**400}]}, {"rank": 1}, None),
     with_bundle=True,
 )
 @example(
     command_and_flags=("validate", {}),
     docs=({"n": 2, "edges": [{"u": 0, "v": 1, "b": 1.0}]},
-          {"rank": 1, "connection": [{"u": 0, "v": 1, "matrix": [[[2.0, 0.0]]]}]}),
+          {"rank": 1, "connection": [{"u": 0, "v": 1, "matrix": [[[2.0, 0.0]]]}]}, None),
     with_bundle=True,
 )
 def test_cli_fuzz_exit_codes_and_strict_json(command_and_flags, docs, with_bundle):
     command, flags = command_and_flags
+    *docs, refused = docs
+    bundle_read = with_bundle or command == "dominate"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = {}
@@ -206,7 +239,7 @@ def test_cli_fuzz_exit_codes_and_strict_json(command_and_flags, docs, with_bundl
             paths[name].write_text(json.dumps(doc), encoding="utf-8")
         out = tmp / "report.json"
         argv = [command, "--graph", str(paths["graph"]), "--out", str(out)]
-        if with_bundle or command == "dominate":
+        if bundle_read:
             argv += ["--bundle", str(paths["bundle"])]
         argv += [f"{flag}={value}" for flag, value in flags.items()]
 
@@ -217,6 +250,8 @@ def test_cli_fuzz_exit_codes_and_strict_json(command_and_flags, docs, with_bundl
             except SystemExit as exc:  # argparse rejects malformed flags
                 code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
+        if refused == "graph" or (refused == "bundle" and bundle_read):
+            assert code == 2, (argv, refused, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert out.exists() == (code != 2), (argv, code, err.getvalue())
         if out.exists():

@@ -7,6 +7,7 @@ import fixtures
 from fixtures import ConeContext
 import oracles
 from mgl import (
+    HermitianBundle,
     WeightedGraph,
     absolute_part,
     lattice_inf,
@@ -16,7 +17,6 @@ from mgl import (
     positive_part,
     project_domination_set,
     symmetrize,
-    trivial_bundle,
 )
 from mgl.errors import ComplexInput
 
@@ -136,7 +136,7 @@ def _random_instance(rng, n_max=10, d_max=2):
     n = int(rng.integers(1, n_max + 1))
     d = int(rng.integers(1, d_max + 1))
     g = WeightedGraph(n, {}, None, 0.5 + rng.random(n))
-    bundle = trivial_bundle(g, d)
+    bundle = HermitianBundle(g, d)
     ctx = ConeContext(g)
     f1 = fixtures.random_section(n, d, rng)
     gv = rng.standard_normal(n) * 2.0
@@ -145,7 +145,7 @@ def _random_instance(rng, n_max=10, d_max=2):
 
 def test_project_single_vertex_example():
     g = WeightedGraph(1, {})
-    bundle = trivial_bundle(g, 1)
+    bundle = HermitianBundle(g, 1)
     f_hat, g_hat = project_domination_set(
         np.array([[2.0 + 0j]]), np.array([0.0]), bundle
     )
@@ -201,7 +201,7 @@ def test_project_variational_inequality():
 
 def test_halfsum_example_and_agreement():
     g = WeightedGraph(1, {})
-    bundle = trivial_bundle(g, 1)
+    bundle = HermitianBundle(g, 1)
     f1 = np.array([[2.0 + 0j]])
     f_hat, g_hat = project_domination_set(f1, np.array([1.0]), bundle)
     np.testing.assert_allclose(f_hat, [[1.5]])
@@ -233,7 +233,7 @@ def test_halfsum_agrees_with_general_formula():
 
 def test_halfsum_preconditions():
     g = WeightedGraph(1, {})
-    bundle = trivial_bundle(g, 1)
+    bundle = HermitianBundle(g, 1)
     f1 = np.array([[1.0 + 0j]])
     with pytest.raises(ComplexInput):
         project_domination_set(f1, np.array([1j]), bundle)

@@ -16,7 +16,6 @@ from mgl import (
     check_resolvent_domination,
     check_semigroup_domination,
     diamagnetic_report,
-    trivial_bundle,
 )
 from mgl import domination
 from mgl.bundles import HermitianBundle, load_bundle, pair
@@ -35,9 +34,9 @@ from mgl.graphs import load_graph
 def doubled_p2():
     g = fixtures.p2()
     g2 = WeightedGraph(2, {(0, 1): 2.0})
-    A = assemble_magnetic_form(g2, trivial_bundle(g2))
+    A = assemble_magnetic_form(g2, HermitianBundle(g2, 1))
     B = assemble_scalar_form(g)
-    return A, B, trivial_bundle(g2)
+    return A, B, HermitianBundle(g2, 1)
 
 
 def test_semigroup_domination_antipodal_equality():
@@ -84,7 +83,7 @@ def test_resolvent_domination_pass_and_fail():
     B = assemble_scalar_form(g)
     assert check_resolvent_domination(A, B, (0.5, 1.0, 10.0), rng=0).passed
 
-    scalarA = assemble_magnetic_form(g, trivial_bundle(g))
+    scalarA = assemble_magnetic_form(g, HermitianBundle(g, 1))
     assert check_resolvent_domination(scalarA, B, rng=0).passed
 
     A2, B2, _ = doubled_p2()
@@ -197,7 +196,7 @@ def test_diamagnetic_report_hypothesis_failure_is_honest():
     # it and records the verdicts as they come out (exit condition is
     # consistency, which only binds when the hypothesis holds).
     g = WeightedGraph(2, {(0, 1): 1.0}, killing=[1.0, 0.0])
-    report = diamagnetic_report(g, trivial_bundle(g), samples=20, seed=3)
+    report = diamagnetic_report(g, HermitianBundle(g, 1), samples=20, seed=3)
     assert not report.hypothesis_ok
     assert report.hypothesis_margins[0] == pytest.approx(-1.0)
     assert isinstance(report.consistent, bool)
@@ -384,7 +383,7 @@ def _domination_cases():
     cases = []
     for g in fixtures.fixture_graphs().values():
         B = assemble_scalar_form(g)
-        cases.append((B, B, trivial_bundle(g)))
+        cases.append((B, B, HermitianBundle(g, 1)))
         for d in (1, 2, 3):
             bundle = fixtures.random_bundle(g, d, rng)
             cases.append((assemble_magnetic_form(g, bundle), B, bundle))

@@ -18,7 +18,6 @@ from mgl import (
     assemble_magnetic_form,
     assemble_scalar_form,
     restrict_dirichlet,
-    trivial_bundle,
 )
 from mgl.cli import run
 from mgl.errors import BundleInvalid, DimensionMismatch, EigSolverFailure
@@ -102,7 +101,7 @@ def test_magnetic_rejects_invalid_bundle():
     with pytest.raises(BundleInvalid):
         assemble_magnetic_form(g, bad)
     with pytest.raises(DimensionMismatch):
-        assemble_magnetic_form(fixtures.p3(), trivial_bundle(g))
+        assemble_magnetic_form(fixtures.p3(), HermitianBundle(g, 1))
 
 
 def test_evaluate_form_examples():

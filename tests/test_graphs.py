@@ -3,6 +3,7 @@ import pytest
 
 import fixtures
 from mgl import (
+    EdgeLengths,
     VertexSubset,
     WeightedGraph,
     assemble_scalar_form,
@@ -70,6 +71,40 @@ def test_conflicting_reverse_duplicate_names_b2():
         load_graph(
             {"n": 2, "edges": [{"u": 0, "v": 1, "b": 1.0}, {"u": 1, "v": 0, "b": 2.0}]}
         )
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [(False, True), (0, True), (0.0, 1), (0.5, 1.9), ("0", 1), (None, 1), (0, 2**64)],
+    ids=["booleans", "boolean", "integral-float", "floats", "string", "null", "huge"],
+)
+def test_vertex_indices_are_integers_in_range(u, v):
+    # A vertex index is an integer: a boolean or a float, even an integral
+    # one, is refused rather than read as the integer it converts to.
+    with pytest.raises(SchemaError, match=r"edge #0: vertices .* must be integers in 0..1"):
+        load_graph({"n": 2, "edges": [{"u": u, "v": v, "b": 1.0}]})
+    with pytest.raises(InvariantError, match="must be integers"):
+        WeightedGraph(2, {(u, v): 1.0})
+    g = fixtures.p2()
+    with pytest.raises(InvariantError, match="must be integers"):
+        EdgeLengths(g, {(u, v): 1.0})
+
+
+def test_edge_entries_and_keys_have_the_documented_shape():
+    with pytest.raises(SchemaError, match="edge #1 must be an object with exactly the"):
+        load_graph({"n": 3, "edges": [{"u": 0, "v": 1, "b": 1.0},
+                                      {"u": 1, "v": 2, "b": 1.0, "w": 2.0}]})
+    # Keys that are not pairs are refused, not read two vertices at a time.
+    with pytest.raises(InvariantError, match="vertex pair"):
+        WeightedGraph(4, {(0, 1, 2): 1.0, (3,): 1.0})
+
+
+def test_a_zero_and_a_positive_weight_on_one_edge_conflict():
+    # b(x, y) = b(y, x) fails as well when one orientation is given as zero.
+    with pytest.raises(InvariantError, match=r"\(b2\).*edge \(0, 1\)"):
+        WeightedGraph(2, {(0, 1): 0.0, (1, 0): 1.0})
+    g = WeightedGraph(3, {(1, 0): 2.0, (0, 1): 2.0, (2, 1): 0.0, (1, 2): 0.0})
+    assert g.edges.tolist() == [[0, 1]] and g.weights.tolist() == [2.0]
 
 
 def test_missing_file_is_schema_error(tmp_path):

@@ -23,7 +23,6 @@ from mgl import (
     restrict_dirichlet,
     restrict_neumann,
     strongly_intrinsic_check,
-    trivial_bundle,
 )
 from mgl.errors import (
     AlphaInSpectrum,
@@ -278,11 +277,11 @@ def test_exhaustion_rejects_non_nested():
     g = fixtures.p3()
     with pytest.raises(NotNested):
         exhaustion_uniqueness_experiment(
-            g, trivial_bundle(g), [[0, 1], [1, 2]]
+            g, HermitianBundle(g, 1), [[0, 1], [1, 2]]
         )
     with pytest.raises(NotNested):
         exhaustion_uniqueness_experiment(
-            g, trivial_bundle(g), [[0, 1, 2], [0, 1]]
+            g, HermitianBundle(g, 1), [[0, 1, 2], [0, 1]]
         )
 
 
@@ -474,4 +473,4 @@ def test_exhaustion_rejects_nonpositive_alpha():
     g = fixtures.p3()
     for alpha in (0.0, -0.5):
         with pytest.raises(AlphaInSpectrum):
-            exhaustion_uniqueness_experiment(g, trivial_bundle(g), [[0, 1]], alpha)
+            exhaustion_uniqueness_experiment(g, HermitianBundle(g, 1), [[0, 1]], alpha)
