@@ -8,7 +8,6 @@ and checking intrinsic-metric adaptedness along exhaustions.
 
 from .bundles import (
     HermitianBundle,
-    check_paired,
     load_bundle,
     pair,
     restrict_bundle,
@@ -37,24 +36,19 @@ from .forms import (
     assemble_scalar_form,
 )
 from .graphs import (
-    VertexSubset,
     WeightedGraph,
     load_graph,
     restrict_dirichlet,
     restrict_neumann,
 )
 from .metrics import (
-    CutoffSequence,
     EdgeLengths,
     PseudoMetric,
     UniquenessReport,
     chain_measure_sum,
     check_intrinsic,
-    completeness_check,
-    degree_bound_on_balls,
     degree_edge_lengths,
     exhaustion_uniqueness_experiment,
-    jump_size,
     path_metric,
     strongly_intrinsic_check,
 )

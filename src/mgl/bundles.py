@@ -23,6 +23,7 @@ from .graphs import (
     _check_dense_size,
     _check_magnitude,
     _check_words,
+    _integers,
     _numbers,
     _read_spec,
     _restriction,
@@ -45,8 +46,8 @@ class HermitianBundle:
     __slots__ = ("graph", "rank", "connection", "endo")
 
     def __init__(self, graph: WeightedGraph, rank: int, connection=None, endo=None):
-        if rank <= 0:
-            raise DimensionMismatch(f"rank must be positive, got {rank}")
+        if not _integers([rank]) or rank <= 0:
+            raise DimensionMismatch(f"rank must be a positive integer, got {rank!r}")
         self.graph = graph
         self.rank = int(rank)
         shape = (len(graph.edges), rank, rank)
@@ -191,30 +192,6 @@ def pair(f1, g, B: HermitianBundle) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PairedCheck:
-    ok: bool
-    worst_vertex: int
-    worst_defect: float
-
-
-def check_paired(f1, f2, tol: float = 1e-10) -> PairedCheck:
-    """Check the pointwise phase-alignment condition <f1(x), f2(x)> = |f1(x)||f2(x)|.
-
-    The defect at x is |f1(x)||f2(x)| - Re<f1(x), f2(x)>, which is nonnegative
-    by Cauchy-Schwarz and zero exactly on paired sections.
-    """
-    f1 = np.asarray(f1, dtype=complex)
-    f2 = np.asarray(f2, dtype=complex)
-    if f1.shape != f2.shape or f1.ndim != 2:
-        raise DimensionMismatch(f"sections have shapes {f1.shape} vs {f2.shape}")
-    inner = np.einsum("xj,xj->x", f1, f2.conj())
-    prods = np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1)
-    defects = prods - inner.real
-    worst = int(np.argmax(defects))
-    return PairedCheck(bool(defects[worst] <= tol), worst, float(defects[worst]))
-
-
 def restrict_bundle(B: HermitianBundle, omega, fold_boundary: bool = False):
     """Restrict a bundle to a vertex subset of its graph.
 
@@ -222,11 +199,11 @@ def restrict_bundle(B: HermitianBundle, omega, fold_boundary: bool = False):
     added (times the identity) to the endomorphism, which is what makes the
     restricted magnetic form agree with the host form on zero-extensions.
     """
-    omega, keep, _, boundary = _restriction(B.graph, omega)
-    endo = B.endo[omega.members]
+    members, keep, _, boundary = _restriction(B.graph, omega)
+    endo = B.endo[members]
     if fold_boundary:
         endo = endo + boundary[:, None, None] * np.eye(B.rank)
-    sub = restrict_neumann(B.graph, omega)
+    sub = restrict_neumann(B.graph, members)
     return HermitianBundle(sub, B.rank, B.connection[keep], endo)
 
 

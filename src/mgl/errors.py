@@ -49,9 +49,5 @@ class InfiniteEdgeDistance(MglError):
     """A pseudo-metric is infinite on an edge with positive weight."""
 
 
-class MonotonicityViolated(MglError):
-    """A cutoff sequence is not pointwise non-decreasing or leaves [0, 1]."""
-
-
 class NotNested(MglError):
     """An exhaustion's vertex subsets are not increasing under inclusion."""

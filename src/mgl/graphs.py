@@ -62,7 +62,7 @@ class WeightedGraph:
     def __init__(self, n, edges, killing=None, measure=None):
         """`edges` maps pairs (x, y), in either orientation, to weights b >= 0;
         zero weights are dropped."""
-        if not isinstance(n, (int, np.integer)) or n <= 0:
+        if not _integers([n]) or n <= 0:
             raise InvariantError(f"vertex count must be a positive integer, got {n!r}")
         edges = dict(edges)
         b = np.array(list(edges.values()), dtype=float)
@@ -120,7 +120,7 @@ class WeightedGraph:
         """Row of the edge {x, y} in `edges` (either orientation), -1 off it."""
         x, y = np.asarray(x), np.asarray(y)
         lo, hi = np.minimum(x, y), np.maximum(x, y)
-        query = lo * self.n + hi
+        query = lo * np.int64(self.n) + hi  # int64: int32 overflows past n = 46,341
         keys = self._keys
         pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
         hit = (lo >= 0) & (hi < self.n) & (keys[pos] == query)
@@ -139,54 +139,58 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, edges={len(self.edges)})"
 
 
-class VertexSubset:
-    """A nonempty, sorted, duplicate-free set of vertices of a parent graph."""
-
-    __slots__ = ("parent", "members")
-
-    def __init__(self, parent: WeightedGraph, members):
-        members = np.asarray(list(members), dtype=int)
-        if members.size == 0:
-            raise InvariantError("vertex subset must be nonempty")
-        if np.unique(members).size != members.size:
-            raise InvariantError("vertex subset contains duplicates")
-        if members.min() < 0 or members.max() >= parent.n:
-            raise InvariantError(
-                f"vertex subset out of range for graph with n={parent.n}"
-            )
-        self.parent = parent
-        self.members = _frozen(np.sort(members))
-
-    def __len__(self):
-        return len(self.members)
+def _integers(values) -> bool:
+    """Whether each of `values` is an int or a numpy integer; a boolean is
+    neither. The one test of vertex indices, vertex counts and ranks."""
+    return all(t is not bool and issubclass(t, (int, np.integer))
+               for t in set(map(type, values)))
 
 
-def _as_subset(G: WeightedGraph, omega) -> VertexSubset:
-    if isinstance(omega, VertexSubset):
-        if omega.parent is not G:
-            raise InvariantError("vertex subset belongs to a different graph")
-        return omega
-    return VertexSubset(G, omega)
+def _first_non_vertex(values, n):
+    """Position of the first of `values` that is not an integer in 0..n-1, or None."""
+    if _integers(values) and 0 <= min(values, default=0) and max(values, default=0) < n:
+        return None
+    return next(i for i, v in enumerate(values) if not (_integers([v]) and 0 <= v < n))
+
+
+def _vertices(G: WeightedGraph, values, what="vertex subset", subset=True):
+    """The nonempty list `values` of vertices of G as a read-only int array;
+    InvariantError naming `what` unless each is an integer in 0..n-1. The
+    members of a subset must be distinct, and come back sorted."""
+    values = list(values)
+    if not values:
+        raise InvariantError(f"{what} must be nonempty")
+    i = _first_non_vertex(values, G.n)
+    if i is not None:
+        raise InvariantError(
+            f"{what}: vertex {values[i]!r} must be an integer in 0..{G.n - 1}")
+    members = np.array(values, dtype=np.intp)
+    if subset:
+        members = np.unique(members)
+        if members.size != len(values):
+            raise InvariantError(f"{what} contains duplicates")
+    return _frozen(members)
 
 
 def _restriction(G: WeightedGraph, omega):
     """Split the edge set of G along a vertex subset.
 
-    Returns the subset, the mask of edges with both ends inside, those
-    edges relabeled to subset positions (still sorted, since relabeling is
-    monotone), and per member the total weight of edges leaving the subset.
+    Returns the sorted members, the mask of edges with both ends inside,
+    those edges relabeled to member positions (still sorted, since
+    relabeling is monotone), and per member the total weight of edges
+    leaving the subset.
     """
-    omega = _as_subset(G, omega)
+    members = _vertices(G, omega)
     pos = np.full(G.n, -1)
-    pos[omega.members] = np.arange(len(omega))
+    pos[members] = np.arange(members.size)
     ends = pos[G.edges]
     inside = ends >= 0
     keep = inside.all(axis=1)
     cut = inside.any(axis=1) & ~keep
     boundary = np.bincount(
-        ends[cut][inside[cut]], weights=G.weights[cut], minlength=len(omega)
+        ends[cut][inside[cut]], weights=G.weights[cut], minlength=members.size
     )
-    return omega, keep, ends[keep], boundary
+    return members, keep, ends[keep], boundary
 
 
 def _read_spec(source, what: str, keys) -> dict:
@@ -251,10 +255,9 @@ def _align_pairs(n, pairs, values, graph=None, reverse=None, error=InvariantErro
     if set(map(len, pairs)) - {2}:
         raise error(f"each {what} must be given on a vertex pair (x, y)")
     flat = list(chain.from_iterable(pairs))
-    wrong = {t for t in set(map(type, flat))
-             if t is bool or not issubclass(t, (int, np.integer))}
-    if wrong or min(flat, default=0) < 0 or max(flat, default=0) >= n:
-        i = next(i for i, v in enumerate(flat) if type(v) in wrong or not 0 <= v < n) // 2
+    i = _first_non_vertex(flat, n)
+    if i is not None:
+        i //= 2
         raise error(f"{what} #{i}: vertices {pairs[i]!r} must be integers in 0..{n - 1}")
     ends = np.array(flat, dtype=np.intp).reshape(-1, 2)
     flipped = ends[:, 0] > ends[:, 1]
@@ -393,8 +396,7 @@ def restrict_dirichlet(G: WeightedGraph, omega) -> WeightedGraph:
     form evaluated on zero-extensions: edges leaving the subset contribute
     c_new(x) = c(x) + sum_{y outside} b(x, y).
     """
-    omega, keep, rows, boundary = _restriction(G, omega)
-    members = omega.members
+    members, keep, rows, boundary = _restriction(G, omega)
     return WeightedGraph._from_arrays(
         len(members), rows, G.weights[keep],
         G.killing[members] + boundary, G.measure[members],
@@ -403,8 +405,7 @@ def restrict_dirichlet(G: WeightedGraph, omega) -> WeightedGraph:
 
 def restrict_neumann(G: WeightedGraph, omega) -> WeightedGraph:
     """Restrict to a vertex subset, dropping boundary edges (induced subgraph)."""
-    omega, keep, rows, _ = _restriction(G, omega)
-    members = omega.members
+    members, keep, rows, _ = _restriction(G, omega)
     return WeightedGraph._from_arrays(
         len(members), rows, G.weights[keep], G.killing[members], G.measure[members]
     )

@@ -1,4 +1,4 @@
-"""Intrinsic pseudo-metrics, completeness cutoffs, and exhaustion experiments.
+"""Intrinsic pseudo-metrics, chain measures and exhaustion experiments.
 
 The adaptedness conditions here bound the metric (or edge-length) energy
 density (1/m(x)) sum_y b(x,y) len(x,y)^2 by one. The exhaustion experiment
@@ -24,12 +24,11 @@ from .errors import (
     DimensionMismatch,
     InfiniteEdgeDistance,
     InvariantError,
-    MonotonicityViolated,
     NotNested,
     SchemaError,
 )
 from .forms import _check_bundle, _form_matrix, _gemm
-from .graphs import WeightedGraph, _align_pairs, _as_subset, _check_words, _restriction
+from .graphs import WeightedGraph, _align_pairs, _check_words, _restriction, _vertices
 
 METRIC_TOL = 1e-12
 
@@ -125,13 +124,6 @@ def degree_edge_lengths(G: WeightedGraph) -> EdgeLengths:
     return EdgeLengths(G, 1.0 / np.sqrt(deg.max(axis=1)))
 
 
-def _edge_distances(G: WeightedGraph, d: PseudoMetric) -> np.ndarray:
-    if d.n != G.n:
-        raise DimensionMismatch("metric size does not match the graph")
-    x, y = G.edges.T
-    return d.dist[x, y]
-
-
 def _energy_slack(G: WeightedGraph, lengths) -> np.ndarray:
     """Per-vertex slack 1 - (1/m(x)) sum_y b(x,y) len(x,y)^2, edge-aligned lengths."""
     return 1.0 - G._incident_sums(G.weights * lengths**2) / G.measure
@@ -143,7 +135,9 @@ def check_intrinsic(G: WeightedGraph, d: PseudoMetric) -> np.ndarray:
     The metric is intrinsic iff the minimum slack is >= -1e-12. Raises
     InfiniteEdgeDistance if d is infinite on an edge with positive weight.
     """
-    on_edges = _edge_distances(G, d)
+    if d.n != G.n:
+        raise DimensionMismatch("metric size does not match the graph")
+    on_edges = d.dist[tuple(G.edges.T)]
     if not np.isfinite(on_edges).all():
         raise InfiniteEdgeDistance("pseudo-metric is infinite on an edge")
     return _energy_slack(G, on_edges)
@@ -180,84 +174,12 @@ def is_strongly_intrinsic(G: WeightedGraph, sigma: EdgeLengths) -> bool:
     return bool(strongly_intrinsic_check(G, sigma).min() >= -METRIC_TOL)
 
 
-def jump_size(G: WeightedGraph, d: PseudoMetric) -> float:
-    """Largest distance across an edge with positive weight (0 if no edges)."""
-    return float(_edge_distances(G, d).max(initial=0.0))
-
-
-@dataclass(frozen=True)
-class CutoffSequence:
-    """Non-decreasing functions 0 <= eta_1 <= ... <= eta_K <= 1, rows of etas."""
-
-    etas: np.ndarray
-
-    def __post_init__(self):
-        etas = np.asarray(self.etas, dtype=float)
-        object.__setattr__(self, "etas", etas)
-        if etas.ndim != 2 or etas.shape[0] < 1:
-            raise DimensionMismatch("cutoff sequence must be a (K, n) array")
-
-    def validate(self):
-        if (self.etas < 0).any() or (self.etas > 1).any():
-            raise MonotonicityViolated("cutoff values must lie in [0, 1]")
-        if (np.diff(self.etas, axis=0) < 0).any():
-            raise MonotonicityViolated("cutoff sequence must be non-decreasing in k")
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    violations: np.ndarray  # per k: max_x energy density - 1/k
-    min_final: float        # min_x eta_K(x), pointwise-convergence proxy
-    complete: bool
-
-
-def completeness_check(G: WeightedGraph, cutoffs: CutoffSequence) -> CompletenessReport:
-    """Energy-density test (1/m(x)) sum_y b |eta_k(x)-eta_k(y)|^2 <= 1/k.
-
-    violation(k) is the worst excess over 1/k; the sequence certifies
-    completeness when every violation is <= 1e-12.
-    """
-    cutoffs.validate()
-    etas = cutoffs.etas
-    if etas.shape[1] != G.n:
-        raise DimensionMismatch("cutoff functions must have length n")
-    x, y = G.edges.T
-    energy = G.weights * (etas[:, x] - etas[:, y]) ** 2
-    density = np.zeros(etas.shape)
-    np.add.at(density, (slice(None), G.edges), energy[:, :, None])
-    violations = (density / G.measure).max(axis=1) - 1.0 / np.arange(1, len(etas) + 1)
-    complete = bool((violations <= METRIC_TOL).all())
-    return CompletenessReport(violations, float(etas[-1].min()), complete)
-
-
-def degree_bound_on_balls(G: WeightedGraph, d: PseudoMetric, r_list, base: int = 0):
-    """Max weighted degree over the combinatorial neighborhood of each ball.
-
-    For each radius r: B = {x : d(base, x) <= r} and N(B) adds every vertex
-    sharing an edge with B. Returns one bound per radius.
-    """
-    if d.n != G.n:
-        raise DimensionMismatch("metric size does not match the graph")
-    deg = G.weighted_degrees()
-    out = []
-    for r in r_list:
-        hood = d.dist[base] <= r
-        hood[G.edges[hood[G.edges].any(axis=1)]] = True
-        out.append(float(deg[hood].max()))
-    return out
-
-
 def chain_measure_sum(G: WeightedGraph, vertices) -> float:
     """Total measure along a combinatorial chain.
 
     Consecutive vertices must share an edge with positive weight.
     """
-    chain = np.asarray(list(vertices), dtype=int)
-    if not chain.size:
-        raise InvariantError("vertex chain must be nonempty")
-    outside = (chain < 0) | (chain >= G.n)
-    if outside.any():
-        raise InvariantError(f"chain vertex {chain[outside][0]} out of range")
+    chain = _vertices(G, vertices, "vertex chain", subset=False)
     gaps = np.flatnonzero(G._edge_index(chain[:-1], chain[1:]) < 0)
     if gaps.size:
         a, b = chain[gaps[0]], chain[gaps[0] + 1]
@@ -341,9 +263,9 @@ def exhaustion_uniqueness_experiment(
             f"alpha = {alpha} must be > 0: the edge-dropping restriction can "
             "have eigenvalue 0"
         )
-    subsets = [_as_subset(G, om) for om in subsets]
+    subsets = [_vertices(G, om) for om in subsets]
     for a, b in zip(subsets, subsets[1:]):
-        if len(b) <= len(a) or not np.isin(a.members, b.members).all():
+        if b.size <= a.size or not np.isin(a, b).all():
             raise NotNested(
                 "exhaustion subsets must be strictly increasing under inclusion"
             )
@@ -353,8 +275,7 @@ def exhaustion_uniqueness_experiment(
              "magnetic": (bundle.endo, bundle.connection)}
     gaps, prefixes = [], []
     for k, omega in enumerate(subsets, start=1):
-        _, keep, ends, boundary = _restriction(G, omega)
-        members = omega.members
+        members, keep, ends, boundary = _restriction(G, omega)
         row = {"k": k, **dict.fromkeys(forms, 0.0)}
         gaps.append(row)
         prefix = {"k": k}
@@ -366,14 +287,14 @@ def exhaustion_uniqueness_experiment(
             prefix[key] = {"N": cut.size, "boundary": b.size, "nnz_lu": 0}
             if not b.size:
                 continue  # no edge leaves the subset: both restrictions coincide
-            where = f"prefix k={k} ({len(omega)} vertices), {key} form"
+            where = f"prefix k={k} ({members.size} vertices), {key} form"
             _check_words(cut.size * b.size, f"{where}: the N x |b| Woodbury panels")
             # The edge-dropping restriction is the form of the inner edges;
             # the boundary-folding one (the host form on zero-extensions) is
             # that plus the boundary weights P on its diagonal. Both
             # resolvents vanish off the members, so the gap of their
             # zero-extensions is that of R = (M^-1/2 L M^-1/2 + alpha)^-1 there.
-            A = _form_matrix(len(omega), ends, G.weights[keep], W[members], phi[keep])
+            A = _form_matrix(members.size, ends, G.weights[keep], W[members], phi[keep])
             scale = 1.0 / np.sqrt(np.repeat(G.measure[members], d))
             A.data *= scale[A.row]
             A.data *= scale[A.col]

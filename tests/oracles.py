@@ -10,6 +10,8 @@ matrix exponential instead of an eigendecomposition.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import mpmath
 import numpy as np
 
@@ -87,6 +89,28 @@ def project_domination_oracle(f1, g):
         if r > 0.0:
             f_hat[x] = (min(r, t) / r) * z
     return f_hat, g_hat
+
+
+@dataclass(frozen=True)
+class PairedCheck:
+    ok: bool
+    worst_vertex: int
+    worst_defect: float
+
+
+def check_paired(f1, f2, tol: float = 1e-10) -> PairedCheck:
+    """Check the pointwise phase-alignment condition <f1(x), f2(x)> = |f1(x)||f2(x)|.
+
+    The defect at x is |f1(x)||f2(x)| - Re<f1(x), f2(x)>, which is nonnegative
+    by Cauchy-Schwarz and zero exactly on paired sections.
+    """
+    f1 = np.asarray(f1, dtype=complex)
+    f2 = np.asarray(f2, dtype=complex)
+    inner = np.einsum("xj,xj->x", f1, f2.conj())
+    prods = np.linalg.norm(f1, axis=1) * np.linalg.norm(f2, axis=1)
+    defects = prods - inner.real
+    worst = int(np.argmax(defects))
+    return PairedCheck(bool(defects[worst] <= tol), worst, float(defects[worst]))
 
 
 def enumerate_path_distance(G, sigma, start, goal):

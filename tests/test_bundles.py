@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
+import oracles
 from fixtures import ConeContext
 from mgl import (
     EdgeLengths,
     HermitianBundle,
     WeightedGraph,
     bundles,
-    check_paired,
     load_bundle,
     load_graph,
     pair,
@@ -143,16 +143,16 @@ def test_pair_postconditions_random():
         lhs = ctx.section_inner(f1, f2)
         rhs = ctx.inner(symmetrize(f1, b), gfun)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-        assert check_paired(f1, f2).ok
+        assert oracles.check_paired(f1, f2).ok
 
 
 def test_check_paired_examples():
-    disjoint = check_paired(
+    disjoint = oracles.check_paired(
         np.array([[1.0 + 0j], [0.0]]), np.array([[0.0 + 0j], [1.0]])
     )
     assert disjoint.ok
 
-    misaligned = check_paired(np.array([[1.0 + 0j]]), np.array([[1j]]))
+    misaligned = oracles.check_paired(np.array([[1.0 + 0j]]), np.array([[1j]]))
     assert not misaligned.ok
     assert misaligned.worst_vertex == 0
     assert misaligned.worst_defect == pytest.approx(1.0)
@@ -210,7 +210,7 @@ def test_abs_difference_identity():
         f1 = fixtures.random_section(g.n, 2, rng)
         gfun = rng.random(g.n) * symmetrize(f1, b)
         f2 = pair(f1, gfun, b)
-        assert check_paired(f1, f2).ok
+        assert oracles.check_paired(f1, f2).ok
         lhs = symmetrize(f1 - f2, b)
         rhs = symmetrize(f1, b) - symmetrize(f2, b)
         assert np.abs(lhs - rhs).max() <= 1e-10
@@ -324,6 +324,20 @@ def test_boolean_cells_vertices_and_unknown_entry_keys_are_refused():
             HermitianBundle(fixtures.p2(), 1, {key: [[1.0]]})
 
 
+def test_vertex_count_and_rank_are_positive_integers():
+    # The constructors apply the loaders' integer test: a boolean is not a
+    # count, and a float rank is refused as an MglError.
+    for n in (True, 2.0, 0, "2"):
+        with pytest.raises(InvariantError, match="positive integer"):
+            WeightedGraph(n, {})
+    assert WeightedGraph(np.int64(2), {}).n == 2
+    g = fixtures.p2()
+    for rank in (True, 1.5, 0, None):
+        with pytest.raises(DimensionMismatch, match="positive integer"):
+            HermitianBundle(g, rank)
+    assert HermitianBundle(g, np.int64(2)).rank == 2
+
+
 def _bench_specs():
     """The benchmark's instance generator, mglbench/specs.py (numpy only)."""
     path = Path(__file__).resolve().parents[1] / "mglbench" / "specs.py"
@@ -407,5 +421,3 @@ def test_section_shape_checks():
     b = HermitianBundle(g, 2)
     with pytest.raises(DimensionMismatch):
         symmetrize(np.ones((2, 3)), b)
-    with pytest.raises(DimensionMismatch):
-        check_paired(np.ones((2, 2)), np.ones((3, 2)))

@@ -4,7 +4,6 @@ import pytest
 import fixtures
 from mgl import (
     EdgeLengths,
-    VertexSubset,
     WeightedGraph,
     assemble_scalar_form,
     load_graph,
@@ -132,6 +131,18 @@ def test_weighted_degree_examples():
     assert lone.weighted_degrees()[0] == 0.0
 
 
+def test_edge_lookup_with_int32_vertices_past_46341():
+    # The key x * n + y of a vertex pair exceeds the int32 range once
+    # n > 46,341; int32 vertices, as scipy's csgraph traversals return them,
+    # must still find their edge.
+    n = 10**5
+    g = WeightedGraph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
+    x, y = np.array([60000, 99998], np.int32), np.array([60001, 99999], np.int32)
+    np.testing.assert_array_equal(g._edge_index(x, y), [60000, 99998])
+    np.testing.assert_array_equal(g._edge_index(y, x), [60000, 99998])
+    assert g.weight(np.int32(60000), np.int32(60001)) == 1.0
+
+
 def test_restrict_dirichlet_p3_folds_boundary():
     g = fixtures.p3()
     sub = restrict_dirichlet(g, [0, 1])
@@ -201,14 +212,13 @@ def test_dirichlet_compression_property():
 
 
 def test_vertex_subset_validation():
-    g = fixtures.p3()
-    with pytest.raises(InvariantError):
-        VertexSubset(g, [])
-    with pytest.raises(InvariantError):
-        VertexSubset(g, [0, 0])
-    with pytest.raises(InvariantError):
-        VertexSubset(g, [5])
-    sub = VertexSubset(g, [2, 0])
-    np.testing.assert_array_equal(sub.members, [0, 2])
-    # Both members lose their edge to the excluded vertex 1.
-    np.testing.assert_array_equal(restrict_dirichlet(g, sub).killing, [1.0, 1.0])
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0}, measure=[1.0, 2.0, 4.0])
+    # Members are integers: floats and booleans are refused, not truncated.
+    for members in ([], [0, 0], [5], [0.7], [True, 2], [False, 1.5]):
+        with pytest.raises(InvariantError):
+            restrict_dirichlet(g, members)
+    # Members come in any order and are read sorted. Both lose their edge
+    # to the excluded vertex 1.
+    sub = restrict_dirichlet(g, [2, 0])
+    np.testing.assert_array_equal(sub.measure, [1.0, 4.0])
+    np.testing.assert_array_equal(sub.killing, [1.0, 1.0])

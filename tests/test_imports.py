@@ -80,6 +80,36 @@ def test_every_private_helper_is_referenced():
     assert orphaned_private_helpers(sources) == []
 
 
+def unraised_errors(errors: str, sources) -> list[str]:
+    """Exception classes of the module source `errors`, other than the base
+    MglError, that no `raise` statement in any of `sources` names."""
+    defined = [node.name for node in ast.parse(errors).body
+               if isinstance(node, ast.ClassDef) and node.name != "MglError"]
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return [name for name in defined if name not in raised]
+
+
+def test_unraised_errors_are_found():
+    errors = "".join(f"class {name}(MglError):\n    pass\n"
+                     for name in ("Called", "Bare", "Qualified", "Caught"))
+    sources = [
+        "raise Called('x')\n",
+        "try:\n    f()\nexcept Caught:\n    raise\nraise Bare\n",
+        "raise errors.Qualified('y') from None\n",
+    ]
+    assert unraised_errors(errors, sources) == ["Caught"]
+
+
+def test_every_error_class_is_raised():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unraised_errors(sources["errors.py"], sources.values()) == []
+
+
 def direct_lapack_calls(source: str) -> list[str]:
     """Calls of a scipy LAPACK wrapper other than through forms._lapack,
     which turns a nonzero info into EigSolverFailure: `lapack.name(...)`,

@@ -5,7 +5,6 @@ import fixtures
 import oracles
 from mgl import forms, metrics
 from mgl import (
-    CutoffSequence,
     EdgeLengths,
     HermitianBundle,
     PseudoMetric,
@@ -13,11 +12,8 @@ from mgl import (
     assemble_magnetic_form,
     assemble_scalar_form,
     check_intrinsic,
-    completeness_check,
-    degree_bound_on_balls,
     degree_edge_lengths,
     exhaustion_uniqueness_experiment,
-    jump_size,
     path_metric,
     restrict_bundle,
     restrict_dirichlet,
@@ -28,7 +24,6 @@ from mgl.errors import (
     AlphaInSpectrum,
     InfiniteEdgeDistance,
     InvariantError,
-    MonotonicityViolated,
     NotNested,
 )
 from mgl.metrics import is_intrinsic, is_strongly_intrinsic
@@ -152,75 +147,6 @@ def test_strongly_intrinsic_implies_intrinsic():
                 assert is_intrinsic(g, path_metric(g, sigma)), name
 
 
-def test_jump_size_examples():
-    g = fixtures.p3()
-    d = path_metric(g, EdgeLengths.constant(g))
-    assert jump_size(g, d) == 1.0
-    assert jump_size(g, PseudoMetric(np.zeros((3, 3)))) == 0.0
-    assert jump_size(WeightedGraph(2, {}), PseudoMetric(np.zeros((2, 2)))) == 0.0
-
-    rng = np.random.default_rng(83)
-    tri = fixtures.triangle()
-    sigma = EdgeLengths(tri, {(x, y): 0.5 + rng.random() for x, y in tri.edges})
-    d = path_metric(tri, sigma)
-    direct = max(d[x, y] for (x, y) in tri.edges)
-    assert jump_size(tri, d) == direct
-
-
-def test_completeness_constant_cutoffs():
-    for g in fixtures.fixture_graphs().values():
-        report = completeness_check(g, CutoffSequence(np.ones((4, g.n))))
-        np.testing.assert_allclose(
-            report.violations, [-1.0 / k for k in range(1, 5)]
-        )
-        assert report.complete
-        assert report.min_final == 1.0
-
-
-def test_completeness_heavy_edge_fails():
-    g = WeightedGraph(2, {(0, 1): 100.0})
-    report = completeness_check(g, CutoffSequence(np.array([[1.0, 0.0]])))
-    assert report.violations[0] == pytest.approx(99.0)
-    assert not report.complete
-
-
-def test_completeness_ramp_fixture():
-    # Ramps with slope sqrt(1/(2.5 k)) keep the energy density below 1/k.
-    n = 30
-    g = WeightedGraph(n, {(i, i + 1): 1.0 for i in range(n - 1)},
-                      measure=1.0 + np.arange(n) / 10.0)
-    ks = np.arange(1, 6)
-    etas = np.stack(
-        [np.clip(1.0 - np.sqrt(1.0 / (2.5 * k)) * np.arange(n), 0.0, 1.0) for k in ks]
-    )
-    report = completeness_check(g, CutoffSequence(etas))
-    assert report.complete
-    assert (report.violations < 0).all()
-
-
-def test_completeness_monotonicity_errors():
-    g = fixtures.p2()
-    with pytest.raises(MonotonicityViolated):
-        completeness_check(g, CutoffSequence(np.array([[1.0, 0.5], [0.5, 0.5]])))
-    with pytest.raises(MonotonicityViolated):
-        completeness_check(g, CutoffSequence(np.array([[1.5, 0.0]])))
-
-
-def test_degree_bound_on_balls_examples():
-    g = fixtures.p3()
-    d = path_metric(g, EdgeLengths.constant(g))
-    bounds = degree_bound_on_balls(g, d, [0.0, 1.0, 2.0])
-    # r=0: ball {0}, neighborhood {0, 1}: max Deg = 2.
-    assert bounds[0] == 2.0
-    # r=1: neighborhood is everything.
-    assert bounds[1] == 2.0
-    assert bounds[2] == 2.0
-
-    heavy = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0}, measure=[1.0, 0.5, 1.0])
-    d = path_metric(heavy, EdgeLengths.constant(heavy))
-    assert degree_bound_on_balls(heavy, d, [0.0])[0] == 4.0  # Deg(1) = 2/0.5
-
-
 def test_exhaustion_full_subset_zero_gaps():
     g = fixtures.random_graph(n=10)
     bundle = fixtures.random_bundle(g, 2, np.random.default_rng(5))
@@ -271,6 +197,10 @@ def test_chain_measure_sum():
         chain_measure_sum(g, [0, 2])  # not an edge
     with pytest.raises(InvariantError):
         chain_measure_sum(g, [])
+    # Vertices are integers: floats and booleans are refused, not truncated.
+    for chain in ([0.2, 1.9, 2.5], [False, True]):
+        with pytest.raises(InvariantError, match="must be an integer"):
+            chain_measure_sum(g, chain)
 
 
 def test_exhaustion_rejects_non_nested():
