@@ -93,7 +93,7 @@ class HermitianBundle:
 
     def phi(self, x, y):
         """Connection matrix mapping the fiber at y into the fiber at x."""
-        row = self.graph._edge_index(x, y)
+        row = self.graph._edge_row(x, y)
         if row < 0:
             return np.eye(self.rank, dtype=complex)
         mat = self.connection[row]

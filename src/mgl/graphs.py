@@ -126,9 +126,19 @@ class WeightedGraph:
         hit = (lo >= 0) & (hi < self.n) & (keys[pos] == query)
         return np.where(hit, pos, -1)
 
+    def _edge_row(self, x, y) -> int:
+        """Row of the edge {x, y} for a public lookup, -1 off it; InvariantError
+        unless x and y are vertices, by the constructors' test: a boolean or
+        an integral float is none."""
+        i = _first_non_vertex([x, y], self.n)
+        if i is not None:
+            raise InvariantError(
+                f"vertex {(x, y)[i]!r} must be an integer in 0..{self.n - 1}")
+        return int(self._edge_index(x, y))
+
     def weight(self, x, y):
         """b(x, y); zero on the diagonal and on non-edges."""
-        i = self._edge_index(x, y)
+        i = self._edge_row(x, y)
         return float(self.weights[i]) if i >= 0 else 0.0
 
     def weighted_degrees(self):

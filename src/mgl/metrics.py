@@ -110,7 +110,7 @@ class EdgeLengths:
         return cls(graph, np.full(len(graph.edges), float(value)))
 
     def __getitem__(self, key):
-        row = self.graph._edge_index(*key)
+        row = self.graph._edge_row(*key)
         if row < 0:
             raise KeyError(key)
         return float(self.lengths[row])

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -318,3 +320,12 @@ def counting_blas(monkeypatch, names):
 
         monkeypatch.setattr(blas, name, counting)
     return calls
+
+
+def bench_specs():
+    """The benchmark's instance generator, mglbench/specs.py (numpy only)."""
+    path = Path(__file__).resolve().parents[1] / "mglbench" / "specs.py"
+    spec = importlib.util.spec_from_file_location("bench_specs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,6 +1,4 @@
 import copy
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,15 +336,6 @@ def test_vertex_count_and_rank_are_positive_integers():
     assert HermitianBundle(g, np.int64(2)).rank == 2
 
 
-def _bench_specs():
-    """The benchmark's instance generator, mglbench/specs.py (numpy only)."""
-    path = Path(__file__).resolve().parents[1] / "mglbench" / "specs.py"
-    spec = importlib.util.spec_from_file_location("bench_specs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _complex(matrix):
     """A matrix of [re, im] cells as a complex array, cell by cell."""
     return np.array([[complex(re, im) for re, im in row] for row in matrix])
@@ -368,7 +357,7 @@ def test_loader_mapping_and_array_constructors_agree():
     # 3), with every other entry reversed, the JSON loaders, the mapping
     # constructors and the array constructors give the same bytes.
     rng = np.random.default_rng(1)
-    specs = _bench_specs()
+    specs = fixtures.bench_specs()
     bench_graph = specs.random_graph(600, rng)
     for graph_doc, bundle_doc in [
         fixtures.diamagnetic_docs(), fixtures.diamagnetic_docs(seed=3, n=9, d=1),

@@ -4,6 +4,7 @@ import pytest
 import fixtures
 from mgl import (
     EdgeLengths,
+    HermitianBundle,
     WeightedGraph,
     assemble_scalar_form,
     load_graph,
@@ -141,6 +142,25 @@ def test_edge_lookup_with_int32_vertices_past_46341():
     np.testing.assert_array_equal(g._edge_index(x, y), [60000, 99998])
     np.testing.assert_array_equal(g._edge_index(y, x), [60000, 99998])
     assert g.weight(np.int32(60000), np.int32(60001)) == 1.0
+
+
+def test_edge_lookups_refuse_what_is_not_a_vertex():
+    # weight, phi and edge-length lookups take vertices by the constructors'
+    # test: a boolean or an integral float is no vertex, nor is one out of
+    # range; numpy integers are.
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 2.0})
+    bundle = HermitianBundle(g, 1)
+    lengths = EdgeLengths.constant(g, 3.0)
+    lookups = (g.weight, bundle.phi, lambda x, y: lengths[(x, y)])
+    for lookup in lookups:
+        for x, y in ((True, 2), (1.0, 2.0), (False, True), (1, np.float64(2)),
+                     (1, 3), (-1, 0)):
+            with pytest.raises(InvariantError, match="must be an integer in 0..2"):
+                lookup(x, y)
+    assert g.weight(np.int64(1), 2) == g.weight(2, np.int32(1)) == 2.0
+    assert g.weight(0, 2) == 0.0
+    assert lengths[(np.int8(2), 1)] == 3.0
+    np.testing.assert_array_equal(bundle.phi(0, np.uint8(1)), np.eye(1))
 
 
 def test_restrict_dirichlet_p3_folds_boundary():

@@ -17,6 +17,8 @@ from mgl import (
     euler_limit_check,
     form_limit_check,
     laplace_check,
+    load_bundle,
+    load_graph,
 )
 from mgl.errors import (
     AlphaInSpectrum,
@@ -213,10 +215,51 @@ def test_euler_matches_dense_oracle():
             vectors.insert(0, u + 1j * rng.standard_normal(F.dim))
         for u in vectors:
             scale = np.sqrt(np.sum(F.m_diag * np.abs(u) ** 2))
-            for n in (16, 256, 4096):
+            # n = 1 and 3 take no band power, or K = 2 with a step left
+            # over; 33 and 100 leave n % K steps after the band solves.
+            for n in (1, 3, 16, 33, 100, 256, 4096):
                 got = euler_limit_check(F, 0.7, u, n)
                 want = dense_euler_error(F, 0.7, u, n)
                 assert abs(got - want) <= 1e-10 * scale, (name, n, got, want)
+
+
+def _gershgorin_top(F):
+    """max_i d_i + |e_(i-1)| + |e_i| of the form's tridiagonal T."""
+    d, e = F._tridiagonal
+    off = np.abs(e[: d.size - 1])
+    return float((d + np.append(off, 0.0) + np.append(0.0, off)).max())
+
+
+def test_euler_stiff_step_takes_no_band_power(monkeypatch):
+    # With t g = 50 at n = 16, (1 + h g) = 4.1 > 2: no band power keeps
+    # cond <= 2, so every step is a dpttrs solve, and the error still
+    # matches the dense oracle.
+    calls = fixtures.counting_lapack(monkeypatch, ("dpttrs", "dpbtrs", "dpbtrf"))
+    rng = np.random.default_rng(78)
+    for name in ("path8", "rank2"):
+        F = euler_fixture_forms()[name]
+        F = FormOperator(F.L.toarray() * (50.0 / (0.7 * _gershgorin_top(F))),
+                         F.measure, F.d)
+        assert _gershgorin_top(F) * 0.7 == pytest.approx(50.0)
+        u = rng.standard_normal(F.dim) + 1j * rng.standard_normal(F.dim)
+        del calls[:]
+        got = euler_limit_check(F, 0.7, u, 16)
+        assert [routine for routine, _ in calls] == ["dpttrs"] * 16
+        want = dense_euler_error(F, 0.7, u, 16)
+        assert abs(got - want) <= 1e-10 * F.norm(u), (name, got, want)
+
+
+def test_euler_band_solves_replace_steps(monkeypatch):
+    # (I + hT)^-n as band solves with (I + hT)^K: at n = 4096 one band
+    # factorization, and at most n / 16 band solves plus fewer than 32 steps.
+    calls = fixtures.counting_lapack(monkeypatch, ("dpttrs", "dpbtrs", "dpbtrf"))
+    F = euler_fixture_forms()["rank2"]
+    u = np.random.default_rng(79).standard_normal(F.dim)
+    error = euler_limit_check(F, 0.7, u, 4096)
+    routines = [routine for routine, _ in calls]
+    assert routines.count("dpbtrf") == 1
+    assert routines.count("dpbtrs") + routines.count("dpttrs") <= 4096 // 16 + 32
+    assert error <= 1e-3 * F.norm(u)
 
 
 def test_euler_reads_no_eigenvalue():
@@ -333,7 +376,7 @@ def test_euler_refuses_failed_lapack_calls(monkeypatch):
     F = FormOperator(-100.0 * np.eye(2), [1.0, 1.0])
     with pytest.raises(EigSolverFailure, match="dpttrf"):
         euler_limit_check(F, 0.7, np.ones(2), 16)
-    for name in ("zhetrd", "dstevd", "zunmqr", "dpttrs"):
+    for name in ("zhetrd", "dstevd", "zunmqr", "dpttrs", "dpbtrf", "dpbtrs"):
         routine = getattr(lapack, name)
 
         def failing(*args, _routine=routine, **kwargs):
@@ -343,7 +386,64 @@ def test_euler_refuses_failed_lapack_calls(monkeypatch):
             patch.setattr(lapack, name, failing)
             F = euler_fixture_forms()["rank2"]
             with pytest.raises(EigSolverFailure, match="info = -1"):
-                euler_limit_check(F, 0.7, np.ones(F.dim), 16)
+                # At n = 16 every step is a dpttrs solve; at 4096 the band
+                # power is factored and solved with.
+                euler_limit_check(F, 0.7, np.ones(F.dim), 4096 if "pb" in name else 16)
+
+
+def _stepwise_euler_error(F, t, u, n):
+    """The Euler error by n sequential dpttrs solves with I + (t/n) T, on
+    the form's own reduction, one step at a time."""
+    d, e = F._tridiagonal
+    h = t / n
+    df, ef, info = lapack.dpttrf(1.0 + h * d, h * e)
+    assert info == 0
+
+    def steps(y):
+        for _ in range(n):
+            y, info = lapack.dpttrs(df, ef, y, overwrite_b=1)
+            assert info == 0
+        return y
+
+    v = (F.m_sqrt * u).astype(np.result_type(F.L.dtype, u))[:, None]
+    y = F._in_reduced_frame(v, steps)
+    return F.norm(F.m_isqrt * y[:, 0] - F.semigroup(t, u))
+
+
+def test_semigroup_id_on_a_benchmark_shaped_instance(tmp_path):
+    # The benchmark's generator at n = 120, rank 2, seed 1: every verdict
+    # passes, the Euler errors match stepwise dpttrs solves to 1e-10
+    # relative, and a rerun writes the same bytes.
+    fixtures.bench_specs().write_instance(tmp_path, "main", 120, 2, 1)
+    graph, bundle = tmp_path / "main.graph.json", tmp_path / "main.bundle.json"
+    reports = []
+    for k in range(2):
+        out = tmp_path / f"report{k}.json"
+        argv = ["semigroup-id", "--graph", str(graph), "--bundle", str(bundle)]
+        assert run([*argv, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert report["ok"] is True
+    g = load_graph(graph, True)
+    forms = {"magnetic": assemble_magnetic_form(g, load_bundle(g, bundle, True)),
+             "scalar": assemble_scalar_form(g)}
+    for key, F in forms.items():
+        section = report[key]
+        flags = [flag for flag in section if flag.endswith("_ok")]
+        assert flags and all(section[flag] for flag in flags), key
+        rng = np.random.default_rng(42)
+        u = rng.standard_normal(F.dim)
+        if np.iscomplexobj(F.L):
+            u = u + 1j * rng.standard_normal(F.dim)
+        mu = F.eigenvalues
+        t = min(1.0, 10.0 / max(abs(mu[0]), abs(mu[-1]), 1e-12))
+        for n, got in section["euler_errors"].items():
+            want = _stepwise_euler_error(F, t, u, int(n))
+            assert abs(got - want) <= 1e-10 * want, (key, n, got, want)
+    beurling_deny = report["scalar"]["beurling_deny"]
+    assert all(beurling_deny[side][flag] for side in ("positivity", "markov")
+               for flag in ("form_ok", "semigroup_ok"))
 
 
 def test_form_limit_p2_example():
