@@ -23,8 +23,6 @@ from .cones import (
     project_domination_set,
 )
 from .domination import (
-    DominationReport,
-    Verdict,
     check_form_domination,
     check_resolvent_domination,
     check_semigroup_domination,
@@ -44,7 +42,6 @@ from .graphs import (
 from .metrics import (
     EdgeLengths,
     PseudoMetric,
-    UniquenessReport,
     chain_measure_sum,
     check_intrinsic,
     degree_edge_lengths,

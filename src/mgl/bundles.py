@@ -10,7 +10,6 @@ direction is the adjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -111,24 +110,6 @@ class HermitianBundle:
         return f"HermitianBundle(n={self.graph.n}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
-class BundleValidation:
-    """Per-edge unitarity defects and per-vertex endomorphism diagnostics."""
-
-    ok: bool
-    edges: np.ndarray           # (E, 2) rows of the graph the defects refer to
-    edge_defects: np.ndarray    # (E,) ||Phi* Phi - I||_max per edge row
-    endo_min_eigs: np.ndarray   # min eigenvalue of the Hermitian part of W(x)
-    endo_herm_defects: np.ndarray  # ||W(x) - W(x)*||_max
-
-    def worst_edge(self):
-        if not self.edge_defects.size:
-            return None, 0.0
-        row = int(np.argmax(self.edge_defects))
-        x, y = self.edges[row].tolist()
-        return (x, y), float(self.edge_defects[row])
-
-
 def _max_entry(batch):
     """Largest absolute entry of each matrix in a (k, d, d) batch."""
     return np.abs(batch).max(axis=(1, 2), initial=0.0)
@@ -138,11 +119,16 @@ def _adjoint(batch):
     return batch.conj().transpose(0, 2, 1)
 
 
-def validate_bundle(B: HermitianBundle) -> BundleValidation:
+def validate_bundle(B: HermitianBundle) -> dict:
     """Diagnose unitarity of the connection and positivity of the endomorphism.
 
     Returns a failing report rather than raising, so callers can print the
-    per-edge and per-vertex defects.
+    per-edge and per-vertex defects: `ok`; the (E, 2) `edges` of the graph
+    with the (E,) `edge_defects` ||Phi* Phi - I||_max on them; per vertex,
+    `endo_min_eigs`, the min eigenvalue of the Hermitian part of W(x), and
+    `endo_herm_defects`, ||W(x) - W(x)*||_max; and the edge (x, y) with the
+    largest defect as `worst_edge`, with that defect as
+    `worst_unitarity_defect` (None and 0.0 on a graph without edges).
     """
     phi = B.connection
     gram = np.einsum("eji,ejk->eik", phi.conj(), phi)
@@ -155,9 +141,16 @@ def validate_bundle(B: HermitianBundle) -> BundleValidation:
         and (min_eigs >= -ENDO_TOL).all()
         and (herm_defects <= ENDO_TOL).all()
     )
-    return BundleValidation(
-        bool(ok), B.graph.edges, edge_defects, min_eigs, herm_defects
-    )
+    worst = int(np.argmax(edge_defects)) if edge_defects.size else None
+    return {
+        "ok": bool(ok),
+        "edges": B.graph.edges,
+        "edge_defects": edge_defects,
+        "endo_min_eigs": min_eigs,
+        "endo_herm_defects": herm_defects,
+        "worst_edge": None if worst is None else tuple(B.graph.edges[worst].tolist()),
+        "worst_unitarity_defect": 0.0 if worst is None else float(edge_defects[worst]),
+    }
 
 
 def symmetrize(u, B: HermitianBundle) -> np.ndarray:

@@ -133,16 +133,15 @@ def cmd_validate(args) -> int:
     code = 0
     if bundle is not None:
         check = validate_bundle(bundle)
-        worst_edge, worst_defect = check.worst_edge()
         report["bundle"] = {
-            "ok": check.ok,
+            "ok": check["ok"],
             "rank": bundle.rank,
-            "worst_unitarity_defect": worst_defect,
-            "worst_edge": list(worst_edge) if worst_edge else None,
-            "min_endo_eigenvalue": float(check.endo_min_eigs.min()),
-            "max_endo_hermiticity_defect": float(check.endo_herm_defects.max()),
+            "worst_unitarity_defect": check["worst_unitarity_defect"],
+            "worst_edge": check["worst_edge"],
+            "min_endo_eigenvalue": float(check["endo_min_eigs"].min()),
+            "max_endo_hermiticity_defect": float(check["endo_herm_defects"].max()),
         }
-        if not check.ok:
+        if not check["ok"]:
             code = 1
     _emit(args, report)
     _summary(f"validate: {'PASS' if code == 0 else 'FAIL'}")
@@ -151,7 +150,7 @@ def cmd_validate(args) -> int:
 
 def cmd_dominate(args) -> int:
     graph, bundle = _load_specs(args)
-    result = diamagnetic_report(
+    report = diamagnetic_report(
         graph,
         bundle,
         t_list=args.t,
@@ -160,7 +159,6 @@ def cmd_dominate(args) -> int:
         seed=args.seed,
         tol=args.tol_domination,
     )
-    report = result.to_report()
     _emit(args, report)
     for key in ("form", "resolvent", "semigroup"):
         verdict = report[key]
@@ -172,8 +170,8 @@ def cmd_dominate(args) -> int:
 
 def cmd_uniqueness(args) -> int:
     graph, bundle = _load_specs(args, dense=False)
-    if bundle is None:
-        bundle = HermitianBundle(graph, 1)
+    if bundle is None:  # the trivial line bundle with W = c: the scalar form
+        bundle = HermitianBundle(graph, 1, endo=graph.killing[:, None, None])
     sizes = args.omega
     if not sizes:
         sizes = sorted({max(1, round(graph.n * k / 5)) for k in range(1, 6)})
@@ -185,8 +183,7 @@ def cmd_uniqueness(args) -> int:
             f"--omega sizes must be strictly increasing, got {list(sizes)}"
         )
     subsets = [list(range(size)) for size in sizes]
-    result = exhaustion_uniqueness_experiment(graph, bundle, subsets)
-    report = result.to_report()
+    report = exhaustion_uniqueness_experiment(graph, bundle, subsets)
     report["metadata"] = {"omega_sizes": list(sizes)}
     _emit(args, report)
     for row in report["gaps"]:

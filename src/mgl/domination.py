@@ -5,7 +5,9 @@ of anything the bundle semigroup produces stays below what the scalar
 semigroup produces from the pointwise norms. The three checks here probe
 that statement at the semigroup, resolvent, and form level on parameter
 grids and random samples; the theory says the three verdicts must agree,
-and the verifier reports worst-case slacks and witnesses either way.
+and the verifier reports worst-case slacks and witnesses either way. Each
+check returns its report: the dict {passed, slack, allowance,
+witness_vector, witness_param, witness_vertex} that `_verdict` describes.
 
 Deterministic probes are always added to the random samples, because
 known violations concentrate there: at each vertex x the section e_x (x) v_x
@@ -18,8 +20,6 @@ its vertex and edge probes decide that inequality exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,9 +39,8 @@ DOMINATION_TOL = 1e-9
 VERDICT_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one domination check.
+def _verdict(passed, slack, allowance, vector=None, param=None, vertex=None) -> dict:
+    """The report of one domination check.
 
     `slack` is the minimum of (dominating side - dominated side) over the
     comparisons, or, when a grid verdict fails, over those that fail; the
@@ -49,16 +48,9 @@ class Verdict:
     gives the slack was judged against: it fails when slack < -allowance.
     A witness is recorded only on failure.
     """
-
-    passed: bool
-    slack: float
-    allowance: float
-    witness_vector: np.ndarray | None = None
-    witness_param: float | None = None
-    witness_vertex: int | None = None
-
-    def to_report(self) -> dict:
-        return asdict(self)
+    return {"passed": passed, "slack": slack, "allowance": allowance,
+            "witness_vector": vector, "witness_param": param,
+            "witness_vertex": vertex}
 
 
 def _check_compatible(A: FormOperator, B: FormOperator):
@@ -166,7 +158,7 @@ def _image(F: FormOperator, scalars, y, blocks):
 
 def _pointwise_verdict(
     A, B, name, params, samples, rng, tol, multiplier, slope
-) -> Verdict:
+) -> dict:
     """Shared body of the semigroup- and resolvent-level checks.
 
     `multiplier(F, p)` is the spectral multiplier of the operator at
@@ -261,12 +253,12 @@ def _pointwise_verdict(
                     f"{name} = {p:g} resolves nothing: the eigensolvers' rounding "
                     f"allowance {delta:.3g} reaches max f_B = {fb.max():.3g}"
                 )
-        return Verdict(True, slack, allowance)
+        return _verdict(True, slack, allowance)
     if column < k:
         section = sections[column].copy()
     else:
         section = _vertex_section(n, d, column - k, fibers[column - k])
-    return Verdict(False, slack, allowance, section, float(params[i]), vertex)
+    return _verdict(False, slack, allowance, section, float(params[i]), vertex)
 
 
 def check_semigroup_domination(
@@ -276,7 +268,7 @@ def check_semigroup_domination(
     samples=100,
     rng=None,
     tol: float = DOMINATION_TOL,
-) -> Verdict:
+) -> dict:
     """Pointwise check |e^{-tA}u|(x) <= (e^{-tB}|u|)(x) over grids and samples."""
     return _pointwise_verdict(
         A, B, "t", t_list, samples, rng, tol, FormOperator._semigroup_multiplier,
@@ -291,7 +283,7 @@ def check_resolvent_domination(
     samples=100,
     rng=None,
     tol: float = DOMINATION_TOL,
-) -> Verdict:
+) -> dict:
     """Pointwise check |(A+a)^-1 u|(x) <= ((B+a)^-1 |u|)(x) over grids and samples."""
     return _pointwise_verdict(
         A, B, "alpha", alpha_list, samples, rng, tol,
@@ -307,7 +299,7 @@ def check_form_domination(
     samples=100,
     rng=None,
     tol: float = DOMINATION_TOL,
-) -> Verdict:
+) -> dict:
     """Form-level check Re Q_A(f1, f2) >= Q_B(|f1|, |f2|) on phase-aligned pairs.
 
     The slack is one minimum over three sets of pairs: each sample u with
@@ -333,61 +325,17 @@ def check_form_domination(
     j = int(np.argmin(slacks))
     slack = float(slacks[j])
     if slack >= -tol:
-        return Verdict(True, slack, tol)
+        return _verdict(True, slack, tol)
     if j < k:
-        return Verdict(False, slack, tol, sections[j])
+        return _verdict(False, slack, tol, sections[j].copy())
     j -= k
     if j < len(edges):
         x, y = edges[j].tolist()
-        return Verdict(False, slack, tol, _vertex_section(n, d, x, edge_fibers[j]),
-                       None, y)
+        return _verdict(False, slack, tol, _vertex_section(n, d, x, edge_fibers[j]),
+                        None, y)
     j -= len(edges)
-    return Verdict(False, slack, tol, _vertex_section(n, d, j, vertex_fibers[j]),
-                   None, j)
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """Joint outcome of the hypothesis check and the three-level verifier."""
-
-    hypothesis_ok: bool
-    hypothesis_margins: np.ndarray  # min eig of W(x) - c(x) I per vertex
-    form: Verdict
-    resolvent: Verdict
-    semigroup: Verdict
-    metadata: dict
-
-    @property
-    def verdicts_agree(self) -> bool:
-        outcomes = {self.form.passed, self.resolvent.passed, self.semigroup.passed}
-        return len(outcomes) == 1
-
-    @property
-    def consistent(self) -> bool:
-        """The form verdict equals the hypothesis verdict, and a passing
-        hypothesis comes with passing grid verdicts.
-
-        A failing hypothesis forbids domination at some t or alpha, not at
-        every one, so a grid verdict may still pass next to it.
-        """
-        hyp = self.hypothesis_ok
-        grid = self.resolvent.passed and self.semigroup.passed
-        return self.form.passed == hyp and (grid or not hyp)
-
-    def to_report(self) -> dict:
-        return {
-            "hypothesis": {
-                "passed": self.hypothesis_ok,
-                "margins": self.hypothesis_margins,
-                "min_margin": float(self.hypothesis_margins.min()),
-            },
-            "form": self.form.to_report(),
-            "resolvent": self.resolvent.to_report(),
-            "semigroup": self.semigroup.to_report(),
-            "consistent": self.consistent,
-            "verdicts_agree": self.verdicts_agree,
-            "metadata": self.metadata,
-        }
+    return _verdict(False, slack, tol, _vertex_section(n, d, j, vertex_fibers[j]),
+                    None, j)
 
 
 def hypothesis_margins(G: WeightedGraph, bundle: HermitianBundle) -> np.ndarray:
@@ -404,15 +352,20 @@ def diamagnetic_report(
     samples: int = 100,
     seed: int = 42,
     tol: float = DOMINATION_TOL,
-) -> DominationReport:
-    """Run the hypothesis check and all three domination checks.
+) -> dict:
+    """Run the hypothesis check and all three domination checks: the
+    `dominate` report.
 
     On a finite graph the hypothesis <W(x)v, v> >= c(x)|v|^2 per vertex is
     necessary and sufficient for the bundle form to be dominated by the
-    scalar form, so a form verdict that differs from the hypothesis, or a
-    failing grid verdict next to a passing hypothesis, marks the report
-    inconsistent. The margins are judged with the verdicts' `tol`;
-    they equal the form level's vertex probe slacks.
+    scalar form. So the report is `consistent` when the form verdict equals
+    the hypothesis verdict and a passing hypothesis comes with passing grid
+    verdicts. A failing hypothesis forbids domination at some t or alpha,
+    not at every one, so a grid verdict may still pass next to it.
+    `verdicts_agree` tells whether the three verdicts are the same. The
+    margins, the per-vertex min eigenvalues of W(x) - c(x) I, are judged
+    with the verdicts' `tol`; they equal the form level's vertex probe
+    slacks.
     """
     margins = hypothesis_margins(G, bundle)
     hyp_ok = bool((margins >= -tol).all())
@@ -423,12 +376,20 @@ def diamagnetic_report(
     sem = check_semigroup_domination(A, B, t_list, samples, rng, tol)
     res = check_resolvent_domination(A, B, alpha_list, samples, rng, tol)
     frm = check_form_domination(A, B, bundle, samples, rng, tol)
-
-    metadata = {
-        "seed": seed,
-        "t_grid": list(t_list),
-        "alpha_grid": list(alpha_list),
-        "samples": samples,
-        "tolerance": tol,
+    grid = res["passed"] and sem["passed"]
+    return {
+        "hypothesis": {"passed": hyp_ok, "margins": margins,
+                       "min_margin": float(margins.min())},
+        "form": frm,
+        "resolvent": res,
+        "semigroup": sem,
+        "consistent": frm["passed"] == hyp_ok and (grid or not hyp_ok),
+        "verdicts_agree": len({frm["passed"], res["passed"], sem["passed"]}) == 1,
+        "metadata": {
+            "seed": seed,
+            "t_grid": list(t_list),
+            "alpha_grid": list(alpha_list),
+            "samples": samples,
+            "tolerance": tol,
+        },
     }
-    return DominationReport(hyp_ok, margins, frm, res, sem, metadata)

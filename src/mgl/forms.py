@@ -419,11 +419,11 @@ def _check_bundle(G: WeightedGraph, B: HermitianBundle):
     if B.graph is not G:
         raise DimensionMismatch("bundle is defined over a different graph")
     report = validate_bundle(B)
-    if not report.ok:
-        edge, defect = report.worst_edge()
+    if not report["ok"]:
         raise BundleInvalid(
-            f"bundle failed validation (worst unitarity defect {defect:.3g} at "
-            f"edge {edge}; min endo eigenvalue {report.endo_min_eigs.min():.3g})"
+            f"bundle failed validation (worst unitarity defect "
+            f"{report['worst_unitarity_defect']:.3g} at edge {report['worst_edge']}; "
+            f"min endo eigenvalue {report['endo_min_eigs'].min():.3g})"
         )
 
 

@@ -10,8 +10,6 @@ the IEEE infinity marker rather than a finite sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
@@ -187,26 +185,6 @@ def chain_measure_sum(G: WeightedGraph, vertices) -> float:
     return float(G.measure[chain].sum())
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Gap table of an exhaustion experiment plus the host's degree bound.
-
-    Finite hosts cannot falsify the uniqueness transfer, so the table is
-    labeled illustrative. `diagnostics` names the factor route and, per
-    prefix and form, the block dimension N, the boundary columns |b| and
-    the entries SuperLU stores for L and U (all 0 but N where nothing
-    leaves the prefix).
-    """
-
-    gaps: list          # dicts {"k", "scalar", "magnetic"}
-    criteria: dict
-    diagnostics: dict
-
-    def to_report(self) -> dict:
-        return {"gaps": self.gaps, "criteria": self.criteria,
-                "diagnostics": self.diagnostics, "illustrative": True}
-
-
 def _factor(A, alpha, where):
     """The SuperLU factor of the CSC block A, which is Hermitian positive
     definite in exact arithmetic, in symmetric mode: a fill-reducing
@@ -238,24 +216,31 @@ def exhaustion_uniqueness_experiment(
     bundle: HermitianBundle,
     subsets,
     alpha: float = 1.0,
-) -> UniquenessReport:
-    """Tabulate Dirichlet/Neumann resolvent gaps along a nested exhaustion.
+) -> dict:
+    """Tabulate Dirichlet/Neumann resolvent gaps along a nested exhaustion:
+    the `uniqueness` report {gaps, criteria, diagnostics, illustrative}.
 
     For each subset the boundary-folding and edge-dropping restrictions of
     the scalar form and of the bundle form are compared through the
     m-weighted operator-norm gap of their resolvents at `alpha`,
     zero-extended to the host. Where no edge leaves a subset (the full
     vertex set, a union of components) both restrictions coincide and the
-    gaps are exactly 0. `criteria` holds the largest weighted degree on the
-    component of vertex 0. Raises AlphaInSpectrum when an edge-dropping
-    block plus `alpha` may be singular in floating point: where `alpha` is
-    at most eps times the largest diagonal entry of the block (beyond about
-    4.5e15 at alpha = 1), or where the block does not factor. Raises
-    SchemaError, naming the subset, where the N x |b| Woodbury panels would
-    exceed DENSE_DIM_BOUND^2 words or the factor raises MemoryError. The
-    factor's fill is not bounded in advance: under memory overcommit a
-    factor that outgrows the host's memory may get the process killed
-    instead.
+    gaps are exactly 0. `gaps` holds one row {"k", "scalar", "magnetic"}
+    per subset. `criteria` holds the largest weighted degree on the
+    component of vertex 0. `diagnostics` names the factor route and, per
+    prefix and form, the block dimension N, the boundary columns |b| and
+    the entries SuperLU stores for L and U (all 0 but N where nothing
+    leaves the prefix). Finite hosts cannot falsify the uniqueness
+    transfer, so the table is labeled illustrative.
+
+    Raises AlphaInSpectrum when an edge-dropping block plus `alpha` may be
+    singular in floating point: where `alpha` is at most eps times the
+    largest diagonal entry of the block (beyond about 4.5e15 at alpha = 1),
+    or where the block does not factor. Raises SchemaError, naming the
+    subset, where the N x |b| Woodbury panels would exceed
+    DENSE_DIM_BOUND^2 words or the factor raises MemoryError. The factor's
+    fill is not bounded in advance: under memory overcommit a factor that
+    outgrows the host's memory may get the process killed instead.
     """
     _check_bundle(G, bundle)
     if alpha <= 0:
@@ -340,4 +325,6 @@ def exhaustion_uniqueness_experiment(
     )
     component = labels == labels[0]
     criteria = {"degree_bounded": float(G.weighted_degrees()[component].max())}
-    return UniquenessReport(gaps, criteria, {"route": "splu", "prefixes": prefixes})
+    return {"gaps": gaps, "criteria": criteria,
+            "diagnostics": {"route": "splu", "prefixes": prefixes},
+            "illustrative": True}

@@ -120,14 +120,14 @@ def test_criterion_2_projection_vs_oracle():
 
 def test_criterion_3_diamagnetic_domination(diamagnetic_family):
     worst = min(
-        min(r.semigroup.slack, r.resolvent.slack, r.form.slack)
+        min(r["semigroup"]["slack"], r["resolvent"]["slack"], r["form"]["slack"])
         for r in diamagnetic_family
     )
     ok = all(
-        r.hypothesis_ok
-        and r.semigroup.passed
-        and r.resolvent.passed
-        and r.form.passed
+        r["hypothesis"]["passed"]
+        and r["semigroup"]["passed"]
+        and r["resolvent"]["passed"]
+        and r["form"]["passed"]
         for r in diamagnetic_family
     )
     ok &= worst >= -1e-9
@@ -140,7 +140,8 @@ def test_criterion_3_diamagnetic_domination(diamagnetic_family):
 
 
 def test_criterion_4_three_way_consistency(diamagnetic_family):
-    agree_pass = all(r.verdicts_agree and r.consistent for r in diamagnetic_family)
+    agree_pass = all(r["verdicts_agree"] and r["consistent"]
+                     for r in diamagnetic_family)
 
     counter_ok = True
     worst_violation = 0.0
@@ -152,9 +153,9 @@ def test_criterion_4_three_way_consistency(diamagnetic_family):
         sem = check_semigroup_domination(A, B, rng=rng)
         res = check_resolvent_domination(A, B, rng=rng)
         frm = check_form_domination(A, B, bundle2, rng=rng)
-        counter_ok &= not sem.passed and not res.passed and not frm.passed
-        counter_ok &= frm.slack <= -1e-2
-        worst_violation = max(worst_violation, -frm.slack)
+        counter_ok &= not sem["passed"] and not res["passed"] and not frm["passed"]
+        counter_ok &= frm["slack"] <= -1e-2
+        worst_violation = max(worst_violation, -frm["slack"])
 
     # The hand-derived P2 witness: Re a(e0, e1) = -2 < b(e0, e1) = -1.
     g = fixtures.p2()
@@ -288,12 +289,12 @@ def test_criterion_8_exhaustion_regression():
     report1 = exhaustion_uniqueness_experiment(g, bundle, subsets)
     report2 = exhaustion_uniqueness_experiment(g, bundle, subsets)
 
-    scalar = np.array([row["scalar"] for row in report1.gaps])
-    magnetic = np.array([row["magnetic"] for row in report1.gaps])
+    scalar = np.array([row["scalar"] for row in report1["gaps"]])
+    magnetic = np.array([row["magnetic"] for row in report1["gaps"]])
     ok = bool((np.diff(scalar) < 0).all())
     ok &= bool((np.diff(magnetic) < 0).all())
     ok &= scalar[-1] <= 1e-12 and magnetic[-1] <= 1e-12
-    ok &= dump_report(report1.to_report()) == dump_report(report2.to_report())
+    ok &= dump_report(report1) == dump_report(report2)
     _criterion(
         8,
         "exhaustion gap table (strict decrease, zero tail, byte-stable)",

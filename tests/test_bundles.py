@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -27,18 +28,19 @@ def test_validate_unit_phase_rank1():
     g = fixtures.p2()
     b = HermitianBundle(g, 1, {(0, 1): [[np.exp(1j * np.pi / 3)]]})
     report = validate_bundle(b)
-    assert report.ok
-    assert report.edges.tolist() == [[0, 1]]
-    assert report.edge_defects[0] <= 1e-15
+    assert report["ok"]
+    assert report["edges"].tolist() == [[0, 1]]
+    assert report["edge_defects"][0] <= 1e-15
 
 
 def test_validate_nonunitary_defect_three():
     g = fixtures.p2()
     b = HermitianBundle(g, 2, {(0, 1): np.diag([1.0, 2.0])})
     report = validate_bundle(b)
-    assert not report.ok
-    assert report.edge_defects[0] == pytest.approx(3.0)
-    assert report.worst_edge() == ((0, 1), pytest.approx(3.0))
+    assert not report["ok"]
+    assert report["edge_defects"][0] == pytest.approx(3.0)
+    worst = (report["worst_edge"], report["worst_unitarity_defect"])
+    assert worst == ((0, 1), pytest.approx(3.0))
 
 
 def test_validate_indefinite_endo():
@@ -47,8 +49,8 @@ def test_validate_indefinite_endo():
     endo[0] = np.diag([1.0, -0.5])
     b = HermitianBundle(g, 2, {}, endo)
     report = validate_bundle(b)
-    assert not report.ok
-    assert report.endo_min_eigs[0] == pytest.approx(-0.5)
+    assert not report["ok"]
+    assert report["endo_min_eigs"][0] == pytest.approx(-0.5)
 
 
 def test_reverse_connection_is_adjoint():
@@ -410,3 +412,24 @@ def test_section_shape_checks():
     b = HermitianBundle(g, 2)
     with pytest.raises(DimensionMismatch):
         symmetrize(np.ones((2, 3)), b)
+
+
+@pytest.mark.parametrize("make, error, fragment", [
+    (lambda g: HermitianBundle(g, 2, np.zeros((1, 1, 1))),
+     DimensionMismatch, "connection array has shape (1, 1, 1)"),
+    (lambda g: HermitianBundle(g, 2, {(0, 1): np.eye(3)}),
+     DimensionMismatch, "connection matrices have shapes [(3, 3)]"),
+    (lambda g: HermitianBundle(g, 1, endo=np.zeros((3, 1, 1))),
+     DimensionMismatch, "endo field has shape (3, 1, 1)"),
+    (lambda g: pair(np.ones((2, 1)), np.ones(3), HermitianBundle(g, 1)),
+     DimensionMismatch, "g has shape (3,)"),
+    (lambda g: load_bundle(g, {"rank": 2, "connection": [
+        {"u": 0, "v": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]]]}]}),
+     SchemaError, "connection #0: matrix must be 2x2"),
+    (lambda g: load_bundle(g, {"rank": 1, "connection": {}}),
+     SchemaError, "'connection' must be a list"),
+], ids=["connection-array", "connection-matrix", "endo", "pair-g", "spec-matrix",
+        "spec-connection"])
+def test_malformed_bundle_inputs_are_refused(make, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        make(fixtures.p2())

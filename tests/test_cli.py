@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import subprocess
@@ -346,7 +345,7 @@ def test_commands_fit_their_memory_budgets(tmp_path):
 
 
 def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatch):
-    import mgl.cli
+    import mgl.domination
     from mgl.cli import cmd_dominate
 
     graph_spec, bundle_spec = diamagnetic_specs
@@ -355,14 +354,12 @@ def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatc
         ["dominate", "--graph", graph_spec, "--bundle", bundle_spec,
          "--samples", "30", "--out", str(tmp_path / "r.json")]
     )
-    honest = mgl.cli.diamagnetic_report
+    honest = mgl.domination.check_semigroup_domination
 
     def flip_semigroup(*args, **kwargs):
-        result = honest(*args, **kwargs)
-        failed = dataclasses.replace(result.semigroup, passed=False)
-        return dataclasses.replace(result, semigroup=failed)
+        return {**honest(*args, **kwargs), "passed": False}
 
-    monkeypatch.setattr(mgl.cli, "diamagnetic_report", flip_semigroup)
+    monkeypatch.setattr(mgl.domination, "check_semigroup_domination", flip_semigroup)
     assert cmd_dominate(args) == 1
 
 
@@ -429,6 +426,21 @@ def test_uniqueness_single_full_step(p2_spec, tmp_path):
     report = json.loads(out.read_text())
     assert report["gaps"][0]["scalar"] <= 1e-12
     assert report["gaps"][0]["magnetic"] <= 1e-12
+
+
+def test_uniqueness_without_bundle_compares_the_scalar_form(diamagnetic_specs,
+                                                            tmp_path):
+    # Without --bundle the magnetic column is the trivial line bundle with
+    # W = c, whose form is the scalar one. A W = 0 stand-in would be a
+    # different, undominated form on this graph, which has killing.
+    graph_spec, _ = diamagnetic_specs
+    out = tmp_path / "u.json"
+    assert run(["uniqueness", "--graph", graph_spec, "--omega", "3,7,11",
+                "--out", str(out)]) == 0
+    gaps = json.loads(out.read_text())["gaps"]
+    assert all(row["scalar"] > 0 for row in gaps)
+    for row in gaps:
+        assert abs(row["magnetic"] - row["scalar"]) <= 1e-12 * row["scalar"], row
 
 
 def test_uniqueness_non_increasing_omega_exit_2(tmp_path, capsys):

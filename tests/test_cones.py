@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from mgl import (
     project_domination_set,
     symmetrize,
 )
-from mgl.errors import ComplexInput
+from mgl.errors import ComplexInput, DimensionMismatch
 
 
 def _context(n, rng=None):
@@ -237,3 +239,10 @@ def test_halfsum_preconditions():
     f1 = np.array([[1.0 + 0j]])
     with pytest.raises(ComplexInput):
         project_domination_set(f1, np.array([1j]), bundle)
+
+
+@pytest.mark.parametrize("op", [lattice_sup, lattice_inf])
+def test_lattice_operands_of_different_shapes_are_refused(op):
+    message = re.escape("shapes differ: (2,) vs (3,)")
+    with pytest.raises(DimensionMismatch, match=message):
+        op([1.0, 2.0], [1.0, 2.0, 3.0])

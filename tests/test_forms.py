@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -633,3 +634,14 @@ def test_csr_route_matches_the_dense_route(monkeypatch):
                 unmqr = forms.lapack.zunmqr if d else forms.lapack.dormqr
                 U[1:] = unmqr("L", "N", c[1:, :-1], tau, U[1:], lwork)[0]
             assert np.abs(F.eigenvectors - U).max() <= 1e-14
+
+
+@pytest.mark.parametrize("L, measure, d, fragment", [
+    (np.zeros((2, 3)), [1.0, 1.0], 1, "form matrix must be square, got (2, 3)"),
+    (np.eye(2), [1.0, 0.0], 1, "measure must be a strictly positive vector"),
+    (np.eye(3), [1.0, 1.0], 1, "matrix size 3 != n*d = 2"),
+    (np.eye(2), [1.0, 1.0], 2, "matrix size 2 != n*d = 4"),
+], ids=["non-square", "zero-measure", "size", "size-rank-2"])
+def test_form_operator_refuses_inconsistent_shapes(L, measure, d, fragment):
+    with pytest.raises(DimensionMismatch, match=re.escape(fragment)):
+        FormOperator(L, measure, d=d)

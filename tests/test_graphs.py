@@ -242,3 +242,10 @@ def test_vertex_subset_validation():
     sub = restrict_dirichlet(g, [2, 0])
     np.testing.assert_array_equal(sub.measure, [1.0, 4.0])
     np.testing.assert_array_equal(sub.killing, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("field", ["killing", "measure"])
+def test_vertex_arrays_of_the_wrong_length_are_refused(field):
+    message = rf"{field} must have length n=2, got shape \(3,\)"
+    with pytest.raises(InvariantError, match=message):
+        WeightedGraph(2, {(0, 1): 1.0}, **{field: [1.0, 1.0, 1.0]})

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from mgl import (
 )
 from mgl.errors import (
     AlphaInSpectrum,
+    DimensionMismatch,
     InfiniteEdgeDistance,
     InvariantError,
     NotNested,
@@ -151,8 +154,8 @@ def test_exhaustion_full_subset_zero_gaps():
     g = fixtures.random_graph(n=10)
     bundle = fixtures.random_bundle(g, 2, np.random.default_rng(5))
     report = exhaustion_uniqueness_experiment(g, bundle, [list(range(10))])
-    assert report.gaps[-1]["scalar"] == 0.0
-    assert report.gaps[-1]["magnetic"] == 0.0
+    assert report["gaps"][-1]["scalar"] == 0.0
+    assert report["gaps"][-1]["magnetic"] == 0.0
 
 
 def test_exhaustion_boundaryless_prefixes_are_exact_and_free(monkeypatch):
@@ -168,7 +171,7 @@ def test_exhaustion_boundaryless_prefixes_are_exact_and_free(monkeypatch):
     )
     bundle = fixtures.random_bundle(g, 2, np.random.default_rng(7))
     report = exhaustion_uniqueness_experiment(g, bundle, [[0, 1, 2], list(range(6))])
-    assert report.gaps == [{"k": 1, "scalar": 0.0, "magnetic": 0.0},
+    assert report["gaps"] == [{"k": 1, "scalar": 0.0, "magnetic": 0.0},
                            {"k": 2, "scalar": 0.0, "magnetic": 0.0}]
 
 
@@ -177,13 +180,13 @@ def test_exhaustion_path50_regression():
     bundle = fixtures.path50_bundle(g)
     subsets = [list(range(10 * k)) for k in range(1, 6)]
     report = exhaustion_uniqueness_experiment(g, bundle, subsets)
-    scalar = np.array([row["scalar"] for row in report.gaps])
-    magnetic = np.array([row["magnetic"] for row in report.gaps])
+    scalar = np.array([row["scalar"] for row in report["gaps"]])
+    magnetic = np.array([row["magnetic"] for row in report["gaps"]])
     assert (np.diff(scalar) < 0).all()
     assert (np.diff(magnetic) < 0).all()
     assert scalar[-1] == 0.0 and magnetic[-1] == 0.0
     # Deg(1) = b(0,1) + b(1,2) = 1 + 0.8 is the largest weighted degree.
-    assert report.criteria == {"degree_bounded": pytest.approx(1.8, rel=1e-15)}
+    assert report["criteria"] == {"degree_bounded": pytest.approx(1.8, rel=1e-15)}
 
 
 def test_chain_measure_sum():
@@ -237,7 +240,7 @@ def test_exhaustion_gap_matches_dense_resolvents():
         resolvents.append(root[:, None] * R / root[None, :])
     expected = np.linalg.norm(resolvents[0] - resolvents[1], 2)
     assert expected > 1e-3
-    assert report.gaps[0]["scalar"] == pytest.approx(expected, rel=1e-10)
+    assert report["gaps"][0]["scalar"] == pytest.approx(expected, rel=1e-10)
 
 
 def _dense_magnetic_gap(g, bundle, k, alpha=1.0):
@@ -296,7 +299,7 @@ def test_exhaustion_gaps_match_40_digit_oracle(host, make_bundle, members):
     # weight loses about 10 digits in double precision; the gap must not.
     g = host()
     bundle = make_bundle(g)
-    row = exhaustion_uniqueness_experiment(g, bundle, [list(members)]).gaps[0]
+    row = exhaustion_uniqueness_experiment(g, bundle, [list(members)])["gaps"][0]
     scalar = oracles.exhaustion_gap(g, members)
     magnetic = oracles.exhaustion_gap(g, members, bundle)
     assert min(scalar, magnetic) > 1e-2
@@ -312,14 +315,14 @@ def test_exhaustion_magnetic_gap_matches_dense_resolvents():
     report = exhaustion_uniqueness_experiment(g, bundle, [list(range(10))])
     expected = _dense_magnetic_gap(g, bundle, 10)
     assert expected > 1e-3
-    assert report.gaps[0]["magnetic"] == pytest.approx(expected, rel=1e-10)
+    assert report["gaps"][0]["magnetic"] == pytest.approx(expected, rel=1e-10)
 
     g = fixtures.random_graph(n=12)
     bundle = fixtures.random_bundle(g, 2, np.random.default_rng(21))
     report = exhaustion_uniqueness_experiment(g, bundle, [list(range(6))])
     expected = _dense_magnetic_gap(g, bundle, 6)
     assert expected > 1e-3
-    assert report.gaps[0]["magnetic"] == pytest.approx(expected, rel=1e-10)
+    assert report["gaps"][0]["magnetic"] == pytest.approx(expected, rel=1e-10)
 
 
 def test_exhaustion_gaps_match_dense_resolvents_on_every_prefix():
@@ -331,7 +334,7 @@ def test_exhaustion_gaps_match_dense_resolvents_on_every_prefix():
     scalar = HermitianBundle(g, 1, endo=g.killing[:, None, None])
     sizes = (24, 48, 72, 96, 119)
     report = exhaustion_uniqueness_experiment(g, bundle, [range(k) for k in sizes])
-    for row, k in zip(report.gaps, sizes):
+    for row, k in zip(report["gaps"], sizes):
         for key, B in (("scalar", scalar), ("magnetic", bundle)):
             expected = _dense_magnetic_gap(g, B, k)
             assert expected > 1e-3
@@ -378,8 +381,8 @@ def test_exhaustion_runs_no_eigendecomposition(monkeypatch):
     report = exhaustion_uniqueness_experiment(
         g, bundle, [list(range(4)), list(range(8)), list(range(12))]
     )
-    assert report.gaps[0]["scalar"] > 0 and report.gaps[0]["magnetic"] > 0
-    assert report.gaps[-1]["scalar"] == 0.0 and report.gaps[-1]["magnetic"] == 0.0
+    assert report["gaps"][0]["scalar"] > 0 and report["gaps"][0]["magnetic"] > 0
+    assert report["gaps"][-1]["scalar"] == 0.0 and report["gaps"][-1]["magnetic"] == 0.0
 
 
 def test_exhaustion_builds_no_form_operator(monkeypatch):
@@ -394,7 +397,7 @@ def test_exhaustion_builds_no_form_operator(monkeypatch):
     report = exhaustion_uniqueness_experiment(
         g, bundle, [list(range(4)), list(range(8)), list(range(12))]
     )
-    assert report.gaps[0]["scalar"] > 0 and report.gaps[0]["magnetic"] > 0
+    assert report["gaps"][0]["scalar"] > 0 and report["gaps"][0]["magnetic"] > 0
 
 
 def test_exhaustion_rejects_nonpositive_alpha():
@@ -404,3 +407,26 @@ def test_exhaustion_rejects_nonpositive_alpha():
     for alpha in (0.0, -0.5):
         with pytest.raises(AlphaInSpectrum):
             exhaustion_uniqueness_experiment(g, HermitianBundle(g, 1), [[0, 1]], alpha)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda g: PseudoMetric(np.zeros((2, 3))),
+     DimensionMismatch, "distance matrix must be square, got (2, 3)"),
+    (lambda g: PseudoMetric([[0.0, -1.0], [-1.0, 0.0]]),
+     InvariantError, "pseudo-metric entries must be nonnegative"),
+    (lambda g: PseudoMetric([[0.0, np.nan], [np.nan, 0.0]]),
+     InvariantError, "pseudo-metric entries must be nonnegative"),
+    (lambda g: EdgeLengths(g, np.ones(3)),
+     InvariantError, "edge lengths do not match the graph's edge set"),
+    (lambda g: EdgeLengths(g, {(0, 1): 1.0, (1, 0): 2.0, (1, 2): 1.0}),
+     InvariantError, "conflicting lengths for edge (0, 1)"),
+    (lambda g: EdgeLengths.constant(g)[(0, 2)], KeyError, "(0, 2)"),
+    (lambda g: check_intrinsic(g, PseudoMetric(np.zeros((2, 2)))),
+     DimensionMismatch, "metric size does not match the graph"),
+    (lambda g: path_metric(g, EdgeLengths.constant(fixtures.triangle())),
+     InvariantError, "edge lengths do not match the graph's edge set"),
+], ids=["metric-shape", "metric-negative", "metric-nan", "lengths-shape",
+        "lengths-conflict", "lengths-lookup", "intrinsic-size", "path-metric-edges"])
+def test_metric_inputs_are_refused(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(fixtures.p3())

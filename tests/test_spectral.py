@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import fixtures
 import oracles
 from mgl import (
+    HermitianBundle,
     WeightedGraph,
     assemble_magnetic_form,
     assemble_scalar_form,
@@ -23,6 +25,7 @@ from mgl import (
 from mgl.errors import (
     AlphaInSpectrum,
     AlphaTooSmall,
+    DimensionMismatch,
     EigSolverFailure,
     NegativeTime,
     SchemaError,
@@ -737,3 +740,35 @@ def test_beurling_deny_sides_agree(F):
     x, y = np.unravel_index(np.argmax(dense), dense.shape)
     assert criteria["positivity"]["max_off_diagonal"] == dense[x, y]
     assert criteria["positivity"]["form_witness"] == [x, y]
+
+
+def _phase_form():
+    g = fixtures.p2()
+    return assemble_magnetic_form(g, HermitianBundle(g, 1, {(0, 1): [[1j]]}))
+
+
+def _rank2_form():
+    g = fixtures.p2()
+    return assemble_magnetic_form(g, HermitianBundle(g, 2))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda F: euler_limit_check(F, 1.0, np.ones(2), 0),
+     DimensionMismatch, "power n must be >= 1, got 0"),
+    (lambda F: form_limit_check(F, np.ones(2), np.ones(2), [1e-3, 0.0]),
+     NegativeTime, "form-limit times must be > 0, got 0.0"),
+    (lambda F: form_limit_check(F, np.ones(2), np.ones(2), [-1.0]),
+     NegativeTime, "form-limit times must be > 0, got -1.0"),
+    (lambda F: beurling_deny_check(_phase_form()),
+     DimensionMismatch, "the Beurling-Deny check requires a real scalar form"),
+    (lambda F: beurling_deny_check(_rank2_form()),
+     DimensionMismatch, "the Beurling-Deny check requires a real scalar form"),
+    (lambda F: beurling_deny_check(F, t_list=()),
+     NegativeTime, "Beurling-Deny times must be >= 0, at least one: ()"),
+    (lambda F: beurling_deny_check(F, t_list=(1.0, -0.5)),
+     NegativeTime, "Beurling-Deny times must be >= 0, at least one: (1.0, -0.5)"),
+], ids=["euler-n", "form-limit-zero", "form-limit-negative", "bd-complex", "bd-rank-2",
+        "bd-no-times", "bd-negative-time"])
+def test_identity_checks_refuse_their_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(assemble_scalar_form(fixtures.p2()))
