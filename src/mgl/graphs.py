@@ -34,8 +34,10 @@ MAGNITUDE_BOUND = 1e150
 # and DENSE_DIM_BOUND^2 words also bound each array any command builds from
 # the specs: the vertex arrays, the bundle's (n + 2E) d^2 form-matrix
 # entries (which bound its endomorphism and connection blocks), and the
-# N x |b| panels of each prefix in uniqueness, whose blocks are factored
-# sparse. The fill of those sparse factors is not bounded in advance.
+# one N x |b| panel of each prefix in uniqueness, whose blocks are factored
+# sparse and solved for blocks of unit columns, so that SuperLU's own
+# work array holds N x metrics.SOLVE_BLOCK words. The fill of those sparse
+# factors is not bounded in advance.
 DENSE_DIM_BOUND = 16384
 
 

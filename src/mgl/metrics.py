@@ -11,7 +11,7 @@ the IEEE infinity marker rather than a finite sentinel.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import blas, eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, csgraph_from_dense, shortest_path
 from scipy.sparse.linalg import splu
@@ -25,10 +25,17 @@ from .errors import (
     NotNested,
     SchemaError,
 )
-from .forms import _check_bundle, _form_matrix, _gemm
+from .forms import _check_bundle, _form_matrix
 from .graphs import WeightedGraph, _align_pairs, _check_words, _restriction, _vertices
 
 METRIC_TOL = 1e-12
+
+# Unit columns per SuperLU solve in the exhaustion experiment. SuperLU
+# copies the right-hand side and works on an N x nrhs array of its own, so
+# the block bounds those. On a 2-core Xeon with 2 BLAS threads, the 370
+# boundary columns of an N = 640 complex block took 15 ms in blocks of 32
+# or 64, 16-19 ms in blocks of 16 or 128 and 25-28 ms in one solve.
+SOLVE_BLOCK = 32
 
 
 class PseudoMetric:
@@ -211,6 +218,26 @@ def _factor(A, alpha, where):
     )
 
 
+def _solve_units(factor, b, dtype):
+    """The Fortran-ordered N x |b| solution X = A^-1 E_b of the factored A
+    for the unit columns E_b on the rows b, solved SOLVE_BLOCK columns at a
+    time. The unit block is built in the factor's type and Fortran order,
+    so that the solve casts nothing, and SuperLU's own copy of the
+    right-hand side and its work array hold N x SOLVE_BLOCK words each,
+    not N x |b|."""
+    n = factor.shape[0]
+    X = np.empty((n, b.size), dtype, order="F")
+    unit = np.zeros((n, min(SOLVE_BLOCK, b.size)), dtype, order="F")
+    for start in range(0, b.size, SOLVE_BLOCK):
+        rows = b[start:start + SOLVE_BLOCK]
+        block = unit[:, :rows.size]
+        cells = rows, np.arange(rows.size)
+        block[cells] = 1.0
+        X[:, start:start + rows.size] = factor.solve(block)
+        block[cells] = 0.0
+    return X
+
+
 def exhaustion_uniqueness_experiment(
     G: WeightedGraph,
     bundle: HermitianBundle,
@@ -233,14 +260,22 @@ def exhaustion_uniqueness_experiment(
     leaves the prefix). Finite hosts cannot falsify the uniqueness
     transfer, so the table is labeled illustrative.
 
+    Per prefix and form the dense side holds one N x |b| panel, the
+    solution of the sparse block for the unit columns on the boundary rows.
+    It is solved SOLVE_BLOCK unit columns at a time, so that the unit block,
+    SuperLU's copy of it and SuperLU's N x SOLVE_BLOCK work array stay
+    small, and is then scaled in place; the |b| x |b| pencil and Gram
+    matrix are the only other dense arrays.
+
     Raises AlphaInSpectrum when an edge-dropping block plus `alpha` may be
     singular in floating point: where `alpha` is at most eps times the
     largest diagonal entry of the block (beyond about 4.5e15 at alpha = 1),
     or where the block does not factor. Raises SchemaError, naming the
-    subset, where the N x |b| Woodbury panels would exceed
-    DENSE_DIM_BOUND^2 words or the factor raises MemoryError. The factor's
-    fill is not bounded in advance: under memory overcommit a factor that
-    outgrows the host's memory may get the process killed instead.
+    subset, where the N x |b| panel would exceed DENSE_DIM_BOUND^2 words,
+    or where the factor, the panel, the pencil, the Gram matrix or its
+    eigensolver raises MemoryError. The factor's fill is not bounded in
+    advance: under memory overcommit a factor that outgrows the host's
+    memory may get the process killed instead.
     """
     _check_bundle(G, bundle)
     if alpha <= 0:
@@ -298,26 +333,28 @@ def exhaustion_uniqueness_experiment(
             # Z = X T, the Woodbury identity gives
             # R_N - R_D = Z (I + T X[b] T)^-1 Z*, where nothing cancels, so
             # its norm is the top eigenvalue of the |b| x |b| pencil
-            # (Z* Z, I + T X[b] T). The unit columns E_b are built in the
-            # factor's type and order, so that the solve casts nothing.
+            # (Z* Z, I + T X[b] T). X is scaled into Z in place.
             A = A.tocsc()
             try:
                 factor = _factor(A, alpha, where)
-                unit = np.zeros((cut.size, b.size), A.dtype, order="F")
-                unit[b, np.arange(b.size)] = 1.0
-                X = factor.solve(unit)
+                prefix[key]["nnz_lu"] = factor.nnz
+                X = _solve_units(factor, b, A.dtype)
+                del A, factor
+                t = np.sqrt(cut[b]) * scale[b]
+                pencil = X[b]
+                pencil *= t[:, None]
+                pencil *= t
+                pencil[np.diag_indices(b.size)] += 1.0
+                X *= t  # Z, in place
+                # Z* Z in its lower triangle, which is all that eigh reads.
+                herk = blas.zherk if np.iscomplexobj(X) else blas.dsyrk
+                gram = herk(1.0, X, trans=2, lower=1)
+                del X
+                top = eigh(gram, pencil, eigvals_only=True, overwrite_a=True,
+                           overwrite_b=True, subset_by_index=[b.size - 1] * 2)
             except MemoryError as exc:
                 raise SchemaError(f"{where}: the sparse factor and its "
                                   "panels do not fit in memory") from exc
-            prefix[key]["nnz_lu"] = factor.nnz
-            del A, factor, unit
-            t = np.sqrt(cut[b]) * scale[b]
-            pencil = t[:, None] * X[b] * t + np.eye(b.size)
-            X *= t  # Z, in place
-            gram = _gemm(X, X, trans_a=2)
-            del X
-            top = eigh(gram, pencil, eigvals_only=True, overwrite_a=True,
-                       overwrite_b=True, subset_by_index=[b.size - 1] * 2)
             row[key] = float(top[0])
 
     _, labels = connected_components(

@@ -276,6 +276,30 @@ def path_docs(n, seed=0, d=2):
     return graph_doc, {"rank": d, "connection": connection}
 
 
+def lattice_docs(L, rank, flux=0.1):
+    """Spec documents for the L x L square lattice, vertex (r, c) at
+    r * L + c, with unit weights and measures and no killing or
+    endomorphism (W = c = 0). A horizontal edge in row r carries the
+    Landau-gauge Peierls phase exp(2 pi i flux r) times I, a vertical edge
+    the cyclic shift of the fibre (sigma_x at rank 2, 1 at rank 1), so
+    every plaquette has flux `flux`. The prefix of the first r rows has
+    boundary columns |b| = L * rank.
+    """
+    grid = np.arange(L * L).reshape(L, L)
+    horizontal = np.stack([grid[:, :-1].ravel(), grid[:, 1:].ravel()], axis=1)
+    vertical = np.stack([grid[:-1].ravel(), grid[1:].ravel()], axis=1)
+    phases = np.exp(2j * np.pi * flux * (horizontal[:, 0] // L))
+    shift = np.roll(np.eye(rank), 1, axis=0)
+    matrices = np.concatenate([phases[:, None, None] * np.eye(rank),
+                               np.broadcast_to(shift, (len(vertical), rank, rank))])
+    pairs = np.concatenate([horizontal, vertical]).tolist()
+    cells = np.stack([matrices.real, matrices.imag], axis=-1).tolist()
+    graph_doc = {"n": L * L, "edges": [{"u": x, "v": y, "b": 1.0} for x, y in pairs]}
+    connection = [{"u": x, "v": y, "matrix": matrix}
+                  for (x, y), matrix in zip(pairs, cells)]
+    return graph_doc, {"rank": rank, "connection": connection}
+
+
 def cli_flags():
     """{command: option strings it declares, -h/--help aside}, read from the
     `mgl` parser itself."""

@@ -576,6 +576,24 @@ def test_uniqueness_out_of_memory_names_the_prefix(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "u.json").exists()
 
 
+def test_uniqueness_out_of_memory_in_the_pencil_names_the_prefix(tmp_path, capsys,
+                                                                  monkeypatch):
+    # A MemoryError past the factor, here in the eigensolver of the pencil,
+    # is the same input error as one in the factor.
+    import mgl.metrics
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(mgl.metrics, "eigh", exhausted)
+    assert run(["uniqueness", "--graph", path50_spec(tmp_path), "--omega", "10,20",
+                "--out", str(tmp_path / "u.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: prefix k=1 (10 vertices), scalar form: "
+                          "the sparse factor and its panels do not fit in memory")
+    assert not (tmp_path / "u.json").exists()
+
+
 def _singular(A, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 

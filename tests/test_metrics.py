@@ -1,4 +1,5 @@
 import re
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mgl import (
     restrict_neumann,
     strongly_intrinsic_check,
 )
+from mgl.bundles import load_bundle
 from mgl.errors import (
     AlphaInSpectrum,
     DimensionMismatch,
@@ -29,6 +31,7 @@ from mgl.errors import (
     InvariantError,
     NotNested,
 )
+from mgl.graphs import load_graph
 from mgl.metrics import is_intrinsic, is_strongly_intrinsic
 
 
@@ -259,11 +262,11 @@ def _dense_magnetic_gap(g, bundle, k, alpha=1.0):
         lap = np.zeros((k, d, k, d), dtype=complex)
         for x in range(k):
             lap[x, :, x, :] = bundle.endo[x]
-            for y in range(g.n):
-                b = g.weight(x, y)
-                if b and y < reach:
+        for edge, b in zip(g.edges.tolist(), g.weights):
+            for x, y in (edge, edge[::-1]):
+                if x < k and y < reach:
                     lap[x, :, x, :] += b * np.eye(d)
-                if b and y < k:
+                if x < k and y < k:
                     lap[x, :, y, :] = -b * bundle.phi(x, y)
         laplacians.append(lap.reshape(k * d, k * d))
     m = np.repeat(g.measure[:k], d)
@@ -332,13 +335,65 @@ def test_exhaustion_gaps_match_dense_resolvents_on_every_prefix():
     g = fixtures.random_graph(n=120)
     bundle = fixtures.random_bundle(g, 2, np.random.default_rng(24))
     scalar = HermitianBundle(g, 1, endo=g.killing[:, None, None])
-    sizes = (24, 48, 72, 96, 119)
+    # At k = 108, |b| = 104 and 208 are no multiples of SOLVE_BLOCK = 32 and
+    # span 4 and 7 blocks, and some members are off the boundary.
+    sizes = (24, 48, 72, 96, 108, 119)
     report = exhaustion_uniqueness_experiment(g, bundle, [range(k) for k in sizes])
+    blocked = report["diagnostics"]["prefixes"][4]
+    for key in ("scalar", "magnetic"):
+        columns = blocked[key]["boundary"]
+        assert columns % metrics.SOLVE_BLOCK and columns > 2 * metrics.SOLVE_BLOCK
+        assert columns < blocked[key]["N"]
     for row, k in zip(report["gaps"], sizes):
         for key, B in (("scalar", scalar), ("magnetic", bundle)):
             expected = _dense_magnetic_gap(g, B, k)
             assert expected > 1e-3
             assert row[key] == pytest.approx(expected, rel=1e-12, abs=0), (k, key)
+
+
+def test_lattice_gaps_match_dense_resolvents_on_every_prefix():
+    # A 30 x 30 rank-2 lattice with Peierls phases: the first r rows have
+    # |b| = 60 boundary columns out of N = 60 r, far fewer than N.
+    graph_doc, bundle_doc = fixtures.lattice_docs(30, 2)
+    g = load_graph(graph_doc)
+    bundle = load_bundle(g, bundle_doc)
+    scalar = HermitianBundle(g, 1)
+    sizes = (180, 360, 540, 720)
+    report = exhaustion_uniqueness_experiment(g, bundle, [range(k) for k in sizes])
+    for prefix in report["diagnostics"]["prefixes"]:
+        assert prefix["scalar"]["boundary"] == 30
+        assert prefix["magnetic"]["boundary"] == 60
+    for row, k in zip(report["gaps"], sizes):
+        for key, B in (("scalar", scalar), ("magnetic", bundle)):
+            expected = _dense_magnetic_gap(g, B, k)
+            assert expected > 1e-3
+            assert row[key] == pytest.approx(expected, rel=1e-12, abs=0), (k, key)
+
+
+def test_exhaustion_solves_at_most_a_block_of_columns(monkeypatch):
+    # The N x |b| solution is filled SOLVE_BLOCK unit columns at a time, so
+    # SuperLU's copy of the right-hand side and its work array stay small.
+    widths = []
+    factor = metrics._factor
+
+    def recording(*args):
+        lu = factor(*args)
+
+        def solve(rhs):
+            widths.append(rhs.shape[1])
+            return lu.solve(rhs)
+
+        return types.SimpleNamespace(solve=solve, shape=lu.shape, nnz=lu.nnz)
+
+    monkeypatch.setattr(metrics, "_factor", recording)
+    g = fixtures.random_graph(n=120)
+    bundle = fixtures.random_bundle(g, 2, np.random.default_rng(24))
+    report = exhaustion_uniqueness_experiment(g, bundle, [range(108)])
+    assert [report["diagnostics"]["prefixes"][0][key]["boundary"]
+            for key in ("scalar", "magnetic")] == [104, 208]
+    block = metrics.SOLVE_BLOCK
+    assert max(widths) <= block
+    assert sum(widths) == 104 + 208 and len(widths) == -(-104 // block) - (-208 // block)
 
 
 def test_host_block_is_the_restricted_form():
