@@ -24,6 +24,7 @@ from .graphs import (
     _check_words,
     _integers,
     _numbers,
+    _pair_entries,
     _read_spec,
     _restriction,
     restrict_neumann,
@@ -122,34 +123,29 @@ def _adjoint(batch):
 def validate_bundle(B: HermitianBundle) -> dict:
     """Diagnose unitarity of the connection and positivity of the endomorphism.
 
-    Returns a failing report rather than raising, so callers can print the
-    per-edge and per-vertex defects: `ok`; the (E, 2) `edges` of the graph
-    with the (E,) `edge_defects` ||Phi* Phi - I||_max on them; per vertex,
-    `endo_min_eigs`, the min eigenvalue of the Hermitian part of W(x), and
-    `endo_herm_defects`, ||W(x) - W(x)*||_max; and the edge (x, y) with the
-    largest defect as `worst_edge`, with that defect as
-    `worst_unitarity_defect` (None and 0.0 on a graph without edges).
+    Returns the `bundle` section of the `validate` report, failing rather
+    than raising: `ok`; the `rank`; the edge (x, y) whose defect
+    ||Phi* Phi - I||_max is largest as `worst_edge`, with that defect as
+    `worst_unitarity_defect` (None and 0.0 on a graph without edges); the
+    least eigenvalue of the Hermitian parts of the W(x) as
+    `min_endo_eigenvalue`; and the largest ||W(x) - W(x)*||_max as
+    `max_endo_hermiticity_defect`.
     """
     phi = B.connection
     gram = np.einsum("eji,ejk->eik", phi.conj(), phi)
     edge_defects = _max_entry(gram - np.eye(B.rank))
     w = B.endo
-    herm_defects = _max_entry(w - _adjoint(w))
-    min_eigs = np.linalg.eigvalsh((w + _adjoint(w)) / 2)[:, 0]
-    ok = (
-        (edge_defects <= UNITARY_TOL).all()
-        and (min_eigs >= -ENDO_TOL).all()
-        and (herm_defects <= ENDO_TOL).all()
-    )
+    herm_defect = float(_max_entry(w - _adjoint(w)).max())
+    min_eig = float(np.linalg.eigvalsh((w + _adjoint(w)) / 2)[:, 0].min())
     worst = int(np.argmax(edge_defects)) if edge_defects.size else None
     return {
-        "ok": bool(ok),
-        "edges": B.graph.edges,
-        "edge_defects": edge_defects,
-        "endo_min_eigs": min_eigs,
-        "endo_herm_defects": herm_defects,
-        "worst_edge": None if worst is None else tuple(B.graph.edges[worst].tolist()),
+        "ok": bool((edge_defects <= UNITARY_TOL).all() and min_eig >= -ENDO_TOL
+                   and herm_defect <= ENDO_TOL),
+        "rank": B.rank,
         "worst_unitarity_defect": 0.0 if worst is None else float(edge_defects[worst]),
+        "worst_edge": None if worst is None else tuple(B.graph.edges[worst].tolist()),
+        "min_endo_eigenvalue": min_eig,
+        "max_endo_hermiticity_defect": herm_defect,
     }
 
 
@@ -263,16 +259,7 @@ def load_bundle(graph: WeightedGraph, source, dense: bool = False) -> HermitianB
     _check_words((graph.n + 2 * len(graph.edges)) * rank * rank,
                  "the form-matrix blocks")
 
-    raw_conn = doc.get("connection", [])
-    if not isinstance(raw_conn, list):
-        raise SchemaError("'connection' must be a list")
-    pairs, raws = [], []
-    for i, entry in enumerate(raw_conn):
-        if not isinstance(entry, dict) or entry.keys() != {"u", "v", "matrix"}:
-            raise SchemaError(
-                f"connection #{i} must be an object with exactly the keys u, v, matrix")
-        pairs.append((entry["u"], entry["v"]))
-        raws.append(entry["matrix"])
+    pairs, raws = _pair_entries(doc, "connection", "matrix", "connection")
     mats = _parse_matrices(raws, rank, "connection")
     # A unitary has entries of modulus at most 1; larger ones (or NaN)
     # overflow in the unitarity defect.

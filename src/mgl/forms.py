@@ -423,7 +423,7 @@ def _check_bundle(G: WeightedGraph, B: HermitianBundle):
         raise BundleInvalid(
             f"bundle failed validation (worst unitarity defect "
             f"{report['worst_unitarity_defect']:.3g} at edge {report['worst_edge']}; "
-            f"min endo eigenvalue {report['endo_min_eigs'].min():.3g})"
+            f"min endo eigenvalue {report['min_endo_eigenvalue']:.3g})"
         )
 
 

@@ -217,7 +217,7 @@ def _read_spec(source, what: str, keys) -> dict:
                 doc = json.load(fh)
         except OSError as exc:
             raise SchemaError(f"cannot read {what}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
     else:
         doc = source
@@ -228,6 +228,20 @@ def _read_spec(source, what: str, keys) -> dict:
     if unknown:
         raise SchemaError(f"{what} has unknown keys: {sorted(unknown)}")
     return doc
+
+
+def _pair_entries(doc, field: str, value: str, what: str):
+    """The pairs (u, v) and the values of the entries of the list doc[field]
+    (default empty), each an object with exactly the keys u, v and `value`;
+    SchemaError naming `what` and the first entry that is not one."""
+    entries = doc.get(field, [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"'{field}' must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or entry.keys() != {"u", "v", value}:
+            raise SchemaError(
+                f"{what} #{i} must be an object with exactly the keys u, v, {value}")
+    return [(e["u"], e["v"]) for e in entries], [e[value] for e in entries]
 
 
 def _check_magnitude(values, what: str):
@@ -362,15 +376,7 @@ def load_graph(source, dense: bool = False) -> WeightedGraph:
         _check_dense_size(n)
     _check_words(n, "the vertex arrays")
 
-    raw_edges = doc.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise SchemaError("'edges' must be a list")
-    pairs, weights = [], []
-    for i, entry in enumerate(raw_edges):
-        if not isinstance(entry, dict) or entry.keys() != {"u", "v", "b"}:
-            raise SchemaError(f"edge #{i} must be an object with exactly the keys u, v, b")
-        pairs.append((entry["u"], entry["v"]))
-        weights.append(entry["b"])
+    pairs, weights = _pair_entries(doc, "edges", "b", "edge")
 
     vertex = {}
     for field in ("killing", "measure"):

@@ -29,6 +29,7 @@ from .forms import _check_bundle, _form_matrix
 from .graphs import WeightedGraph, _align_pairs, _check_words, _restriction, _vertices
 
 METRIC_TOL = 1e-12
+EXHAUSTION_ALPHA = 1.0  # the resolvent shift of the exhaustion gaps
 
 # Unit columns per SuperLU solve in the exhaustion experiment. SuperLU
 # copies the right-hand side and works on an N x nrhs array of its own, so
@@ -192,7 +193,7 @@ def chain_measure_sum(G: WeightedGraph, vertices) -> float:
     return float(G.measure[chain].sum())
 
 
-def _factor(A, alpha, where):
+def _factor(A, where):
     """The SuperLU factor of the CSC block A, which is Hermitian positive
     definite in exact arithmetic, in symmetric mode: a fill-reducing
     ordering of A + A^T applied to rows and columns alike, pivots taken on
@@ -213,8 +214,8 @@ def _factor(A, alpha, where):
         else:
             return factor
     raise AlphaInSpectrum(
-        f"{where}: the edge-dropping block + alpha = {alpha} does not factor "
-        f"in floating point ({problem})"
+        f"{where}: the edge-dropping block + alpha = {EXHAUSTION_ALPHA} does not "
+        f"factor in floating point ({problem})"
     )
 
 
@@ -238,18 +239,14 @@ def _solve_units(factor, b, dtype):
     return X
 
 
-def exhaustion_uniqueness_experiment(
-    G: WeightedGraph,
-    bundle: HermitianBundle,
-    subsets,
-    alpha: float = 1.0,
-) -> dict:
+def exhaustion_uniqueness_experiment(G: WeightedGraph, bundle: HermitianBundle,
+                                     subsets) -> dict:
     """Tabulate Dirichlet/Neumann resolvent gaps along a nested exhaustion:
     the `uniqueness` report {gaps, criteria, diagnostics, illustrative}.
 
     For each subset the boundary-folding and edge-dropping restrictions of
     the scalar form and of the bundle form are compared through the
-    m-weighted operator-norm gap of their resolvents at `alpha`,
+    m-weighted operator-norm gap of their resolvents at EXHAUSTION_ALPHA,
     zero-extended to the host. Where no edge leaves a subset (the full
     vertex set, a union of components) both restrictions coincide and the
     gaps are exactly 0. `gaps` holds one row {"k", "scalar", "magnetic"}
@@ -267,10 +264,10 @@ def exhaustion_uniqueness_experiment(
     small, and is then scaled in place; the |b| x |b| pencil and Gram
     matrix are the only other dense arrays.
 
-    Raises AlphaInSpectrum when an edge-dropping block plus `alpha` may be
-    singular in floating point: where `alpha` is at most eps times the
-    largest diagonal entry of the block (beyond about 4.5e15 at alpha = 1),
-    or where the block does not factor. Raises SchemaError, naming the
+    Raises AlphaInSpectrum when an edge-dropping block plus EXHAUSTION_ALPHA
+    may be singular in floating point: where that alpha is at most eps times
+    the largest diagonal entry of the block (beyond about 4.5e15), or where
+    the block does not factor. Raises SchemaError, naming the
     subset, where the N x |b| panel would exceed DENSE_DIM_BOUND^2 words,
     or where the factor, the panel, the pencil, the Gram matrix or its
     eigensolver raises MemoryError. The factor's fill is not bounded in
@@ -278,11 +275,6 @@ def exhaustion_uniqueness_experiment(
     memory may get the process killed instead.
     """
     _check_bundle(G, bundle)
-    if alpha <= 0:
-        raise AlphaInSpectrum(
-            f"alpha = {alpha} must be > 0: the edge-dropping restriction can "
-            "have eigenvalue 0"
-        )
     subsets = [_vertices(G, om) for om in subsets]
     for a, b in zip(subsets, subsets[1:]):
         if b.size <= a.size or not np.isin(a, b).all():
@@ -323,12 +315,12 @@ def exhaustion_uniqueness_experiment(
             # may be singular in floating point.
             diagonal = A.row == A.col
             peak = A.data[diagonal].real.max()
-            if not alpha > np.finfo(float).eps * peak:
+            if not EXHAUSTION_ALPHA > np.finfo(float).eps * peak:
                 raise AlphaInSpectrum(
-                    f"{where}: alpha = {alpha} is lost in rounding next to a "
-                    f"diagonal entry {peak:.3g} of the edge-dropping block"
+                    f"{where}: alpha = {EXHAUSTION_ALPHA} is lost in rounding next "
+                    f"to a diagonal entry {peak:.3g} of the edge-dropping block"
                 )
-            A.data[diagonal] += alpha
+            A.data[diagonal] += EXHAUSTION_ALPHA
             # With X = R_N E_b, T = (P/m)^1/2 on the boundary rows b and
             # Z = X T, the Woodbury identity gives
             # R_N - R_D = Z (I + T X[b] T)^-1 Z*, where nothing cancels, so
@@ -336,7 +328,7 @@ def exhaustion_uniqueness_experiment(
             # (Z* Z, I + T X[b] T). X is scaled into Z in place.
             A = A.tocsc()
             try:
-                factor = _factor(A, alpha, where)
+                factor = _factor(A, where)
                 prefix[key]["nnz_lu"] = factor.nnz
                 X = _solve_units(factor, b, A.dtype)
                 del A, factor

@@ -26,7 +26,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import AlphaTooSmall, DimensionMismatch, NegativeTime, SchemaError
 from .domination import DEFAULT_T_GRID
-from .forms import FormOperator, _gemm, _lapack
+from .forms import (FormOperator, _gemm, _lapack, assemble_magnetic_form,
+                    assemble_scalar_form)
 
 TRUNCATION = 1e-12
 # The Laplace check's composite Gauss-Legendre rule: panels, nodes per panel.
@@ -35,6 +36,8 @@ LAPLACE_NODES = 12
 # The widest power (I + hT)^K, a band of half-width K, that the Euler check
 # factors.
 EULER_BAND = 32
+# Relative tolerance of the Beurling-Deny figures.
+BEURLING_DENY_TOL = 1e-10
 
 
 def _quadrature_grid(alpha: float):
@@ -201,7 +204,7 @@ def _resolution(F: FormOperator, t: float):
     return top, F._rounding_bound(top, t * top)
 
 
-def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float, part):
+def _semigroup_side(F: FormOperator, t: float, delta: float, part):
     """beurling_deny_check's semigroup side at one t, with rounding bound
     delta, on the form of one component; `part` maps its vertices to the
     whole graph's for the witnesses. Each figure comes with its witness and
@@ -215,11 +218,12 @@ def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float, part):
     s = np.sqrt(np.diagonal(S))
     scale = 1.0 + _gemm(np.abs(S), w[:, None])[:, 0] / w
     rise = _gemm(S, w[:, None])[:, 0] / w - 1.0
-    rows_ok = bool((rise <= tol * scale + delta * np.linalg.norm(w) / w).all())
+    rows_ok = bool((rise <= BEURLING_DENY_TOL * scale
+                    + delta * np.linalg.norm(w) / w).all())
     x = int(np.argmax(rise / scale))
     excess = (float(rise[x] / scale[x]), {"t": float(t), "x": int(part[x])},
               float(delta * np.linalg.norm(w) / (w[x] * scale[x])))
-    margin = np.outer(tol * s, s)
+    margin = np.outer(BEURLING_DENY_TOL * s, s)
     margin += S
     kernel_ok = bool(margin.min() >= -delta)
     # One product s(x) s(y) per entry keeps the normalised S_t exactly
@@ -233,9 +237,7 @@ def _semigroup_side(F: FormOperator, t: float, tol: float, delta: float, part):
     return kernel_ok, rows_ok, kernel, excess
 
 
-def beurling_deny_check(
-    F: FormOperator, t_list=DEFAULT_T_GRID, tol: float = 1e-10
-) -> dict:
+def beurling_deny_check(F: FormOperator, t_list=DEFAULT_T_GRID) -> dict:
     """The first Beurling-Deny criteria of a real scalar form, decided exactly.
 
     e^{-tA} >= 0 for all t iff every off-diagonal entry of L is <= 0; it is
@@ -250,19 +252,20 @@ def beurling_deny_check(
     light one.
     The eigensolver's backward error leaves S_t off by up to
     delta_t = n eps (2 + t |mu|_max) |S_t|_2 (FormOperator._rounding_bound), so
-    a semigroup verdict fails only beyond tol times the figure's scale plus
-    delta_t (times |m^1/2|_2 / m(x)^1/2 for a row). Where delta_t reaches
-    |S_t|_2 = max e^{-t mu}, no entry or row could fail: that t resolves
-    nothing, and the component is judged at t min(1, 10 / |mu|_max) instead,
-    as the Euler check's t is scaled (a witness reports the time used). If
-    that time resolves nothing either, then unless the kernel fails
-    elsewhere, SchemaError names it rather than let the positivity verdict
-    pass, whatever the rows read. The same holds where a form verdict, which
-    is exact, fails and its semigroup figure fails tol but passes within
-    delta_t: that figure resolves nothing, and SchemaError names its t, the
-    figure and its allowance. (delta_t is normwise: it cannot see a
-    coupling far below n eps |mu|_max within one component.) Markov
-    verdicts include their side's positivity verdict.
+    a semigroup verdict fails only beyond BEURLING_DENY_TOL times the
+    figure's scale plus delta_t (times |m^1/2|_2 / m(x)^1/2 for a row).
+    Where delta_t reaches |S_t|_2 = max e^{-t mu}, no entry or row could
+    fail: that t resolves nothing, and the component is judged at
+    t min(1, 10 / |mu|_max) instead, as the Euler check's t is scaled (a
+    witness reports the time used). If that time resolves nothing either,
+    then unless the kernel fails elsewhere, SchemaError names it rather than
+    let the positivity verdict pass, whatever the rows read. The same holds
+    where a form verdict, which is exact, fails and its semigroup figure
+    fails BEURLING_DENY_TOL but passes within delta_t: that figure resolves
+    nothing, and SchemaError names its t, the figure and its allowance.
+    (delta_t is normwise: it cannot see a coupling far below n eps |mu|_max
+    within one component.) Markov verdicts include their side's positivity
+    verdict.
     """
     if F.d != 1 or np.iscomplexobj(F.L):
         raise DimensionMismatch("the Beurling-Deny check requires a real scalar form")
@@ -282,7 +285,7 @@ def beurling_deny_check(
                 t *= stretch
                 top, delta = _resolution(form, t)
             if delta < top:
-                sides.append(_semigroup_side(form, t, tol, delta, part))
+                sides.append(_semigroup_side(form, t, delta, part))
             else:
                 unresolved.append((t, delta, top))
     kernel_ok = all(side[0] for side in sides)
@@ -315,11 +318,11 @@ def beurling_deny_check(
     row_abs = abs(F.L).sum(axis=1)
     rows = np.divide(F.L.sum(axis=1), row_abs, out=np.zeros(F.n), where=row_abs > 0)
     r = int(np.argmin(rows))
-    markov_form_ok = positive and bool(rows[r] >= -tol)
+    markov_form_ok = positive and bool(rows[r] >= -BEURLING_DENY_TOL)
     markov_semigroup_ok = kernel_ok and all(side[1] for side in sides)
     for form_ok, semigroup_ok, beyond_tol, (figure, witness, allowance) in (
-        (positive, kernel_ok, kernel[0] < -tol, kernel),
-        (markov_form_ok, markov_semigroup_ok, excess[0] > tol, excess),
+        (positive, kernel_ok, kernel[0] < -BEURLING_DENY_TOL, kernel),
+        (markov_form_ok, markov_semigroup_ok, excess[0] > BEURLING_DENY_TOL, excess),
     ):
         if not form_ok and semigroup_ok and beyond_tol:
             raise SchemaError(
@@ -347,3 +350,69 @@ def beurling_deny_check(
         },
     }
 
+
+def _identity_suite(form, alphas, seed):
+    """The identity checks of one form on a random u from `seed`, with verdicts."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(form.dim)
+    if np.iscomplexobj(form.L):
+        u = u + 1j * rng.standard_normal(form.dim)
+    norm_u = form.norm(u)
+    radius = max(abs(form.eigenvalues[0]), abs(form.eigenvalues[-1]), 1e-12)
+
+    floor = _laplace_floor(form)
+    kept = [alpha for alpha in alphas if alpha > floor]
+    if not kept:
+        raise SchemaError(
+            f"no --alpha value exceeds the Laplace-check floor {floor:.6g}; "
+            f"filtered: {list(alphas)}"
+        )
+    laplace = {str(alpha): laplace_check(form, alpha, u) for alpha in kept}
+    laplace_ok = all(r <= 1e-6 * norm_u for r in laplace.values())
+
+    t = min(1.0, 10.0 / radius)
+    errors = {n: euler_limit_check(form, t, u, n) for n in (256, 512, 4096)}
+    euler_ok = (
+        errors[512] <= 0.75 * errors[256] + 1e-15
+        and errors[4096] <= 1e-3 * norm_u
+    )
+
+    t0 = 1e-3 / radius
+    defects = form_limit_check(form, u, u, [t0, t0 / 2])
+    # Q(u, u) read off the spectrum, sum mu |y|^2, is only as exact as the
+    # eigensolver's bound on U diag(mu) U*; a defect within it shows no ratio.
+    floor = form._rounding_bound(form.eigenvalues, 1.0) * norm_u**2
+    ratio = defects[1] / defects[0] if defects[0] > floor else 0.5
+    form_limit_ok = 0.35 <= ratio <= 0.65
+
+    return {
+        "laplace_residuals": laplace,
+        "laplace_ok": laplace_ok,
+        "euler_errors": {str(k): v for k, v in errors.items()},
+        "euler_ok": euler_ok,
+        "form_limit_defects": list(defects),
+        "form_limit_ratio": ratio,
+        "form_limit_ok": form_limit_ok,
+    }
+
+
+def semigroup_identities(G, bundle, alphas, seed) -> dict:
+    """The `semigroup-id` report: the identity checks of the magnetic form
+    (none without a bundle) and of the scalar form, which carries its
+    Beurling-Deny criteria; `ok` if every identity holds and the scalar
+    semigroup is sub-Markov."""
+    report = {}
+    if bundle is not None:
+        report["magnetic"] = _identity_suite(
+            assemble_magnetic_form(G, bundle), alphas, seed
+        )
+    # The scalar form is built after the magnetic one is freed, so that at
+    # most one spectrum is held at a time.
+    scalar = assemble_scalar_form(G)
+    report["scalar"] = _identity_suite(scalar, alphas, seed)
+    # A WeightedGraph has b >= 0 and c >= 0: only the semigroup side can fail.
+    criteria = report["scalar"]["beurling_deny"] = beurling_deny_check(scalar)
+    flags = ("laplace_ok", "euler_ok", "form_limit_ok")
+    report["ok"] = criteria["markov"]["semigroup_ok"] and all(
+        section[flag] for section in report.values() for flag in flags)
+    return report

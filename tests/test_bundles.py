@@ -29,8 +29,8 @@ def test_validate_unit_phase_rank1():
     b = HermitianBundle(g, 1, {(0, 1): [[np.exp(1j * np.pi / 3)]]})
     report = validate_bundle(b)
     assert report["ok"]
-    assert report["edges"].tolist() == [[0, 1]]
-    assert report["edge_defects"][0] <= 1e-15
+    assert report["worst_edge"] == (0, 1)
+    assert report["worst_unitarity_defect"] <= 1e-15
 
 
 def test_validate_nonunitary_defect_three():
@@ -38,7 +38,7 @@ def test_validate_nonunitary_defect_three():
     b = HermitianBundle(g, 2, {(0, 1): np.diag([1.0, 2.0])})
     report = validate_bundle(b)
     assert not report["ok"]
-    assert report["edge_defects"][0] == pytest.approx(3.0)
+    assert report["worst_unitarity_defect"] == pytest.approx(3.0)
     worst = (report["worst_edge"], report["worst_unitarity_defect"])
     assert worst == ((0, 1), pytest.approx(3.0))
 
@@ -50,7 +50,7 @@ def test_validate_indefinite_endo():
     b = HermitianBundle(g, 2, {}, endo)
     report = validate_bundle(b)
     assert not report["ok"]
-    assert report["endo_min_eigs"][0] == pytest.approx(-0.5)
+    assert report["min_endo_eigenvalue"] == pytest.approx(-0.5)
 
 
 def test_reverse_connection_is_adjoint():

@@ -969,6 +969,52 @@ def test_rejected_specs_are_input_errors(tmp_path, capsys, graph_doc, bundle_doc
         assert not out.exists(), command
 
 
+# Bytes that are not UTF-8, and arrays nested past the recursion limit: no
+# JSON document at all.
+UNREADABLE_SPECS = {"not-utf8": b'\xff\xfe{"n": 2}',
+                    "too-deep": b"[" * 200000 + b"]" * 200000}
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+@pytest.mark.parametrize("flag", ["--graph", "--bundle"])
+@pytest.mark.parametrize("content", UNREADABLE_SPECS.values(),
+                         ids=list(UNREADABLE_SPECS))
+def test_unreadable_spec_files_are_input_errors(tmp_path, capsys, content, flag,
+                                                command):
+    specs = {"--graph": write_json(tmp_path / "g.json", P3_GRAPH),
+             "--bundle": write_json(tmp_path / "b.json", {"rank": 1})}
+    (tmp_path / "bad.json").write_bytes(content)
+    specs[flag] = str(tmp_path / "bad.json")
+    out = tmp_path / "r.json"
+    code = run([command, "--graph", specs["--graph"], "--bundle", specs["--bundle"],
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    what = "graph" if flag == "--graph" else "bundle"
+    assert err.startswith(f"input error: {what} spec is not valid JSON:"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "dominate", "semigroup-id"])
+def test_dense_commands_out_of_memory_are_input_errors(diamagnetic_specs, tmp_path,
+                                                       capsys, monkeypatch, command):
+    # A spec inside DENSE_DIM_BOUND can still need more memory than the host
+    # has; the dense commands then refuse it like any input error.
+    from mgl.forms import FormOperator
+
+    def exhausted(self):
+        raise MemoryError
+
+    monkeypatch.setattr(FormOperator, "_symmetrized", exhausted)
+    graph, bundle = diamagnetic_specs
+    out = tmp_path / "r.json"
+    assert run([command, "--graph", graph, "--bundle", bundle, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: the forms of these specs do not fit in memory\n")
+    assert not out.exists()
+
+
 def test_console_entry_point_runs():
     # `python -m` puts the working directory on sys.path, so running from
     # src/ finds the package whether or not it is installed.

@@ -151,3 +151,35 @@ def test_direct_lapack_calls_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_lapack_is_called_only_through_the_info_check(path):
     assert direct_lapack_calls(path.read_text(encoding="utf-8")) == []
+
+
+def private_reads(source: str) -> list[str]:
+    """Private names a module reads from others: `from .m import _name` and
+    attribute reads `x._name`, dunders excepted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_private_reads_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "from .forms import FormOperator, _gemm\n"
+        "x = spectral._floor(f) + len(f.__dict__) + f.dim\n"
+    )
+    assert private_reads(source) == ["_gemm (line 2)", "_floor (line 3)"]
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # The command-line front end parses flags, loads specs, makes one library
+    # call per command and emits its report: it reaches into no module.
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    assert private_reads(cli.read_text(encoding="utf-8")) == []

@@ -25,7 +25,6 @@ from mgl import (
 )
 from mgl.bundles import load_bundle
 from mgl.errors import (
-    AlphaInSpectrum,
     DimensionMismatch,
     InfiniteEdgeDistance,
     InvariantError,
@@ -453,15 +452,6 @@ def test_exhaustion_builds_no_form_operator(monkeypatch):
         g, bundle, [list(range(4)), list(range(8)), list(range(12))]
     )
     assert report["gaps"][0]["scalar"] > 0 and report["gaps"][0]["magnetic"] > 0
-
-
-def test_exhaustion_rejects_nonpositive_alpha():
-    # The edge-dropping restriction of a form without killing has
-    # eigenvalue 0, so no alpha <= 0 is in the resolvent set of both.
-    g = fixtures.p3()
-    for alpha in (0.0, -0.5):
-        with pytest.raises(AlphaInSpectrum):
-            exhaustion_uniqueness_experiment(g, HermitianBundle(g, 1), [[0, 1]], alpha)
 
 
 @pytest.mark.parametrize("call, error, fragment", [

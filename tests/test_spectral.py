@@ -30,9 +30,10 @@ from mgl.errors import (
     NegativeTime,
     SchemaError,
 )
-from mgl.cli import _identity_suite, run
+from mgl.cli import run
 from mgl.domination import DEFAULT_T_GRID
 from mgl.forms import FormOperator
+from mgl.spectral import _identity_suite
 
 
 def scalar_fixture_forms():
