@@ -20,6 +20,7 @@ from .bundles import HermitianBundle, load_bundle, validate_bundle
 from .domination import diamagnetic_report
 from .errors import (
     AlphaInSpectrum,
+    AlphaTooSmall,
     BundleInvalid,
     InvariantError,
     MglError,
@@ -200,7 +201,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_semigroup_id(args) -> int:
     graph, bundle = _load_specs(args)
-    report = semigroup_identities(graph, bundle, args.alpha, args.seed)
+    try:
+        report = semigroup_identities(graph, bundle, args.alpha, args.seed)
+    except AlphaTooSmall as exc:
+        raise SchemaError(f"--alpha: {exc}") from None
     _emit(args, report)
     _summary(f"semigroup identities: {'PASS' if report['ok'] else 'FAIL'}")
     return 0 if report["ok"] else 1

@@ -17,9 +17,10 @@ overwrites; the buffer's columns :-1 are then Q's reflectors as ?unmqr and
 reduction; T's eigensystem w, Z (dstevd), which gives the eigenvalues; and
 the eigenvectors U = Q Z, built in the reduction's buffer, which then holds
 U instead of the reflectors (where every reflector is the identity, U is
-Z). The semigroup, the resolvent and the Euler check transform vectors
-only: they apply Q and Q* from the reflectors (?unmqr) and Z by real
-products, and Q as U Z^T only once U exists. So each form is reduced once,
+Z). The semigroup and the resolvent transform vectors only: they apply
+Q* and Q from the reflectors (?unmqr) and Z by real products, and Q as
+U Z^T only once U exists. The identity checks only project, w = Q* M^1/2 u
+(`_project`), and apply no Q back. So each form is reduced once,
 whichever reads it first, U is built only where `eigenvectors` is read
 (the domination verdicts, Beurling-Deny, the reconstruction defect and the
 resolvent matrix), and callers that only read L (form probes) never hold a
@@ -142,7 +143,9 @@ class FormOperator:
         self.m_diag = np.repeat(measure, d)
         self.m_sqrt = np.sqrt(self.m_diag)
         self.m_isqrt = 1.0 / self.m_sqrt
-        self._lock = threading.Lock()
+        # Reentrant: `_apply_function` holds it across `_project` and
+        # `_reflect`, which take it too.
+        self._lock = threading.RLock()
 
     def _symmetrized(self):
         """M^-1/2 L M^-1/2, the Hermitian matrix that is reduced.
@@ -244,38 +247,38 @@ class FormOperator:
         U.setflags(write=False)
         return U
 
-    def _in_reduced_frame(self, cols, inner):
-        """Q inner(Q* cols) for an (N, k) batch, with Q from the reduction
-        Q T Q*, in the batch's dtype; `inner` maps Fortran-ordered real
-        columns, a complex column entering as two, its real and imaginary
-        parts. The batch may be overwritten.
+    def _reflect(self, x, adjoint):
+        """Q* x (`adjoint`) or Q x, with Q from the reduction Q T Q*, for
+        Fortran-ordered columns x of L's dtype, which may be overwritten.
 
         While the buffer still holds the reflectors, ?unmqr applies them, with
         the minimal workspace, so that it runs unblocked: a blocked call would
         first form a triangular factor per panel, which costs more than a
-        few columns do. Once U is built, Q = U Z^T. The lock is held
-        throughout, since building U overwrites the reflectors: both sides of
-        `inner` apply Q the same way."""
+        few columns do. Once U is built, Q = U Z^T. Building U overwrites the
+        reflectors, so a caller that applies Q* and then Q holds the lock
+        across both, and both apply Q the same way."""
         self._tridiagonal  # leaves the reflectors in `_householder`
         with self._lock:
             if "_householder" in self.__dict__:
                 q, tau = self._householder
                 unmqr = lapack.zunmqr if np.iscomplexobj(q) else lapack.dormqr
-                trans = ("N", "C" if np.iscomplexobj(q) else "T")
+                trans = ("C" if np.iscomplexobj(q) else "T") if adjoint else "N"
+                return _lapack(unmqr, "L", trans, q, tau, x, max(1, x.shape[1]),
+                               overwrite_c=1)[0]
+            U, Z = self._eigenvectors, self._eigensystem[1]
+            if adjoint:
+                return _gemm(Z, _gemm(U, x, trans_a=2))
+            return _gemm(U, _gemm(Z, x, trans_a=1))
 
-                def reflect(x, adjoint):
-                    lwork = max(1, x.shape[1])
-                    return _lapack(unmqr, "L", trans[adjoint], q, tau, x, lwork,
-                                   overwrite_c=1)[0]
-            else:
-                U, Z = self._eigenvectors, self._eigensystem[1]
-
-                def reflect(x, adjoint):
-                    if adjoint:
-                        return _gemm(Z, _gemm(U, x, trans_a=2))
-                    return _gemm(U, _gemm(Z, x, trans_a=1))
-            y = inner(_columns(reflect(_columns(cols, self.L.dtype), True), float))
-            return _columns(reflect(_columns(y, self.L.dtype), False), cols.dtype)
+    def _project(self, u):
+        """w = Q* M^1/2 u, a vector or an (N, k) batch u in T's coordinates,
+        as Fortran-ordered real columns, a complex column entering as two,
+        its real and imaginary parts. Q is unitary, so the m-norms and
+        m-inner products of u are the 2-norms and inner products of w."""
+        u = self._check_vector(u)
+        v = self.m_sqrt[:, None] * u.reshape(self.dim, -1)
+        v = v.astype(np.result_type(self.L.dtype, v), copy=False)
+        return _columns(self._reflect(_columns(v, self.L.dtype), True), float)
 
     @property
     def lower_bound(self) -> float:
@@ -341,10 +344,10 @@ class FormOperator:
         vector or an (N, k) batch u, as Q Z diag(scalars) Z^T Q*: U itself is
         not built for it."""
         Z = self._eigensystem[1]
-        v = self.m_sqrt[:, None] * u.reshape(self.dim, -1)
-        v = v.astype(np.result_type(self.L.dtype, v), copy=False)
-        y = self._in_reduced_frame(
-            v, lambda y: _gemm(Z, scalars[:, None] * _gemm(Z, y, trans_a=1)))
+        with self._lock:
+            y = _gemm(Z, scalars[:, None] * _gemm(Z, self._project(u), trans_a=1))
+            y = self._reflect(_columns(y, self.L.dtype), False)
+        y = _columns(y, np.result_type(self.L.dtype, self.m_sqrt, u))
         return (self.m_isqrt[:, None] * y).reshape(u.shape)
 
     def _semigroup_multiplier(self, t):

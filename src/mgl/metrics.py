@@ -333,7 +333,9 @@ def exhaustion_uniqueness_experiment(G: WeightedGraph, bundle: HermitianBundle,
                 X = _solve_units(factor, b, A.dtype)
                 del A, factor
                 t = np.sqrt(cut[b]) * scale[b]
-                pencil = X[b]
+                # X[b] taken through X^T: a Fortran-ordered copy, which
+                # eigh's ?hegvx reads without a second one.
+                pencil = np.take(X.T, b, axis=1).T
                 pencil *= t[:, None]
                 pencil *= t
                 pencil[np.diag_indices(b.size)] += 1.0

@@ -1,18 +1,23 @@
 """Semigroups, resolvents, their analytic identities, and order criteria.
 
 Semigroups and resolvents go through the FormOperator's cached spectral
-decomposition. The identity checks take independent routes: Laplace
-integrates the spectral semigroup (composite Gauss-Legendre) against the
-spectral resolvent. Euler and the eigensystem share the form's one
-Householder reduction Q T Q* (?hetrd) and diverge after it: the eigensystem
-runs dstevd on T; Euler applies (I + hT)^-n, h = t/n, as n // K dpbtrs
-solves with the band matrix (I + hT)^K, built in band storage by K
-products with the tridiagonal step, and n % K dpttrs solves with the step
-itself. K, a power of two up to EULER_BAND, is the largest for which T's
-Gershgorin interval bounds cond((I + hT)^K) by 2, so a band solve rounds
-no worse than a step solve.
-Euler applies Q from the reduction's reflectors, so it reads neither
-eigenvalues nor eigenvectors; the identity checks build no U, which only
+decomposition. Every identity figure is a norm or an inner product, which
+the unitary Q of the form's reduction Q T Q* and T's unitary eigenvectors
+Z leave unchanged: so each identity check projects its vector once,
+w = Q* M^1/2 u (`FormOperator._project`), compares its two routes in T's
+coordinates and applies no Q back. The routes are independent: Laplace
+integrates the semigroup's modes e^{-t (alpha + mu)} (composite
+Gauss-Legendre) against the resolvent's 1 / (alpha + mu); the form limit
+weighs Z^T w by 1 - e^{-t mu} against Q(u, v) read from L. Euler and the
+eigensystem share the form's one Householder reduction (?hetrd) and
+diverge after it: the eigensystem runs dstevd on T; Euler applies
+(I + hT)^-n, h = t/n, to w as n // K dpbtrs solves with the band matrix
+(I + hT)^K, built in band storage by K products with the tridiagonal
+step, and n % K dpttrs solves with the step itself. K, a power of two up
+to EULER_BAND, is the largest for which T's Gershgorin interval bounds
+cond((I + hT)^K) by 2, so a band solve rounds no worse than a step solve.
+The Euler power reads neither eigenvalues nor eigenvectors, only its
+target Z e^{-t mu} Z^T w does; the identity checks build no U, which only
 the Beurling-Deny kernel reads.
 """
 
@@ -26,7 +31,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import AlphaTooSmall, DimensionMismatch, NegativeTime, SchemaError
 from .domination import DEFAULT_T_GRID
-from .forms import (FormOperator, _gemm, _lapack, assemble_magnetic_form,
+from .forms import (FormOperator, _columns, _gemm, _lapack, assemble_magnetic_form,
                     assemble_scalar_form)
 
 TRUNCATION = 1e-12
@@ -64,13 +69,13 @@ def laplace_check(F: FormOperator, alpha: float, u) -> float:
 
     Integrates e^{-t alpha} e^{-tA} u over [0, T] (T chosen so that
     e^{-alpha T} <= 1e-12) with composite Gauss-Legendre quadrature and
-    returns the m-norm distance to (A + alpha)^-1 u.
+    returns the m-norm distance to (A + alpha)^-1 u, mode by mode in T's
+    eigencoordinates.
     """
     if alpha <= _laplace_floor(F):
         raise AlphaTooSmall(
             f"alpha = {alpha} must exceed max(0, -lambda_min) by at least 1e-6"
         )
-    u = np.asarray(u)
     ts, ws = _quadrature_grid(alpha)
     # In eigencoordinates the integrand is a decaying scalar exponential
     # per mode, so the quadrature acts on exp(-(alpha + mu_i) t), tabulated
@@ -82,8 +87,11 @@ def laplace_check(F: FormOperator, alpha: float, u) -> float:
         decay = np.multiply.outer(-t, rates)
         np.exp(decay, out=decay)
         mode_integrals += _gemm(decay.T, w[:, None])[:, 0]
-    integral = F._apply_function(mode_integrals, u)
-    return F.norm(integral - F.resolvent(alpha, u))
+    # Q and Z are unitary: the m-norm of the two routes' difference is the
+    # 2-norm of their multipliers' difference times y = Z^T Q* M^1/2 u.
+    y = _gemm(F._eigensystem[1], F._project(u), trans_a=1)
+    diff = (mode_integrals - 1.0 / rates)[:, None] * y
+    return float(np.sqrt(np.sum(diff * diff)))
 
 
 def _euler_power(d, e, h: float, n: int) -> int:
@@ -136,8 +144,11 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     """Error of the Euler approximation (n/t)^n (A + n/t)^-n u to e^{-tA} u.
 
     With h = t/n and the form's Householder reduction M^-1/2 L M^-1/2 = Q T Q*,
-    T real tridiagonal, the power is M^-1/2 Q (I + hT)^-n Q* M^1/2 u, applied
-    to real columns (the real and imaginary parts): n // K dpbtrs solves
+    T real tridiagonal, both sides are compared in T's coordinates
+    w = Q* M^1/2 u (`FormOperator._project`), where Q and Z are unitary, so
+    the 2-norm of the difference is the m-norm of the error. The power is
+    (I + hT)^-n w, applied to real columns (the real and imaginary parts):
+    n // K dpbtrs solves
     with one dpbtrf of the band matrix (I + hT)^K, then n % K dpttrs solves
     with the dpttrf of I + hT, which is factored in any case, so that a step
     that is not positive definite is refused. K (`_euler_power`) is the
@@ -146,9 +157,9 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     step solve, and the error stays of order n eps. At the semigroup-id
     times t = min(1, 10 / |mu|_max), K is 8, 16 and 32 for n = 256, 512
     and 4096 on the benchmark's instances.
-    Q and Q* are applied from the reduction's reflectors (?unmqr), or as
-    U Z^T where U is already built; no eigenvalue is read, while e^{-tA} u
-    is spectral.
+    e^{-tA} u is spectral, Z e^{-t mu} Z^T w, two real products; the power
+    reads no eigenvalue. Q* is applied once, from the reduction's reflectors
+    (?unmqr) or as Z U* where U is already built, and Q not at all.
     """
     if n < 1:
         raise DimensionMismatch(f"power n must be >= 1, got {n}")
@@ -156,42 +167,49 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
         raise NegativeTime(f"time must be nonnegative, got {t}")
     if t == 0:
         return 0.0
-    u = np.asarray(u)
     d, e = F._tridiagonal
     h = t / n
     df, ef = _lapack(lapack.dpttrf, 1.0 + h * d, h * e)
     K = _euler_power(d, e, h, n)
     blocks, rest = divmod(n, K) if K > 1 else (0, n)
     band = _band_cholesky(d, e, h, K) if blocks else None
-    v = (F.m_sqrt * u).astype(np.result_type(F.L.dtype, u, 1.0))[:, None]
-
-    def solves(y):
-        for _ in range(blocks):
-            y = _lapack(lapack.dpbtrs, band, y, overwrite_b=1)[0]
-        for _ in range(rest):
-            y = _lapack(lapack.dpttrs, df, ef, y, overwrite_b=1)[0]
-        return y
-
-    y = F._in_reduced_frame(v, solves)
-    return F.norm(F.m_isqrt * y[:, 0] - F.semigroup(t, u))
+    w = F._project(u)
+    # e^{-tA} u in T's coordinates, Z e^{-t mu} Z^T w: Q is unitary, so the
+    # m-norm of the two routes' difference is its 2-norm here.
+    Z = F._eigensystem[1]
+    exact = _gemm(Z, F._semigroup_multiplier(t)[:, None] * _gemm(Z, w, trans_a=1))
+    for _ in range(blocks):
+        w = _lapack(lapack.dpbtrs, band, w, overwrite_b=1)[0]
+    for _ in range(rest):
+        w = _lapack(lapack.dpttrs, df, ef, w, overwrite_b=1)[0]
+    diff = w - exact
+    return float(np.sqrt(np.sum(diff * diff)))
 
 
 def form_limit_check(F: FormOperator, u, v, t_list) -> np.ndarray:
     """Defects |(1/t) <u - e^{-tA}u, v>_m - Q(u, v)| for each t.
 
     u - e^{-tA}u is applied as the spectral multiplier 1 - exp(-t mu),
-    evaluated by expm1: a difference of the nearly equal vectors u and
-    e^{-tA}u would lose every digit at small t and large measures.
+    evaluated by expm1, in T's eigencoordinates: a difference of the nearly
+    equal vectors u and e^{-tA}u would lose every digit at small t and large
+    measures. Q(u, v) is read from L.
     """
     u = np.asarray(u)
     v = np.asarray(v)
     target = F.evaluate(u, v)
+    # <(1 - e^{-tA}) u, v>_m = sum (1 - e^{-t mu}) y_u conj(y_v), with
+    # y = Z^T Q* M^1/2 u as Q and Z are unitary; u is projected once where
+    # it is v.
+    y = _gemm(F._eigensystem[1], F._project(np.column_stack(
+        [u] if v is u else [u, v])), trans_a=1)
+    y = _columns(y, np.result_type(F.L.dtype, u, v, 1.0))
+    product = y[:, 0] * y[:, -1].conj()
     defects = np.empty(len(t_list))
     for i, t in enumerate(t_list):
         if t <= 0:
             raise NegativeTime(f"form-limit times must be > 0, got {t}")
-        diff = F._apply_function(-np.expm1(-t * F.eigenvalues), u)
-        defects[i] = abs(F.inner(diff, v) / t - target)
+        value = np.sum(-np.expm1(-t * F.eigenvalues) * product)
+        defects[i] = abs(complex(value) / t - target)
     return defects
 
 
@@ -210,31 +228,43 @@ def _semigroup_side(F: FormOperator, t: float, delta: float, part):
     whole graph's for the witnesses. Each figure comes with its witness and
     with delta on the figure's scale. S_t is normalised in place."""
     U, mu, w = F.eigenvectors, F.eigenvalues, F.m_sqrt
-    half = np.exp(-0.5 * t * mu)
-    # S = V V^T by one dsyrk on scipy's BLAS (see forms._gemm), which fills
-    # the upper triangle; the mirror makes S exactly symmetric.
-    S = blas.dsyrk(1.0, U * half)
-    S += np.triu(S, 1).T
+    # S = V V^T, V = U e^{-t mu/2}, by one dsyrk on scipy's BLAS (see
+    # forms._gemm), which fills the upper triangle; the mirror makes S
+    # exactly symmetric. V's buffer then holds each N x N temporary in turn.
+    scratch = U * np.exp(-0.5 * t * mu)
+    S = blas.dsyrk(1.0, scratch)
+    _mirror_upper(S)
     s = np.sqrt(np.diagonal(S))
-    scale = 1.0 + _gemm(np.abs(S), w[:, None])[:, 0] / w
+    scale = 1.0 + _gemm(np.abs(S, out=scratch), w[:, None])[:, 0] / w
     rise = _gemm(S, w[:, None])[:, 0] / w - 1.0
     rows_ok = bool((rise <= BEURLING_DENY_TOL * scale
                     + delta * np.linalg.norm(w) / w).all())
     x = int(np.argmax(rise / scale))
     excess = (float(rise[x] / scale[x]), {"t": float(t), "x": int(part[x])},
               float(delta * np.linalg.norm(w) / (w[x] * scale[x])))
-    margin = np.outer(BEURLING_DENY_TOL * s, s)
+    margin = np.outer(BEURLING_DENY_TOL * s, s, out=scratch)
     margin += S
     kernel_ok = bool(margin.min() >= -delta)
     # One product s(x) s(y) per entry keeps the normalised S_t exactly
-    # symmetric, so the witness is the first, x < y, of its two entries.
+    # symmetric, so the witness is the first, x < y, of its two entries,
+    # and S_t^T, which is C-ordered, is searched in place of S_t.
     s[s == 0] = 1.0
-    S /= np.outer(s, s, out=margin)
+    S /= np.outer(s, s, out=scratch)
     np.fill_diagonal(S, np.inf)
-    x, y = np.unravel_index(np.argmin(S), S.shape)
+    x, y = np.unravel_index(np.argmin(S.T), S.shape)
     kernel = (float(S[x, y]), {"t": float(t), "x": int(part[x]), "y": int(part[y])},
               float(delta / (s[x] * s[y])))
     return kernel_ok, rows_ok, kernel, excess
+
+
+def _mirror_upper(S):
+    """Copies the upper triangle of the Fortran-ordered square S into its
+    zero lower triangle, 64 columns at a time, so that each transposed
+    panel is copied in cache."""
+    for j in range(0, S.shape[0], 64):
+        S[j + 64:, j:j + 64] = S[j:j + 64, j + 64:].T
+        corner = S[j:j + 64, j:j + 64]
+        corner += np.triu(corner, 1).T
 
 
 def beurling_deny_check(F: FormOperator, t_list=DEFAULT_T_GRID) -> dict:
@@ -363,8 +393,8 @@ def _identity_suite(form, alphas, seed):
     floor = _laplace_floor(form)
     kept = [alpha for alpha in alphas if alpha > floor]
     if not kept:
-        raise SchemaError(
-            f"no --alpha value exceeds the Laplace-check floor {floor:.6g}; "
+        raise AlphaTooSmall(
+            f"no alpha exceeds the Laplace-check floor {floor:.6g}; "
             f"filtered: {list(alphas)}"
         )
     laplace = {str(alpha): laplace_check(form, alpha, u) for alpha in kept}
@@ -400,7 +430,8 @@ def semigroup_identities(G, bundle, alphas, seed) -> dict:
     """The `semigroup-id` report: the identity checks of the magnetic form
     (none without a bundle) and of the scalar form, which carries its
     Beurling-Deny criteria; `ok` if every identity holds and the scalar
-    semigroup is sub-Markov."""
+    semigroup is sub-Markov. AlphaTooSmall if no alpha exceeds a form's
+    Laplace-check floor, so that no Laplace residual would be checked."""
     report = {}
     if bundle is not None:
         report["magnetic"] = _identity_suite(

@@ -268,7 +268,7 @@ def test_spectral_products_run_on_scipys_blas(diamagnetic_specs, tmp_path, monke
     out = str(tmp_path / "r.json")
     argv = ["--graph", graph, "--bundle", bundle, "--out", out]
     assert run(["semigroup-id", *argv]) == 0
-    # The identities apply Q from each form's reflectors (?unmqr) and T's real
+    # The identities apply Q* from each form's reflectors (?unmqr) and T's real
     # eigenvectors Z by real products, N = 2n on the magnetic form, with
     # every operand passed as f2py reads it, so that none is copied; U is
     # not built for them, so no complex product runs. The Beurling-Deny
@@ -291,10 +291,11 @@ def test_spectral_products_run_on_scipys_blas(diamagnetic_specs, tmp_path, monke
 
 def test_semigroup_id_catches_a_broken_back_transform(tmp_path, monkeypatch):
     # ?unmqr applies Q P, Q with its first two columns swapped, wherever it
-    # applies Q, and (Q P)* wherever it applies Q*. Q P is still unitary and
-    # diagonalizes Q P T P^T Q* exactly: the Laplace and Euler checks, which
-    # read only Q, Z and T, agree with it. The form limit compares that
-    # spectral calculus with the sparse L, and is the check that catches it.
+    # applies Q, and (Q P)* wherever it applies Q*; the identities apply only
+    # Q*, to project. Q P is still unitary and diagonalizes Q P T P^T Q*
+    # exactly: the Laplace and Euler checks, which read only Q, Z and T,
+    # agree with it. The form limit compares that spectral calculus with
+    # the sparse L, and is the check that catches it.
     # The graph is not a path, so that both forms have Q != I.
     for name in ("zunmqr", "dormqr"):
         routine = getattr(lapack, name)

@@ -406,7 +406,7 @@ def test_back_transform_overwrites_its_own_buffer(monkeypatch):
 
 
 def test_q_is_formed_only_where_eigenvectors_are_read(monkeypatch, tmp_path):
-    # semigroup-id applies Q from its reflectors (?unmqr) for the identities
+    # semigroup-id applies Q* from its reflectors (?unmqr) for the identities
     # and forms it (?ungqr) only for the scalar form's Beurling-Deny kernel,
     # never for the magnetic form; dominate forms Q once per form, and
     # spectrum, which reads no eigenvector, never does. Neither applies Q

@@ -33,3 +33,8 @@ def test_benchmark_quick_run_is_correct(trace):
     if trace:
         missing = [key for key in expected if summary["metrics"][key]["value"] is None]
         assert missing == []
+        # semigroup-id still runs the identity checks through the public
+        # functions that the tracer wraps, not through a second path.
+        for check in ("laplace", "euler_limit", "form_limit"):
+            key = f"identities-rank2:spectral.{check}_check_s"
+            assert summary["metrics"][key]["value"] > 0, key

@@ -191,6 +191,24 @@ def test_exhaustion_path50_regression():
     assert report["criteria"] == {"degree_bounded": pytest.approx(1.8, rel=1e-15)}
 
 
+def test_eigh_reads_a_fortran_ordered_pencil(monkeypatch):
+    # The pencil is X[b] copied once, in Fortran order, so that f2py hands it
+    # to ?hegvx without copying it again; the Gram matrix is herk's own
+    # Fortran output. Both forms, real and complex, on path50's prefixes.
+    seen = []
+    eigh = metrics.eigh
+
+    def recording(a, b, **kwargs):
+        seen.append((a.flags.f_contiguous, b.flags.f_contiguous, b.dtype.kind))
+        return eigh(a, b, **kwargs)
+
+    monkeypatch.setattr(metrics, "eigh", recording)
+    g = fixtures.path50_graph()
+    exhaustion_uniqueness_experiment(g, fixtures.path50_bundle(g), [range(10), range(30)])
+    assert {kind for *_, kind in seen} == {"f", "c"}
+    assert all(gram and pencil for gram, pencil, _ in seen), seen
+
+
 def test_chain_measure_sum():
     from mgl import chain_measure_sum
 

@@ -31,9 +31,9 @@ from mgl.errors import (
     SchemaError,
 )
 from mgl.cli import run
-from mgl.domination import DEFAULT_T_GRID
+from mgl.domination import DEFAULT_ALPHA_GRID, DEFAULT_T_GRID
 from mgl.forms import FormOperator
-from mgl.spectral import _identity_suite
+from mgl.spectral import _identity_suite, semigroup_identities
 
 
 def scalar_fixture_forms():
@@ -269,7 +269,7 @@ def test_euler_band_solves_replace_steps(monkeypatch):
 def test_euler_reads_no_eigenvalue():
     # Scaling the cached eigenvalues moves the spectral semigroup only: were
     # the Euler power read off them too, the error would stay small. (It
-    # applies Q from the reduction's reflectors.)
+    # applies Q* from the reduction's reflectors.)
     g = fixtures.random_graph()
     for F in (
         assemble_scalar_form(g),
@@ -285,7 +285,7 @@ def test_euler_reads_no_eigenvalue():
 
 
 def test_identity_figures_agree_whichever_way_q_is_applied():
-    # Until U is built, Q is applied from the reduction's reflectors (?unmqr);
+    # Until U is built, Q* is applied from the reduction's reflectors (?unmqr);
     # after, as U Z^T. On each fixture form, built afresh for each route, the
     # Euler errors agree to 1e-10 relative, and the two routes' Laplace
     # residuals differ by at most 1e-13 |u|_m and stay within 1e-12 |u|_m at
@@ -312,6 +312,70 @@ def test_identity_figures_agree_whichever_way_q_is_applied():
         suites = [_identity_suite(form, [0.5, 1.0, 10.0], 42) for form in (F, G)]
         assert [[suite[flag] for flag in flags] for suite in suites] == [[True] * 3] * 2
         assert "_eigenvectors" not in F.__dict__, name
+
+
+def test_identity_figures_match_a_dense_oracle():
+    # The identity checks compare their routes in T's coordinates; the
+    # oracle (tests/oracles.py) takes the same figures from eigh(L, M) in the
+    # vertex frame. Euler errors agree to 1e-10 relative, beyond the n eps
+    # |u|_m that n sequential solves may round off (at n = 4096 that is up
+    # to 4e-9 of an error of order 1e-5 |u|_m). Form-limit defects, for
+    # v = u and for another v, agree to 1e-9 relative. Laplace residuals,
+    # 0 in exact arithmetic, stay within 1e-12 |u|_m on both sides at
+    # alpha = 1 and 10.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(91)
+    for name, F in euler_fixture_forms().items():
+        L, m = F.L.toarray(), F.m_diag
+        u, v = rng.standard_normal((2, F.dim))
+        if np.iscomplexobj(F.L):
+            u, v = u + 1j * rng.standard_normal(F.dim), v + 1j * rng.standard_normal(F.dim)
+        scale = F.norm(u)
+        for n in (16, 256, 4096):
+            got, want = euler_limit_check(F, 0.7, u, n), oracles.euler_error(L, m, 0.7, u, n)
+            assert abs(got - want) <= 1e-10 * want + n * eps * scale, (name, n, got, want)
+        for alpha in (1.0, 10.0):
+            residuals = laplace_check(F, alpha, u), oracles.laplace_residual(L, m, u, alpha)
+            assert max(residuals) <= 1e-12 * scale, (name, alpha, residuals)
+        t0 = 1e-3 / np.abs(F.eigenvalues).max()
+        t_list = [t0, t0 / 2, 1.0]
+        for w in (u, v):
+            got = form_limit_check(F, u, w, t_list)
+            want = oracles.form_limit_defects(L, m, u, w, t_list)
+            assert np.abs(got - want).max() <= 1e-9 * want.min(), (name, got, want)
+
+
+def test_semigroup_id_applies_no_q_back(monkeypatch, tmp_path):
+    # Each identity check projects its vector once, Q* M^1/2 u, from the
+    # reduction's reflectors, and compares its routes there: one semigroup-id
+    # run calls ?unmqr only with the adjoint trans, once per Laplace alpha,
+    # Euler power and form-limit check on each form.
+    calls = []
+    for name in ("zunmqr", "dormqr"):
+        routine = getattr(lapack, name)
+
+        def counting(side, trans, *args, _routine=routine, _name=name, **kwargs):
+            calls.append((_name, trans))
+            return _routine(side, trans, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, counting)
+    paths = []
+    for name, doc in zip(("graph", "bundle"), fixtures.diamagnetic_docs(d=2)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["semigroup-id", "--graph", str(paths[0]), "--bundle", str(paths[1])]
+    assert run([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    checks = len(DEFAULT_ALPHA_GRID) + 3 + 1
+    assert sorted(calls) == [("dormqr", "T")] * checks + [("zunmqr", "C")] * checks
+
+
+def test_identity_suite_refusal_names_no_flag():
+    # A library caller passes no flag: the refusal of alphas at or below the
+    # Laplace floor names none (semigroup-id adds --alpha to it).
+    with pytest.raises(AlphaTooSmall, match=re.escape(
+            "no alpha exceeds the Laplace-check floor 1e-06; filtered: [1e-09]")) as info:
+        semigroup_identities(WeightedGraph(2, {(0, 1): 1.0}), None, [1e-9], 0)
+    assert "--" not in str(info.value)
 
 
 def test_euler_reduces_each_form_once(monkeypatch):
@@ -409,9 +473,12 @@ def _stepwise_euler_error(F, t, u, n):
             assert info == 0
         return y
 
-    v = (F.m_sqrt * u).astype(np.result_type(F.L.dtype, u))[:, None]
-    y = F._in_reduced_frame(v, steps)
-    return F.norm(F.m_isqrt * y[:, 0] - F.semigroup(t, u))
+    # Both sides in T's coordinates w = Q* M^1/2 u, where the m-norm is the
+    # 2-norm.
+    w = F._project(u)
+    Z = F._eigensystem[1]
+    exact = Z @ (np.exp(-t * F.eigenvalues)[:, None] * (Z.T @ w))
+    return float(np.linalg.norm(steps(w) - exact))
 
 
 def test_semigroup_id_on_a_benchmark_shaped_instance(tmp_path):
