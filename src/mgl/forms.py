@@ -7,11 +7,11 @@ it sparse for each subset's inner edges.
 
 A FormOperator couples the form matrix L (so that Q(u, v) = <Lu, v> in the
 unweighted pairing) with the diagonal measure matrix M. L is kept sparse,
-as a CSR array: form values, the generator action and every block a caller
-reads come from its stored entries. The generator in the m-weighted inner
-product is A = M^-1 L; it is diagonalized through the honest Hermitian
-matrix M^-1/2 L M^-1/2, which is densified once, into the columns 1: of a
-zeroed N x (N+1) buffer that its Householder reduction Q T Q* (?hetrd)
+as a CSR array: form values and every block a caller reads come from its
+stored entries. The generator in the m-weighted inner product is
+A = M^-1 L; it is diagonalized through the honest Hermitian matrix
+M^-1/2 L M^-1/2, which is densified once, into the columns 1: of a zeroed
+N x (N+1) buffer that its Householder reduction Q T Q* (?hetrd)
 overwrites; the buffer's columns :-1 are then Q's reflectors as ?unmqr and
 ?ungqr read them. Each step is computed on first use and cached: the
 reduction; T's eigensystem w, Z (dstevd), which gives the eigenvalues; and
@@ -326,16 +326,6 @@ class FormOperator:
         if u.shape != v.shape:
             raise DimensionMismatch(f"batches have shapes {u.shape} vs {v.shape}")
         return np.einsum("ij,ij->j", v.conj(), self.L @ u)
-
-    def quad(self, u):
-        """Real quadratic value Q(u, u); a (k,) array for an (N, k) batch."""
-        return self.evaluate(u, u).real
-
-    def apply_generator(self, u):
-        """A u with A = M^-1 L, the generator in the m-inner product."""
-        u = self._check_vector(u)
-        cols = u.reshape(self.dim, -1)
-        return ((self.L @ cols) / self.m_diag[:, None]).reshape(u.shape)
 
     # -- spectral calculus ---------------------------------------------------
 

@@ -33,6 +33,20 @@ def scalar_form_value(G, u, v):
     return total
 
 
+def scalar_generator_apply(G, u):
+    """(M^-1 L u)(x) = (sum_y b(x, y) (u(x) - u(y)) + c(x) u(x)) / m(x),
+    summed literally over the graph's weights."""
+    u = np.asarray(u)
+    out = np.zeros(G.n, dtype=np.result_type(u, float))
+    for x in range(G.n):
+        for y in range(G.n):
+            b = G.weight(x, y)
+            if b:
+                out[x] += b * (u[x] - u[y])
+        out[x] = (out[x] + G.killing[x] * u[x]) / G.measure[x]
+    return out
+
+
 def magnetic_form_value(G, B, u):
     """Literal double-sum evaluation of the bundle energy (quadratic)."""
     u = np.asarray(u, dtype=complex)

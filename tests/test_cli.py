@@ -364,16 +364,6 @@ def test_dominate_fault_injection_exit_1(diamagnetic_specs, tmp_path, monkeypatc
     assert cmd_dominate(args) == 1
 
 
-def test_dominate_determinism(diamagnetic_specs, tmp_path):
-    graph_spec, bundle_spec = diamagnetic_specs
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    argv = ["dominate", "--graph", graph_spec, "--bundle", bundle_spec,
-            "--samples", "30", "--seed", "7"]
-    assert run(argv + ["--out", str(out1)]) == 0
-    assert run(argv + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def path50_spec(tmp_path):
     g = fixtures.path50_graph()
     doc = {
@@ -458,12 +448,22 @@ def test_uniqueness_omega_out_of_range_exit_2(tmp_path, capsys, omega):
     assert "--omega" in capsys.readouterr().err
 
 
-def test_uniqueness_determinism(tmp_path):
-    spec = path50_spec(tmp_path)
-    out1, out2 = tmp_path / "u1.json", tmp_path / "u2.json"
-    argv = ["uniqueness", "--graph", spec, "--omega", "10,25,50"]
-    assert run(argv + ["--out", str(out1)]) == 0
-    assert run(argv + ["--out", str(out2)]) == 0
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["dominate", "--samples", "30", "--seed", "7"],
+    ["uniqueness", "--omega", "10,25,50"],
+    ["spectrum"],
+    ["semigroup-id"],
+], ids=lambda command: command[0])
+def test_cli_determinism(diamagnetic_specs, tmp_path, command):
+    # A rerun in the same process writes the same report bytes.
+    graph_spec, bundle_spec = diamagnetic_specs
+    specs = ["--graph", graph_spec, "--bundle", bundle_spec]
+    if command[0] == "uniqueness":
+        specs = ["--graph", path50_spec(tmp_path)]
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert run(command + specs + ["--out", str(out1)]) == 0
+    assert run(command + specs + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 

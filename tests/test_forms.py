@@ -53,7 +53,8 @@ def test_magnetic_assembly_antipodal_p2():
     g = fixtures.p2()
     A = assemble_magnetic_form(g, fixtures.phase_bundle(g, np.pi))
     np.testing.assert_allclose(A.L.toarray(), [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
-    assert A.quad(np.array([1.0, 1.0])) == pytest.approx(4.0)
+    ones = np.array([1.0, 1.0])
+    assert A.evaluate(ones, ones).real == pytest.approx(4.0)
 
 
 def test_magnetic_phase_quadratic_values():
@@ -62,8 +63,8 @@ def test_magnetic_phase_quadratic_values():
     for theta in (0.0, np.pi / 2, np.pi):
         A = assemble_magnetic_form(g, fixtures.phase_bundle(g, theta))
         expected = 2.0 - 2.0 * np.cos(theta)
-        assert A.quad(ones) == pytest.approx(expected, abs=1e-12)
-        assert A.quad(ones) == pytest.approx(
+        assert A.evaluate(ones, ones).real == pytest.approx(expected, abs=1e-12)
+        assert A.evaluate(ones, ones).real == pytest.approx(
             oracles.magnetic_form_value(g, fixtures.phase_bundle(g, theta), ones[:, None]),
             abs=1e-12,
         )
@@ -81,7 +82,8 @@ def test_trivial_bundle_reduces_to_scalar():
         u = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         emb = np.zeros((g.n, d), dtype=complex)
         emb[:, 0] = u
-        assert A.quad(emb.reshape(-1)) == pytest.approx(B.quad(u), rel=1e-12)
+        emb = emb.reshape(-1)
+        assert A.evaluate(emb, emb).real == pytest.approx(B.evaluate(u, u).real, rel=1e-12)
 
 
 def test_magnetic_assembly_vs_double_sum():
@@ -92,7 +94,8 @@ def test_magnetic_assembly_vs_double_sum():
     for _ in range(100):
         u = fixtures.random_section(g.n, 2, rng)
         direct = oracles.magnetic_form_value(g, bundle, u)
-        got = A.quad(u.reshape(-1))
+        u = u.reshape(-1)
+        got = A.evaluate(u, u).real
         assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
@@ -154,7 +157,7 @@ def test_generator_pairing_and_reconstruction():
         for _ in range(5):
             u = rng.standard_normal(g.n)
             v = rng.standard_normal(g.n)
-            lhs = F.inner(F.apply_generator(u), v)
+            lhs = F.inner(oracles.scalar_generator_apply(g, u), v)
             rhs = F.evaluate(u, v)
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 
@@ -179,8 +182,9 @@ def test_gauge_invariance():
     for _ in range(20):
         u = fixtures.random_section(g.n, d, rng)
         rotated = np.stack([gauges[x] @ u[x] for x in range(g.n)])
-        q0 = A.quad(u.reshape(-1))
-        q1 = A_gauged.quad(rotated.reshape(-1))
+        u, rotated = u.reshape(-1), rotated.reshape(-1)
+        q0 = A.evaluate(u, u).real
+        q1 = A_gauged.evaluate(rotated, rotated).real
         assert abs(q1 - q0) <= 1e-11 * max(1.0, abs(q0))
 
 
@@ -197,7 +201,8 @@ def test_diamagnetic_form_inequality():
         for _ in range(10):
             u = fixtures.random_section(G.n, bundle.rank, rng)
             mags = np.linalg.norm(u, axis=1)
-            assert A.quad(u.reshape(-1)) >= B.quad(mags) - 1e-10
+            u = u.reshape(-1)
+            assert A.evaluate(u, u).real >= B.evaluate(mags, mags).real - 1e-10
 
 
 def test_spectrum_is_computed_on_first_read(monkeypatch):
@@ -207,8 +212,7 @@ def test_spectrum_is_computed_on_first_read(monkeypatch):
     A = assemble_magnetic_form(g, bundle)
     u = np.ones(A.dim)
     repr(A)
-    A.quad(u)
-    A.apply_generator(u)
+    A.evaluate(u, u)
     assert calls == []
     assert A.lower_bound == A.eigenvalues[0]
     assert A.eigenvectors.shape == (A.dim, A.dim)
@@ -221,7 +225,8 @@ def test_spectrum_is_computed_on_first_read(monkeypatch):
 
     monkeypatch.setattr(forms.lapack, "dstevd", failing)
     B = assemble_scalar_form(g)
-    assert B.quad(np.ones(g.n)) == pytest.approx(g.killing.sum(), rel=1e-12)
+    ones = np.ones(g.n)
+    assert B.evaluate(ones, ones).real == pytest.approx(g.killing.sum(), rel=1e-12)
     with pytest.raises(EigSolverFailure, match="info = 1"):
         B.lower_bound
 
@@ -260,6 +265,7 @@ def test_nonfinite_form_fails_at_the_first_spectral_read(monkeypatch):
         raise AssertionError("LAPACK called on a non-finite matrix")
 
     g = fixtures.p3()
+    ones = np.ones(3)
     with monkeypatch.context() as patch:
         for name in ("dsytrd", "zhetrd", "dstevd"):
             patch.setattr(forms.lapack, name, refuse)
@@ -267,7 +273,7 @@ def test_nonfinite_form_fails_at_the_first_spectral_read(monkeypatch):
             L = assemble_scalar_form(g).L.toarray().astype(dtype)
             L[1, 1] = bad
             F = FormOperator(L, g.measure)
-            assert not np.isfinite(F.quad(np.ones(3)))
+            assert not np.isfinite(F.evaluate(ones, ones).real)
             with pytest.raises(EigSolverFailure):
                 F.eigenvalues
     # A finite form whose T is finite but whose top eigenvalue, 8e307 times
@@ -335,11 +341,12 @@ def test_evaluate_batches_match_columns():
                 (2, F.dim, 4)
             )
             columns = np.array([F.evaluate(u[:, j], v[:, j]) for j in range(4)])
-            quads = np.array([F.quad(u[:, j]) for j in range(4)])
+            quads = np.array([F.evaluate(u[:, j], u[:, j]).real for j in range(4)])
             batch = F.evaluate(u, v)
             assert batch.shape == (4,)
             assert (np.abs(batch - columns) <= 1e-12 * np.maximum(1, abs(columns))).all()
-            assert (np.abs(F.quad(u) - quads) <= 1e-12 * np.maximum(1, abs(quads))).all()
+            batch = F.evaluate(u, u).real
+            assert (np.abs(batch - quads) <= 1e-12 * np.maximum(1, abs(quads))).all()
     with pytest.raises(DimensionMismatch):
         F.evaluate(u, v[:, :3])
 

@@ -183,3 +183,43 @@ def test_cli_reads_no_private_name_of_another_module():
     # call per command and emits its report: it reaches into no module.
     cli = next(p for p in SOURCES if p.name == "cli.py")
     assert private_reads(cli.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that a module imports: `from .m import x`,
+    `from . import m`, `from mgl.m import x` and `import mgl.m` all name m."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "mgl":
+                continue
+            parts = parts[1:] if node.level == 0 else parts
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("mgl."))
+    return found
+
+
+def test_package_imports_are_found():
+    source = (
+        "import numpy as np\n"
+        "from scipy.linalg import blas\n"
+        "from .forms import FormOperator\n"
+        "from . import errors\n"
+        "from mgl.graphs import DENSE_DIM_BOUND\n"
+        "import mgl.cones\n"
+    )
+    assert package_imports(source) == {"forms", "errors", "graphs", "cones"}
+
+
+def test_spectral_and_domination_import_nothing_from_each_other():
+    # Each owns its time grid: a change to dominate's default --t must not
+    # move the Beurling-Deny times, nor the reverse.
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert "domination" not in package_imports(sources["spectral"])
+    assert "spectral" not in package_imports(sources["domination"])

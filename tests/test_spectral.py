@@ -31,9 +31,11 @@ from mgl.errors import (
     SchemaError,
 )
 from mgl.cli import run
-from mgl.domination import DEFAULT_ALPHA_GRID, DEFAULT_T_GRID
+from mgl.domination import DEFAULT_ALPHA_GRID
+from mgl import spectral
 from mgl.forms import FormOperator
-from mgl.spectral import _identity_suite, semigroup_identities
+from mgl.graphs import DENSE_DIM_BOUND
+from mgl.spectral import BEURLING_DENY_TIMES, _identity_suite, semigroup_identities
 
 
 def scalar_fixture_forms():
@@ -113,12 +115,13 @@ def test_resolvent_examples():
         single.resolvent(1.0, np.array([1.0])), [1.0 / 3.0]
     )
 
-    F = assemble_scalar_form(fixtures.p2())
+    g = fixtures.p2()
+    F = assemble_scalar_form(g)
     u = np.array([1.0, 0.0])
     out = F.resolvent(1.0, u)
     direct = np.linalg.solve(F.L.toarray() + np.eye(2), u)   # m = 1, so A = L
     np.testing.assert_allclose(out, direct, atol=1e-12)
-    residual = F.apply_generator(out) + 1.0 * out - u
+    residual = oracles.scalar_generator_apply(g, out) + 1.0 * out - u
     assert F.norm(residual) <= 1e-12
 
     with pytest.raises(AlphaInSpectrum):
@@ -693,38 +696,95 @@ def test_beurling_deny_refuses_a_markov_failure_passed_within_rounding():
             beurling_deny_check(F)
 
 
-def test_beurling_deny_judges_an_unresolved_time_at_a_scaled_one():
-    # On P2 with an edge of 1e15, |mu|_max = 2e15 and t = 10 has a rounding
-    # allowance of 8.9 |S_t|_2: it is judged at t 10 / |mu|_max = 5e-14,
-    # where t |mu|_max = 100, so e^{-tA} is the mean: a kernel ratio of 1.
-    F = assemble_scalar_form(WeightedGraph(2, {(0, 1): 1e15}))
-    criteria = beurling_deny_check(F, t_list=(10.0,))
-    report = criteria["positivity"]
-    assert report["semigroup_ok"] and criteria["markov"]["semigroup_ok"]
-    assert report["semigroup_witness"] == {"t": 5e-14, "x": 0, "y": 1}
+def test_beurling_deny_times_are_resolved_up_to_the_dense_bound():
+    # A time whose rounding allowance reaches |S_t|_2 is judged at
+    # t 10 / max(|mu|_max, 10), where t |mu|_max <= 10 max t. There the
+    # allowance N eps (2 + t |mu|_max) |S_t|_2 stays below |S_t|_2 for
+    # every N a dense command accepts, and e^{-t mu} <= e^{10 max t} is
+    # finite: so every grid time is judged, and none is refused.
+    top = max(BEURLING_DENY_TIMES)
+    assert min(BEURLING_DENY_TIMES) >= 0
+    assert DENSE_DIM_BOUND * np.finfo(float).eps * (2 + 10 * top) < 1
+    assert np.isfinite(np.exp(10 * top))
+
+
+def test_beurling_deny_judges_an_unresolved_time_at_a_scaled_one(monkeypatch):
+    # Each grid time is judged as given or, where its rounding allowance
+    # reaches |S_t|_2, at t 10 / |mu|_max of its component, where the
+    # allowance is below |S_t|_2. Below, each case lists per component (by
+    # its first vertex) which grid times are stretched.
+    judged = []
+
+    def side(form, t, delta, part):
+        judged.append((int(part[0]), form, t, delta))
+        return semigroup_side(form, t, delta, part)
+
+    semigroup_side = spectral._semigroup_side
+    monkeypatch.setattr(spectral, "_semigroup_side", side)
+    # On P2 with an edge of 1e15, |mu|_max = 2e15 and t = 10 has an
+    # allowance of 8.9 |S_t|_2: it is judged at 5e-14.
+    p2 = assemble_scalar_form(WeightedGraph(2, {(0, 1): 1e15}))
+    # A 301-vertex path with one edge of 1e14: |mu|_max = 2e14.
+    path = WeightedGraph(301, {(x, x + 1): 1e14 if x == 0 else 1.0 for x in range(300)})
+    # The light component, whose coupling +0.5 breaks positivity, next to
+    # one of weight 1e15.
+    L = np.zeros((4, 4))
+    L[:2, :2] = [[1.0, 0.5], [0.5, 1.0]]
+    L[2:, 2:] = 1e15 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    cases = [
+        (p2, {0: [False, False, False, True]}),
+        (assemble_scalar_form(path), {0: [False, True, True, True]}),
+        (FormOperator(L, np.ones(4)),
+         {0: [False, False, False, False], 2: [False, False, False, True]}),
+    ]
+    grid = BEURLING_DENY_TIMES
+    reports, times = [], []
+    for F, stretched in cases:
+        judged.clear()
+        reports.append(beurling_deny_check(F))
+        times.append([t for _, _, t, _ in judged])
+        assert [call[0] for call in judged] == [c for c in stretched for _ in grid]
+        for i, (first, form, t, delta) in enumerate(judged):
+            given = grid[i % len(grid)]
+            scaled = given * 10.0 / np.abs(form.eigenvalues).max()
+            if stretched[first][i % len(grid)]:
+                assert t == pytest.approx(scaled, rel=1e-12)
+            else:
+                assert t == given
+            assert delta < np.exp(-t * form.eigenvalues).max()
+    # At t = 5e-14 on P2, t |mu|_max = 100, so e^{-tA} is the mean: a kernel
+    # ratio of 1.
+    assert times[0] == [0.01, 0.1, 1.0, pytest.approx(5e-14, rel=1e-12)]
+    report = reports[0]["positivity"]
+    assert report["semigroup_ok"] and reports[0]["markov"]["semigroup_ok"]
     assert report["min_kernel_ratio"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_beurling_deny_refuses_a_time_that_resolves_nothing():
-    # On P2, t = 1e17 puts the rounding allowance above |S_t|_2, so no entry
-    # or row could fail there; unless another time fails, that is an error.
-    F = assemble_scalar_form(fixtures.p2())
-    with pytest.raises(SchemaError, match="t = 1e[+]17 resolves nothing"):
-        beurling_deny_check(F, t_list=(0.1, 1e17))
-    report = beurling_deny_check(perturbed_p2_form(), t_list=(10.0, 1e17))["positivity"]
+    report = reports[2]["positivity"]
     assert not report["semigroup_ok"]
     assert report["semigroup_witness"] == {"t": 10.0, "x": 0, "y": 1}
 
 
-def test_beurling_deny_refuses_an_unresolved_time_when_only_rows_fail():
+def test_beurling_deny_refuses_a_time_that_resolves_nothing():
+    # Perturbed P2 scaled by 1e15: mu = 5e14, 1.5e15, and at every grid time
+    # e^{-t mu} underflows below the rounding allowance, so no entry could
+    # fail there. No grid time is judged as given: each is judged at
+    # t 10 / |mu|_max, and the failure the form shows is reported there,
+    # with the kernel ratio -tanh(5e14 t) = -1.
+    bumped = perturbed_p2_form()
+    F = FormOperator(1e15 * bumped.L.toarray(), bumped.measure)
+    report = beurling_deny_check(F)["positivity"]
+    assert not report["form_ok"] and not report["semigroup_ok"]
+    top = max(BEURLING_DENY_TIMES)
+    assert report["semigroup_witness"]["t"] == pytest.approx(top * 10 / 1.5e15, rel=1e-12)
+    assert report["semigroup_witness"]["t"] not in BEURLING_DENY_TIMES
+    assert report["min_kernel_ratio"] == pytest.approx(-1.0, rel=1e-12)
+
+
+def test_beurling_deny_row_failure_leaves_the_kernel_positive():
     # P2 with killing -0.1 at vertex 0: e^{-tA} >= 0, and its row at 0
-    # exceeds 1 at t = 0.1. That Markov failure does not decide positivity,
-    # so t = 1e17, where e^{-t mu} overflows, is still an error.
+    # exceeds 1 on the grid.
     F = FormOperator(np.array([[0.9, -1.0], [-1.0, 1.0]]), np.ones(2))
-    report = beurling_deny_check(F, t_list=(0.1,))
+    report = beurling_deny_check(F)
     assert report["positivity"]["semigroup_ok"] and not report["markov"]["semigroup_ok"]
-    with pytest.raises(SchemaError, match="t = 1e[+]17 resolves nothing"):
-        beurling_deny_check(F, t_list=(0.1, 1e17))
 
 
 def test_positivity_markov_all_scalar_fixtures():
@@ -735,7 +795,7 @@ def test_positivity_markov_all_scalar_fixtures():
             assert criteria[criterion]["semigroup_ok"], (name, criterion)
 
 
-def _oracle_figures(L, measure, times=DEFAULT_T_GRID):
+def _oracle_figures(L, measure, times=BEURLING_DENY_TIMES):
     return oracles.beurling_deny_figures(L, measure, times)
 
 
@@ -744,12 +804,12 @@ def test_beurling_deny_matches_expm_oracle(case):
     if case == "fixtures":
         pairs = [(oracles.scalar_form_matrix(g), g) for g in
                  fixtures.fixture_graphs().values()]
-        forms = [(L, g.measure, assemble_scalar_form(g), DEFAULT_T_GRID)
+        forms = [(L, g.measure, assemble_scalar_form(g), BEURLING_DENY_TIMES)
                  for L, g in pairs]
     elif case == "bumped-p2":
         F = perturbed_p2_form()
         L = oracles.scalar_form_matrix(fixtures.p2()) + np.array([[0, 1.5], [1.5, 0]])
-        forms = [(L, F.measure, F, DEFAULT_T_GRID)]
+        forms = [(L, F.measure, F, BEURLING_DENY_TIMES)]
     else:
         forms = []
         for m0 in (1e12, 1e150, 1e-150):
@@ -759,7 +819,7 @@ def test_beurling_deny_matches_expm_oracle(case):
             # anything, and each is judged at t 10 / |mu|_max instead.
             stretch = 10.0 / np.abs(F.eigenvalues).max() if m0 < 1 else 1.0
             forms.append((oracles.scalar_form_matrix(g), g.measure, F,
-                          [t * stretch for t in DEFAULT_T_GRID]))
+                          [t * stretch for t in BEURLING_DENY_TIMES]))
     for L, measure, F, times in forms:
         want = _oracle_figures(L, measure, times)
         criteria = beurling_deny_check(F)
@@ -831,12 +891,7 @@ def _rank2_form():
      DimensionMismatch, "the Beurling-Deny check requires a real scalar form"),
     (lambda F: beurling_deny_check(_rank2_form()),
      DimensionMismatch, "the Beurling-Deny check requires a real scalar form"),
-    (lambda F: beurling_deny_check(F, t_list=()),
-     NegativeTime, "Beurling-Deny times must be >= 0, at least one: ()"),
-    (lambda F: beurling_deny_check(F, t_list=(1.0, -0.5)),
-     NegativeTime, "Beurling-Deny times must be >= 0, at least one: (1.0, -0.5)"),
-], ids=["euler-n", "form-limit-zero", "form-limit-negative", "bd-complex", "bd-rank-2",
-        "bd-no-times", "bd-negative-time"])
+], ids=["euler-n", "form-limit-zero", "form-limit-negative", "bd-complex", "bd-rank-2"])
 def test_identity_checks_refuse_their_input_errors(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call(assemble_scalar_form(fixtures.p2()))
