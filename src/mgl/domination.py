@@ -187,6 +187,10 @@ def _pointwise_verdict(
     if len(params) == 0:
         raise SchemaError(f"the {name} grid is empty: nothing would be compared")
     n, d = A.n, A.d
+    # Both eigensystems first, so that neither dstevd runs beside the samples.
+    _check_compatible(A, B)
+    A.eigenvectors
+    B.eigenvectors
     sections = _sections(A, B, samples, rng)
     _, fibers = _vertex_probes(A, B)
     k = len(sections)

@@ -20,11 +20,16 @@ U instead of the reflectors (where every reflector is the identity, U is
 Z). The semigroup and the resolvent transform vectors only: they apply
 Q* and Q from the reflectors (?unmqr) and Z by real products, and Q as
 U Z^T only once U exists. The identity checks only project, w = Q* M^1/2 u
-(`_project`), and apply no Q back. So each form is reduced once,
-whichever reads it first, U is built only where `eigenvectors` is read
-(the domination verdicts, Beurling-Deny, the reconstruction defect and the
-resolvent matrix), and callers that only read L (form probes) never hold a
-dense N x N array. Instances are immutable.
+(`_project`), and apply no Q back; the form remembers its last projected
+vector, so a check that projects the same u again applies no Q*. An owner
+that needs no Q beyond that projection may drop the reflectors before
+dstevd runs (`_release_reflectors`): the buffer is then freed, and any
+later use of Q, U included, raises EigSolverFailure. So each form is
+reduced once, whichever reads it first, U is built only where
+`eigenvectors` is read (the domination verdicts, Beurling-Deny, the
+reconstruction defect and the resolvent matrix), and callers that only
+read L (form probes) never hold a dense N x N array. Instances are
+immutable.
 """
 
 from __future__ import annotations
@@ -146,6 +151,9 @@ class FormOperator:
         # Reentrant: `_apply_function` holds it across `_project` and
         # `_reflect`, which take it too.
         self._lock = threading.RLock()
+        # The last single vector that `_project` took, scaled and cast, and
+        # its projection.
+        self._projection = None
 
     def _symmetrized(self):
         """M^-1/2 L M^-1/2, the Hermitian matrix that is reduced.
@@ -216,14 +224,17 @@ class FormOperator:
         """U = Q Z, built inside the reduction's buffer: ?ungqr turns the
         reflectors into Q there, then Q Z overwrites Q a panel of rows at a
         time. The buffer is taken from `_householder` first, so nothing reads
-        it as reflectors again. Where every tau is 0 (an already tridiagonal
-        matrix with a real subdiagonal), Q = I and U is Z itself."""
+        it as reflectors again, and the remembered projection goes with it,
+        so that Q* and Q are applied the same way. Where every tau is 0 (an
+        already tridiagonal matrix with a real subdiagonal), Q = I and U is Z
+        itself."""
         Z = self._eigensystem[1]
         try:
             q, tau = self.__dict__.pop("_householder")
         except KeyError:
-            raise EigSolverFailure("a failed eigenvector build consumed the "
-                                   "reflectors") from None
+            raise EigSolverFailure("the reflectors were released, or consumed by "
+                                   "a failed eigenvector build") from None
+        self._projection = None
         if not tau.any():
             return Z
         ungqr = lapack.zungqr if np.iscomplexobj(q) else lapack.dorgqr
@@ -256,7 +267,8 @@ class FormOperator:
         first form a triangular factor per panel, which costs more than a
         few columns do. Once U is built, Q = U Z^T. Building U overwrites the
         reflectors, so a caller that applies Q* and then Q holds the lock
-        across both, and both apply Q the same way."""
+        across both, and both apply Q the same way. After
+        `_release_reflectors`, with no U built, EigSolverFailure."""
         self._tridiagonal  # leaves the reflectors in `_householder`
         with self._lock:
             if "_householder" in self.__dict__:
@@ -274,11 +286,38 @@ class FormOperator:
         """w = Q* M^1/2 u, a vector or an (N, k) batch u in T's coordinates,
         as Fortran-ordered real columns, a complex column entering as two,
         its real and imaginary parts. Q is unitary, so the m-norms and
-        m-inner products of u are the 2-norms and inner products of w."""
+        m-inner products of u are the 2-norms and inner products of w.
+
+        The last single vector projected, (N,) or (N, 1), is remembered with
+        its w: a vector of the same values and type gets a copy of that w,
+        and no Q* is applied, also after `_release_reflectors`. Batches of
+        k > 1 columns are never remembered."""
         u = self._check_vector(u)
         v = self.m_sqrt[:, None] * u.reshape(self.dim, -1)
         v = v.astype(np.result_type(self.L.dtype, v), copy=False)
-        return _columns(self._reflect(_columns(v, self.L.dtype), True), float)
+        with self._lock:
+            last = self._projection
+            if (last is not None and last[0].dtype == v.dtype
+                    and np.array_equal(last[0], v)):
+                return np.array(last[1], order="F")
+            # ?unmqr overwrites its columns, which may be v's own memory.
+            key = v.copy() if v.shape[1] == 1 else None
+            w = _columns(self._reflect(_columns(v, self.L.dtype), True), float)
+            if key is not None:
+                self._projection = key, np.array(w, order="F")
+        return w
+
+    def _release_reflectors(self):
+        """Drops the reduction's reflectors, and with them the N x (N+1)
+        buffer, unless U already holds it; the reduction runs first if it
+        has not. Only the remembered projection (`_project`) still reads Q
+        afterwards: `_reflect`, and so the semigroup and the resolvent, and
+        the first read of `eigenvectors` raise EigSolverFailure. For an owner
+        that projects one vector and then needs only T and its eigensystem,
+        so that dstevd does not run beside the buffer."""
+        self._tridiagonal  # a later first read would leave new reflectors
+        with self._lock:
+            self.__dict__.pop("_householder", None)
 
     @property
     def lower_bound(self) -> float:

@@ -3,26 +3,30 @@
 Semigroups and resolvents go through the FormOperator's cached spectral
 decomposition. Every identity figure is a norm or an inner product, which
 the unitary Q of the form's reduction Q T Q* and T's unitary eigenvectors
-Z leave unchanged: so each identity check projects its vector once,
+Z leave unchanged: so each identity check projects its vector,
 w = Q* M^1/2 u (`FormOperator._project`), compares its two routes in T's
-coordinates and applies no Q back. The routes are independent: Laplace
-integrates the semigroup's modes e^{-t (alpha + mu)} (composite
-Gauss-Legendre) against the resolvent's 1 / (alpha + mu); the form limit
-weighs Z^T w by 1 - e^{-t mu} against Q(u, v) read from L. Euler and the
-eigensystem share the form's one Householder reduction (?hetrd) and
-diverge after it: the eigensystem runs dstevd on T; Euler applies
-(I + hT)^-n, h = t/n, to w as n // K dpbtrs solves with the band matrix
-(I + hT)^K, built in band storage by K products with the tridiagonal
-step, and n % K dpttrs solves with the step itself. K, a power of two up
-to EULER_BAND, is the largest for which T's Gershgorin interval bounds
-cond((I + hT)^K) by 2, so a band solve rounds no worse than a step solve.
-The Euler power reads neither eigenvalues nor eigenvectors, only its
-target Z e^{-t mu} Z^T w does; the identity checks build no U, which only
-the Beurling-Deny kernel reads.
+coordinates and applies no Q back. The form remembers the last vector it
+projected, so the suite's checks of one form apply Q* once between them;
+`semigroup_identities` projects the magnetic form's u before the suite and
+then releases that form's reflectors, so that its dstevd runs without
+them. The routes are independent: Laplace integrates the semigroup's modes
+e^{-t (alpha + mu)} (composite Gauss-Legendre) against the resolvent's
+1 / (alpha + mu); the form limit weighs Z^T w by 1 - e^{-t mu} against
+Q(u, v) read from L. Euler and the eigensystem share the form's one
+Householder reduction (?hetrd) and diverge after it: the eigensystem runs
+dstevd on T; Euler applies (I + hT)^-n, h = t/n, to w as n // K dpbtrs
+solves with the band matrix (I + hT)^K, built in band storage by K
+products with the tridiagonal step, and n % K dpttrs solves with the step
+itself. K, a power of two up to EULER_BAND, is the largest for which T's
+Gershgorin interval bounds cond((I + hT)^K) by 2, so a band solve rounds
+no worse than a step solve. The Euler power reads neither eigenvalues nor
+eigenvectors, only its target Z e^{-t mu} Z^T w does; the identity checks
+build no U, which only the Beurling-Deny kernel reads.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import itemgetter
 
 import numpy as np
@@ -46,13 +50,25 @@ BEURLING_DENY_TOL = 1e-10
 BEURLING_DENY_TIMES = (0.01, 0.1, 1.0, 10.0)
 
 
+@cache
+def _legendre_rule():
+    """One panel's Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    Computed on the first Laplace check, not at import: leggauss runs an
+    eigensolver on numpy's own BLAS, whose first call costs every command,
+    `uniqueness` too, 0.8 MiB of RSS."""
+    rule = np.polynomial.legendre.leggauss(LAPLACE_NODES)
+    for part in rule:
+        part.setflags(write=False)
+    return rule
+
+
 def _quadrature_grid(alpha: float):
     # Geometrically graded panel edges resolve the stiff modes near t = 0
     # that a uniform layout of the same panel count would smear.
     T = -np.log(TRUNCATION) / alpha
     steps = LAPLACE_PANELS - np.arange(1, LAPLACE_PANELS + 1)
     edges = np.append(0.0, T * np.power(1e-8, steps / (LAPLACE_PANELS - 1)))
-    x, w = np.polynomial.legendre.leggauss(LAPLACE_NODES)
+    x, w = _legendre_rule()
     half = np.diff(edges) / 2
     mid = (edges[:-1] + edges[1:]) / 2
     ts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -159,8 +175,9 @@ def euler_limit_check(F: FormOperator, t: float, u, n: int) -> float:
     times t = min(1, 10 / |mu|_max), K is 8, 16 and 32 for n = 256, 512
     and 4096 on the benchmark's instances.
     e^{-tA} u is spectral, Z e^{-t mu} Z^T w, two real products; the power
-    reads no eigenvalue. Q* is applied once, from the reduction's reflectors
-    (?unmqr) or as Z U* where U is already built, and Q not at all.
+    reads no eigenvalue. Q* is applied at most once, from the reduction's
+    reflectors (?unmqr) or as Z U* where U is already built, and not at all
+    where the form remembers u's projection; Q is not applied.
     """
     if n < 1:
         raise DimensionMismatch(f"power n must be >= 1, got {n}")
@@ -371,12 +388,21 @@ def beurling_deny_check(F: FormOperator) -> dict:
     }
 
 
-def _identity_suite(form, alphas, seed):
-    """The identity checks of one form on a random u from `seed`, with verdicts."""
+def _suite_vector(form, seed):
+    """The identity suite's u: standard normal from `seed`, complex on a
+    complex form."""
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(form.dim)
     if np.iscomplexobj(form.L):
         u = u + 1j * rng.standard_normal(form.dim)
+    return u
+
+
+def _identity_suite(form, alphas, seed):
+    """The identity checks of one form on a random u from `seed`, with
+    verdicts. Every check projects u; the form remembers the projection, so
+    Q* is applied once, or not at all where u was projected before."""
+    u = _suite_vector(form, seed)
     norm_u = form.norm(u)
     radius = max(abs(form.eigenvalues[0]), abs(form.eigenvalues[-1]), 1e-12)
 
@@ -421,12 +447,20 @@ def semigroup_identities(G, bundle, alphas, seed) -> dict:
     (none without a bundle) and of the scalar form, which carries its
     Beurling-Deny criteria; `ok` if every identity holds and the scalar
     semigroup is sub-Markov. AlphaTooSmall if no alpha exceeds a form's
-    Laplace-check floor, so that no Laplace residual would be checked."""
+    Laplace-check floor, so that no Laplace residual would be checked.
+
+    The suite reads the magnetic form's Q only through the projection of
+    its u, which is taken right after the reduction and remembered; the
+    reflectors are then released, before the suite's first eigenvalue read,
+    so that dstevd runs beside Z and its workspace only. The scalar form
+    keeps its reflectors: its Beurling-Deny kernel builds U from them."""
     report = {}
     if bundle is not None:
-        report["magnetic"] = _identity_suite(
-            assemble_magnetic_form(G, bundle), alphas, seed
-        )
+        magnetic = assemble_magnetic_form(G, bundle)
+        magnetic._project(_suite_vector(magnetic, seed))
+        magnetic._release_reflectors()
+        report["magnetic"] = _identity_suite(magnetic, alphas, seed)
+        del magnetic
     # The scalar form is built after the magnetic one is freed, so that at
     # most one spectrum is held at a time.
     scalar = assemble_scalar_form(G)

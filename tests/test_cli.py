@@ -327,7 +327,8 @@ def test_commands_fit_their_memory_budgets(tmp_path):
     # Each command's traced peak, in complex N x N arrays, on one n = 150,
     # rank-3 spec (N = 450), against the budgets that README states: one
     # more N x N complex copy anywhere would exceed its command's budget.
-    budgets = {"spectrum": 2.3, "semigroup-id": 2.2, "dominate": 3.0,
+    # semigroup-id frees the magnetic form's reflectors before its dstevd.
+    budgets = {"spectrum": 2.3, "semigroup-id": 1.5, "dominate": 3.0,
                "uniqueness": 0.5}
     graph_doc, bundle_doc = fixtures.diamagnetic_docs(n=150, d=3)
     argv = ["--graph", write_json(tmp_path / "g.json", graph_doc),

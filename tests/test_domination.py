@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -549,6 +550,32 @@ def test_grid_verdicts_fit_in_the_eigensolver_workspace():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * 16 * A.dim**2, peak / (16 * A.dim**2)
+
+
+def test_samples_are_drawn_after_both_eigensystems(monkeypatch, tmp_path):
+    # dominate draws its sample sections only once both forms' dstevd has
+    # run, so that neither eigensolver's workspace is held beside them.
+    events = []
+    dstevd, sections = lapack.dstevd, domination._sections
+
+    def spy_dstevd(*args, **kwargs):
+        events.append("dstevd")
+        return dstevd(*args, **kwargs)
+
+    def spy_sections(*args, **kwargs):
+        events.append("sections")
+        return sections(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dstevd", spy_dstevd)
+    monkeypatch.setattr(domination, "_sections", spy_sections)
+    argv = ["dominate", "--samples", "10", "--out", str(tmp_path / "r.json")]
+    for flag, doc in zip(("--graph", "--bundle"), fixtures.diamagnetic_docs(n=30, d=2)):
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv += [flag, str(path)]
+    assert run(argv) == 0
+    assert events.count("dstevd") == 2 and "sections" in events
+    assert "sections" not in events[: len(events) - events[::-1].index("dstevd")]
 
 
 def test_a_real_form_is_not_cast_to_complex_in_the_grid_verdicts():

@@ -453,9 +453,58 @@ def test_a_failed_eigenvector_build_is_not_run_again(monkeypatch):
         patch.setattr(forms.lapack, "dorgqr", failing)
         with pytest.raises(EigSolverFailure, match="info = -1"):
             F.eigenvectors
-    with pytest.raises(EigSolverFailure, match="consumed the reflectors"):
+    with pytest.raises(EigSolverFailure, match="consumed by a failed eigenvector"):
         F.eigenvectors
     assert F.lower_bound == F.eigenvalues[0]
+
+
+def test_a_remembered_projection_outlives_released_reflectors(monkeypatch):
+    # The last single vector projected, (N,) or (N, 1), is remembered with its
+    # w. After `_release_reflectors` it still projects, to a copy of w bit for
+    # bit and with no ?unmqr; every other use of Q raises EigSolverFailure,
+    # never a KeyError or a stale result. A batch is never remembered, not
+    # even its columns one by one. The eigenvalues are still read.
+    calls = fixtures.counting_lapack(monkeypatch, ("zunmqr", "dormqr"))
+    rng = np.random.default_rng(88)
+    for F in _reduced_forms():
+        u = rng.standard_normal(F.dim)
+        if np.iscomplexobj(F.L):
+            u = u + 1j * rng.standard_normal(F.dim)
+        batch = rng.standard_normal((F.dim, 2))
+        w = F._project(u)
+        F._project(batch)
+        assert len(calls) == 2
+        F._release_reflectors()
+        assert "_householder" not in F.__dict__
+        for again in (u, u.copy(), u[:, None]):
+            got = F._project(again)
+            assert got.tobytes() == w.tobytes() and got.flags.f_contiguous
+            got[...] = 0  # a copy: the remembered w stays
+        assert len(calls) == 2
+        other = u.copy()
+        other[-1] += 1.0
+        refused = [other, batch, batch[:, :1], batch[:, 1]]
+        if not np.iscomplexobj(F.L):
+            refused.append(u + 0j)  # the same values, projected as two columns
+        for vector in refused:
+            with pytest.raises(EigSolverFailure, match="released"):
+                F._project(vector)
+        for read in (lambda: F.eigenvectors, lambda: F.semigroup(0.3, u),
+                     lambda: F.resolvent(1.0, u), lambda: F.eigenvectors):
+            with pytest.raises(EigSolverFailure, match="released"):
+                read()
+        u[0] += 1.0  # the same array, changed in place
+        with pytest.raises(EigSolverFailure, match="released"):
+            F._project(u)
+        assert len(calls) == 2 and F.lower_bound == F.eigenvalues[0]
+        calls.clear()
+    # Released before any spectral read, the reduction runs first, so that no
+    # later read leaves new reflectors.
+    F = _reduced_forms()[1]
+    F._release_reflectors()
+    assert F.eigenvalues.size == F.dim
+    with pytest.raises(EigSolverFailure, match="released"):
+        F.eigenvectors
 
 
 def test_reflectors_are_read_where_the_reduction_wrote_them(monkeypatch):
@@ -530,6 +579,34 @@ def test_concurrent_first_reads_share_one_eigenvector_build():
             assert any(np.array_equal(applied[0], result) for result in sequential)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_concurrent_projections_are_each_their_own_vector():
+    # Threads projecting different single vectors through one form share its
+    # remembered projection: each gets its own vector's w, bit for bit, never
+    # a w remembered for another vector.
+    F = _reduced_forms()[1]
+    vectors = np.random.default_rng(89).standard_normal((6, F.dim))
+    expected = [F._project(v).tobytes() for v in vectors]
+    wrong = []
+
+    def project(i):
+        for _ in range(40):
+            if F._project(vectors[i]).tobytes() != expected[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=project, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_reduction_overwrites_its_own_buffer():

@@ -185,6 +185,32 @@ def test_cli_reads_no_private_name_of_another_module():
     assert private_reads(cli.read_text(encoding="utf-8")) == []
 
 
+def names(source: str, name: str) -> list[int]:
+    """Lines where a module names `name`: as a variable, an attribute or a
+    string (a `__dict__` key)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "value", None)))
+
+
+def test_names_are_found():
+    source = (
+        "q = F._householder\n"
+        "F.__dict__.pop('_householder')\n"
+        "_householder = 1\n"
+        "x = '_householder_count'\n"
+    )
+    assert names(source, "_householder") == [1, 2, 3]
+
+
+def test_only_forms_names_the_reflectors():
+    # The reflectors' lifetime has one owner: the other modules reach them
+    # only through FormOperator's methods (`_release_reflectors` among them).
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert {name: lines for name, source in sources.items()
+            if (lines := names(source, "_householder")) and name != "forms.py"} == {}
+
+
 def package_imports(source: str) -> set[str]:
     """The modules of the package that a module imports: `from .m import x`,
     `from . import m`, `from mgl.m import x` and `import mgl.m` all name m."""
